@@ -1,12 +1,11 @@
-//! Ablation benches for the design choices called out in `DESIGN.md`:
+//! Ablation benches for the analysis design choices:
 //!
 //! * predicate edges vs primitive tracking, separately and together;
 //! * declared-type parameter filtering on/off;
-//! * saturation on/off;
-//! * sequential vs deterministic-parallel solver.
+//! * saturation on/off.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use skipflow_core::{analyze, AnalysisConfig, SolverKind};
+use skipflow_core::{analyze, AnalysisConfig};
 use skipflow_synth::{build_benchmark, suites};
 
 fn bench_feature_ablation(c: &mut Criterion) {
@@ -59,31 +58,10 @@ fn bench_saturation(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solvers(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_solver");
-    group.sample_size(10);
-    let spec = suites::by_name("als").expect("als spec");
-    let bench = build_benchmark(&spec);
-    let mut configs = vec![("sequential".to_string(), AnalysisConfig::skipflow())];
-    for threads in [2, 4, 8] {
-        configs.push((
-            format!("parallel-{threads}"),
-            AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads }),
-        ));
-    }
-    for (name, config) in configs {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &config, |b, config| {
-            b.iter(|| analyze(&bench.program, &bench.roots, config))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_feature_ablation,
     bench_declared_type_filtering,
-    bench_saturation,
-    bench_solvers
+    bench_saturation
 );
 criterion_main!(benches);

@@ -29,8 +29,8 @@
 //!   *retractions*, and method-body *edits* driven through one
 //!   [`AnalysisSession`], measuring the invalidated region (methods and
 //!   flows reset by the DRed-style over-delete) and the re-derive steps
-//!   against a fresh solve of the script's final configuration — whose
-//!   fixpoint the session must match exactly. Edit records live in their
+//!   against fresh solves of the configuration at every solve point —
+//!   whose fixpoints the session must match exactly. Edit records live in their
 //!   own JSON block like serve records; the step gate never reads them.
 //! * **table1** — the full 35-benchmark corpus under PTA and SkipFlow,
 //!   sequential solver, mirroring the paper's evaluation.
@@ -60,7 +60,7 @@ use std::time::Instant;
 pub struct RunRecord {
     /// Configuration label (`PTA` / `SkipFlow`).
     pub config: String,
-    /// Solver label (`sequential` / `parallel-N` / `reference`).
+    /// Solver label (`sequential` / `reference`).
     pub solver: String,
     /// Scheduler label (`adaptive` / `scc` / `fifo`; the reference solver
     /// is always `fifo`).
@@ -90,14 +90,6 @@ pub struct RunRecord {
     pub order_repairs: u64,
     /// Component unions performed by online cycle collapses.
     pub scc_merges: u64,
-    /// Parallel SCC rounds taken (0 for sequential solvers).
-    pub antichain_rounds: u64,
-    /// Buckets drained by those rounds (> rounds ⇔ multi-bucket batching).
-    pub antichain_batched_buckets: u64,
-    /// Rounds that declined antichain batching over pending structural
-    /// changes — structurally 0 since the online-order scheduler; recorded
-    /// so the summary guard can assert it stays that way.
-    pub dirty_round_skips: u64,
     /// Reachable methods (precision guard).
     pub reachable_methods: usize,
     /// Dead blocks across reachable methods (precision guard).
@@ -261,9 +253,6 @@ pub fn measure_resume(
             use_edges: result.stats().use_edges,
             order_repairs: sched.order_repairs,
             scc_merges: sched.scc_merges,
-            antichain_rounds: sched.antichain_rounds,
-            antichain_batched_buckets: sched.antichain_batched_buckets,
-            dirty_round_skips: sched.antichain_dirty_round_skips,
             reachable_methods: result.reachable_methods().len(),
             dead_blocks: dead_block_total(result),
         }
@@ -486,7 +475,8 @@ pub fn run_serve() -> Vec<ServeRecord> {
 /// One measured edit-script workload: a seeded non-monotone operation
 /// stream (root adds/retracts, body disables/restores, interleaved solve
 /// points) driven through a single session, with the invalidation volume
-/// and the re-derive-vs-fresh step comparison of the *final* fixpoint.
+/// and the re-derive steps compared against fresh solves of the
+/// configuration at *every* solve point.
 #[derive(Clone, Debug)]
 pub struct EditRecord {
     /// Workload name (`edit-rung-2000`).
@@ -509,13 +499,16 @@ pub struct EditRecord {
     /// Worklist steps spent re-deriving after invalidations, summed over
     /// the script.
     pub rederive_steps: u64,
-    /// Worklist steps of one fresh solve of the script's final
-    /// configuration (surviving roots under the final mask).
+    /// Worklist steps of fresh solves of the session's configuration
+    /// (current roots under the current mask), summed over every solve
+    /// point of the script.
     pub fresh_steps: u64,
     /// `rederive_steps / fresh_steps` — how much re-derivation the whole
-    /// non-monotone stream cost relative to solving its end state once.
+    /// non-monotone stream cost relative to solving every solve point's
+    /// configuration from scratch.
     pub rederive_fresh_ratio: f64,
-    /// Wall-clock time for the whole script (every solve point included).
+    /// Wall-clock time of the session's part of the script (every mutation
+    /// and solve point; the fresh oracle solves are not counted).
     pub wall_ms: f64,
 }
 
@@ -542,9 +535,10 @@ pub const EDIT_SCRIPT_STEPS: usize = 24;
 pub const EDIT_SCRIPT_CHURN: usize = 4;
 
 /// Drives the seeded edit script over `bench` through one session and
-/// measures it (see [`EditRecord`]). Panics if the session's final
-/// fixpoint diverges from a fresh solve of the script's final
-/// configuration on the precision guards — the bit-level identity is
+/// measures it (see [`EditRecord`]). Panics if the session's fixpoint at
+/// any solve point diverges from a fresh solve of that point's
+/// configuration, or its final fixpoint from the script's final
+/// configuration, on the precision guards — the bit-level identity is
 /// enforced by `tests/edit_scripts.rs`, but a perf document must never be
 /// produced from diverging runs.
 pub fn measure_edits(
@@ -571,7 +565,10 @@ pub fn measure_edits(
         .roots(bench.roots.iter().copied())
         .build()
         .expect("benchmark roots are valid");
+    let mut wall = start.elapsed();
+    let mut fresh_steps = 0;
     for op in &script.ops {
+        let start = Instant::now();
         match op {
             EditOp::AddRoots(batch) => {
                 session.add_roots(batch.iter().copied()).expect("script adds are valid");
@@ -595,8 +592,20 @@ pub fn measure_edits(
                 session.solve();
             }
         }
+        wall += start.elapsed();
+        if let EditOp::Solve = op {
+            // The fresh oracle of this solve point: the session's current
+            // roots under its current mask, solved from scratch.
+            let oracle_config = config.clone().with_masked_methods(session.masked_methods());
+            let fresh = analyze(&bench.program, session.roots(), &oracle_config);
+            assert_eq!(
+                session.snapshot().reachable_methods(),
+                fresh.reachable_methods(),
+                "edit workload {name}: session diverged from a fresh solve point"
+            );
+            fresh_steps += fresh.stats().steps;
+        }
     }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
     let inv = session.snapshot().stats().invalidation;
     let result = session.into_result();
 
@@ -616,7 +625,6 @@ pub fn measure_edits(
         dead_block_total(&fresh),
         "edit workload {name}: dead-block totals diverged"
     );
-    let fresh_steps = fresh.stats().steps;
 
     EditRecord {
         name: name.to_string(),
@@ -630,7 +638,7 @@ pub fn measure_edits(
         rederive_steps: inv.rederive_steps,
         fresh_steps,
         rederive_fresh_ratio: inv.rederive_steps as f64 / fresh_steps.max(1) as f64,
-        wall_ms,
+        wall_ms: wall.as_secs_f64() * 1e3,
     }
 }
 
@@ -663,7 +671,6 @@ fn dead_block_total(result: &AnalysisResult) -> usize {
 fn solver_label(kind: SolverKind) -> String {
     match kind {
         SolverKind::Sequential => "sequential".to_string(),
-        SolverKind::Parallel { threads } => format!("parallel-{threads}"),
         SolverKind::Reference => "reference".to_string(),
     }
 }
@@ -747,9 +754,6 @@ pub fn measure_group(
                 use_edges: stats.use_edges,
                 order_repairs: stats.scheduler.order_repairs,
                 scc_merges: stats.scheduler.scc_merges,
-                antichain_rounds: stats.scheduler.antichain_rounds,
-                antichain_batched_buckets: stats.scheduler.antichain_batched_buckets,
-                dirty_round_skips: stats.scheduler.antichain_dirty_round_skips,
                 reachable_methods: result.reachable_methods().len(),
                 dead_blocks: dead_block_total(&result),
             }
@@ -770,10 +774,6 @@ fn scaling_configs(force_fifo: bool) -> Vec<AnalysisConfig> {
             AnalysisConfig::skipflow()
                 .with_scheduler(SchedulerKind::Fifo)
                 .with_narrow_join_width(0),
-            AnalysisConfig::skipflow()
-                .with_solver(SolverKind::Parallel { threads: 4 })
-                .with_scheduler(SchedulerKind::Fifo)
-                .with_narrow_join_width(0),
             AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
             AnalysisConfig::baseline_pta()
                 .with_scheduler(SchedulerKind::Fifo)
@@ -789,7 +789,6 @@ fn scaling_configs(force_fifo: bool) -> Vec<AnalysisConfig> {
             // Ablation row: adaptive scheduling without the narrow-join
             // fast path (isolates the two tentpole mechanisms).
             AnalysisConfig::skipflow().with_narrow_join_width(0),
-            AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads: 4 }),
             AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
             AnalysisConfig::baseline_pta(),
         ]
@@ -960,8 +959,8 @@ fn run_scaling_family(
 }
 
 /// Runs the ladder: each rung under SkipFlow (sequential under all three
-/// schedulers plus the narrow-join ablation, parallel-4, and the reference
-/// full-join solver) plus the PTA baseline. With `paired`, the
+/// schedulers plus the narrow-join ablation, and the reference full-join
+/// solver) plus the PTA baseline. With `paired`, the
 /// wall-time-guard ratios are also measured (expensive; committed captures
 /// only — CI's step gate passes `false`).
 pub fn run_ladder(force_fifo: bool, paired: bool) -> Vec<WorkloadRecord> {
@@ -1106,7 +1105,7 @@ pub fn render_json_document(
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v5\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v6\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -1125,8 +1124,7 @@ pub fn render_json_document(
                  \"narrow_join\": {}, \"flips\": {}, \"wall_ms\": {:.3}, \
                  \"steps\": {}, \"full_join_steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
-                 \"order_repairs\": {}, \"scc_merges\": {}, \"antichain_rounds\": {}, \
-                 \"antichain_batched_buckets\": {}, \"dirty_round_skips\": {}, \
+                 \"order_repairs\": {}, \"scc_merges\": {}, \
                  \"reachable_methods\": {}, \"dead_blocks\": {}}}{comma}",
                 json_escape(&r.config),
                 json_escape(&r.solver),
@@ -1141,9 +1139,6 @@ pub fn render_json_document(
                 r.use_edges,
                 r.order_repairs,
                 r.scc_merges,
-                r.antichain_rounds,
-                r.antichain_batched_buckets,
-                r.dirty_round_skips,
                 r.reachable_methods,
                 r.dead_blocks,
             );
@@ -1380,36 +1375,6 @@ fn render_summary_json(workloads: &[WorkloadRecord], baseline: Option<&str>) -> 
         "    \"adaptive_flipped_on_fanout\": {},",
         json_opt_bool(adaptive_flipped)
     );
-    // Antichain guard (PR 5): with the condensation maintained online, the
-    // parallel solver's fan-out rounds must never degrade to singleton
-    // buckets — zero dirty-round skips (the counter is structurally dead)
-    // and strictly more buckets drained than rounds taken on every fan-out
-    // rung's parallel run.
-    let mut antichain_ok: Option<bool> = None;
-    for w in workloads.iter().filter(|w| w.kind == "fanout") {
-        let par = w.runs.iter().find(|r| {
-            r.config == "SkipFlow" && r.solver.starts_with("parallel")
-        });
-        let Some(par) = par else { continue };
-        let _ = writeln!(
-            out,
-            "    \"fanout_{}_parallel_antichain\": {{\"rounds\": {}, \"batched_buckets\": {}, \
-             \"dirty_round_skips\": {}}},",
-            json_escape(&w.name.replace('-', "_")),
-            par.antichain_rounds,
-            par.antichain_batched_buckets,
-            par.dirty_round_skips,
-        );
-        let ok = par.dirty_round_skips == 0
-            && par.antichain_rounds > 0
-            && par.antichain_batched_buckets > par.antichain_rounds;
-        antichain_ok = Some(antichain_ok.unwrap_or(true) && ok);
-    }
-    let _ = writeln!(
-        out,
-        "    \"fanout_parallel_antichain_batched\": {},",
-        json_opt_bool(antichain_ok)
-    );
     // Narrow-join fast-path guard: on the largest ladder rung the primary
     // delta run (narrow-join enabled) must not be slower than the full-join
     // reference loop — the regression BENCH_PR2 documented is gone. Judged
@@ -1567,7 +1532,7 @@ mod tests {
         let wall = w.runs[0].wall_ms;
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w], None);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v5\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v6\""));
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…
@@ -1675,8 +1640,19 @@ mod tests {
         assert!(rec.script_steps > 0 && rec.solve_points >= 2);
         assert!(rec.retractions + rec.edits > 0, "script never invalidated: {rec:?}");
         assert!(rec.invalidated_flows > 0, "{rec:?}");
-        assert!(rec.fresh_steps > 0);
         assert!(rec.rederive_fresh_ratio > 0.0);
+        // The ratio's denominator sums one fresh solve per solve point, so
+        // it exceeds a single fresh solve of the script's final state.
+        let script = skipflow_synth::build_edit_script(&bench, 7, 12, 2);
+        let final_config = AnalysisConfig::skipflow()
+            .with_reflective_roots(bench.reflective_roots.iter().copied())
+            .with_masked_methods(script.final_masked.iter().copied());
+        let final_fresh = analyze(&bench.program, &script.final_roots, &final_config);
+        assert!(rec.fresh_steps > final_fresh.stats().steps, "{rec:?}");
+        assert_eq!(
+            rec.rederive_fresh_ratio,
+            rec.rederive_steps as f64 / rec.fresh_steps as f64
+        );
 
         let w = tiny_workload();
         let doc = render_json_document("test", &[w], &[], &[rec], None);

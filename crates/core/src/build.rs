@@ -9,12 +9,12 @@
 //! `jump` terminators propagate `(m, pred)` into merge blocks, joining
 //! predicates with φ_pred flows and colliding variable flows with φ flows.
 //!
-//! Deviation from the paper's Figure 13 (documented in `DESIGN.md`): flows
-//! for the *declared* φ instructions of a merge are created eagerly so that
-//! loop back-edges connect loop-carried values correctly; the paper's lazy
-//! collision mechanism is kept for the analysis-internal redefinitions
-//! introduced by filtering flows. A collision on a back edge can only be a
-//! filter refinement of an already-joined definition and is dropped (a sound
+//! Deviation from the paper's Figure 13: flows for the *declared* φ
+//! instructions of a merge are created eagerly so that loop back-edges
+//! connect loop-carried values correctly; the paper's lazy collision
+//! mechanism is kept for the analysis-internal redefinitions introduced by
+//! filtering flows. A collision on a back edge can only be a filter
+//! refinement of an already-joined definition and is dropped (a sound
 //! over-approximation).
 
 use crate::config::AnalysisConfig;

@@ -16,7 +16,7 @@
 use skipflow_ir::{FieldId, MethodId};
 use std::time::Duration;
 
-/// How the delta solvers order their worklist.
+/// How the delta solver orders its worklist.
 ///
 /// Scheduling is a pure performance heuristic: every order reaches the same
 /// least fixpoint (all joins are monotone), so both schedulers are proven
@@ -59,12 +59,6 @@ pub enum SchedulerKind {
 pub enum SolverKind {
     /// Single-threaded delta-propagation worklist solver (the default).
     Sequential,
-    /// Deterministic bulk-synchronous parallel solver with the given number
-    /// of worker threads (results are bit-identical to sequential).
-    Parallel {
-        /// Worker thread count (≥ 1; validated at session build).
-        threads: usize,
-    },
     /// The full-join reference solver: recomputes and re-joins a flow's
     /// entire output on every step. Slow by design — it is the oracle the
     /// differential tests and the perf-trajectory harness compare the delta
@@ -80,7 +74,7 @@ pub enum SolverKind {
 /// use skipflow_core::{AnalysisConfig, SchedulerKind, SolverKind};
 ///
 /// let config = AnalysisConfig::skipflow()
-///     .with_solver(SolverKind::Parallel { threads: 4 })
+///     .with_solver(SolverKind::Reference)
 ///     .with_scheduler(SchedulerKind::SccPriority)
 ///     .with_saturation(32);
 /// assert!(config.predicates() && config.primitives());
@@ -119,9 +113,9 @@ pub struct AnalysisConfig {
     pub(crate) masked_methods: Vec<MethodId>,
     /// Solver selection.
     pub(crate) solver: SolverKind,
-    /// Worklist scheduling for the delta solvers.
+    /// Worklist scheduling for the delta solver.
     pub(crate) scheduler: SchedulerKind,
-    /// Word-width threshold of the delta solvers' narrow-join fast path:
+    /// Word-width threshold of the delta solver's narrow-join fast path:
     /// joins into a flow whose live input state is *strictly below* this
     /// many words skip the delta bookkeeping and mark the flow for a plain
     /// full-join step instead. `0` disables the fast path; `usize::MAX`
@@ -469,9 +463,9 @@ mod tests {
     #[test]
     fn builder_helpers() {
         let c = AnalysisConfig::skipflow()
-            .with_solver(SolverKind::Parallel { threads: 4 })
+            .with_solver(SolverKind::Reference)
             .with_saturation(32);
-        assert_eq!(c.solver(), SolverKind::Parallel { threads: 4 });
+        assert_eq!(c.solver(), SolverKind::Reference);
         assert_eq!(c.saturation_threshold(), Some(32));
         assert_eq!(c.scheduler(), SchedulerKind::Adaptive, "adaptive is the default");
         assert_eq!(

@@ -20,13 +20,14 @@
 //!
 //! # Delta propagation
 //!
-//! The solvers use *difference propagation*: each flow carries a pending
-//! `delta` — the part of its input state not yet pushed through the flow.
-//! [`Engine::join_in`] joins incoming state into `in_state` and accumulates
-//! exactly the new information into `delta` (word-level on type-set bits);
-//! a worklist step drains the delta, filters only the drained part through
-//! the flow kind, and joins the result into `out_state` while tracking what
-//! is new there — successors receive only those new bits.
+//! The sequential solver uses *difference propagation*: each flow carries a
+//! pending `delta` — the part of its input state not yet pushed through the
+//! flow. [`Engine::join_in`] joins incoming state into `in_state` and
+//! accumulates exactly the new information into `delta` (word-level on
+//! type-set bits); a worklist step drains the delta, filters only the
+//! drained part through the flow kind, and joins the result into
+//! `out_state` while tracking what is new there — successors receive only
+//! those new bits.
 //!
 //! Invariants:
 //!
@@ -50,7 +51,7 @@
 //!
 //! All states grow monotonically, every propagated delta is part of the
 //! corresponding full state, and filtering is monotone — so the delta
-//! solvers reach the same least fixpoint as the full-join reference solver
+//! solver reaches the same least fixpoint as the full-join reference solver
 //! ([`SolverKind::Reference`], kept as the differential-testing oracle),
 //! and the worklist loop terminates because the lattice has finite height.
 //!
@@ -84,7 +85,7 @@
 //!
 //! # Scheduling
 //!
-//! The delta solvers drain their worklist under one of three schedulers
+//! The delta solver drains its worklist under one of three schedulers
 //! ([`crate::SchedulerKind`]):
 //!
 //! * **FIFO** — a plain queue; kept as the scheduling oracle.
@@ -146,16 +147,6 @@
 //!   converges to the same least fixpoint. Implicit dependencies that are
 //!   not materialized as edges (type-subscriber injections, saturated-site
 //!   re-dispatch) may therefore be safely absent from the order.
-//! * **Parallel rounds are antichains of buckets** — the parallel solver's
-//!   phase A/B rounds batch a set of *mutually ready* SCC buckets: a
-//!   bucket joins the round only if none of its live condensation
-//!   predecessors (read straight off the online order's in-edge lists) is
-//!   queued or already in the batch. Because the predecessor lists are
-//!   maintained online, readiness is exact as of the last inserted edge —
-//!   the batch-recompute scheduler's `dirty > 0` singleton fallback (and
-//!   its `dirty_round_skips` counter, now structurally zero) is gone, so
-//!   batching keeps working while fragments instantiate. Frontier-tier
-//!   rounds drain the whole fresh tier at once (the PR 1 round shape).
 //! * The reference solver always runs FIFO — it is the oracle and stays
 //!   byte-for-byte the full-join algorithm — and neither it nor the forced
 //!   FIFO scheduler pays for the online order (it is never enabled there).
@@ -191,8 +182,7 @@
 //! fixpoint because all joins are monotone and every state is part of the
 //! graph, not the queue. The flip merely permutes the order in which the
 //! already-queued flows are drained, and it is only ever taken *between*
-//! worklist steps (between rounds for the parallel solver), so no step
-//! observes a half-migrated queue. `tests/delta_vs_reference.rs` asserts a
+//! worklist steps, so no step observes a half-migrated queue. `tests/delta_vs_reference.rs` asserts a
 //! flipping run is result-identical to forced-FIFO and forced-SCC runs.
 //!
 //! # Resume (the checkpoint argument)
@@ -265,14 +255,11 @@
 //!   an enabled flow with a non-empty pending delta is queued (except
 //!   transiently *inside* a step). The engine only ever checks its
 //!   interrupt guard ([`Engine::poll_interrupt`]) at points where no step
-//!   is open — the top of the sequential/reference loops, the top of a
-//!   parallel round, and between phase-B applies (where the not-yet-applied
-//!   outputs are discarded and their flows re-enqueued, restoring the
-//!   invariant before returning). So an interrupted engine is
-//!   indistinguishable from one that was handed a larger worklist: every
-//!   propagated fact is a fact of the least fixpoint (monotonicity — the
-//!   partial result is a sound under-approximation), and the next
-//!   [`Engine::run_solver`] simply keeps draining.
+//!   is open — the top of the sequential and reference loops. So an
+//!   interrupted engine is indistinguishable from one that was handed a
+//!   larger worklist: every propagated fact is a fact of the least fixpoint
+//!   (monotonicity — the partial result is a sound under-approximation),
+//!   and the next [`Engine::run_solver`] simply keeps draining.
 //! * **What survives an interrupt.** Everything, because nothing is torn
 //!   down: the pending deltas (`delta ⊑ in_state` still holds), the
 //!   `queued` residency/processed/worked bits, the live online topological
@@ -287,15 +274,6 @@
 //!   [`INTERRUPT_CHECK_STRIDE`] steps (the first poll of a solve always
 //!   checks, so a pre-tripped token or zero budget interrupts before any
 //!   work). Overshoot past a wall/memory budget is bounded by one stride.
-//! * **Worker panics don't poison.** Phase A of the parallel solver is
-//!   read-only; each per-flow step runs under `catch_unwind`, so a
-//!   panicking worker costs exactly its round: the round's prospective
-//!   outputs are discarded, the batch's consumed `needs_full` flags are
-//!   restored, and every batch flow is re-enqueued — the graph is
-//!   untouched and the scheduling invariant holds. The engine then marks
-//!   itself degraded (subsequent solves dispatch sequentially, where the
-//!   panic will either reproduce attributably or not at all) and surfaces
-//!   [`AnalysisError::WorkerPanicked`].
 //!
 //! `tests/interrupt_resume.rs` (and, with `--features fault-inject`,
 //! `tests/fault_injection.rs`) enforce all of this differentially:
@@ -305,7 +283,7 @@
 use crate::build::{build_method_graph, BuildOutput};
 use crate::compare::compare;
 use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
-use crate::error::{AnalysisError, WorkerPanic};
+use crate::error::AnalysisError;
 use crate::flow::{Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
 use crate::graph::{MethodGraph, Pvpg};
 use crate::interrupt::{CancelToken, Completeness, InterruptReason};
@@ -314,7 +292,6 @@ use crate::metrics::{InterruptStats, InvalidationStats, SchedulerStats};
 use crate::report::{AnalysisResult, ReachableSet, SolveStats};
 use skipflow_ir::{BitSet, FieldId, MethodId, Program, TypeId, TypeRef};
 use std::collections::{BTreeMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 /// Bit 0 of [`Engine::queued`]: the flow is resident in the worklist.
@@ -358,41 +335,6 @@ const FLIP_TRIP: u32 = 96;
 /// worth an O(V+E) condensation — there is almost nothing left to order.
 const FLIP_MIN_QUEUE: usize = 64;
 
-/// Bound on non-empty buckets examined per parallel round while extending
-/// the batch to an antichain (keeps `pop_bucket` from degenerating into an
-/// O(#buckets) scan per round on condensations with many tiny SCCs).
-const ANTICHAIN_SCAN_BUDGET: usize = 256;
-
-/// Consecutive non-ready candidates after which the antichain scan gives
-/// up for the round: when the queue is dominated by one blocked frontier
-/// (e.g. hundreds of fan-out readers all waiting on the sink bucket),
-/// paying the full scan budget every round is pure overhead — the moment
-/// the frontier clears, candidates stop missing and the scan runs long
-/// again.
-const ANTICHAIN_MISS_LIMIT: usize = 16;
-
-/// Rounds to skip further antichain attempts after one that failed to
-/// batch anything beyond the first bucket — blocked frontiers tend to stay
-/// blocked for many consecutive rounds, and the scan itself is the cost.
-const ANTICHAIN_BACKOFF_ROUNDS: u32 = 8;
-
-/// Maximum buckets batched into one parallel antichain round.
-const ANTICHAIN_MAX_BUCKETS: usize = 64;
-
-/// In-edge entries examined per bucket readiness check before the bucket
-/// conservatively counts as not ready (bounds a round's scan cost on
-/// components with huge in-degree, e.g. a shared field sink).
-const ANTICHAIN_PRED_BUDGET: usize = 512;
-
-
-
-/// Cap on a parallel round's batch while an adaptive solve is still in its
-/// FIFO phase: the flip decision is only taken *between* rounds, so
-/// whole-worklist rounds would delay detection by thousands of steps on a
-/// re-processing storm. Forced-FIFO parallel keeps the PR 1 whole-worklist
-/// rounds.
-const ADAPTIVE_ROUND_CAP: usize = 512;
-
 /// Worklist steps between polls of the cancel token / wall clock / memory
 /// estimate. The step budget is *not* strided — it is one integer compare
 /// against a precomputed end value, checked before every step, so
@@ -411,22 +353,6 @@ pub(crate) enum SolveEnd {
     Complete,
     /// A budget or the cancel token stopped the solve between steps.
     Interrupted(InterruptReason),
-}
-
-/// A phase-A prospective output: `(flow, new output, consumed delta
-/// snapshot, full-step flag)` — see [`Engine::compute_step`].
-type StepOut = (FlowId, ValueState, Option<ValueState>, bool);
-
-/// Best-effort stringification of a caught panic payload (the standard
-/// `&str` / `String` payloads; anything else gets a placeholder).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 /// Per-solve interrupt guard, armed by [`Engine::run_solver`] only when a
@@ -488,13 +414,6 @@ struct SccQueue {
     len: usize,
     /// Stale pops re-queued under their live label.
     rebucketed: u64,
-    /// Parallel antichain rounds taken (non-empty `pop_bucket` calls).
-    antichain_rounds: u64,
-    /// Total buckets drained by those rounds (> rounds ⇔ real batching).
-    antichain_batched: u64,
-    /// Rounds left of the antichain attempt backoff (see
-    /// [`ANTICHAIN_BACKOFF_ROUNDS`]).
-    antichain_backoff: u32,
     /// Debug-only duplicate-enqueue guard: a flow must never be resident in
     /// two buckets at once.
     #[cfg(debug_assertions)]
@@ -508,9 +427,6 @@ impl SccQueue {
             buckets: BTreeMap::new(),
             len: 0,
             rebucketed: 0,
-            antichain_rounds: 0,
-            antichain_batched: 0,
-            antichain_backoff: 0,
             #[cfg(debug_assertions)]
             resident: Vec::new(),
         }
@@ -578,132 +494,6 @@ impl SccQueue {
             return Some(f);
         }
     }
-
-    /// Whether the bucket at `label` is *ready* to join the current round's
-    /// batch: every live condensation predecessor of its component must be
-    /// neither queued (its local fixpoint is not reached) nor part of the
-    /// batch being assembled (`taken`). Readiness rather than mere pairwise
-    /// independence is what keeps chains serialized: in `s1 → s2 → s3`
-    /// there is no direct `s1 → s3` edge, yet `s3` must not run in `s1`'s
-    /// round while `s2` is queued. Answered from the online order's live
-    /// in-edge lists — exact as of the last inserted edge, so dynamically
-    /// wired predecessors (fan-out readers acquiring the field sink
-    /// mid-solve) block batching immediately, with no recompute lag.
-    /// Takes the graph mutably because an exhausted predecessor budget
-    /// triggers the lazy in-edge dedup ([`Pvpg::component_blocked`]): the
-    /// duplicate accumulation that exhausted the budget is compacted on the
-    /// spot, so the *next* readiness check of the same component sees the
-    /// deduplicated list instead of conservatively blocking forever.
-    fn bucket_ready(&self, g: &mut Pvpg, sample: FlowId, label: u64, taken: &[u64]) -> bool {
-        !g.component_blocked(sample, ANTICHAIN_PRED_BUDGET, |p| {
-            p != label && (taken.contains(&p) || self.buckets.contains_key(&p))
-        })
-    }
-
-    /// Drains an *antichain* of mutually ready SCC buckets — the parallel
-    /// solver's batch unit (one round). The batch always contains the whole
-    /// lowest-label non-empty bucket; further buckets join while every one
-    /// of their condensation predecessors is idle ([`SccQueue::bucket_ready`]),
-    /// bounded by [`ANTICHAIN_SCAN_BUDGET`] / [`ANTICHAIN_MAX_BUCKETS`] and
-    /// the per-bucket predecessor budget. Because the order and the
-    /// predecessor lists are maintained online, batching keeps working
-    /// while fragments instantiate — the `dirty > 0` singleton fallback of
-    /// the batch-recompute scheduler is gone.
-    fn pop_bucket(&mut self, g: &mut Pvpg) -> Vec<FlowId> {
-        let mut batch = Vec::new();
-        // Frontier rounds drain the whole fresh tier at once (the PR 1
-        // FIFO round shape — fresh flows have no useful relative order and
-        // each is processed at most once prematurely).
-        if !self.fresh.is_empty() {
-            self.len -= self.fresh.len();
-            for id in self.fresh.drain(..) {
-                #[cfg(debug_assertions)]
-                {
-                    self.resident[id as usize] = false;
-                }
-                batch.push(FlowId::from_index(id as usize));
-            }
-            return batch;
-        }
-        // Drain the first bucket, healing stale entries; a bucket can turn
-        // out entirely stale, in which case move on to the next.
-        let first_label = loop {
-            let Some(entry) = self.buckets.first_entry() else {
-                return batch;
-            };
-            let label = *entry.key();
-            let ids = entry.remove();
-            self.drain_validated(g, label, ids, &mut batch);
-            if !batch.is_empty() {
-                break label;
-            }
-        };
-        self.antichain_rounds += 1;
-        self.antichain_batched += 1;
-        if self.buckets.is_empty() {
-            return batch;
-        }
-        if self.antichain_backoff > 0 {
-            self.antichain_backoff -= 1;
-            return batch;
-        }
-        // Extend to an antichain: walk the remaining buckets in label order
-        // and take every ready one, under the scan budgets.
-        let mut taken: Vec<u64> = vec![first_label];
-        let mut misses = 0usize;
-        for (&label, ids) in self.buckets.iter().take(ANTICHAIN_SCAN_BUDGET) {
-            if misses >= ANTICHAIN_MISS_LIMIT || taken.len() >= ANTICHAIN_MAX_BUCKETS {
-                break;
-            }
-            let sample = FlowId::from_index(ids[0] as usize);
-            // A stale bucket (component relocated while queued) cannot be
-            // judged under this key; leave it for the pop paths to heal.
-            if g.live_label(sample) == label && self.bucket_ready(g, sample, label, &taken) {
-                taken.push(label);
-                misses = 0;
-            } else {
-                misses += 1;
-            }
-        }
-        if taken.len() == 1 {
-            self.antichain_backoff = ANTICHAIN_BACKOFF_ROUNDS;
-        }
-        for &label in &taken[1..] {
-            let ids = self.buckets.remove(&label).expect("taken bucket exists");
-            let before = batch.len();
-            self.drain_validated(g, label, ids, &mut batch);
-            if batch.len() > before {
-                self.antichain_batched += 1;
-            }
-        }
-        batch
-    }
-
-    /// Moves a removed bucket's entries into `batch`, re-queueing any stale
-    /// ones under their live label.
-    fn drain_validated(
-        &mut self,
-        g: &Pvpg,
-        label: u64,
-        ids: VecDeque<u32>,
-        batch: &mut Vec<FlowId>,
-    ) {
-        for id in ids {
-            self.len -= 1;
-            let f = FlowId::from_index(id as usize);
-            #[cfg(debug_assertions)]
-            {
-                self.resident[id as usize] = false;
-            }
-            let live = g.live_label(f);
-            if live != label {
-                self.rebucketed += 1;
-                self.push(f, live, false);
-            } else {
-                batch.push(f);
-            }
-        }
-    }
 }
 
 /// The solver worklist: a plain FIFO queue or the (boxed — it carries the
@@ -712,7 +502,6 @@ enum Worklist {
     Fifo(VecDeque<FlowId>),
     Scc(Box<SccQueue>),
 }
-
 
 /// The adaptive scheduler's re-enqueue-rate detector (present only while an
 /// `Adaptive` solve is still in its FIFO phase; dropped at the flip).
@@ -881,19 +670,14 @@ pub(crate) struct Engine<'p> {
     /// The active solve's interrupt guard (`None` on budget-less,
     /// token-less solves — the common case pays one `Option` test per step).
     guard: Option<InterruptGuard>,
-    /// Set when a parallel phase-A worker panicked: the session stays
-    /// usable, but all subsequent solves dispatch sequentially (module
-    /// docs, "Interrupt safety").
-    degraded: bool,
     /// Whether the most recent solve ended interrupted (drives the
     /// `resumed_after_interrupt` statistic on the next solve).
     last_interrupted: bool,
-    /// Cumulative interrupt/panic statistics (session-lifetime, like
-    /// `steps`).
+    /// Cumulative interrupt statistics (session-lifetime, like `steps`).
     interrupt_stats: InterruptStats,
     /// Deterministic fault-injection triggers (test builds only).
     #[cfg(feature = "fault-inject")]
-    fault: crate::fault::FaultState,
+    fault: crate::fault::FaultPlan,
     sched_stats: SchedulerStats,
     steps: u64,
     full_join_steps: u64,
@@ -961,11 +745,10 @@ impl<'p> Engine<'p> {
             narrow_join,
             overflow: None,
             guard: None,
-            degraded: false,
             last_interrupted: false,
             interrupt_stats: InterruptStats::default(),
             #[cfg(feature = "fault-inject")]
-            fault: crate::fault::FaultState::new(config_fault_plan),
+            fault: config_fault_plan,
             sched_stats: SchedulerStats::default(),
             steps: 0,
             full_join_steps: 0,
@@ -981,7 +764,7 @@ impl<'p> Engine<'p> {
     /// *already current* — the online order has been maintained since
     /// session start — so the flip is a pure queue migration: no Tarjan
     /// pass, no lazily computed priorities. Only ever called *between*
-    /// worklist steps / rounds, so no step observes a half-migrated queue;
+    /// worklist steps, so no step observes a half-migrated queue;
     /// safe mid-solve because results are scheduler-independent (module
     /// docs, "The adaptive flip").
     fn maybe_flip(&mut self) {
@@ -1094,12 +877,8 @@ impl<'p> Engine<'p> {
     /// flip detector's sliding window is cleared, so a resumed solve
     /// reports its own behaviour instead of residue from the prior solve —
     /// while the cumulative `*_total` counters and the sticky flip keep
-    /// accumulating across the session. A solve after a worker panic
-    /// dispatches sequentially regardless of the configured solver.
-    pub(crate) fn run_solver(
-        &mut self,
-        cancel: Option<&CancelToken>,
-    ) -> Result<SolveEnd, AnalysisError> {
+    /// accumulating across the session.
+    pub(crate) fn run_solver(&mut self, cancel: Option<&CancelToken>) -> SolveEnd {
         self.solve_start_steps = self.steps;
         match &mut self.flip {
             Some(tracker) => {
@@ -1119,21 +898,15 @@ impl<'p> Engine<'p> {
         }
         self.arm_guard(cancel);
         let end = match self.config.solver {
-            SolverKind::Sequential => Ok(self.solve_sequential()),
-            // A degraded session keeps working, sequentially: phase A of
-            // the parallel solver computes exactly the sequential steps, so
-            // the fixpoint is identical — only the panic risk (and the
-            // speedup) is gone.
-            SolverKind::Parallel { .. } if self.degraded => Ok(self.solve_sequential()),
-            SolverKind::Parallel { threads } => self.solve_parallel(threads.max(1)),
-            SolverKind::Reference => Ok(self.solve_reference()),
+            SolverKind::Sequential => self.solve_sequential(),
+            SolverKind::Reference => self.solve_reference(),
         };
         self.guard = None;
-        if let Ok(SolveEnd::Interrupted(_)) = end {
+        if let SolveEnd::Interrupted(_) = end {
             self.last_interrupted = true;
             self.interrupt_stats.interrupts += 1;
         }
-        if let Ok(SolveEnd::Complete) = end {
+        if end == SolveEnd::Complete {
             // The re-derivation window closes at the completed solve that
             // drained it; an interrupted solve keeps the base, so a resumed
             // re-derive accumulates into the same window.
@@ -1163,7 +936,7 @@ impl<'p> Engine<'p> {
         });
     }
 
-    /// The interrupt check, called only between steps / rounds (never with
+    /// The interrupt check, called only between steps (never with
     /// a step open). The step budget is an exact compare every call; the
     /// token, wall clock, and memory estimate are polled every
     /// [`INTERRUPT_CHECK_STRIDE`] steps, with the first poll of a solve
@@ -1228,12 +1001,6 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Whether a parallel worker has panicked this session (all further
-    /// solves dispatch sequentially).
-    pub(crate) fn is_degraded(&self) -> bool {
-        self.degraded
-    }
-
     /// Worklist steps executed so far (cumulative across solves).
     pub(crate) fn steps(&self) -> u64 {
         self.steps
@@ -1288,13 +1055,9 @@ impl<'p> Engine<'p> {
             scheduler.order_comps_moved = os.comps_moved;
             scheduler.scc_merges = os.merges;
             scheduler.order_relabels = os.relabels;
-            scheduler.in_edge_dedups = os.in_dedups;
-            scheduler.in_edges_pruned = os.in_edges_pruned;
         }
         if let Worklist::Scc(q) = &self.worklist {
             scheduler.rebucketed_flows = q.rebucketed;
-            scheduler.antichain_rounds = q.antichain_rounds;
-            scheduler.antichain_batched_buckets = q.antichain_batched;
         }
         SolveStats {
             steps: self.steps,
@@ -1734,8 +1497,8 @@ impl<'p> Engine<'p> {
     }
 
     /// Full-input output computation (the TypeCheck / Cond / PassThrough
-    /// rules): used by the non-distributive kinds, the parallel solver's
-    /// phase A, and the reference solver.
+    /// rules): used by the non-distributive kinds, the narrow-join fast
+    /// path, and the reference solver.
     fn compute_out(&self, f: FlowId) -> ValueState {
         let flow = self.g.flow(f);
         match &flow.kind {
@@ -1805,7 +1568,7 @@ impl<'p> Engine<'p> {
     /// Joins a full-recompute step's output into `out_state` with a plain
     /// monotone join and propagates the *entire* output state along use,
     /// predicate, and observe edges — the Reference step's tail, shared by
-    /// the reference solver and the delta solvers' narrow-join fast path.
+    /// the reference solver and the delta solver's narrow-join fast path.
     /// Successor `join_in`s deduplicate, so re-propagating the full (narrow)
     /// state is cheaper than tracking what was new.
     fn apply_out_full(&mut self, f: FlowId, new_out: ValueState) {
@@ -2478,257 +2241,6 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Deterministic bulk-synchronous parallel solver: each round computes
-    /// the prospective delta outputs of the queued flows in parallel (phase
-    /// A, a pure function of the current states), then applies them in
-    /// queue order (phase B). The final fixpoint is bit-identical to the
-    /// sequential solver's: all joins are monotone and every propagated
-    /// delta is part of the corresponding full state, so both orders
-    /// converge to the same least fixpoint.
-    ///
-    /// Under the SCC worklist a round's batch is an antichain of mutually
-    /// independent SCC buckets (starting from the lowest-priority one), so
-    /// the local-fixpoint-before-successor order holds round-granularly
-    /// while independent buckets stop serializing phase A; under FIFO a
-    /// round drains the entire worklist (the PR 1 behaviour). An adaptive
-    /// run may flip between rounds.
-    pub(crate) fn solve_parallel(&mut self, threads: usize) -> Result<SolveEnd, AnalysisError> {
-        loop {
-            if self.worklist_is_empty() {
-                return Ok(SolveEnd::Complete);
-            }
-            if let Some(reason) = self.poll_interrupt() {
-                return Ok(SolveEnd::Interrupted(reason));
-            }
-            self.maybe_flip();
-            let adaptive_fifo = self.flip.is_some();
-            let batch: Vec<FlowId> = match &mut self.worklist {
-                // While an adaptive solve is in its FIFO phase, cap the
-                // round so the between-rounds flip check keeps up with a
-                // re-processing storm; forced FIFO drains the whole
-                // worklist (the PR 1 round shape).
-                Worklist::Fifo(q) if adaptive_fifo => {
-                    let n = q.len().min(ADAPTIVE_ROUND_CAP);
-                    q.drain(..n).collect()
-                }
-                Worklist::Fifo(q) => q.drain(..).collect(),
-                Worklist::Scc(q) => q.pop_bucket(&mut self.g),
-            };
-            if batch.is_empty() {
-                return Ok(SolveEnd::Complete);
-            }
-            #[cfg(feature = "fault-inject")]
-            self.fault.begin_round();
-            for f in &batch {
-                self.note_dequeued(*f);
-            }
-            // Consume the batch's full-step flags before the read-only
-            // phase A: phase A's decision must reflect the flags as of the
-            // round start, while plain joins arriving *during* phase B
-            // re-set them for the next round.
-            let full_flags: Vec<bool> = batch
-                .iter()
-                .map(|&f| {
-                    let flow = self.g.flow_mut(f);
-                    // A disabled flow keeps its flag (queued flows are
-                    // always enabled; this is belt-and-braces).
-                    flow.enabled && std::mem::take(&mut flow.needs_full)
-                })
-                .collect();
-            // Phase A: compute prospective outputs in parallel (read-only;
-            // each per-flow step is panic-isolated under `catch_unwind` —
-            // see [`Engine::guarded_step`] and the module docs).
-            // Spawning a thread scope costs tens of microseconds per round;
-            // below ~512 flows the per-flow delta computation is cheaper
-            // done inline (antichain rounds regularly sit in the 64–400
-            // range, where spawning used to *lose* 10× wall time).
-            let computed: Result<Vec<StepOut>, (FlowId, String)> =
-                if threads <= 1 || batch.len() < 512 {
-                    batch
-                        .iter()
-                        .zip(&full_flags)
-                        .filter_map(|(f, &full)| self.guarded_step(*f, full).transpose())
-                        .collect()
-                } else {
-                    let chunk = batch.len().div_ceil(threads);
-                    let engine = &*self;
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = batch
-                            .chunks(chunk)
-                            .zip(full_flags.chunks(chunk))
-                            .map(|(flows, fulls)| {
-                                scope.spawn(move || {
-                                    flows
-                                        .iter()
-                                        .zip(fulls)
-                                        .filter_map(|(f, &full)| {
-                                            engine.guarded_step(*f, full).transpose()
-                                        })
-                                        .collect::<Result<Vec<_>, _>>()
-                                })
-                            })
-                            .collect();
-                        let mut outs = Vec::new();
-                        let mut panicked: Option<(FlowId, String)> = None;
-                        for h in handles {
-                            // The per-flow `catch_unwind` means a worker
-                            // thread itself never unwinds.
-                            match h.join().expect("worker panics are caught per flow") {
-                                Ok(mut chunk_outs) => outs.append(&mut chunk_outs),
-                                // Keep the first panic in batch order.
-                                Err(p) => panicked = panicked.or(Some(p)),
-                            }
-                        }
-                        match panicked {
-                            Some(p) => Err(p),
-                            None => Ok(outs),
-                        }
-                    })
-                };
-            let outputs = match computed {
-                Ok(outputs) => outputs,
-                Err((flow, message)) => {
-                    // Roll the round back. Phase A is read-only, so the
-                    // graph is untouched: discarding the prospective
-                    // outputs, restoring the consumed full-step flags, and
-                    // re-enqueueing the whole batch restores the scheduling
-                    // invariant exactly as of the round start — strictly
-                    // cheaper than a delta rollback, which would also have
-                    // to undo successor joins.
-                    for (f, &full) in batch.iter().zip(&full_flags) {
-                        if full {
-                            self.g.flow_mut(*f).needs_full = true;
-                        }
-                        self.enqueue(*f);
-                    }
-                    self.degraded = true;
-                    self.interrupt_stats.worker_panics += 1;
-                    return Err(AnalysisError::WorkerPanicked {
-                        flow,
-                        payload: WorkerPanic::new(message),
-                    });
-                }
-            };
-            // Phase B: apply sequentially in batch order. Each flow's delta
-            // is reduced by exactly the part phase A consumed — input that
-            // arrived *during* phase B (from applying earlier flows) stays
-            // pending and re-queues the flow for the next round.
-            let scc_round = matches!(self.worklist, Worklist::Scc(_));
-            let mut pending = outputs.into_iter().peekable();
-            let interrupted = loop {
-                if pending.peek().is_none() {
-                    break None;
-                }
-                // Mid-round checkpoint: each phase-B apply is exactly one
-                // sequential step, so stopping between applies is stopping
-                // between steps (the step budget stays exact-at-k even
-                // when `k` lands inside a round).
-                if let Some(reason) = self.poll_interrupt() {
-                    break Some(reason);
-                }
-                let (f, out_new, consumed, full) = pending.next().expect("peeked above");
-                self.mark_worked(f);
-                self.steps += 1;
-                if scc_round && self.g.flow_in_cycle(f) {
-                    self.sched_stats.steps_in_cycles += 1;
-                }
-                if let Some(max) = self.config.max_steps {
-                    assert!(self.steps <= max, "analysis exceeded max_steps = {max}");
-                }
-                if full {
-                    // Full-join fast-path step: the output was recomputed
-                    // from the whole input, which covered the phase-A delta
-                    // snapshot; tracked joins from phase B stay pending.
-                    self.full_join_steps += 1;
-                    self.g
-                        .flow_mut(f)
-                        .delta
-                        .remove(consumed.as_ref().expect("full steps snapshot their delta"));
-                    self.apply_out_full(f, out_new);
-                    continue;
-                }
-                // `consumed` is `None` for pass-through kinds, whose output
-                // *is* the consumed delta.
-                self.g
-                    .flow_mut(f)
-                    .delta
-                    .remove(consumed.as_ref().unwrap_or(&out_new));
-                self.apply_out(f, out_new);
-            };
-            if let Some(reason) = interrupted {
-                // Discard the un-applied outputs and re-enqueue their
-                // flows: nothing was removed from their deltas, so the
-                // checkpoint is exactly "a smaller round happened".
-                for (f, _, _, full) in pending {
-                    if full {
-                        self.g.flow_mut(f).needs_full = true;
-                    }
-                    self.enqueue(f);
-                }
-                return Ok(SolveEnd::Interrupted(reason));
-            }
-        }
-    }
-
-    /// One panic-isolated phase-A step: [`Engine::compute_step`] under
-    /// `catch_unwind`, so a panicking step costs its round instead of
-    /// poisoning the session (module docs, "Interrupt safety").
-    /// `AssertUnwindSafe` is justified precisely because the closure is
-    /// read-only: a caught panic leaves no half-written engine state to
-    /// observe.
-    fn guarded_step(&self, f: FlowId, full: bool) -> Result<Option<StepOut>, (FlowId, String)> {
-        catch_unwind(AssertUnwindSafe(|| {
-            #[cfg(feature = "fault-inject")]
-            if self.fault.take_worker_panic() {
-                panic!("{} (flow {f:?})", crate::fault::INJECTED_PANIC_MARKER);
-            }
-            self.compute_step(f, full)
-        }))
-        .map_err(|payload| (f, panic_message(&*payload)))
-    }
-
-    /// Phase A of the parallel solver: what [`Engine::process`] would
-    /// produce for `f`, read-only. Returns `(flow, prospective output,
-    /// consumed delta, full-step flag)`, or `None` when the step would be a
-    /// no-op. The consumed delta is `None` for pass-through kinds, where
-    /// the output itself is the consumed delta (avoids a redundant clone).
-    /// With `full` set (the narrow-join fast path), the output is
-    /// recomputed from the whole input and the consumed snapshot is the
-    /// current delta, so phase B removes exactly what this step covered.
-    fn compute_step(&self, f: FlowId, full: bool) -> Option<StepOut> {
-        let flow = self.g.flow(f);
-        if !flow.enabled {
-            return None;
-        }
-        if full {
-            return Some((f, self.compute_out(f), Some(flow.delta.clone()), true));
-        }
-        let out_new = match &flow.kind {
-            FlowKind::CmpFilter { .. } | FlowKind::CatchAll { .. } | FlowKind::PredOn => {
-                self.compute_out(f)
-            }
-            FlowKind::TypeFilter { ty, negated } => {
-                if flow.delta.is_empty() {
-                    return None;
-                }
-                filter_typecheck(self.program, &flow.delta, *ty, *negated)
-            }
-            FlowKind::Param { declared, .. } if self.config.declared_type_filtering => {
-                if flow.delta.is_empty() {
-                    return None;
-                }
-                declared_filter(self.program, &flow.delta, *declared)
-            }
-            _ => {
-                if flow.delta.is_empty() {
-                    return None;
-                }
-                return Some((f, flow.delta.clone(), None, false));
-            }
-        };
-        Some((f, out_new, Some(flow.delta.clone()), false))
-    }
-
     /// The full-join reference loop: recomputes each dequeued flow's output
     /// from its entire input and re-joins the entire output into every
     /// successor. Kept as the differential-testing oracle and the perf
@@ -3030,68 +2542,6 @@ mod tests {
         assert_eq!(q.pop(&g), Some(ids[0]));
         assert_eq!(q.pop(&g), Some(ids[2]), "downstream flow drains last");
         assert_eq!(q.pop(&g), None);
-    }
-
-    #[test]
-    fn scc_queue_pop_bucket_batches_an_antichain_of_independent_buckets() {
-        // 0 → 1 and an unrelated 2: buckets 0 and 2 are mutually ready and
-        // batch into one round; bucket 1 waits for its predecessor.
-        let (mut g, ids) = ordered_graph(3, &[(0, 1)]);
-        let mut q = SccQueue::new();
-        for &i in &[1usize, 0, 2] {
-            push_live(&mut q, &g, ids[i]);
-        }
-        let mut round = q.pop_bucket(&mut g);
-        round.sort();
-        assert_eq!(round, vec![ids[0], ids[2]]);
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[1]]);
-        assert!(q.pop_bucket(&mut g).is_empty());
-        assert_eq!(q.antichain_rounds, 2);
-        assert_eq!(q.antichain_batched, 3, "one multi-bucket round happened");
-    }
-
-    #[test]
-    fn scc_queue_antichain_serializes_chains_without_transitive_edges() {
-        // A chain 0 → 1 → 2 with only the *adjacent* edges: bucket 2 has no
-        // direct edge from 0, yet it must not share 0's round while 1 is
-        // still queued (readiness, not pairwise edge-absence).
-        let (mut g, ids) = ordered_graph(3, &[(0, 1), (1, 2)]);
-        let mut q = SccQueue::new();
-        for &i in &[2usize, 0, 1] {
-            push_live(&mut q, &g, ids[i]);
-        }
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[0]]);
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[1]]);
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[2]]);
-        // Once the chain's upstream is at fixpoint, a later bucket *can*
-        // share a round with an unrelated one. (Clear the attempt backoff
-        // the singleton rounds above armed — production rounds drain it one
-        // round at a time.)
-        q.antichain_backoff = 0;
-        push_live(&mut q, &g, ids[0]);
-        push_live(&mut q, &g, ids[2]);
-        let mut round = q.pop_bucket(&mut g);
-        round.sort();
-        assert_eq!(
-            round,
-            vec![ids[0], ids[2]],
-            "bucket 2's predecessor 1 is idle, so 0 (unrelated) and 2 batch"
-        );
-    }
-
-    #[test]
-    fn scc_queue_dynamic_edges_block_readiness_immediately() {
-        // Buckets 0 and 2 start independent; a dynamically discovered edge
-        // 0 → 2 (fan-out wiring mid-solve) must stop 2 from sharing 0's
-        // round the moment it is inserted — the online order's in-edge
-        // lists are live, so there is no recompute lag and no dirty window.
-        let (mut g, ids) = ordered_graph(3, &[(0, 1)]);
-        assert!(g.add_use_dedup(ids[0], ids[2]));
-        let mut q = SccQueue::new();
-        push_live(&mut q, &g, ids[0]);
-        push_live(&mut q, &g, ids[2]);
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[0]]);
-        assert_eq!(q.pop_bucket(&mut g), vec![ids[2]]);
     }
 
     #[test]

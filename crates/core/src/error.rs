@@ -1,16 +1,13 @@
 //! Structured analysis errors.
 //!
 //! The session builder validates every externally supplied input — root
-//! methods, reflective roots/fields, unsafe fields, and the solver
-//! configuration — against the program *before* the engine runs, so malformed
-//! input surfaces as a typed [`AnalysisError`] instead of an index panic deep
-//! inside the fixpoint iteration. Mid-solve failures (graph capacity, a
-//! panicked parallel worker) surface through the same type; every variant's
-//! `Display` message states what happened *and* what the caller can do about
-//! it, and [`std::error::Error::source`] exposes the wrapped panic payload
-//! of [`AnalysisError::WorkerPanicked`] so `anyhow`-style chains print it.
+//! methods, reflective roots/fields, and unsafe fields — against the program
+//! *before* the engine runs, so malformed input surfaces as a typed
+//! [`AnalysisError`] instead of an index panic deep inside the fixpoint
+//! iteration. Mid-solve conditions (graph capacity, an exhausted budget)
+//! surface through the same type; every variant's `Display` message states
+//! what happened *and* what the caller can do about it.
 
-use crate::flow::FlowId;
 use crate::interrupt::InterruptReason;
 use skipflow_ir::{FieldId, MethodId};
 use std::fmt;
@@ -61,17 +58,6 @@ pub enum AnalysisError {
         /// Fields in the program (valid ids are `0..field_count`).
         field_count: usize,
     },
-    /// `SolverKind::Parallel` was configured with zero worker threads.
-    ///
-    /// ```
-    /// use skipflow_core::AnalysisError;
-    /// assert_eq!(
-    ///     AnalysisError::ZeroThreads.to_string(),
-    ///     "SolverKind::Parallel requires at least one worker thread (use threads: 1 for a \
-    ///      sequential-equivalent run)"
-    /// );
-    /// ```
-    ZeroThreads,
     /// The PVPG grew to the `FlowId` capacity limit. Flow indices are stored
     /// as `u32` with `u32::MAX` reserved as the intrusive-list sentinel
     /// (`NO_FLOW`), so an analysis may create at most
@@ -115,65 +101,7 @@ pub enum AnalysisError {
         /// What stopped the solve.
         reason: InterruptReason,
     },
-    /// A phase-A worker of the parallel solver panicked. The round's
-    /// uncommitted work was discarded and its flows re-enqueued (phase A is
-    /// read-only, so the graph is untouched), and the session is marked
-    /// degraded: it stays fully usable, but subsequent solves run
-    /// sequentially. The panic payload is preserved and also exposed via
-    /// [`std::error::Error::source`].
-    ///
-    /// ```
-    /// use skipflow_core::{AnalysisError, FlowId, WorkerPanic};
-    /// use std::error::Error as _;
-    /// let e = AnalysisError::WorkerPanicked {
-    ///     flow: FlowId::from_index(12),
-    ///     payload: WorkerPanic::new("index out of bounds"),
-    /// };
-    /// assert_eq!(
-    ///     e.to_string(),
-    ///     "a parallel worker panicked while processing flow fl12; the round was \
-    ///      rolled back and the session degraded to sequential solving — re-solve to \
-    ///      continue (payload: index out of bounds)"
-    /// );
-    /// assert_eq!(e.source().unwrap().to_string(), "index out of bounds");
-    /// ```
-    WorkerPanicked {
-        /// The flow whose phase-A step panicked.
-        flow: FlowId,
-        /// The stringified panic payload (the wrapped source error).
-        payload: WorkerPanic,
-    },
 }
-
-/// A parallel worker's panic payload, preserved as the source error behind
-/// [`AnalysisError::WorkerPanicked`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WorkerPanic {
-    message: String,
-}
-
-impl WorkerPanic {
-    /// Wraps a stringified panic payload.
-    pub fn new(message: impl Into<String>) -> Self {
-        WorkerPanic {
-            message: message.into(),
-        }
-    }
-
-    /// The panic message (`"non-string panic payload"` when the payload was
-    /// not a string).
-    pub fn message(&self) -> &str {
-        &self.message
-    }
-}
-
-impl fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.message)
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
 
 impl fmt::Display for AnalysisError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -188,11 +116,6 @@ impl fmt::Display for AnalysisError {
                 "field {field:?} does not exist (program has {field_count} fields; \
                  valid ids are 0..{field_count})"
             ),
-            AnalysisError::ZeroThreads => write!(
-                f,
-                "SolverKind::Parallel requires at least one worker thread (use threads: 1 \
-                 for a sequential-equivalent run)"
-            ),
             AnalysisError::TooManyFlows { flows, limit } => write!(
                 f,
                 "the analysis graph reached {flows} flows, the FlowId capacity limit \
@@ -203,26 +126,11 @@ impl fmt::Display for AnalysisError {
                 "solve interrupted: {reason}; resume with solve_interruptible() to \
                  continue from the checkpoint"
             ),
-            AnalysisError::WorkerPanicked { flow, payload } => write!(
-                f,
-                "a parallel worker panicked while processing flow {flow:?}; the round was \
-                 rolled back and the session degraded to sequential solving — re-solve to \
-                 continue (payload: {payload})"
-            ),
         }
     }
 }
 
-impl std::error::Error for AnalysisError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            // The only variant that wraps another error: the preserved
-            // worker-panic payload.
-            AnalysisError::WorkerPanicked { payload, .. } => Some(payload),
-            _ => None,
-        }
-    }
-}
+impl std::error::Error for AnalysisError {}
 
 #[cfg(test)]
 mod tests {
@@ -237,7 +145,6 @@ mod tests {
         };
         let msg = e.to_string();
         assert!(msg.contains("does not exist") && msg.contains('3'), "{msg}");
-        assert!(AnalysisError::ZeroThreads.to_string().contains("worker thread"));
         let e = AnalysisError::TooManyFlows {
             flows: 4_294_967_294,
             limit: 4_294_967_294,
@@ -246,7 +153,7 @@ mod tests {
     }
 
     #[test]
-    fn every_message_is_actionable_and_source_wraps_the_panic() {
+    fn every_message_is_actionable_and_wraps_no_source() {
         // Each variant names the remedy, not just the failure.
         let cases: Vec<(AnalysisError, &str)> = vec![
             (
@@ -263,7 +170,6 @@ mod tests {
                 },
                 "valid ids are",
             ),
-            (AnalysisError::ZeroThreads, "threads: 1"),
             (
                 AnalysisError::TooManyFlows { flows: 9, limit: 9 },
                 "split the analysis",
@@ -274,26 +180,14 @@ mod tests {
                 },
                 "solve_interruptible",
             ),
-            (
-                AnalysisError::WorkerPanicked {
-                    flow: FlowId::from_index(3),
-                    payload: WorkerPanic::new("boom"),
-                },
-                "re-solve",
-            ),
         ];
         for (e, remedy) in &cases {
             let msg = e.to_string();
             assert!(msg.contains(remedy), "{msg:?} lacks remedy {remedy:?}");
         }
-        // `source` is None everywhere except the panic wrapper.
+        // No variant wraps another error.
         for (e, _) in &cases {
-            match e {
-                AnalysisError::WorkerPanicked { .. } => {
-                    assert_eq!(e.source().unwrap().to_string(), "boom");
-                }
-                _ => assert!(e.source().is_none(), "{e}"),
-            }
+            assert!(e.source().is_none(), "{e}");
         }
     }
 }

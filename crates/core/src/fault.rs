@@ -2,12 +2,11 @@
 //!
 //! The interrupt/recovery machinery has paths no public API can reach
 //! deterministically: a cancel token tripping at an exact worklist step, or
-//! a worker thread panicking inside a specific parallel round. This module
-//! provides a step-indexed [`FaultPlan`] the engine consults (only when the
-//! `fault-inject` feature is compiled in — the hooks do not exist in normal
-//! builds) so the differential test family can interrupt at every `k` along
-//! a sweep and prove resume is bit-identical, and can crash a worker on
-//! purpose to verify the session degrades instead of poisoning.
+//! a budget running out at one. This module provides a step-indexed
+//! [`FaultPlan`] the engine consults (only when the `fault-inject` feature is
+//! compiled in — the hooks do not exist in normal builds) so the
+//! differential test family can interrupt at every `k` along a sweep and
+//! prove resume is bit-identical.
 //!
 //! Every injection fires **once**: the engine consumes the trigger when it
 //! fires, so a resumed solve is not re-interrupted at the same index.
@@ -24,10 +23,6 @@ pub struct FaultPlan {
     /// reaches this value (exercises the budget path without configuring a
     /// real budget).
     pub budget_exhaust_at_step: Option<u64>,
-    /// Panic inside a phase-A worker of the parallel solver during this
-    /// (0-based, cumulative) round. The panic payload contains
-    /// [`INJECTED_PANIC_MARKER`] so test panic hooks can recognize it.
-    pub panic_in_worker_at_round: Option<u64>,
 }
 
 impl FaultPlan {
@@ -40,65 +35,21 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self == &Self::default()
     }
-}
-
-/// Substring present in every injected worker-panic payload.
-pub const INJECTED_PANIC_MARKER: &str = "fault-inject: injected worker panic";
-
-/// The engine's mutable view of a plan: triggers are consumed as they fire.
-#[derive(Debug, Default)]
-pub(crate) struct FaultState {
-    pub(crate) plan: FaultPlan,
-    /// Armed by the parallel solver at the start of the target round; the
-    /// first phase-A worker to observe it panics (atomic swap, so exactly
-    /// one panic fires even with many workers).
-    pub(crate) panic_armed: skipflow_modelcheck::sync::atomic::AtomicBool,
-    /// Cumulative parallel rounds taken (the index `panic_in_worker_at_round`
-    /// refers to).
-    pub(crate) rounds: u64,
-}
-
-impl FaultState {
-    pub(crate) fn new(plan: FaultPlan) -> Self {
-        FaultState {
-            plan,
-            ..Default::default()
-        }
-    }
 
     /// Step-indexed interrupt injections; consumed on fire.
     pub(crate) fn poll_step(&mut self, steps: u64) -> Option<crate::InterruptReason> {
-        if let Some(k) = self.plan.cancel_at_step {
+        if let Some(k) = self.cancel_at_step {
             if steps >= k {
-                self.plan.cancel_at_step = None;
+                self.cancel_at_step = None;
                 return Some(crate::InterruptReason::Cancelled);
             }
         }
-        if let Some(k) = self.plan.budget_exhaust_at_step {
+        if let Some(k) = self.budget_exhaust_at_step {
             if steps >= k {
-                self.plan.budget_exhaust_at_step = None;
+                self.budget_exhaust_at_step = None;
                 return Some(crate::InterruptReason::StepBudget { budget: k });
             }
         }
         None
-    }
-
-    /// Called by the parallel solver at each round start: arms the worker
-    /// panic when this round is the target (consumed on arm).
-    pub(crate) fn begin_round(&mut self) {
-        let round = self.rounds;
-        self.rounds += 1;
-        if self.plan.panic_in_worker_at_round == Some(round) {
-            self.plan.panic_in_worker_at_round = None;
-            self.panic_armed
-                .store(true, skipflow_modelcheck::sync::atomic::Ordering::Relaxed);
-        }
-    }
-
-    /// Polled from phase-A workers (shared context): the first caller after
-    /// arming wins and must panic.
-    pub(crate) fn take_worker_panic(&self) -> bool {
-        self.panic_armed
-            .swap(false, skipflow_modelcheck::sync::atomic::Ordering::Relaxed)
     }
 }

@@ -230,12 +230,6 @@ pub struct OrderStats {
     /// Components whose label was rewritten by a local/global relabel
     /// (gap exhaustion of the list-labeling scheme).
     pub relabels: u64,
-    /// Lazy in-edge dedup passes triggered by readiness-budget exhaustion
-    /// (see [`crate::SchedulerStats::in_edge_dedups`]).
-    pub in_dedups: u64,
-    /// In-edge entries pruned by those passes (duplicates of an already
-    /// seen predecessor component, plus intra-component entries).
-    pub in_edges_pruned: u64,
 }
 
 /// Online topological order and SCC maintenance over the PVPG's
@@ -265,17 +259,15 @@ pub struct OrderStats {
 ///   extended with contraction).
 ///
 /// The structure therefore exposes, at *all* times: an exact
-/// condensation-topological priority per flow (`label_of`), exact SCC
-/// membership (`same_component` / `component_size`), and the current
-/// condensation predecessors of any component (`component_blocked`) — which
-/// is what lets the scheduler give mid-solve fragments exact priorities,
-/// the adaptive flip start from a current condensation, and the parallel
-/// solver batch antichains while fragments instantiate.
+/// condensation-topological priority per flow (`label_of`) and exact SCC
+/// membership (`same_component` / `component_size`) — which is what lets
+/// the scheduler give mid-solve fragments exact priorities and the
+/// adaptive flip start from a current condensation.
 ///
 /// Out-edges are *not* duplicated here: forward searches walk the graph's
 /// own CSR pools through the component member lists. Only the in-edge
-/// adjacency (needed by the backward search and the readiness queries) is
-/// kept, as an intrusive arena.
+/// adjacency (needed by the backward search) is kept, as an intrusive
+/// arena.
 #[derive(Clone, Debug)]
 pub struct OnlineTopo {
     /// Union-find parent per flow (path-halved in mutating contexts).
@@ -297,12 +289,6 @@ pub struct OnlineTopo {
     in_head: Vec<u32>,
     /// `(source flow, next)` in-edge nodes.
     in_arena: Vec<(u32, u32)>,
-    /// Lazy in-edge dedup skip-guard, valid at representatives: the
-    /// `in_arena` length as of the component's last dedup pass. The arena
-    /// only grows (dedup orphans nodes, never removes them), so equality
-    /// means *no edge was inserted anywhere* since that pass — the list
-    /// cannot have gained duplicates and a re-dedup would be wasted work.
-    in_scan_clean: Vec<u32>,
     /// Anchor flow: when set, new flows are placed immediately before the
     /// anchor's component instead of at the end of the order.
     anchor: u32,
@@ -325,8 +311,6 @@ pub struct OnlineTopo {
     comps_moved: u64,
     merges: u64,
     relabels: u64,
-    in_dedups: u64,
-    in_edges_pruned: u64,
 }
 
 impl OnlineTopo {
@@ -342,7 +326,6 @@ impl OnlineTopo {
             member_next: Vec::new(),
             in_head: Vec::new(),
             in_arena: Vec::new(),
-            in_scan_clean: Vec::new(),
             anchor: NO_NODE,
             fwd_mark: Vec::new(),
             bwd_mark: Vec::new(),
@@ -358,8 +341,6 @@ impl OnlineTopo {
             comps_moved: 0,
             merges: 0,
             relabels: 0,
-            in_dedups: 0,
-            in_edges_pruned: 0,
         }
     }
 
@@ -374,8 +355,8 @@ impl OnlineTopo {
         x
     }
 
-    /// Read-only representative lookup (shared contexts: priority queries,
-    /// readiness checks). Trees stay shallow — unions are by size and the
+    /// Read-only representative lookup (shared contexts: priority
+    /// queries). Trees stay shallow — unions are by size and the
     /// mutating paths compress.
     fn find_ro(&self, mut x: u32) -> u32 {
         while self.parent[x as usize] != x {
@@ -414,130 +395,7 @@ impl OnlineTopo {
             comps_moved: self.comps_moved,
             merges: self.merges,
             relabels: self.relabels,
-            in_dedups: self.in_dedups,
-            in_edges_pruned: self.in_edges_pruned,
         }
-    }
-
-    /// Whether any live condensation predecessor of the component holding
-    /// `member` satisfies `blocked` (applied to the predecessor's label).
-    /// Predecessors are read off the member flows' in-edge lists, so the
-    /// answer reflects every edge inserted so far — including ones added
-    /// since any queue snapshot. At most `budget` in-edge entries are
-    /// examined per scan; when the budget runs out, the component's lists
-    /// are *deduplicated in place* (one entry per live predecessor
-    /// component; intra-component entries dropped — cycle collapses and
-    /// fan-in wiring accumulate both without bound, and both are permanent:
-    /// components only ever merge, so a duplicate today is a duplicate
-    /// forever) and the scan retried once. Only if the deduplicated list
-    /// *still* exceeds the budget does the component conservatively report
-    /// blocked — so duplicate accumulation alone can no longer starve
-    /// readiness detection.
-    pub(crate) fn component_blocked(
-        &mut self,
-        member: FlowId,
-        budget: usize,
-        mut blocked: impl FnMut(u64) -> bool,
-    ) -> bool {
-        let rep = self.find(member.0);
-        match self.scan_blocked(rep, budget, &mut blocked) {
-            Some(b) => b,
-            None => {
-                if !self.dedup_in_edges(rep) {
-                    // Nothing inserted since the last dedup: the list is
-                    // genuinely larger than the budget.
-                    return true;
-                }
-                self.scan_blocked(rep, budget, &mut blocked).unwrap_or(true)
-            }
-        }
-    }
-
-    /// One bounded scan of `rep`'s in-edge lists: `Some(blocked?)` within
-    /// budget, `None` when the budget ran out.
-    fn scan_blocked(
-        &self,
-        rep: u32,
-        budget: usize,
-        blocked: &mut impl FnMut(u64) -> bool,
-    ) -> Option<bool> {
-        let own = self.label[rep as usize];
-        let mut examined = 0usize;
-        let mut m = rep;
-        loop {
-            let mut e = self.in_head[m as usize];
-            while e != NO_NODE {
-                let (src, next) = self.in_arena[e as usize];
-                examined += 1;
-                if examined > budget {
-                    return None;
-                }
-                let l = self.label[self.find_ro(src) as usize];
-                if l != own && blocked(l) {
-                    return Some(true);
-                }
-                e = next;
-            }
-            m = self.member_next[m as usize];
-            if m == rep {
-                break;
-            }
-        }
-        Some(false)
-    }
-
-    /// Deduplicates the in-edge lists of `rep`'s component: keeps one arena
-    /// entry per distinct live predecessor component, drops intra-component
-    /// entries, and re-threads the kept entries onto the representative's
-    /// chain (clearing every member head — the lists' per-flow split
-    /// carries no information; every consumer walks the member union).
-    /// Sound because the condensation only ever coarsens: components merge
-    /// and never split, so an entry that is intra-component or redundant
-    /// today stays so forever. Returns `false` (and does nothing) when no
-    /// edge was inserted anywhere since this component's last dedup — the
-    /// skip-guard that keeps a genuinely high-in-degree component from
-    /// paying a full relink on every readiness probe.
-    fn dedup_in_edges(&mut self, rep: u32) -> bool {
-        let arena_len = self.in_arena.len() as u32;
-        if self.in_scan_clean[rep as usize] == arena_len {
-            return false;
-        }
-        self.in_scan_clean[rep as usize] = arena_len;
-        self.in_dedups += 1;
-        // Mark seen predecessor components with a fresh search stamp (the
-        // repair searches bump the stamp again before trusting the marks).
-        self.stamp += 1;
-        let stamp = self.stamp;
-        let mut kept: Vec<u32> = Vec::new();
-        let mut pruned = 0u64;
-        let mut m = rep;
-        loop {
-            let mut e = self.in_head[m as usize];
-            self.in_head[m as usize] = NO_NODE;
-            while e != NO_NODE {
-                let (src, next) = self.in_arena[e as usize];
-                let rs = self.find(src);
-                if rs == rep || self.fwd_mark[rs as usize] == stamp {
-                    pruned += 1;
-                } else {
-                    self.fwd_mark[rs as usize] = stamp;
-                    kept.push(e);
-                }
-                e = next;
-            }
-            m = self.member_next[m as usize];
-            if m == rep {
-                break;
-            }
-        }
-        // Re-thread the survivors onto the representative's chain (reverse
-        // push preserves the scan order, not that any consumer needs it).
-        for &e in kept.iter().rev() {
-            self.in_arena[e as usize].1 = self.in_head[rep as usize];
-            self.in_head[rep as usize] = e;
-        }
-        self.in_edges_pruned += pruned;
-        true
     }
 
     /// Appends a new singleton component for the next flow index: at the
@@ -553,7 +411,6 @@ impl OnlineTopo {
         self.ord_prev.push(NO_NODE);
         self.member_next.push(i);
         self.in_head.push(NO_NODE);
-        self.in_scan_clean.push(0);
         self.fwd_mark.push(0);
         self.bwd_mark.push(0);
         self.comps += 1;
@@ -711,8 +568,8 @@ impl OnlineTopo {
     /// Records the value edge `s → t` and repairs the order if it violates
     /// it (see the type docs for the algorithm).
     fn insert_edge(&mut self, s: FlowId, t: FlowId, uses: &EdgePool, observes: &EdgePool) {
-        // In-edge first, so the backward searches and readiness queries of
-        // this very repair (and everything after) see it.
+        // In-edge first, so the backward searches of this very repair (and
+        // everything after) see it.
         let idx = self.in_arena.len() as u32;
         assert!(idx != NO_NODE, "in-edge arena overflow");
         self.in_arena.push((s.0, self.in_head[t.0 as usize]));
@@ -1347,7 +1204,6 @@ impl Pvpg {
             topo.ord_prev = vec![NO_NODE; n];
             topo.member_next = vec![NO_NODE; n];
             topo.in_head = vec![NO_NODE; n];
-            topo.in_scan_clean = vec![0; n];
             topo.fwd_mark = vec![0; n];
             topo.bwd_mark = vec![0; n];
             for v in 0..n {
@@ -1459,31 +1315,6 @@ impl Pvpg {
     /// The online order's maintenance counters (`None` when disabled).
     pub fn order_stats(&self) -> Option<OrderStats> {
         self.topo.as_ref().map(|t| t.stats())
-    }
-
-    /// Whether any live condensation predecessor of `member`'s component
-    /// satisfies `blocked` — the parallel solver's antichain readiness
-    /// query, answered from the in-edge lists the online order maintains
-    /// (exact as of the last inserted edge; no extraction step, no
-    /// staleness window). At most `budget` in-edge entries are examined per
-    /// scan; an exhausted budget triggers a lazy in-place dedup of the
-    /// component's lists and one retry (hence `&mut self`), and only a
-    /// still-over-budget *deduplicated* list conservatively reports
-    /// blocked (the dedup itself is `OnlineTopo::component_blocked`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the online order is not enabled.
-    pub fn component_blocked(
-        &mut self,
-        member: FlowId,
-        budget: usize,
-        blocked: impl FnMut(u64) -> bool,
-    ) -> bool {
-        self.topo
-            .as_mut()
-            .expect("online order not enabled")
-            .component_blocked(member, budget, blocked)
     }
 
     /// Asserts the online order invariant over the whole graph (label-sorted

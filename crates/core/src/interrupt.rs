@@ -5,14 +5,14 @@
 //! carries optional step/wall/memory budgets, and
 //! [`crate::AnalysisSession::solve_interruptible`] additionally accepts a
 //! [`CancelToken`] that another thread may trip at any time. The engine
-//! checks both at a bounded stride between worklist steps (including inside
-//! parallel antichain rounds), and an exhausted budget or a tripped token
-//! surfaces as [`SolveOutcome::Interrupted`] — *not* an error: the partial
-//! snapshot it carries is a sound under-approximation of the final fixpoint
-//! (every propagated fact is a fact of the least fixpoint; monotonicity
-//! means nothing ever has to be retracted), queries on it are answerable and
-//! tagged [`Completeness::Partial`], and the next solve resumes from exactly
-//! where the interrupt stopped via the ordinary resume machinery — see the
+//! checks both at a bounded stride between worklist steps, and an exhausted
+//! budget or a tripped token surfaces as [`SolveOutcome::Interrupted`] —
+//! *not* an error: the partial snapshot it carries is a sound
+//! under-approximation of the final fixpoint (every propagated fact is a
+//! fact of the least fixpoint; monotonicity means nothing ever has to be
+//! retracted), queries on it are answerable and tagged
+//! [`Completeness::Partial`], and the next solve resumes from exactly where
+//! the interrupt stopped via the ordinary resume machinery — see the
 //! "Interrupt safety" notes at the top of `engine.rs`.
 
 use crate::report::AnalysisSnapshot;

@@ -48,10 +48,7 @@
 //! under-approximation tagged [`Completeness::Partial`]. The next solve
 //! resumes from the exact checkpoint, and the eventually completed fixpoint
 //! is bit-identical to an uninterrupted run (the checkpoint
-//! invariant). Parallel solves additionally isolate worker panics: a
-//! panicked round is rolled back, surfaced as
-//! [`AnalysisError::WorkerPanicked`], and the session degrades to
-//! sequential solving while staying fully usable.
+//! invariant).
 //!
 //! For serving, [`AnalysisSession::owned_snapshot`] clones the current
 //! state into an [`OwnedSnapshot`] — an `Arc`-backed, `Send + Sync`,
@@ -118,7 +115,7 @@ pub mod shrink;
 
 pub use compare::compare;
 pub use config::{AnalysisConfig, SchedulerKind, SolverKind, DEFAULT_NARROW_JOIN_WIDTH};
-pub use error::{AnalysisError, WorkerPanic};
+pub use error::AnalysisError;
 pub use flow::{CallKind, CallSite, Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
 pub use graph::{CheckCategory, IfRecord, MethodGraph, OrderStats, Pvpg, SccInfo};
 pub use interrupt::{CancelToken, Completeness, InterruptReason, SolveOutcome};

@@ -128,29 +128,9 @@ pub struct SchedulerStats {
     /// Session-cumulative total behind
     /// [`SchedulerStats::adaptive_re_pops`].
     pub adaptive_re_pops_total: u64,
-    /// Parallel SCC rounds taken (each drains at least one bucket).
-    pub antichain_rounds: u64,
-    /// Total buckets drained by those rounds — strictly greater than
-    /// [`SchedulerStats::antichain_rounds`] exactly when multi-bucket
-    /// antichain batching happened.
-    pub antichain_batched_buckets: u64,
-    /// Parallel rounds that declined antichain batching because pending
-    /// structural changes made readiness untrustworthy. Structurally **0**
-    /// since the online-order scheduler (PR 5): readiness is answered from
-    /// live predecessor lists, so there is no dirty window to skip on.
-    /// Retained so captures and regression tests can assert the guarantee.
-    pub antichain_dirty_round_skips: u64,
-    /// Lazy in-edge dedup passes run by the antichain readiness query when
-    /// its predecessor budget was exhausted (duplicate in-edge entries
-    /// accumulate through cycle collapses and fan-in wiring; the dedup
-    /// keeps them from permanently starving readiness detection).
-    pub in_edge_dedups: u64,
-    /// In-edge entries pruned by those passes (duplicates of an already
-    /// seen predecessor component, plus intra-component entries).
-    pub in_edges_pruned: u64,
 }
 
-/// Interrupt, resume, and worker-panic counters of a session, embedded in
+/// Interrupt and resume counters of a session, embedded in
 /// [`crate::SolveStats`]. Session-cumulative, like `steps`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InterruptStats {
@@ -161,10 +141,6 @@ pub struct InterruptStats {
     /// Solves that resumed after an interrupted one (for a session that
     /// always runs to completion this stays 0).
     pub resumed_after_interrupt: u64,
-    /// Parallel phase-A worker panics caught and rolled back (each one
-    /// degraded the session to sequential solving —
-    /// [`crate::AnalysisError::WorkerPanicked`]).
-    pub worker_panics: u64,
 }
 
 /// Retraction / edit invalidation counters of a session, embedded in

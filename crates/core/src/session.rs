@@ -78,7 +78,7 @@ use std::time::{Duration, Instant};
 ///
 /// # Panics
 ///
-/// Panics on invalid input (unknown root/field ids, zero parallel threads) —
+/// Panics on invalid input (unknown root/field ids) —
 /// the session builder reports these as [`AnalysisError`] instead — and if
 /// `config.max_steps` is exceeded (a fail-fast valve for engine bugs in
 /// tests; production runs leave it `None`).
@@ -170,7 +170,7 @@ impl<'p> SessionBuilder<'p> {
         self
     }
 
-    /// Selects the delta solvers' worklist scheduler.
+    /// Selects the delta solver's worklist scheduler.
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.config = self.config.with_scheduler(scheduler);
         self
@@ -228,9 +228,6 @@ impl<'p> SessionBuilder<'p> {
             config,
             roots,
         } = self;
-        if let SolverKind::Parallel { threads: 0 } = config.solver() {
-            return Err(AnalysisError::ZeroThreads);
-        }
         let method_count = program.method_count();
         for &m in roots.iter().chain(config.reflective_roots()) {
             if m.index() >= method_count {
@@ -467,7 +464,7 @@ impl<'p> AnalysisSession<'p> {
     /// Panics if the configured `max_steps` bound is exceeded (the
     /// fail-fast valve for engine bugs in tests), and on every condition
     /// [`AnalysisSession::try_solve`] reports as an error — graph-capacity
-    /// exhaustion, an exhausted budget, or a panicked parallel worker. Use
+    /// exhaustion or an exhausted budget. Use
     /// [`try_solve`](AnalysisSession::try_solve) (or
     /// [`solve_interruptible`](AnalysisSession::solve_interruptible) for
     /// budgeted runs) to receive those as structured values instead.
@@ -487,9 +484,6 @@ impl<'p> AnalysisSession<'p> {
     ///   checkpoint is retained:
     ///   [`solve_interruptible`](AnalysisSession::solve_interruptible)
     ///   resumes (and exposes the partial state).
-    /// * [`AnalysisError::WorkerPanicked`] — a parallel phase-A worker
-    ///   panicked; the round was rolled back and the session degraded to
-    ///   sequential solving. Re-solving continues from the checkpoint.
     pub fn try_solve(&mut self) -> Result<AnalysisSnapshot<'_>, AnalysisError> {
         match self.solve_inner(None)? {
             SolveEnd::Complete => Ok(self.snapshot()),
@@ -516,9 +510,7 @@ impl<'p> AnalysisSession<'p> {
     /// are per solve call — a step budget of `k` lets each resume advance
     /// up to `k` further steps.
     ///
-    /// Hard failures still surface as errors: [`AnalysisError::TooManyFlows`]
-    /// and [`AnalysisError::WorkerPanicked`] (after which the session stays
-    /// usable — degraded to sequential solving — and re-solving continues).
+    /// Hard failures still surface as errors: [`AnalysisError::TooManyFlows`].
     pub fn solve_interruptible(
         &mut self,
         cancel: Option<&CancelToken>,
@@ -566,8 +558,8 @@ impl<'p> AnalysisSession<'p> {
             return Err(e.clone());
         }
         // Refresh the views on every other outcome — including an
-        // interrupt or a caught worker panic: the graph is consistent at
-        // the checkpoint and the partial state must be queryable.
+        // interrupt: the graph is consistent at the checkpoint and the
+        // partial state must be queryable.
         self.total_duration += start.elapsed();
         self.solves += 1;
         self.last_solve_steps = self.engine.steps() - steps_before;
@@ -578,7 +570,7 @@ impl<'p> AnalysisSession<'p> {
         // still published a consistent checkpoint, and stays non-up-to-date
         // through the non-empty worklist).
         self.dirty = false;
-        end
+        Ok(end)
     }
 
     /// A cheap borrowed view of the current state (empty before the first
@@ -662,13 +654,6 @@ impl<'p> AnalysisSession<'p> {
             && self.engine.capacity_error().is_none()
     }
 
-    /// Whether a caught worker panic degraded the session to sequential
-    /// solving (see [`AnalysisError::WorkerPanicked`]). A degraded session
-    /// stays fully usable; the parallel solver is simply bypassed.
-    pub fn is_degraded(&self) -> bool {
-        self.engine.is_degraded()
-    }
-
     /// Completed [`AnalysisSession::solve`] calls.
     pub fn solve_count(&self) -> u64 {
         self.solves
@@ -712,13 +697,6 @@ mod tests {
         let bogus = MethodId::from_index(10_000);
         let err = AnalysisSession::builder(&p).roots([bogus]).build().unwrap_err();
         assert!(matches!(err, AnalysisError::UnknownMethod { .. }));
-
-        let err = AnalysisSession::builder(&p)
-            .roots([main])
-            .solver(SolverKind::Parallel { threads: 0 })
-            .build()
-            .unwrap_err();
-        assert_eq!(err, AnalysisError::ZeroThreads);
 
         let bogus_field = FieldId::from_index(10_000);
         let err = AnalysisSession::builder(&p)

@@ -512,28 +512,6 @@ fn saturation_widens_but_stays_sound() {
     assert_eq!(saturated.param_state(use_m, 0), Some(&ValueState::Any));
 }
 
-#[test]
-fn parallel_solver_matches_sequential() {
-    for src in [many_types_src()] {
-        let program = compile(&src).unwrap();
-        let main = method(&program, "Main", "main");
-        let seq = analyze(&program, &[main], &AnalysisConfig::skipflow());
-        for threads in [2, 4] {
-            let par = analyze(
-                &program,
-                &[main],
-                &AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads }),
-            );
-            assert_eq!(seq.reachable_methods(), par.reachable_methods());
-            assert_eq!(
-                seq.metrics(&program),
-                par.metrics(&program),
-                "parallel solver must be bit-identical ({threads} threads)"
-            );
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------------
@@ -603,7 +581,6 @@ fn loop_body_call_in_late_built_callee_is_reachable() {
         }";
     for solver in [
         SolverKind::Sequential,
-        SolverKind::Parallel { threads: 4 },
         SolverKind::Reference,
     ] {
         let (p, result) = run(src, AnalysisConfig::skipflow().with_solver(solver));

@@ -4,7 +4,7 @@
 //! GraalVM Native Image obtains its analysis IR by parsing Java bytecode;
 //! this module is the corresponding substrate in the reproduction. The
 //! surface syntax is a deliberately small Java subset sufficient for the
-//! paper's code patterns (see `DESIGN.md`):
+//! paper's code patterns:
 //!
 //! ```text
 //! abstract class Display { abstract method imageBegin(): void; }

@@ -231,7 +231,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 "ok session={} epoch={} roots={} queued={} memory_bytes={} \
                  steps={} flows={} solves={} batches={} batched_roots={} \
                  epochs_published={} partial_epochs={} queries={} sheds={} \
-                 scheduler_flips={} order_repairs={} interrupts={} resumed={} worker_panics={} \
+                 scheduler_flips={} order_repairs={} interrupts={} resumed={} \
                  retractions={} edits={} invalidated_flows={} rederive_steps={}",
                 s.name,
                 s.epoch,
@@ -251,7 +251,6 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.solve.scheduler.order_repairs,
                 s.solve.interrupt.interrupts,
                 s.solve.interrupt.resumed_after_interrupt,
-                s.solve.interrupt.worker_panics,
                 s.solve.invalidation.retractions,
                 s.solve.invalidation.edits,
                 s.solve.invalidation.invalidated_flows,

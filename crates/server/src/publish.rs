@@ -426,14 +426,19 @@ mod tests {
             drops: drops.clone(),
         })));
         let stop = Arc::new(AtomicBool::new(false));
+        // Every reader loads once and is running before the writer starts,
+        // so progress does not depend on how the host schedules threads.
+        let ready = Arc::new(std::sync::Barrier::new(READERS + 1));
 
         let readers: Vec<_> = (0..READERS)
             .map(|_| {
                 let cell = cell.clone();
                 let stop = stop.clone();
+                let ready = ready.clone();
                 thread::spawn(move || {
-                    let mut last = 0u64;
-                    let mut seen = 0u64;
+                    let mut last = cell.load().value;
+                    let mut seen = 1u64;
+                    ready.wait();
                     while !stop.load(SeqCst) {
                         let v = cell.load();
                         assert!(
@@ -453,7 +458,9 @@ mod tests {
         let writer = {
             let cell = cell.clone();
             let drops = drops.clone();
+            let ready = ready.clone();
             thread::spawn(move || {
+                ready.wait();
                 for v in 1..=PUBLISHES {
                     cell.publish(Arc::new(Tally { value: v, drops: drops.clone() }));
                 }

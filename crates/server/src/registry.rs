@@ -762,14 +762,7 @@ fn writer_loop(handle: &SessionHandle, program: &Arc<Program>, config: AnalysisC
                 // Still publish the consistent checkpoint so queries see the
                 // latest sound state.
                 publish_from(handle, &session);
-                match e {
-                    AnalysisError::WorkerPanicked { .. } => {
-                        // The session degraded to sequential solving and
-                        // stays usable; retry the remaining work.
-                        finish_batch(handle, &session, None, true)
-                    }
-                    other => finish_batch(handle, &session, Some(other.to_string()), false),
-                }
+                finish_batch(handle, &session, Some(e.to_string()), false)
             }
         }
     }

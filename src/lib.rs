@@ -18,8 +18,7 @@
 //! * [`server`] — analysis-as-a-service: a concurrent multi-session server
 //!   with lock-free epoch-based snapshot publication (`skipflow serve`).
 //!
-//! See the `examples/` directory for runnable scenarios, `DESIGN.md` for the
-//! system inventory, and `EXPERIMENTS.md` for paper-vs-measured results.
+//! See the `examples/` directory for runnable scenarios.
 
 pub use skipflow_baselines as baselines;
 pub use skipflow_core as analysis;

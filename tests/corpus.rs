@@ -1,7 +1,7 @@
 //! Cross-crate integration tests over the generated corpus: calibration,
 //! the precision ladder, solver determinism, and metric monotonicity.
 
-use skipflow::analysis::{analyze, AnalysisConfig, CallGraphQuery, SolverKind};
+use skipflow::analysis::{analyze, AnalysisConfig, CallGraphQuery};
 use skipflow::baselines::{class_hierarchy_analysis, rapid_type_analysis};
 use skipflow::synth::{build_benchmark, suites};
 
@@ -34,22 +34,6 @@ fn precision_ladder_holds_on_generated_programs() {
         assert!(rta.refines(&cha), "{}", spec.name);
         assert!(pta.refines(&rta), "{}", spec.name);
         assert!(skf.refines(&pta), "{}", spec.name);
-    }
-}
-
-#[test]
-fn parallel_solver_is_bit_identical_on_the_corpus() {
-    let spec = suites::by_name("sunflow").unwrap();
-    let bench = build_benchmark(&spec);
-    let seq = analyze(&bench.program, &bench.roots, &AnalysisConfig::skipflow());
-    for threads in [2, 8] {
-        let par = analyze(
-            &bench.program,
-            &bench.roots,
-            &AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads }),
-        );
-        assert_eq!(seq.reachable_methods(), par.reachable_methods());
-        assert_eq!(seq.metrics(&bench.program), par.metrics(&bench.program));
     }
 }
 

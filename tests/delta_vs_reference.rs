@@ -1,8 +1,8 @@
-//! Differential validation of the delta-propagation solvers against the
+//! Differential validation of the delta-propagation solver against the
 //! full-join reference solver ([`SolverKind::Reference`]): on the whole
 //! synthetic quick corpus (plus randomized, fan-out, and loop-call specs),
-//! every delta solver × scheduler combination — sequential and parallel,
-//! each under the FIFO and the SCC-priority worklist — must produce
+//! every scheduler × narrow-join width combination — FIFO, SCC priority,
+//! and the adaptive flip between them — must produce
 //! *identical* analysis results: the reachable set, every per-method value
 //! state, liveness, dead-branch reports, linked call targets, and the
 //! counter metrics — with and without saturation.
@@ -48,26 +48,23 @@ fn check_spec(spec: &BenchmarkSpec) {
                 .with_solver(SolverKind::Reference)
                 .with_saturation(saturation);
             let reference = analyze(program, &bench.roots, &reference_cfg);
-            for solver in [SolverKind::Sequential, SolverKind::Parallel { threads: 4 }] {
-                for (scheduler, narrow) in scheduler_width_matrix() {
-                    let cfg = base
-                        .clone()
-                        .with_solver(solver)
-                        .with_scheduler(scheduler)
-                        .with_narrow_join_width(narrow)
-                        .with_saturation(saturation);
-                    let result = analyze(program, &bench.roots, &cfg);
-                    assert_results_identical(
-                        program,
-                        &reference,
-                        &result,
-                        &format!(
-                            "{}/{}/sat={saturation:?}/{solver:?}/{scheduler:?}/narrow={narrow}",
-                            spec.name,
-                            base.label()
-                        ),
-                    );
-                }
+            for (scheduler, narrow) in scheduler_width_matrix() {
+                let cfg = base
+                    .clone()
+                    .with_scheduler(scheduler)
+                    .with_narrow_join_width(narrow)
+                    .with_saturation(saturation);
+                let result = analyze(program, &bench.roots, &cfg);
+                assert_results_identical(
+                    program,
+                    &reference,
+                    &result,
+                    &format!(
+                        "{}/{}/sat={saturation:?}/{scheduler:?}/narrow={narrow}",
+                        spec.name,
+                        base.label()
+                    ),
+                );
             }
         }
     }
@@ -187,46 +184,6 @@ fn scc_priorities_survive_mid_solve_fragment_instantiation() {
     // The oracle paths never touch the online-order machinery.
     assert_eq!(fifo.stats().scheduler.order_repairs, 0);
     assert_eq!(reference.stats().scheduler.order_repairs, 0);
-}
-
-#[test]
-fn parallel_fanout_batches_antichains_with_zero_dirty_round_skips() {
-    // The shared-sink fan-out regime under the parallel solver: with the
-    // condensation maintained online there is no dirty window, so the
-    // antichain rounds must keep batching mutually ready buckets even
-    // while fragments instantiate — zero dirty-round skips (the counter is
-    // structurally dead and must stay 0) and strictly more buckets drained
-    // than rounds taken (i.e., real multi-bucket batching happened).
-    let spec =
-        BenchmarkSpec::new("par-antichain", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
-    let bench = build_benchmark(&spec);
-    let parallel = analyze(
-        &bench.program,
-        &bench.roots,
-        &AnalysisConfig::skipflow()
-            .with_solver(SolverKind::Parallel { threads: 4 })
-            .with_scheduler(SchedulerKind::SccPriority),
-    );
-    let sched = &parallel.stats().scheduler;
-    assert_eq!(
-        sched.antichain_dirty_round_skips, 0,
-        "online order leaves no dirty window to skip on"
-    );
-    assert!(sched.antichain_rounds > 0, "SCC rounds ran");
-    assert!(
-        sched.antichain_batched_buckets > sched.antichain_rounds,
-        "antichain batching happened while fragments instantiated \
-         ({} buckets over {} rounds)",
-        sched.antichain_batched_buckets,
-        sched.antichain_rounds
-    );
-    parallel.graph().assert_valid_order();
-    let reference = analyze(
-        &bench.program,
-        &bench.roots,
-        &AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
-    );
-    assert_results_identical(&bench.program, &reference, &parallel, "par-antichain");
 }
 
 #[test]

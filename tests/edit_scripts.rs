@@ -30,9 +30,6 @@ fn solver_matrix() -> Vec<(SolverKind, SchedulerKind, usize)> {
         (SolverKind::Sequential, SchedulerKind::Adaptive, default_width),
         (SolverKind::Sequential, SchedulerKind::Fifo, 0),
         (SolverKind::Sequential, SchedulerKind::Fifo, usize::MAX),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Fifo, default_width),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority, default_width),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Adaptive, default_width),
         (SolverKind::Reference, SchedulerKind::Fifo, default_width),
     ]
 }
@@ -155,7 +152,7 @@ fn interrupted_rederive_resumes_to_the_retracted_fixpoint() {
     for (solver, scheduler) in [
         (SolverKind::Sequential, SchedulerKind::Fifo),
         (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Adaptive),
+        (SolverKind::Sequential, SchedulerKind::Adaptive),
     ] {
         let config = AnalysisConfig::skipflow()
             .with_solver(solver)
@@ -228,39 +225,13 @@ fn apply_op(
 
 /// Fault-injected variant (`--features fault-inject`): the same random
 /// edit-script driver, but with a deterministic [`FaultPlan`] cancelling a
-/// solve mid-script (and, on the parallel solver, crashing a worker). The
-/// interrupted / degraded session must still converge to the fresh oracle
-/// at every solve point — invalidation and interruption compose.
+/// solve mid-script. The interrupted session must still converge to the
+/// fresh oracle at every solve point — invalidation and interruption
+/// compose.
 #[cfg(feature = "fault-inject")]
 mod fault_sweep {
     use super::*;
-    use skipflow::analysis::fault::{FaultPlan, INJECTED_PANIC_MARKER};
-    use skipflow::analysis::AnalysisError;
-    use std::sync::Once;
-
-    /// Silences expected injected panics (same helper as
-    /// `tests/fault_injection.rs`), delegating real failures onward.
-    fn install_quiet_panic_hook() {
-        static QUIET: Once = Once::new();
-        QUIET.call_once(|| {
-            let prev = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let injected = info
-                    .payload()
-                    .downcast_ref::<String>()
-                    .map(|s| s.contains(INJECTED_PANIC_MARKER))
-                    .or_else(|| {
-                        info.payload()
-                            .downcast_ref::<&str>()
-                            .map(|s| s.contains(INJECTED_PANIC_MARKER))
-                    })
-                    .unwrap_or(false);
-                if !injected {
-                    prev(info);
-                }
-            }));
-        });
-    }
+    use skipflow::analysis::fault::FaultPlan;
 
     /// Seeded fault-index generator for the sweep.
     fn lcg(state: &mut u64) -> u64 {
@@ -296,9 +267,6 @@ mod fault_sweep {
                     match session.solve_interruptible(None) {
                         Ok(SolveOutcome::Completed(_)) => break,
                         Ok(SolveOutcome::Interrupted { .. }) => {}
-                        // A crashed worker rolls its round back and degrades
-                        // the session to sequential solving; keep going.
-                        Err(AnalysisError::WorkerPanicked { .. }) => {}
                         Err(e) => panic!("{label} op {i}: unexpected error {e}"),
                     }
                     spins += 1;
@@ -326,22 +294,18 @@ mod fault_sweep {
     }
 
     #[test]
-    fn edit_scripts_survive_injected_interrupts_and_worker_panics() {
-        install_quiet_panic_hook();
+    fn edit_scripts_survive_injected_interrupts() {
         let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
         let mut state = 0xed17_5eedu64;
         for (seed, solver, scheduler) in [
             (21u64, SolverKind::Sequential, SchedulerKind::Fifo),
             (22, SolverKind::Sequential, SchedulerKind::Adaptive),
-            (23, SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority),
+            (23, SolverKind::Sequential, SchedulerKind::SccPriority),
         ] {
             for round in 0..3u32 {
-                // A cancel somewhere in the script's cumulative step range;
-                // on the parallel solver, also an injected worker panic.
+                // A cancel somewhere in the script's cumulative step range.
                 let plan = FaultPlan {
                     cancel_at_step: Some(lcg(&mut state) % 4000),
-                    panic_in_worker_at_round: matches!(solver, SolverKind::Parallel { .. })
-                        .then(|| lcg(&mut state) % 8),
                     ..FaultPlan::none()
                 };
                 let label = format!(
@@ -360,7 +324,6 @@ fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
         (11u64, SolverKind::Sequential, SchedulerKind::Fifo),
         (12, SolverKind::Sequential, SchedulerKind::SccPriority),
         (13, SolverKind::Sequential, SchedulerKind::Adaptive),
-        (14, SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority),
         (15, SolverKind::Reference, SchedulerKind::Fifo),
     ] {
         let script = build_edit_script(&bench, seed, 14, 2);

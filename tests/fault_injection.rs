@@ -1,51 +1,22 @@
 //! The fault-injection differential family (`--features fault-inject`).
 //!
 //! The deterministic, step-indexed [`FaultPlan`] drives the interrupt paths
-//! no public API can reach exactly: a cancel firing at worklist step `k`, a
-//! budget exhausting at step `k`, and a phase-A worker panicking inside a
-//! chosen parallel round. Each family proves the robustness contract:
-//! interrupt → resume is **bit-identical** to an uninterrupted solve, and a
-//! panicked worker degrades the session to sequential solving without
-//! poisoning any state.
+//! no public API can reach exactly: a cancel firing at worklist step `k` and
+//! a budget exhausting at step `k`. Each family proves the robustness
+//! contract: interrupt → resume is **bit-identical** to an uninterrupted
+//! solve.
 
 #![cfg(feature = "fault-inject")]
 
-use skipflow::analysis::fault::{FaultPlan, INJECTED_PANIC_MARKER};
+use skipflow::analysis::fault::FaultPlan;
 use skipflow::analysis::{
     analyze, AnalysisConfig, AnalysisError, AnalysisSession, CallGraphQuery, Completeness,
     InterruptReason, SchedulerKind, SolveOutcome, SolverKind,
 };
 use skipflow::synth::{build_benchmark, Benchmark, BenchmarkSpec, Suite};
-use std::sync::Once;
 
 mod common;
 use common::assert_results_identical;
-
-/// Silences the expected injected-panic reports (recognized by
-/// [`INJECTED_PANIC_MARKER`] in the payload) while delegating every other
-/// panic to the previous hook, so a *real* failure still prints. Installed
-/// once per test binary.
-fn install_quiet_panic_hook() {
-    static QUIET: Once = Once::new();
-    QUIET.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains(INJECTED_PANIC_MARKER))
-                .or_else(|| {
-                    info.payload()
-                        .downcast_ref::<&str>()
-                        .map(|s| s.contains(INJECTED_PANIC_MARKER))
-                })
-                .unwrap_or(false);
-            if !injected {
-                prev(info);
-            }
-        }));
-    });
-}
 
 fn bench() -> Benchmark {
     build_benchmark(&BenchmarkSpec::new("fault", Suite::DaCapo, 60, 0.2))
@@ -68,9 +39,6 @@ fn matrix() -> Vec<(SolverKind, SchedulerKind)> {
         (SolverKind::Sequential, SchedulerKind::Fifo),
         (SolverKind::Sequential, SchedulerKind::SccPriority),
         (SolverKind::Sequential, SchedulerKind::Adaptive),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Fifo),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Adaptive),
         (SolverKind::Reference, SchedulerKind::Fifo),
     ]
 }
@@ -106,9 +74,9 @@ fn cancel_at_every_step_resumes_bit_identical() {
                 SolveOutcome::Completed(_) => panic!("{label}: injection did not fire"),
             }
             // The trigger was consumed: the resume runs to completion (the
-            // step *count* may differ from the oracle — an interrupted
-            // parallel round re-enqueues its tail, changing the processing
-            // order — but the fixpoint below may not).
+            // step *count* may differ from the oracle — the resumed solve
+            // clears the adaptive flip window — but the fixpoint below may
+            // not).
             assert!(!session.solve_interruptible(None).unwrap().is_interrupted(), "{label}");
             let resumed = session.into_result();
             assert_results_identical(&bench.program, &oracle, &resumed, &label);
@@ -145,97 +113,13 @@ fn budget_exhaust_injection_exercises_the_budget_path() {
 }
 
 #[test]
-fn worker_panic_rolls_back_degrades_and_recovers_identically() {
-    install_quiet_panic_hook();
-    let bench = bench();
-    for scheduler in [
-        SchedulerKind::Fifo,
-        SchedulerKind::SccPriority,
-        SchedulerKind::Adaptive,
-    ] {
-        for round in [0u64, 1, 3] {
-            let label = format!("panic/{scheduler:?}/round={round}");
-            let config = AnalysisConfig::skipflow()
-                .with_solver(SolverKind::Parallel { threads: 4 })
-                .with_scheduler(scheduler);
-            let oracle = analyze(&bench.program, &bench.roots, &config);
-            let plan = FaultPlan {
-                panic_in_worker_at_round: Some(round),
-                ..FaultPlan::none()
-            };
-            let mut session = session_with_plan(&bench, &config, plan);
-            let err = session
-                .solve_interruptible(None)
-                .expect_err(&format!("{label}: the injected panic must surface"));
-            match &err {
-                AnalysisError::WorkerPanicked { payload, .. } => {
-                    assert!(
-                        payload.message().contains(INJECTED_PANIC_MARKER),
-                        "{label}: {payload}"
-                    );
-                    use std::error::Error as _;
-                    assert_eq!(
-                        err.source().unwrap().to_string(),
-                        payload.message(),
-                        "{label}"
-                    );
-                }
-                other => panic!("{label}: expected WorkerPanicked, got {other}"),
-            }
-            // The round was rolled back and the session degraded — it keeps
-            // working, sequentially, and reaches the identical fixpoint.
-            assert!(session.is_degraded(), "{label}");
-            match session.solve_interruptible(None).unwrap() {
-                SolveOutcome::Completed(snap) => {
-                    assert_eq!(snap.stats().interrupt.worker_panics, 1, "{label}");
-                }
-                SolveOutcome::Interrupted { reason, .. } => {
-                    panic!("{label}: unexpected interrupt {reason}")
-                }
-            }
-            assert!(session.is_degraded(), "{label}: degradation is sticky");
-            let recovered = session.into_result();
-            assert_results_identical(&bench.program, &oracle, &recovered, &label);
-        }
-    }
-}
-
-#[test]
-fn degraded_session_still_resumes_and_answers_the_plain_solve_api() {
-    install_quiet_panic_hook();
-    // Misuse-path check: after a worker panic, every ordinary entry point —
-    // `solve()`, `try_solve()`, `add_roots` + resume — must behave normally
-    // on the degraded (now sequential) session.
-    let bench = bench();
-    let config = AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads: 4 });
-    let oracle = analyze(&bench.program, &bench.roots, &config);
-    let plan = FaultPlan {
-        panic_in_worker_at_round: Some(0),
-        ..FaultPlan::none()
-    };
-    let mut session = session_with_plan(&bench, &config, plan);
-    assert!(matches!(
-        session.try_solve(),
-        Err(AnalysisError::WorkerPanicked { .. })
-    ));
-    assert!(session.is_degraded());
-    // The panicking-on-error `solve()` API works on a degraded session: the
-    // degradation is a mode switch, not an error state.
-    let snap = session.solve();
-    assert_eq!(snap.completeness(), Completeness::Complete);
-    assert_eq!(snap.stats().interrupt.worker_panics, 1);
-    let recovered = session.into_result();
-    assert_results_identical(&bench.program, &oracle, &recovered, "degraded-plain-solve");
-}
-
-#[test]
 fn unfired_injections_do_not_perturb_the_solve() {
-    // A plan aimed beyond the solve (step index past the fixpoint, round
-    // index past the last round) never fires and never changes the result.
+    // A plan aimed beyond the solve (step index past the fixpoint) never
+    // fires and never changes the result.
     let bench = bench();
     for (solver, scheduler) in [
         (SolverKind::Sequential, SchedulerKind::Adaptive),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority),
+        (SolverKind::Sequential, SchedulerKind::SccPriority),
     ] {
         let config = AnalysisConfig::skipflow()
             .with_solver(solver)
@@ -244,7 +128,6 @@ fn unfired_injections_do_not_perturb_the_solve() {
         let plan = FaultPlan {
             cancel_at_step: Some(u64::MAX),
             budget_exhaust_at_step: Some(u64::MAX),
-            panic_in_worker_at_round: Some(u64::MAX),
         };
         let mut session = session_with_plan(&bench, &config, plan);
         assert!(!session.solve_interruptible(None).unwrap().is_interrupted());
@@ -257,7 +140,6 @@ fn unfired_injections_do_not_perturb_the_solve() {
 fn seeded_random_interrupt_sweep_is_bit_identical() {
     // The smoke sweep CI runs: a seeded LCG picks (configuration, interrupt
     // step) pairs; every draw must resume to the oracle fixpoint.
-    install_quiet_panic_hook();
     let bench = bench();
     let grid = matrix();
     let mut state: u64 = 0x5eed_cafe_f00d_0001;

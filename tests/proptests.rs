@@ -2,11 +2,11 @@
 //!
 //! * lattice laws for [`ValueState`] joins;
 //! * soundness of the `Compare` filter against a concrete-execution oracle;
-//! * for randomly generated programs: analysis termination, the precision
-//!   ladder, determinism, and sequential/parallel solver equivalence.
+//! * for randomly generated programs: analysis termination and the
+//!   precision ladder.
 
 use proptest::prelude::*;
-use skipflow::analysis::{analyze, compare, AnalysisConfig, CallGraphQuery, SolverKind, ValueState};
+use skipflow::analysis::{analyze, compare, AnalysisConfig, CallGraphQuery, ValueState};
 use skipflow::baselines::rapid_type_analysis;
 use skipflow::ir::{CmpOp, TypeId};
 use skipflow::synth::{build_benchmark, BenchmarkSpec, GuardMix, Suite};
@@ -187,26 +187,6 @@ proptest! {
         );
     }
 
-    /// The deterministic-parallel solver matches sequential on random
-    /// programs.
-    #[test]
-    fn parallel_equals_sequential_on_random_programs(
-        spec in arb_spec(),
-        threads in 2usize..5,
-    ) {
-        let bench = build_benchmark(&spec);
-        let seq = analyze(&bench.program, &bench.roots, &AnalysisConfig::skipflow());
-        let par = analyze(
-            &bench.program,
-            &bench.roots,
-            &AnalysisConfig::skipflow().with_solver(SolverKind::Parallel { threads }),
-        );
-        prop_assert_eq!(seq.reachable_methods(), par.reachable_methods());
-        prop_assert_eq!(
-            seq.metrics(&bench.program),
-            par.metrics(&bench.program)
-        );
-    }
 }
 
 proptest! {

@@ -19,9 +19,8 @@ use common::assert_results_identical;
 
 /// Every solver × scheduler × narrow-join-width combination the resume
 /// matrix covers (the reference solver ignores both knobs, so it appears
-/// once). The Adaptive scheduler and the default width run on every
-/// solver; the fast-path-off (0) and everything-full-join (∞) widths ride
-/// on the sequential solver under the two schedulers that exercise them
+/// once). The fast-path-off (0) and everything-full-join (∞) widths ride
+/// on the delta solver under the two schedulers that exercise them
 /// hardest.
 fn solver_matrix() -> Vec<(SolverKind, SchedulerKind, usize)> {
     let default_width = AnalysisConfig::skipflow().narrow_join_width();
@@ -33,10 +32,6 @@ fn solver_matrix() -> Vec<(SolverKind, SchedulerKind, usize)> {
         (SolverKind::Sequential, SchedulerKind::Adaptive, 0),
         (SolverKind::Sequential, SchedulerKind::Fifo, usize::MAX),
         (SolverKind::Sequential, SchedulerKind::Adaptive, usize::MAX),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Fifo, default_width),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::SccPriority, default_width),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Adaptive, default_width),
-        (SolverKind::Parallel { threads: 4 }, SchedulerKind::Adaptive, usize::MAX),
         (SolverKind::Reference, SchedulerKind::Fifo, default_width),
     ]
 }
