@@ -103,9 +103,9 @@ fn main() {
     for s in &serve {
         println!(
             "{:<12} {:<5} coalescing {:>5.1} roots/batch, {:>9.0} queries/s during solve, \
-             publication latency {:>7.2} ms",
+             publication latency {:>7.2} ms, {} published bytes, extraction {:>6.3} ms",
             s.name, s.scheduler, s.coalescing_ratio, s.queries_per_sec_during_solve,
-            s.publication_latency_ms
+            s.publication_latency_ms, s.published_bytes, s.publish_ms
         );
     }
 

@@ -21,9 +21,11 @@
 //!   `skipflow_server::Registry` session measured for batch coalescing
 //!   (queued roots per writer batch), sustained query throughput while a
 //!   solve is in flight (the lock-free epoch publication's headline
-//!   number), and epoch publication latency (roots accepted → settled
-//!   epoch visible). Serve records live in their own JSON block with their
-//!   own schema; the step gate never reads them.
+//!   number), epoch publication latency (roots accepted → settled epoch
+//!   visible), and the cost of what is published: the heap bytes of the
+//!   settled epoch's answers and the median per-epoch answer extraction
+//!   (`owned_snapshot`) wall. Serve records live in their own JSON block
+//!   with their own schema; the step gate never reads them.
 //! * **edit** — the non-monotone incrementality workload: a seeded
 //!   [`skipflow_synth::build_edit_script`] stream of root additions, root
 //!   *retractions*, and method-body *edits* driven through one
@@ -334,6 +336,12 @@ pub struct ServeRecord {
     /// Median roots-accepted → settled-epoch-visible wall time over the
     /// latency phase's single-root batches.
     pub publication_latency_ms: f64,
+    /// Heap bytes of the latency session's settled epoch's answers
+    /// (`SessionHandle::published_bytes`).
+    pub published_bytes: usize,
+    /// Median `owned_snapshot` wall per epoch over the latency phase's
+    /// epochs, replayed on an in-process session.
+    pub publish_ms: f64,
 }
 
 /// The serve rung: ladder shape at moderate size, so one batch solve is
@@ -346,7 +354,9 @@ fn serve_spec() -> BenchmarkSpec {
 /// in-process (no TCP): phase 1 registers roots one at a time while the
 /// writer is mid-solve and reads the coalescing counters; phase 2 hammers
 /// the published snapshot from reader threads for the duration of a full
-/// batch solve; phase 3 times single-root batch → settled-epoch publication.
+/// batch solve; phase 3 times single-root batch → settled-epoch publication,
+/// reads the settled epoch's published bytes, and replays its epochs on an
+/// in-process session to time the per-epoch answer extraction.
 fn measure_serve(scheduler: SchedulerKind) -> ServeRecord {
     use skipflow_core::CallGraphQuery as _;
     use skipflow_server::{Registry, ServerConfig};
@@ -425,25 +435,39 @@ fn measure_serve(scheduler: SchedulerKind) -> ServeRecord {
     let _ = registry.open("latency", program.clone(), config.clone()).expect("open");
     registry.add_roots("latency", bench.roots.clone()).expect("roots");
     flush("latency");
-    let mut latencies: Vec<f64> = spread
-        .take(8)
-        .map(|root| {
+    let latency_roots: Vec<MethodId> = spread.take(8).collect();
+    let mut latencies: Vec<f64> = latency_roots
+        .iter()
+        .map(|&root| {
             let start = Instant::now();
             registry.add_roots("latency", vec![root]).expect("roots");
             flush("latency");
             start.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    latencies.sort_by(|a, b| a.total_cmp(b));
-    let publication_latency_ms = if latencies.is_empty() {
-        0.0
-    } else {
-        latencies[latencies.len() / 2]
-    };
+    let publication_latency_ms = median_ms(&mut latencies);
     let h = registry.get("latency").expect("latency session");
     epochs_published += h.epochs_published();
     partial_epochs += h.partial_epochs();
+    let published_bytes = h.published_bytes();
     registry.shutdown_all();
+
+    // The same epochs (the roots batch, then one per single root) on an
+    // in-process session, timing the extraction the writer publishes.
+    let mut session = AnalysisSession::builder(&program)
+        .config(config)
+        .roots(bench.roots.iter().copied())
+        .build()
+        .expect("serve bench session");
+    let mut publish = Vec::new();
+    for root in std::iter::once(None).chain(latency_roots.iter().copied().map(Some)) {
+        session.add_roots(root).expect("replay root");
+        session.solve();
+        let start = Instant::now();
+        std::hint::black_box(session.owned_snapshot());
+        publish.push(start.elapsed().as_secs_f64() * 1e3);
+    }
+    let publish_ms = median_ms(&mut publish);
 
     ServeRecord {
         name: serve_spec().name,
@@ -461,7 +485,15 @@ fn measure_serve(scheduler: SchedulerKind) -> ServeRecord {
         queries_total,
         queries_per_sec_during_solve,
         publication_latency_ms,
+        published_bytes,
+        publish_ms,
     }
+}
+
+/// The median of `samples` (0 for none).
+fn median_ms(samples: &mut [f64]) -> f64 {
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples.get(samples.len() / 2).copied().unwrap_or(0.0)
 }
 
 /// Runs the serve family under all three schedulers.
@@ -724,7 +756,7 @@ pub fn measure_group(
         let _warmup = analyze(&bench.program, &bench.roots, config);
     }
     let mut walls = vec![f64::INFINITY; configs.len()];
-    let mut results: Vec<Option<AnalysisResult>> = vec![None; configs.len()];
+    let mut results: Vec<Option<AnalysisResult>> = configs.iter().map(|_| None).collect();
     for _ in 0..iters.max(1) {
         for (i, config) in configs.iter().enumerate() {
             let start = Instant::now();
@@ -1105,7 +1137,7 @@ pub fn render_json_document(
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v6\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v7\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -1158,7 +1190,8 @@ pub fn render_json_document(
                  \"batches\": {}, \"coalescing_ratio\": {:.3}, \"epochs_published\": {}, \
                  \"partial_epochs\": {}, \"queries_total\": {}, \
                  \"queries_per_sec_during_solve\": {:.1}, \
-                 \"publication_latency_ms\": {:.3}}}{comma}",
+                 \"publication_latency_ms\": {:.3}, \"published_bytes\": {}, \
+                 \"publish_ms\": {:.3}}}{comma}",
                 json_escape(&s.name),
                 json_escape(&s.scheduler),
                 s.roots_queued,
@@ -1169,6 +1202,8 @@ pub fn render_json_document(
                 s.queries_total,
                 s.queries_per_sec_during_solve,
                 s.publication_latency_ms,
+                s.published_bytes,
+                s.publish_ms,
             );
         }
         let _ = writeln!(out, "  ],");
@@ -1532,7 +1567,7 @@ mod tests {
         let wall = w.runs[0].wall_ms;
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w], None);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v6\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v7\""));
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…
@@ -1615,11 +1650,15 @@ mod tests {
             queries_total: 90_000,
             queries_per_sec_during_solve: 1.2e6,
             publication_latency_ms: 3.25,
+            published_bytes: 48_128,
+            publish_ms: 0.125,
         };
         let doc = render_json_with_serve("test", &[w], &[serve], None);
         assert!(doc.contains("\"serve\": ["), "{doc}");
         assert!(doc.contains("\"coalescing_ratio\": 8.000"), "{doc}");
         assert!(doc.contains("\"queries_per_sec_during_solve\": 1200000.0"), "{doc}");
+        assert!(doc.contains("\"published_bytes\": 48128"), "{doc}");
+        assert!(doc.contains("\"publish_ms\": 0.125"), "{doc}");
         // The step gate's workload scan must not pick the serve record up.
         assert_eq!(parse_baseline_workloads(&doc), vec!["rung-tiny".to_string()]);
         // An empty serve family renders no block at all (pre-change capture

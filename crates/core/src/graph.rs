@@ -937,7 +937,7 @@ pub struct MethodGraph {
 }
 
 /// The whole-program PVPG.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Pvpg {
     /// Flow arena.
     pub flows: Vec<Flow>,

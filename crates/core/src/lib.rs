@@ -50,11 +50,17 @@
 //! is bit-identical to an uninterrupted run (the checkpoint
 //! invariant).
 //!
-//! For serving, [`AnalysisSession::owned_snapshot`] clones the current
-//! state into an [`OwnedSnapshot`] — an `Arc`-backed, `Send + Sync`,
-//! cheaply clonable form of the fixpoint that reader threads can query
-//! (it implements [`CallGraphQuery`]) while the session keeps solving.
-//! The `skipflow-server` crate builds its epoch-based publication and
+//! For serving, the session publishes answers, not the graph:
+//! [`AnalysisSession::owned_snapshot`] extracts, in one pass, the compact
+//! [`OwnedSnapshot`] — the reachable set, the instantiated types, the call
+//! edges of enabled sites as a per-site CSR, the edge and PolyCalls counts,
+//! [`SolveStats`] and [`Completeness`]. It is `Send + Sync`, answers every
+//! [`CallGraphQuery`] count in O(1), and reports its
+//! [`heap_bytes`](OwnedSnapshot::heap_bytes), so reader threads query it
+//! while the session keeps solving and a server can account for it. The
+//! PVPG stays inside the session: value states, liveness and `dot` are
+//! read from [`AnalysisSnapshot`] / [`AnalysisResult`]. The
+//! `skipflow-server` crate builds its epoch-based publication and
 //! multi-session registry on exactly this primitive.
 //!
 //! ## Quick example
@@ -124,6 +130,6 @@ pub use metrics::{compute_metrics, InterruptStats, InvalidationStats, Metrics, S
 pub use query::{CallGraphDelta, CallGraphQuery};
 pub use report::{
     AnalysisResult, AnalysisSnapshot, CallEdge, CallSiteInfo, OwnedSnapshot, ReachableSet,
-    SolveStats,
+    SiteTargets, SolveStats,
 };
 pub use session::{analyze, AnalysisSession, MethodEdit, SessionBuilder};

@@ -4,7 +4,8 @@
 //! SkipFlow itself — produces *some* call graph. [`CallGraphQuery`] is the
 //! one interface they all answer: reachable-set membership and size, edge
 //! and PolyCalls counts, and refinement comparison. The SkipFlow engine's
-//! [`AnalysisResult`]/[`AnalysisSnapshot`] implement it here; the
+//! [`AnalysisResult`]/[`AnalysisSnapshot`] and the published
+//! [`OwnedSnapshot`] implement it here; the
 //! `skipflow-baselines` crate implements it for its `CallGraph`, so ladder
 //! comparisons (`SkipFlow ⊆ PTA ⊆ RTA ⊆ CHA`) and reporting tools can be
 //! written once against `&dyn CallGraphQuery` / `impl CallGraphQuery`.
@@ -147,7 +148,7 @@ impl CallGraphQuery for OwnedSnapshot {
     }
 
     fn is_reachable(&self, m: MethodId) -> bool {
-        self.result().is_reachable(m)
+        OwnedSnapshot::is_reachable(self, m)
     }
 
     fn reachable_count(&self) -> usize {
@@ -159,11 +160,11 @@ impl CallGraphQuery for OwnedSnapshot {
     }
 
     fn call_edge_count(&self) -> usize {
-        self.view().call_graph_edges().len()
+        OwnedSnapshot::call_edge_count(self)
     }
 
     fn poly_call_count(&self) -> usize {
-        self.view().poly_call_sites()
+        OwnedSnapshot::poly_call_count(self)
     }
 }
 

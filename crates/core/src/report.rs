@@ -11,6 +11,10 @@
 //!   (or the [`crate::analyze`] convenience wrapper). It stores the final
 //!   PVPG and delegates every query to an internal snapshot.
 //!
+//! What crosses threads is neither: [`OwnedSnapshot`] holds the published
+//! *answers* (reachable set, instantiated types, a call-edge CSR and its
+//! counts) extracted in one pass, without the graph.
+//!
 //! Reachability is stored as a [`ReachableSet`] — a bitset for O(1)
 //! membership plus a sorted id vector for deterministic iteration.
 
@@ -113,6 +117,12 @@ impl ReachableSet {
     /// Whether every method of `self` is also in `other`.
     pub fn is_subset(&self, other: &ReachableSet) -> bool {
         self.order.iter().all(|&m| other.contains(m))
+    }
+
+    /// Heap bytes held by the bitset and the id vector.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.bits.word_width() * std::mem::size_of::<u64>()
+            + self.order.capacity() * std::mem::size_of::<MethodId>()
     }
 }
 
@@ -371,19 +381,50 @@ impl<'a> AnalysisSnapshot<'a> {
         n
     }
 
-    /// Clones this view into an [`OwnedSnapshot`] suitable for publication
-    /// across threads (the serving seam used by `skipflow-server`). The
-    /// clone copies the PVPG once; every subsequent [`OwnedSnapshot::clone`]
-    /// is an `Arc` bump.
+    /// Extracts the published answers of this view into an
+    /// [`OwnedSnapshot`] (the serving seam used by `skipflow-server`). One
+    /// pass over the reached methods' call sites builds the call-edge CSR
+    /// and counts PolyCalls; the reachable set and instantiated types are
+    /// copied. The PVPG is not copied.
     pub fn to_owned_snapshot(&self) -> OwnedSnapshot {
-        OwnedSnapshot::from(AnalysisResult::new(
-            self.graph.clone(),
-            self.reachable.clone(),
-            self.instantiated.clone(),
-            self.config.clone(),
-            self.stats.clone(),
-            self.completeness,
-        ))
+        let mut sites = Vec::new();
+        let mut targets = Vec::new();
+        let mut poly_calls = 0;
+        for (&caller, mg) in &self.graph.methods {
+            for (ordinal, &id) in mg.sites.iter().enumerate() {
+                let site = self.graph.site(id);
+                if site.linked.is_empty() || !self.graph.flow(site.flow).enabled {
+                    continue;
+                }
+                if site.kind == CallKind::Virtual && site.linked.len() >= 2 {
+                    poly_calls += 1;
+                }
+                let start = targets.len();
+                targets.extend_from_slice(&site.linked);
+                targets[start..].sort_unstable();
+                sites.push(SiteRow {
+                    caller,
+                    // Every site owns a flow, so ordinals are below
+                    // `MAX_FLOW_COUNT` like flow ids.
+                    ordinal: ordinal as u32,
+                    kind: site.kind,
+                    end: u32::try_from(targets.len()).expect("call edges fit in u32"),
+                });
+            }
+        }
+        sites.shrink_to_fit();
+        targets.shrink_to_fit();
+        let mut stats = self.stats.clone();
+        stats.flows = self.graph.flow_count();
+        OwnedSnapshot {
+            reachable: self.reachable.clone(),
+            instantiated: self.instantiated.clone(),
+            sites,
+            targets,
+            poly_calls,
+            stats,
+            completeness: self.completeness,
+        }
     }
 
     /// Renders the call graph as Graphviz `dot` (method-level nodes;
@@ -412,7 +453,7 @@ impl<'a> AnalysisSnapshot<'a> {
 /// The owned outcome of one analysis (see [`crate::analyze`] and
 /// [`AnalysisSession::into_result`](crate::AnalysisSession::into_result)).
 /// Every query delegates to [`AnalysisSnapshot`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct AnalysisResult {
     graph: Pvpg,
     reachable: ReachableSet,
@@ -557,65 +598,130 @@ impl AnalysisResult {
     }
 }
 
-/// An owned, cheaply clonable snapshot for cross-thread publication.
+/// The published answers of one analysis state: the compact,
+/// query-shaped result that crosses threads.
 ///
 /// [`AnalysisSnapshot`] borrows a paused session, so it cannot outlive the
 /// solve loop that produced it; a server that answers queries *while* the
-/// next solve runs needs a form it can hand to reader threads. An
-/// `OwnedSnapshot` wraps an [`AnalysisResult`] in an `Arc`:
+/// next solve runs needs an owned form. An `OwnedSnapshot` holds what the
+/// paper's clients read — the reachable set, the instantiated types and
+/// the call graph, plus [`SolveStats`] and [`Completeness`] — and none of
+/// the PVPG:
 ///
 /// * building one ([`AnalysisSnapshot::to_owned_snapshot`] or
 ///   [`AnalysisSession::owned_snapshot`](crate::AnalysisSession::owned_snapshot))
-///   deep-copies the PVPG once, on the writer's thread;
-/// * cloning one is a reference-count bump, so publication schemes (e.g. the
-///   epoch cell in `skipflow-server`) can hand a clone to every concurrent
-///   reader without blocking or re-copying;
-/// * it is `Send + Sync` and implements [`crate::CallGraphQuery`], and
-///   [`OwnedSnapshot::view`] recovers the full borrowed query surface.
+///   is one pass over the session's call sites, on the writer's thread;
+/// * the call edges of enabled sites are a per-site CSR keyed by
+///   `(caller, ordinal)`, and every count is computed at extraction, so
+///   each [`crate::CallGraphQuery`] count is O(1);
+/// * it is `Send + Sync`, and [`OwnedSnapshot::heap_bytes`] reports what it
+///   holds, so a server's memory accounting can count published epochs.
+///
+/// Flow-level questions (value states, liveness, `dot`) stay with the
+/// session's [`AnalysisSnapshot`] or an [`AnalysisResult`], which keep the
+/// graph.
 #[derive(Clone, Debug)]
 pub struct OwnedSnapshot {
-    inner: std::sync::Arc<AnalysisResult>,
+    reachable: ReachableSet,
+    instantiated: BitSet,
+    /// CSR rows: the enabled call sites with at least one target, in
+    /// ascending `(caller, ordinal)` order.
+    sites: Vec<SiteRow>,
+    /// CSR columns: the resolved targets, ascending within each site. Its
+    /// length is the call-edge count.
+    targets: Vec<MethodId>,
+    /// Enabled virtual sites with two or more targets.
+    poly_calls: usize,
+    stats: SolveStats,
+    completeness: Completeness,
+}
+
+/// One row of the [`OwnedSnapshot`] call-edge CSR: the site's targets end
+/// at `end` and start where the previous row's end.
+#[derive(Clone, Copy, Debug)]
+struct SiteRow {
+    caller: MethodId,
+    ordinal: u32,
+    kind: CallKind,
+    end: u32,
+}
+
+/// One enabled call site of an [`OwnedSnapshot`] and its resolved targets.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SiteTargets<'a> {
+    /// The calling method.
+    pub caller: MethodId,
+    /// The site's position among the caller's call sites in source order
+    /// (its index in [`AnalysisSnapshot::call_sites`]). Unlike a
+    /// [`SiteId`], which numbers one graph's call-site arena, the ordinal
+    /// is the same in every session over the same program.
+    pub ordinal: usize,
+    /// Virtual or static dispatch.
+    pub kind: CallKind,
+    /// The resolved targets, ascending.
+    pub targets: &'a [MethodId],
 }
 
 impl OwnedSnapshot {
-    /// A borrowed view carrying the full query surface.
-    pub fn view(&self) -> AnalysisSnapshot<'_> {
-        self.inner.snapshot()
-    }
-
-    /// The underlying owned result.
-    pub fn result(&self) -> &AnalysisResult {
-        &self.inner
-    }
-
-    /// Whether the snapshot is a reached fixpoint or an interrupted
+    /// Whether the answers are a reached fixpoint or an interrupted
     /// checkpoint; see [`AnalysisSnapshot::completeness`].
     pub fn completeness(&self) -> Completeness {
-        self.inner.completeness()
+        self.completeness
     }
 
-    /// Solver statistics at the time the snapshot was taken.
+    /// Solver statistics at the time the answers were extracted.
     pub fn stats(&self) -> &SolveStats {
-        self.inner.stats()
+        &self.stats
     }
 
     /// The set of reachable methods.
     pub fn reachable_methods(&self) -> &ReachableSet {
-        self.inner.reachable_methods()
+        &self.reachable
     }
 
-    /// Whether two handles share the same underlying allocation (used by
-    /// publication tests; cheaper than comparing contents).
-    pub fn ptr_eq(&self, other: &OwnedSnapshot) -> bool {
-        std::sync::Arc::ptr_eq(&self.inner, &other.inner)
+    /// Whether `m` was marked reachable (O(1)).
+    pub fn is_reachable(&self, m: MethodId) -> bool {
+        self.reachable.contains(m)
     }
-}
 
-impl From<AnalysisResult> for OwnedSnapshot {
-    fn from(result: AnalysisResult) -> Self {
-        OwnedSnapshot {
-            inner: std::sync::Arc::new(result),
-        }
+    /// Whether any enabled `new T` for this exact type was reached.
+    pub fn is_instantiated(&self, t: TypeId) -> bool {
+        self.instantiated.contains(t.index())
+    }
+
+    /// The enabled call sites that resolved at least one target, in
+    /// ascending `(caller, ordinal)` order.
+    pub fn sites(&self) -> impl ExactSizeIterator<Item = SiteTargets<'_>> + '_ {
+        self.sites.iter().enumerate().map(|(i, row)| {
+            let start = if i == 0 { 0 } else { self.sites[i - 1].end as usize };
+            SiteTargets {
+                caller: row.caller,
+                ordinal: row.ordinal as usize,
+                kind: row.kind,
+                targets: &self.targets[start..row.end as usize],
+            }
+        })
+    }
+
+    /// Call edges: one per `(site, target)` pair of an enabled site (O(1)).
+    pub fn call_edge_count(&self) -> usize {
+        self.targets.len()
+    }
+
+    /// Enabled virtual call sites with two or more targets — the PolyCalls
+    /// counter (O(1)).
+    pub fn poly_call_count(&self) -> usize {
+        self.poly_calls
+    }
+
+    /// Heap bytes these answers hold (what a server retains per published
+    /// epoch).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.reachable.heap_bytes()
+            + self.instantiated.word_width() * size_of::<u64>()
+            + self.sites.capacity() * size_of::<SiteRow>()
+            + self.targets.capacity() * size_of::<MethodId>()
     }
 }
 

@@ -587,11 +587,12 @@ impl<'p> AnalysisSession<'p> {
         )
     }
 
-    /// Clones the current state into an [`OwnedSnapshot`] that can outlive
-    /// the session and cross threads — the publication primitive a server
-    /// uses to keep answering queries against the last fixpoint while this
-    /// session solves the next one. The clone copies the PVPG once (writer
-    /// cost, off the reader path); see [`AnalysisSnapshot::to_owned_snapshot`].
+    /// Extracts the current answers into an [`OwnedSnapshot`] that can
+    /// outlive the session and cross threads — the publication primitive a
+    /// server uses to keep answering queries against the last fixpoint
+    /// while this session solves the next one. One pass over the call
+    /// sites, writer cost, off the reader path; the PVPG stays here. See
+    /// [`AnalysisSnapshot::to_owned_snapshot`].
     pub fn owned_snapshot(&self) -> OwnedSnapshot {
         self.snapshot().to_owned_snapshot()
     }

@@ -8,10 +8,14 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! * [`publish::EpochCell`] — lock-free epoch-based snapshot publication.
-//!   A writer swaps an atomic pointer per published fixpoint; readers clone
-//!   the `Arc` out through epoch-pinned slots without ever taking a lock,
-//!   so **queries are never blocked by an in-flight solve**.
+//! * [`publish::EpochCell`] — lock-free epoch-based publication. A writer
+//!   swaps an atomic pointer per published fixpoint; readers clone the
+//!   `Arc` out through epoch-pinned slots without ever taking a lock, so
+//!   **queries are never blocked by an in-flight solve**. What is published
+//!   is answers, not the graph: each epoch carries a compact
+//!   [`OwnedSnapshot`] (reachable set, instantiated types, call-edge CSR and
+//!   its counts) extracted once per batch, and its heap bytes count toward
+//!   the session's memory estimate.
 //! * [`registry::Registry`] — many named [`AnalysisSession`]s over shared
 //!   `Arc<Program>`s. One writer thread per session coalesces queued
 //!   mutations (root adds, root *retractions*, method-body *edits* —
@@ -25,6 +29,7 @@
 //!   (`skipflow serve` is a thin CLI wrapper around it).
 //!
 //! [`AnalysisSession`]: skipflow_core::AnalysisSession
+//! [`OwnedSnapshot`]: skipflow_core::OwnedSnapshot
 //!
 //! ## Protocol grammar
 //!
@@ -62,8 +67,8 @@
 //! last epoch stays queryable), and `timeout` (a `flush` outlived its
 //! deadline).
 //!
-//! Responses answered from a published snapshot carry `epoch=<n>` and, when
-//! that snapshot is an interrupted checkpoint rather than a fixpoint, the
+//! Responses answered from published answers carry `epoch=<n>` and, when
+//! those answers are an interrupted checkpoint rather than a fixpoint, the
 //! trailing tag **`[partial]`**: every reported fact (reachable method,
 //! call edge) is true of the final fixpoint, but more may appear once the
 //! writer resumes — the same sound under-approximation contract as

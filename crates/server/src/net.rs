@@ -229,8 +229,8 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
             let s = registry.session_stats(&name)?;
             let mut line = format!(
                 "ok session={} epoch={} roots={} queued={} memory_bytes={} \
-                 steps={} flows={} solves={} batches={} batched_roots={} \
-                 epochs_published={} partial_epochs={} queries={} sheds={} \
+                 published_bytes={} steps={} flows={} solves={} batches={} \
+                 batched_roots={} epochs_published={} partial_epochs={} queries={} sheds={} \
                  scheduler_flips={} order_repairs={} interrupts={} resumed={} \
                  retractions={} edits={} invalidated_flows={} rederive_steps={}",
                 s.name,
@@ -238,6 +238,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.roots_covered,
                 s.queued_roots,
                 s.memory_bytes,
+                s.published_bytes,
                 s.solve.steps,
                 s.solve.flows,
                 s.solve.solves,

@@ -23,21 +23,22 @@
 //!   Because retraction and edits are non-monotone, **epochs are not
 //!   monotone either**: a later epoch may cover fewer roots and reach fewer
 //!   methods than an earlier one. Each epoch is internally consistent — a
-//!   `Complete` epoch is bit-identical to a fresh solve of exactly
-//!   [`PublishedEpoch::roots`] under [`PublishedEpoch::masked`] — but
+//!   `Complete` epoch publishes the same answers as a fresh solve of
+//!   exactly [`PublishedEpoch::roots`] under [`PublishedEpoch::masked`] — but
 //!   clients comparing answers *across* epochs must key them by
 //!   [`PublishedEpoch::epoch`], never assume set inclusion.
 //! * **Admission control**: a session cap, a per-session queued-root shed
 //!   threshold, and a global memory budget enforced by evicting idle
-//!   sessions in least-recently-used order (reusing the engine's memory
-//!   estimate). When nothing can be evicted the request is shed with
+//!   sessions in least-recently-used order. A session's memory figure is
+//!   the engine's estimate plus the heap bytes of its published answers.
+//!   When nothing can be evicted the request is shed with
 //!   [`ServerError::Overloaded`] instead of degrading every session.
 //!
 //! Because the writer drains the queue *before* solving, the session's own
 //! pending-root list is empty at publish time: the completeness tag of every
 //! published epoch is exact for the roots it covers, which is what lets the
-//! stress test assert each `Complete` epoch bit-identical to a fresh union
-//! solve of [`PublishedEpoch::roots`].
+//! stress test assert that each `Complete` epoch's answers equal those of a
+//! fresh union solve of [`PublishedEpoch::roots`].
 
 use crate::gate::{SessionGate, Settle, WriterStep};
 use crate::publish::EpochCell;
@@ -59,7 +60,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Maximum concurrently open sessions; further `open`s are shed.
     pub max_sessions: usize,
-    /// Global memory budget (engine estimates summed across sessions).
+    /// Global memory budget (session memory estimates — engine plus
+    /// published answers — summed across sessions).
     /// Exceeding it evicts idle sessions LRU-first; if nothing is evictable
     /// the triggering request is shed.
     pub memory_budget_bytes: usize,
@@ -145,8 +147,10 @@ pub enum SessionOp {
 }
 
 /// One published fixpoint: the epoch number, the configuration it covers
-/// (roots + masked bodies), and the owned snapshot readers query.
-/// `Arc`-published through the epoch cell; cloning is cheap.
+/// (roots + masked bodies), and the answers readers query. The answers are
+/// an [`OwnedSnapshot`] — reachable set, instantiated types, call-edge CSR
+/// and counts — never a copy of the graph. `Arc`-published through the
+/// epoch cell, so handing an epoch to a reader is a reference-count bump.
 ///
 /// Epochs are **not monotone** across retractions and edits — see the
 /// module docs. A `Complete` epoch is the exact fixpoint of
@@ -161,13 +165,13 @@ pub struct PublishedEpoch {
     /// published, in id order — the mask a fresh oracle needs
     /// ([`AnalysisConfig::with_masked_methods`]) to reproduce it.
     pub masked: Vec<MethodId>,
-    /// The queryable fixpoint (or checkpoint, when
+    /// The published answers of the fixpoint (or checkpoint, when
     /// [`PublishedEpoch::is_complete`] is false).
     pub snapshot: OwnedSnapshot,
 }
 
 impl PublishedEpoch {
-    /// Whether the snapshot is a reached fixpoint over
+    /// Whether the answers are a reached fixpoint over
     /// [`PublishedEpoch::roots`] (vs. a budget/cancel checkpoint).
     pub fn is_complete(&self) -> bool {
         self.snapshot.completeness() == Completeness::Complete
@@ -219,7 +223,7 @@ impl SessionHandle {
         self.cell.load()
     }
 
-    /// The current publication epoch number without loading the snapshot.
+    /// The current publication epoch number without loading the epoch.
     pub fn epoch(&self) -> u64 {
         self.cell.epoch()
     }
@@ -256,9 +260,17 @@ impl SessionHandle {
         self.counters.sheds.load(SeqCst)
     }
 
-    /// The engine memory estimate after the last batch, in bytes.
+    /// The bytes this session holds: the engine estimate after the last
+    /// batch plus [`SessionHandle::published_bytes`]. The memory budget,
+    /// eviction and `stats` all read this figure.
     pub fn memory_estimate(&self) -> usize {
-        self.gate.memory_estimate()
+        self.gate.memory_estimate() + self.published_bytes()
+    }
+
+    /// Heap bytes of the currently published epoch's answers
+    /// ([`OwnedSnapshot::heap_bytes`]).
+    pub fn published_bytes(&self) -> usize {
+        self.cell.load().snapshot.heap_bytes()
     }
 
     /// Queued mutations (root adds, retractions, edits) not yet picked up
@@ -314,8 +326,11 @@ pub struct SessionStats {
     pub roots_covered: usize,
     /// Roots queued but not yet batched.
     pub queued_roots: usize,
-    /// Engine memory estimate in bytes.
+    /// Memory estimate in bytes: the engine estimate plus
+    /// [`SessionStats::published_bytes`].
     pub memory_bytes: usize,
+    /// Heap bytes of the published epoch's answers.
+    pub published_bytes: usize,
     /// Solver statistics of the published fixpoint (steps, joins, scheduler
     /// and interrupt counters).
     pub solve: SolveStats,
@@ -354,7 +369,8 @@ pub struct RegistryStats {
     pub batched_roots: u64,
     /// Requests shed by admission control.
     pub sheds: u64,
-    /// Summed engine memory estimates, in bytes.
+    /// Summed session memory estimates (engine plus published answers), in
+    /// bytes.
     pub memory_bytes: usize,
     /// The configured memory budget, in bytes.
     pub memory_budget_bytes: usize,
@@ -416,7 +432,7 @@ impl Registry {
     ) -> Result<Arc<SessionHandle>, ServerError> {
         let config = self.apply_budgets(config);
         // Validate eagerly on the caller's thread (and produce the initial
-        // empty snapshot) so `open` reports builder errors synchronously.
+        // empty answers) so `open` reports builder errors synchronously.
         let initial_session = AnalysisSession::builder(&program)
             .config(config.clone())
             .build()
@@ -606,14 +622,18 @@ impl Registry {
     /// Point-in-time stats for one session.
     pub fn session_stats(&self, name: &str) -> Result<SessionStats, ServerError> {
         let handle = self.get(name)?;
+        // One load, so the memory figure describes the same epoch as the
+        // rest of the line.
         let published = handle.cell.load();
+        let published_bytes = published.snapshot.heap_bytes();
         Ok(SessionStats {
             name: handle.name.clone(),
             epoch: published.epoch,
             completeness: published.snapshot.completeness(),
             roots_covered: published.roots.len(),
             queued_roots: handle.queued_roots(),
-            memory_bytes: handle.memory_estimate(),
+            memory_bytes: handle.gate.memory_estimate() + published_bytes,
+            published_bytes,
             solve: published.snapshot.stats().clone(),
             batches: handle.batches(),
             batched_roots: handle.batched_roots(),

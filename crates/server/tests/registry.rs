@@ -5,6 +5,7 @@ use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness};
 use skipflow_ir::frontend::compile;
 use skipflow_server::{handle_request, parse_request, Registry, ServerConfig, ServerError};
 use skipflow_modelcheck::sync::Arc;
+use skipflow_synth::{build_benchmark, BenchmarkSpec, Suite};
 use std::time::Duration;
 
 const SRC: &str = "
@@ -138,7 +139,7 @@ fn cancel_pauses_and_flush_resumes_to_complete() {
     // Whatever state the cancel left behind, an explicit flush drains it.
     let settled = registry.flush("s", Duration::from_secs(10)).unwrap();
     assert!(settled.is_complete());
-    assert_eq!(settled.snapshot.result().completeness(), Completeness::Complete);
+    assert_eq!(settled.snapshot.completeness(), Completeness::Complete);
 }
 
 #[test]
@@ -155,6 +156,39 @@ fn eviction_keeps_published_epochs_valid_for_holders() {
     assert!(registry.get("s").is_err());
     assert_eq!(held.epoch, settled.epoch);
     assert!(held.snapshot.reachable_count() > 0);
+}
+
+/// The memory figure the budget, eviction and `stats` read counts the
+/// published answers, and those answers are small next to the engine:
+/// reachable set, instantiated types and call-edge CSR, not a graph copy.
+#[test]
+fn memory_estimate_counts_published_answers_without_a_graph_copy() {
+    let spec = BenchmarkSpec::new("ladder-8000", Suite::DaCapo, 8000, 0.2).with_fanout(8);
+    let bench = build_benchmark(&spec);
+    assert!(bench.program.method_count() >= 8000, "an 8k-method ladder");
+    let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots.clone());
+    let registry = Registry::new(ServerConfig::default());
+    let handle = registry.open("ladder", Arc::new(bench.program), config).unwrap();
+    registry.add_roots("ladder", bench.roots.clone()).unwrap();
+    let settled = registry.flush("ladder", Duration::from_secs(60)).unwrap();
+    assert!(settled.is_complete());
+
+    let stats = registry.session_stats("ladder").unwrap();
+    let engine = stats.memory_bytes - stats.published_bytes;
+    assert!(stats.published_bytes > 0, "published answers hold heap bytes");
+    assert_eq!(stats.published_bytes, settled.snapshot.heap_bytes());
+    assert!(
+        stats.published_bytes * 10 <= engine,
+        "published answers ({} bytes) exceed 10 % of the engine estimate ({engine} bytes)",
+        stats.published_bytes
+    );
+    assert_eq!(handle.memory_estimate(), stats.memory_bytes);
+    assert_eq!(registry.stats().memory_bytes, stats.memory_bytes);
+    let line = handle_request(&registry, parse_request("stats ladder").unwrap());
+    assert!(
+        line.contains(&format!(" published_bytes={} ", stats.published_bytes)),
+        "{line}"
+    );
 }
 
 #[test]
