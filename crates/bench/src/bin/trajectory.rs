@@ -112,8 +112,8 @@ fn main() {
     // Human-readable recap of the edit family on stdout.
     for e in &edits {
         println!(
-            "{:<16} {} mutations / {} solves: invalidated {} methods / {} flows, \
-             re-derive {} steps vs fresh {} ({:.2}x), {:.1} ms",
+            "{:<16} {} mutations / {} solves: rebuilds discarded {} methods / {} flows, \
+             rebuilt solves {} steps vs fresh {} ({:.2}x), {:.1} ms",
             e.name, e.script_steps, e.solve_points, e.invalidated_methods, e.invalidated_flows,
             e.rederive_steps, e.fresh_steps, e.rederive_fresh_ratio, e.wall_ms
         );

@@ -29,11 +29,13 @@
 //! * **edit** — the non-monotone incrementality workload: a seeded
 //!   [`skipflow_synth::build_edit_script`] stream of root additions, root
 //!   *retractions*, and method-body *edits* driven through one
-//!   [`AnalysisSession`], measuring the invalidated region (methods and
-//!   flows reset by the DRed-style over-delete) and the re-derive steps
-//!   against fresh solves of the configuration at every solve point —
-//!   whose fixpoints the session must match exactly. Edit records live in their
-//!   own JSON block like serve records; the step gate never reads them.
+//!   [`AnalysisSession`], measuring the engines discarded by rebuilds
+//!   (a retraction of a solved-in root or a disable of a reachable body
+//!   rebuilds the session's engine) and the steps from each rebuild to the
+//!   solve that drains it against fresh solves of the configuration at
+//!   every solve point — whose fixpoints the session must match exactly.
+//!   Edit records live in their own JSON block like serve records; the
+//!   step gate never reads them.
 //! * **table1** — the full 35-benchmark corpus under PTA and SkipFlow,
 //!   sequential solver, mirroring the paper's evaluation.
 //!
@@ -506,8 +508,8 @@ pub fn run_serve() -> Vec<ServeRecord> {
 
 /// One measured edit-script workload: a seeded non-monotone operation
 /// stream (root adds/retracts, body disables/restores, interleaved solve
-/// points) driven through a single session, with the invalidation volume
-/// and the re-derive steps compared against fresh solves of the
+/// points) driven through a single session, with the rebuild volume and
+/// the rebuild-and-resume steps compared against fresh solves of the
 /// configuration at *every* solve point.
 #[derive(Clone, Debug)]
 pub struct EditRecord {
@@ -523,21 +525,22 @@ pub struct EditRecord {
     pub retractions: u64,
     /// Method-body edits the script applied (disables + restores).
     pub edits: u64,
-    /// Methods whose PVPG fragments the taint closures deactivated — the
-    /// cumulative over-delete region of the DRed-style invalidation.
+    /// Reachable methods of the engines the script's rebuilds discarded.
     pub invalidated_methods: u64,
-    /// Flows reset to bottom by those invalidations.
+    /// Flows of the engines the script's rebuilds discarded.
     pub invalidated_flows: u64,
-    /// Worklist steps spent re-deriving after invalidations, summed over
-    /// the script.
+    /// Worklist steps from each rebuild to the completion of the solve that
+    /// drained it, summed over the script.
     pub rederive_steps: u64,
     /// Worklist steps of fresh solves of the session's configuration
     /// (current roots under the current mask), summed over every solve
     /// point of the script.
     pub fresh_steps: u64,
-    /// `rederive_steps / fresh_steps` — how much re-derivation the whole
-    /// non-monotone stream cost relative to solving every solve point's
-    /// configuration from scratch.
+    /// `rederive_steps / fresh_steps` — what the rebuild-and-resume solves
+    /// of the whole non-monotone stream cost relative to solving every
+    /// solve point's configuration from scratch. At most 1.0: a rebuild
+    /// solves exactly like a fresh session, and only some solve points
+    /// follow one.
     pub rederive_fresh_ratio: f64,
     /// Wall-clock time of the session's part of the script (every mutation
     /// and solve point; the fresh oracle solves are not counted).
@@ -1680,6 +1683,9 @@ mod tests {
         assert!(rec.retractions + rec.edits > 0, "script never invalidated: {rec:?}");
         assert!(rec.invalidated_flows > 0, "{rec:?}");
         assert!(rec.rederive_fresh_ratio > 0.0);
+        // Rebuilt solves cost what fresh ones do, and only some solve
+        // points follow a rebuild.
+        assert!(rec.rederive_fresh_ratio <= 1.0, "{rec:?}");
         // The ratio's denominator sums one fresh solve per solve point, so
         // it exceeds a single fresh solve of the script's final state.
         let script = skipflow_synth::build_edit_script(&bench, 7, 12, 2);

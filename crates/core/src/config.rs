@@ -128,8 +128,8 @@ pub struct AnalysisConfig {
     pub(crate) step_budget: Option<u64>,
     /// Per-solve wall-clock budget.
     pub(crate) wall_budget: Option<Duration>,
-    /// Estimated-footprint budget in bytes (session-cumulative: the PVPG
-    /// only grows).
+    /// Estimated-footprint budget in bytes (cumulative over the engine: its
+    /// PVPG only grows).
     pub(crate) memory_budget: Option<usize>,
     /// Deterministic fault-injection plan (test builds only).
     #[cfg(feature = "fault-inject")]

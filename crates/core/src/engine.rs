@@ -189,57 +189,46 @@
 //!
 //! The engine is owned by an [`crate::AnalysisSession`] and may be solved
 //! *repeatedly*: after a solve reaches its fixpoint, the session can add new
-//! roots ([`Engine::add_roots`]), retract solved ones
-//! ([`Engine::retract_roots`]), or mask/restore a method body
-//! ([`Engine::mask_method`] / [`Engine::unmask_method`]), and solve again,
-//! continuing from the current PVPG instead of rebuilding it. The invariant
-//! tying these together is weaker than the historical *monotone-resume*
-//! invariant (which only had to cover root addition) but every layer —
-//! `graph.rs`, this module, `session.rs`, `report.rs`, and the server's
-//! `registry.rs`/`protocol.rs` — relies on exactly this statement:
+//! roots ([`Engine::add_roots`]) or restore a masked method body
+//! ([`Engine::unmask_method`]) and solve again, continuing from the current
+//! PVPG instead of rebuilding it. Every layer — `graph.rs`, this module,
+//! `session.rs`, `report.rs`, and the server's `registry.rs`/`protocol.rs` —
+//! relies on exactly this statement:
 //!
 //! > **Checkpoint invariant.** Between solves, the engine's state is a
 //! > *sound under-approximation* of the least fixpoint of the current
-//! > configuration (surviving roots + unmasked bodies), in which every
+//! > configuration (session roots + unmasked bodies), in which every
 //! > derived fact is derivable in that configuration; re-running any solver
 //! > to completion reaches that configuration's least fixpoint exactly.
 //!
-//! For the **monotone** mutations (adding roots, restoring a masked body)
-//! the classical argument applies unchanged, because every engine action is
-//! monotone and idempotent:
+//! The engine only ever sees **monotone** mutations, for which the classical
+//! argument applies, because every engine action is monotone and
+//! idempotent:
 //!
 //! * all value states (`in_state`, `delta`, `out_state`) only ever grow
 //!   (joins in a finite-height lattice; saturation widens to the absorbing
 //!   `Any`), and `enabled` flips only from `false` to `true`;
 //! * structures only accrete — flows, edges, linked targets, instantiated
 //!   types, reachable methods, subscribers, and saturated sites are never
-//!   removed by solving, and every registration replays the relevant *past*
-//!   events (`subscribe` feeds already-instantiated subtypes, `push_state`
-//!   feeds the source's current out-state, a saturating receiver
-//!   re-dispatches over every type instantiated so far);
+//!   removed, and every registration replays the relevant *past* events
+//!   (`subscribe` feeds already-instantiated subtypes, `push_state` feeds
+//!   the source's current out-state, a saturating receiver re-dispatches
+//!   over every type instantiated so far, a restored body is wired into
+//!   every site that already resolved to it);
 //! * a fixpoint is a state where no step can change anything, so re-running
 //!   any solver over a saturated graph is a no-op, and injecting new roots
 //!   merely enqueues the frontier their states actually change.
 //!
-//! The **non-monotone** mutations (retraction, disabling a body) restore the
-//! checkpoint invariant by *over-deleting*, DRed-style (see
-//! [`Engine::retract_roots`] for the mechanics): a taint closure computes a
-//! superset of the methods whose derived facts could depend on the retracted
-//! input, those fragments are deactivated and their states reset to bottom,
-//! and the worklist is re-seeded from the surviving frontier. After the
-//! over-delete, every surviving fact is — by construction of the closure —
-//! derivable without the retracted input, so the state is again a sound
-//! under-approximation and the next solve re-derives exactly the surviving
-//! configuration's least fixpoint. One subtlety: a *deactivated* fragment is
-//! outside the checkpoint state. Its physical CSR in-edges persist while it
-//! is parked, so live flows keep joining state into its disabled flows —
-//! state that can mix configurations a later invalidation (which only
-//! taints the live region) never cleans up. [`Engine::activate_fragment`]
-//! therefore re-resets every fragment flow to bottom before replaying the
-//! build-time seeds; the purge of the fragment's dynamic dedup pairs at
-//! park time guarantees the re-derive re-pushes every legitimate input. Hence any interleaving of adds, retracts,
-//! edits, and solves converges to the *same least fixpoint* as a fresh solve
-//! of the final configuration — only the path (and the step count, which the
+//! Masking a body the engine has not reached ([`Engine::mask_method`])
+//! deletes nothing: no fragment of it exists, and none will be built. The
+//! **non-monotone** mutations — retracting a solved-in root, disabling a
+//! reachable body — never reach an engine at all: the session discards it
+//! and bootstraps a fresh one for the new configuration (see
+//! [`crate::AnalysisSession::retract_roots`]). A freshly bootstrapped engine
+//! sits at bottom, which under-approximates every fixpoint, so the invariant
+//! holds by construction. Hence any interleaving of adds, retracts, edits,
+//! and solves converges to the *same least fixpoint* as a fresh solve of the
+//! final configuration — only the path (and the step count, which the
 //! trajectory harness's `resume` and `edit-` rungs measure) differs.
 //! `tests/session_resume.rs` and `tests/edit_scripts.rs` enforce the
 //! identity differentially across every solver × scheduler combination.
@@ -285,12 +274,12 @@ use crate::compare::compare;
 use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
 use crate::error::AnalysisError;
 use crate::flow::{Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
-use crate::graph::{MethodGraph, Pvpg};
+use crate::graph::Pvpg;
 use crate::interrupt::{CancelToken, Completeness, InterruptReason};
 use crate::lattice::{TypeSet, ValueState};
 use crate::metrics::{InterruptStats, InvalidationStats, SchedulerStats};
 use crate::report::{AnalysisResult, ReachableSet, SolveStats};
-use skipflow_ir::{BitSet, FieldId, MethodId, Program, TypeId, TypeRef};
+use skipflow_ir::{BitSet, MethodId, Program, TypeId, TypeRef};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -560,51 +549,6 @@ impl FlipTracker {
     }
 }
 
-/// Everything needed to re-activate a method's PVPG fragment after an
-/// invalidation deactivated it, captured once when the fragment is first
-/// built. Replaying `enables`/`pushes`/`catch_subscribers` against the reset
-/// flows performs exactly the enable-time actions a fresh
-/// [`build_method_graph`] would trigger — without growing the flow arena.
-struct FragmentReplay {
-    /// Index of the first flow created for the fragment.
-    first_flow: usize,
-    /// One past the last flow index created for the fragment.
-    end_flow: usize,
-    /// Flows gated directly by `pred_on`, enabled immediately on activation
-    /// (under the predicate-less baseline the whole range is enabled).
-    enables: Vec<FlowId>,
-    /// Build-time edges from global flows that may already carry state and
-    /// need an initial push on every activation.
-    pushes: Vec<(FlowId, FlowId)>,
-    /// Catch flows to re-subscribe under the coarse exception policy.
-    catch_subscribers: Vec<(TypeId, FlowId)>,
-    /// The fragment graph, parked here while the method is deactivated
-    /// (`None` while the fragment is live in [`Pvpg::methods`]). Keeping
-    /// deactivated fragments out of `methods` means reports, metrics, and
-    /// the invalidation closure all iterate active fragments only.
-    graph: Option<MethodGraph>,
-}
-
-/// Who an injection source ([`Pvpg::add_root_source`]) was created for —
-/// the information needed to kill and re-create it when an invalidation
-/// resets the subscription state it carries.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum InjectionOwner {
-    /// A root method's parameter injection (session roots and the
-    /// configured reflective roots both register here).
-    Root(MethodId),
-    /// A reflective field's sink injection.
-    ReflectiveField(FieldId),
-}
-
-/// One live injection: `rs` feeds `target` with every instantiated subtype
-/// of the owner's declared bound (or `Any` for primitives).
-struct Injection {
-    rs: FlowId,
-    target: FlowId,
-    owner: InjectionOwner,
-}
-
 pub(crate) struct Engine<'p> {
     program: &'p Program,
     config: AnalysisConfig,
@@ -632,24 +576,11 @@ pub(crate) struct Engine<'p> {
     saturated_set: BitSet,
     /// Field sinks already seeded with their default value (by field index).
     defaulted_fields: BitSet,
-    /// Per-method fragment replays, captured at build time (module docs,
-    /// "Resume": deactivated fragments are re-activated from these instead
-    /// of rebuilding, so the flow arena never grows on re-activation).
-    replays: BTreeMap<MethodId, FragmentReplay>,
-    /// Live injection sources, so invalidation can kill and re-create the
-    /// ones whose subscription state became stale.
-    injections: Vec<Injection>,
     /// Methods whose bodies are currently masked out (seeded from
     /// [`AnalysisConfig::masked_methods`], mutated by [`Engine::mask_method`]
     /// / [`Engine::unmask_method`]): marked reachable when discovered, but
     /// no fragment is ever built while masked.
     masked: BitSet,
-    /// Cumulative retraction/edit counters (session-lifetime, like `steps`).
-    invalidation: InvalidationStats,
-    /// `steps` at the first invalidation since the last completed solve:
-    /// the re-derivation window `rederive_steps` accumulates over. `None`
-    /// while no invalidation is pending re-derivation.
-    rederive_base: Option<u64>,
     /// The adaptive scheduler's FIFO-phase re-push detector (`None` under
     /// forced schedulers, and after the flip).
     flip: Option<FlipTracker>,
@@ -673,7 +604,7 @@ pub(crate) struct Engine<'p> {
     /// Whether the most recent solve ended interrupted (drives the
     /// `resumed_after_interrupt` statistic on the next solve).
     last_interrupted: bool,
-    /// Cumulative interrupt statistics (session-lifetime, like `steps`).
+    /// Cumulative interrupt statistics (engine-lifetime, like `steps`).
     interrupt_stats: InterruptStats,
     /// Deterministic fault-injection triggers (test builds only).
     #[cfg(feature = "fault-inject")]
@@ -734,11 +665,7 @@ impl<'p> Engine<'p> {
             saturated_sites: Vec::new(),
             saturated_set: BitSet::new(),
             defaulted_fields: BitSet::new(),
-            replays: BTreeMap::new(),
-            injections: Vec::new(),
             masked,
-            invalidation: InvalidationStats::default(),
-            rederive_base: None,
             flip: adaptive.then(FlipTracker::new),
             solve_start_steps: 0,
             adaptive_base: (0, 0),
@@ -830,7 +757,7 @@ impl<'p> Engine<'p> {
     }
 
     /// One-time setup of the global flows and the configured reflective
-    /// surface (§5). Called exactly once per session, before the first
+    /// surface (§5). Called exactly once per engine, before its first
     /// solve; analysis roots are added separately via [`Engine::add_roots`].
     pub(crate) fn bootstrap(&mut self) {
         // pred_on is enabled with a non-empty token state, so the flows it
@@ -853,9 +780,25 @@ impl<'p> Engine<'p> {
         for field in reflective_fields {
             let sink = self.field_sink(field);
             let declared = self.program.field(field).ty;
-            self.inject(sink, declared, InjectionOwner::ReflectiveField(field));
+            self.inject(sink, declared);
         }
         self.sync_queued();
+    }
+
+    /// A freshly bootstrapped engine for this engine's configuration under
+    /// the current mask, with no roots: the session swaps it in on a
+    /// non-monotone mutation (module docs, "Resume"). Fault-plan triggers
+    /// that already fired stay consumed.
+    pub(crate) fn rebuilt(&self) -> Engine<'p> {
+        let mut config = self.config.clone();
+        config.masked_methods = self.masked_list();
+        #[cfg(feature = "fault-inject")]
+        {
+            config.fault_plan = self.fault.clone();
+        }
+        let mut engine = Engine::new(self.program, config);
+        engine.bootstrap();
+        engine
     }
 
     /// Adds analysis roots (paper §5: parameters injected with every
@@ -905,14 +848,6 @@ impl<'p> Engine<'p> {
         if let SolveEnd::Interrupted(_) = end {
             self.last_interrupted = true;
             self.interrupt_stats.interrupts += 1;
-        }
-        if end == SolveEnd::Complete {
-            // The re-derivation window closes at the completed solve that
-            // drained it; an interrupted solve keeps the base, so a resumed
-            // re-derive accumulates into the same window.
-            if let Some(base) = self.rederive_base.take() {
-                self.invalidation.rederive_steps += self.steps - base;
-            }
         }
         end
     }
@@ -1033,8 +968,14 @@ impl<'p> Engine<'p> {
         ReachableSet::from_discovery(self.reachable.clone(), self.reachable_order.clone())
     }
 
-    /// The current solver statistics.
-    pub(crate) fn stats_snapshot(&self, duration: Duration, solves: u64) -> SolveStats {
+    /// The current solver statistics. `duration`, `solves` and
+    /// `invalidation` are session-owned: they outlive an engine rebuild.
+    pub(crate) fn stats_snapshot(
+        &self,
+        duration: Duration,
+        solves: u64,
+        invalidation: InvalidationStats,
+    ) -> SolveStats {
         let (use_edges, pred_edges, obs_edges) = self.g.edge_counts();
         // The flip detector keeps its own pop counters off the hot path;
         // fold them in here (after a flip they were copied at flip time).
@@ -1071,7 +1012,7 @@ impl<'p> Engine<'p> {
             solves,
             scheduler,
             interrupt: self.interrupt_stats,
-            invalidation: self.invalidation,
+            invalidation,
             duration,
         }
     }
@@ -1123,14 +1064,11 @@ impl<'p> Engine<'p> {
         self.queued[f.index()] |= WORKED;
     }
 
-    /// Creates an injection source for `declared` feeding `target`,
-    /// registered under `owner` so an invalidation that resets the
-    /// subscription state can kill and re-create it.
-    fn inject(&mut self, target: FlowId, declared: TypeRef, owner: InjectionOwner) {
+    /// Creates an injection source for `declared` feeding `target`.
+    fn inject(&mut self, target: FlowId, declared: TypeRef) {
         let rs = self.g.add_root_source(declared);
         self.sync_queued();
         self.g.add_use_dedup(rs, target);
-        self.injections.push(Injection { rs, target, owner });
         match declared {
             TypeRef::Prim | TypeRef::Void => {
                 self.join_in(rs, &ValueState::Any);
@@ -1233,34 +1171,18 @@ impl<'p> Engine<'p> {
         if self.program.method(m).body.is_none() {
             return; // abstract targets are never resolved to, but be safe
         }
-        self.build_or_activate_fragment(m);
+        self.build_fragment(m);
     }
 
-    /// Builds `m`'s fragment on first contact, or re-activates a fragment a
-    /// prior invalidation deactivated. Both paths run the same enable-time
-    /// actions in the same order (fresh builds capture them as the
-    /// [`FragmentReplay`]), so a re-derived region propagates exactly like a
-    /// freshly built one.
-    fn build_or_activate_fragment(&mut self, m: MethodId) {
-        if self.replays.contains_key(&m) {
-            self.activate_fragment(m);
-            return;
-        }
+    /// Builds `m`'s PVPG fragment and runs its enable-time actions. The
+    /// graph is inserted into [`Pvpg::methods`] only after those actions
+    /// ran, so a self-recursive static call linked while enabling the body
+    /// observes no callee graph and stays unwired.
+    fn build_fragment(&mut self, m: MethodId) {
         let out: BuildOutput = build_method_graph(&mut self.g, self.program, &self.config, m);
         self.sync_queued();
-        self.replays.insert(
-            m,
-            FragmentReplay {
-                first_flow: out.first_flow,
-                end_flow: self.g.flow_count(),
-                enables: out.enables.clone(),
-                pushes: out.pushes.clone(),
-                catch_subscribers: out.catch_subscribers.clone(),
-                graph: None,
-            },
-        );
         if self.config.predicates {
-            for f in out.enables.clone() {
+            for f in out.enables {
                 self.enable(f);
             }
         } else {
@@ -1269,71 +1191,9 @@ impl<'p> Engine<'p> {
                 self.enable(FlowId::from_index(i));
             }
         }
-        for (s, t) in &out.pushes {
+        for (s, t) in out.pushes {
             // Seed defaults for field sinks created during construction
             // (static-field accesses wire their sink at build time).
-            for end in [*s, *t] {
-                if let FlowKind::FieldSink { field } = self.g.flow(end).kind {
-                    self.field_sink(field);
-                }
-            }
-            self.push_state(*s, *t);
-        }
-        for (ty, f) in &out.catch_subscribers {
-            self.subscribe(*ty, *f);
-        }
-        self.g.methods.insert(m, out.graph);
-    }
-
-    /// Re-activates a deactivated fragment from its [`FragmentReplay`]: the
-    /// reset flows are re-enabled and re-seeded exactly as a fresh build
-    /// would, and the parked graph is re-inserted *after* the replay runs —
-    /// matching the fresh order, where `build_method_graph`'s enable-time
-    /// actions fire before `methods.insert` (a self-recursive static call
-    /// observes no callee graph in either case).
-    fn activate_fragment(&mut self, m: MethodId) {
-        let replay = self.replays.get(&m).expect("activation requires a captured replay");
-        let (first_flow, end_flow) = (replay.first_flow, replay.end_flow);
-        let enables = replay.enables.clone();
-        let pushes = replay.pushes.clone();
-        let catch_subscribers = replay.catch_subscribers.clone();
-        // A parked fragment keeps *accumulating* state while detached: the
-        // physical CSR edges into it outlive the purged dedup pairs, so a
-        // live flow that re-derives pushes its output into the fragment's
-        // disabled flows (`join_in` accumulates without queueing). Those
-        // joins can mix facts from solver worlds the current configuration
-        // no longer derives — e.g. a callee return recorded before a later
-        // edit cut its only return path. Activation must start from the
-        // same bottom the park left behind, so re-reset the fragment's
-        // flows before replaying the build-time seeds. Nothing legitimate
-        // is lost: every dynamic in-edge pair into the fragment was purged
-        // when it was parked, so the re-derive re-links and re-pushes the
-        // *current* source states.
-        if let Some(mg) = self.replays.get(&m).and_then(|r| r.graph.as_ref()) {
-            let flows = mg.flows.clone();
-            for f in flows {
-                let fl = self.g.flow_mut(f);
-                fl.in_state = ValueState::Empty;
-                fl.delta = ValueState::Empty;
-                fl.out_state = ValueState::Empty;
-                fl.enabled = false;
-                fl.needs_full = false;
-            }
-        }
-        self.sync_queued();
-        if self.config.predicates {
-            for f in enables {
-                self.enable(f);
-            }
-        } else {
-            for i in first_flow..end_flow {
-                self.enable(FlowId::from_index(i));
-            }
-        }
-        for (s, t) in pushes {
-            // Re-seed tainted field-sink defaults lazily, like a fresh build
-            // seeds them at first access (the reset cleared the defaulted
-            // bit, so `field_sink` re-joins the default value).
             for end in [s, t] {
                 if let FlowKind::FieldSink { field } = self.g.flow(end).kind {
                     self.field_sink(field);
@@ -1341,24 +1201,27 @@ impl<'p> Engine<'p> {
             }
             self.push_state(s, t);
         }
-        for (ty, f) in catch_subscribers {
+        for (ty, f) in out.catch_subscribers {
             self.subscribe(ty, f);
         }
-        if let Some(graph) = self.replays.get_mut(&m).expect("still present").graph.take() {
-            self.g.methods.insert(m, graph);
-        }
+        self.g.methods.insert(m, out.graph);
     }
 
     /// Marks `m` as a root: reachable, with parameters injected per the
     /// reflection policy (paper §5).
     fn make_root(&mut self, m: MethodId) {
         self.make_reachable(m);
+        self.inject_params(m);
+    }
+
+    /// Injects every instantiated subtype of each parameter's declared type
+    /// into `m`'s parameters (nothing while `m` has no fragment).
+    fn inject_params(&mut self, m: MethodId) {
         let Some(graph) = self.g.methods.get(&m) else { return };
         let params = graph.params.clone();
         let md = self.program.method(m);
         for (i, p) in params.iter().enumerate() {
-            let declared = md.param_type(i);
-            self.inject(*p, declared, InjectionOwner::Root(m));
+            self.inject(*p, md.param_type(i));
         }
     }
 
@@ -1721,10 +1584,10 @@ impl<'p> Engine<'p> {
     }
 
     /// Physically wires an established `site → target` link: marks the
-    /// target reachable (building or re-activating its fragment) and wires
+    /// target reachable (building its fragment on first contact) and wires
     /// `argument → parameter` and `return → invoke` edges. Split from
-    /// [`Engine::link`] so invalidation can re-wire surviving links into a
-    /// re-derived region without touching the recorded bookkeeping. The
+    /// [`Engine::link`] so a restored body can be wired into the sites that
+    /// already resolved to it without touching the recorded bookkeeping. The
     /// `linked` lists carry abstract targets (recorded for call-graph
     /// reports), so the abstract guard lives here, on the wiring side.
     fn wire_link(&mut self, site: SiteId, target: MethodId) {
@@ -1764,56 +1627,38 @@ impl<'p> Engine<'p> {
         }
     }
 
-    // ---- invalidation (retraction and edits) ------------------------------
+    // ---- method-body edits ------------------------------------------------
     //
-    // DRed-style over-delete + re-derive at *method* granularity (module
-    // docs, "Resume: the checkpoint argument"). Flow-level deletion would be
-    // unsound here: the PVPG derives facts through implicit channels —
-    // method reachability, type instantiation, receiver-set dispatch, the
-    // global field/exception/unsafe pools — that no per-flow provenance
-    // records. The taint closure below conservatively closes over exactly
-    // those channels, resets the closed region to bottom, and re-seeds the
-    // worklist from the region frontier; any surviving fact it deletes is
-    // re-derived by the next solve (monotone from the under-approximation).
+    // Only the monotone side lives here: a body the engine already reached
+    // is never masked in place — the session rebuilds the engine under the
+    // new mask instead (module docs, "Resume").
 
-    /// Retracts previously solved-in root methods. `surviving` is the
-    /// session's full remaining root set — retraction-tainted survivors are
-    /// re-rooted so the next solve re-derives them.
-    pub(crate) fn retract_roots(&mut self, retracted: &[MethodId], surviving: &[MethodId]) {
-        self.invalidation.retractions += retracted.len() as u64;
-        let seeds: Vec<MethodId> = retracted
-            .iter()
-            .copied()
-            .filter(|m| self.reachable.contains(m.index()))
-            .collect();
-        self.invalidate(seeds, surviving);
+    /// Whether `m` has been marked reachable.
+    pub(crate) fn is_reachable(&self, m: MethodId) -> bool {
+        self.reachable.contains(m.index())
     }
 
-    /// Masks `m`'s body out of the analysed program (the "edit" direction
-    /// that deletes derivations). Returns `false` if `m` was already masked.
-    /// A masked method stays a discoverable call target but builds no
-    /// fragment, so calls into it never return — the same semantics a fresh
-    /// solve gives [`AnalysisConfig::with_masked_methods`].
-    pub(crate) fn mask_method(&mut self, m: MethodId, surviving: &[MethodId]) -> bool {
-        if !self.masked.insert(m.index()) {
-            return false;
-        }
-        self.invalidation.edits += 1;
-        if self.reachable.contains(m.index()) {
-            self.invalidate(vec![m], surviving);
-        }
-        true
+    /// How many methods have been marked reachable.
+    pub(crate) fn reachable_count(&self) -> usize {
+        self.reachable_order.len()
+    }
+
+    /// Records `m`'s body as masked out. Returns `false` if `m` was already
+    /// masked. A masked method stays a discoverable call target but builds
+    /// no fragment, so calls into it never return — the same semantics a
+    /// fresh solve gives [`AnalysisConfig::with_masked_methods`]. Only sound
+    /// in place while `m` is unreachable (no fragment exists yet).
+    pub(crate) fn mask_method(&mut self, m: MethodId) -> bool {
+        self.masked.insert(m.index())
     }
 
     /// Restores a masked body. Returns `false` if `m` was not masked.
-    /// Purely monotone: the restored fragment is built (or re-activated)
-    /// and wired into every site that already resolved to `m`; nothing is
-    /// invalidated.
+    /// Purely monotone: if `m` is reachable, its fragment is built and
+    /// wired into every site that already resolved to it.
     pub(crate) fn unmask_method(&mut self, m: MethodId, is_root: bool) -> bool {
         if !self.masked.remove(m.index()) {
             return false;
         }
-        self.invalidation.edits += 1;
         self.resurrect_body(m, is_root);
         true
     }
@@ -1824,10 +1669,10 @@ impl<'p> Engine<'p> {
         self.masked.iter().map(MethodId::from_index).collect()
     }
 
-    /// Builds/activates the fragment of a just-unmasked reachable method and
-    /// wires it into the sites that already link to it. Collecting the
-    /// caller sites *before* activation excludes `m`'s own self-links, which
-    /// a fresh build also leaves unwired (see [`Engine::activate_fragment`]).
+    /// Builds the fragment of a just-unmasked reachable method and wires it
+    /// into the sites that already link to it. Collecting the caller sites
+    /// *before* the build excludes `m`'s own self-links, which a fresh build
+    /// also leaves unwired (see [`Engine::build_fragment`]).
     fn resurrect_body(&mut self, m: MethodId, is_root: bool) {
         if !self.reachable.contains(m.index())
             || self.g.methods.contains_key(&m)
@@ -1843,374 +1688,20 @@ impl<'p> Engine<'p> {
             });
             return;
         }
-        let mut callers: Vec<(SiteId, MethodId)> = Vec::new();
+        let mut callers: Vec<SiteId> = Vec::new();
         for mg in self.g.methods.values() {
             for &site in &mg.sites {
                 if self.g.site(site).linked_set.contains(m.index()) {
-                    callers.push((site, m));
+                    callers.push(site);
                 }
             }
         }
-        self.build_or_activate_fragment(m);
-        for (site, target) in callers {
-            self.wire_link(site, target);
+        self.build_fragment(m);
+        for site in callers {
+            self.wire_link(site, m);
         }
         if is_root {
-            let Some(graph) = self.g.methods.get(&m) else { return };
-            let params = graph.params.clone();
-            let md = self.program.method(m);
-            for (i, p) in params.iter().enumerate() {
-                self.inject(*p, md.param_type(i), InjectionOwner::Root(m));
-            }
-        }
-        self.sync_queued();
-    }
-
-    /// The over-delete + re-derive core. `seeds` are the directly edited /
-    /// retracted methods; `surviving_roots` is the session root set that
-    /// remains after the operation.
-    fn invalidate(&mut self, seeds: Vec<MethodId>, surviving_roots: &[MethodId]) {
-        if seeds.is_empty() {
-            return;
-        }
-        // Any steps from here to the next *completed* solve are re-derivation.
-        self.rederive_base.get_or_insert(self.steps);
-
-        // Reverse call map over the pre-invalidation graph (channel ii).
-        let mut callers_of: BTreeMap<MethodId, Vec<MethodId>> = BTreeMap::new();
-        for (&caller, mg) in &self.g.methods {
-            for &site in &mg.sites {
-                for &target in &self.g.site(site).linked {
-                    callers_of.entry(target).or_default().push(caller);
-                }
-            }
-        }
-
-        // ---- 1. taint closure ------------------------------------------
-        // Channels: (i) a tainted caller taints every linked target — calls
-        // carry argument facts downward; (ii) a tainted callee that can
-        // return taints its callers — the returned token/value flowed
-        // upward; (iii) a tainted method writing a global pool taints the
-        // pool, and a tainted pool taints every reader's method; (iv) a
-        // surviving dispatch site that saw a now-dead receiver type derived
-        // its links from a deleted instantiation — its method is tainted;
-        // (vi) a type subscription whose bound admits a dead type re-joined
-        // deleted types into its target — its owner is tainted. (iv)/(vi)
-        // need the dead-type set, which itself depends on the taint, so
-        // they run in an outer fixpoint around the (i)–(iii) worklists.
-        let mut tainted = BitSet::new();
-        let mut tainted_sinks = BitSet::new();
-        let mut method_work: Vec<MethodId> = Vec::new();
-        let mut sink_work: Vec<FlowId> = Vec::new();
-        for m in seeds {
-            if tainted.insert(m.index()) {
-                method_work.push(m);
-            }
-        }
-        loop {
-            while !method_work.is_empty() || !sink_work.is_empty() {
-                if let Some(m) = method_work.pop() {
-                    if let Some(mg) = self.g.methods.get(&m) {
-                        for &site in &mg.sites {
-                            for &target in &self.g.site(site).linked {
-                                if self.reachable.contains(target.index())
-                                    && tainted.insert(target.index())
-                                {
-                                    method_work.push(target);
-                                }
-                            }
-                        }
-                        if mg.ret.is_some() {
-                            if let Some(callers) = callers_of.get(&m) {
-                                for &caller in callers {
-                                    if tainted.insert(caller.index()) {
-                                        method_work.push(caller);
-                                    }
-                                }
-                            }
-                        }
-                        for &f in &mg.flows {
-                            for t in self.g.use_targets(f) {
-                                let tf = self.g.flow(t);
-                                if tf.method.is_none()
-                                    && matches!(
-                                        tf.kind,
-                                        FlowKind::FieldSink { .. }
-                                            | FlowKind::ThrownSink
-                                            | FlowKind::UnsafeSink
-                                    )
-                                    && tainted_sinks.insert(t.index())
-                                {
-                                    sink_work.push(t);
-                                }
-                            }
-                        }
-                    }
-                    continue;
-                }
-                if let Some(sink) = sink_work.pop() {
-                    let readers: Vec<MethodId> = self
-                        .g
-                        .use_targets(sink)
-                        .filter_map(|t| self.g.flow(t).method)
-                        .collect();
-                    for r in readers {
-                        if self.reachable.contains(r.index()) && tainted.insert(r.index()) {
-                            method_work.push(r);
-                        }
-                    }
-                }
-            }
-            // Dead types: instantiated types whose every enabled `New` sits
-            // in a tainted method (a masked fragment's flows are disabled,
-            // so parked `New`s never count as live).
-            let mut live_new = BitSet::new();
-            for i in 0..self.g.flow_count() {
-                let fl = self.g.flow(FlowId::from_index(i));
-                if let FlowKind::New(t) = fl.kind {
-                    if fl.enabled && fl.method.is_none_or(|m| !tainted.contains(m.index())) {
-                        live_new.insert(t.index());
-                    }
-                }
-            }
-            let dead: Vec<TypeId> = self
-                .instantiated_order
-                .iter()
-                .filter(|t| !live_new.contains(t.index()))
-                .copied()
-                .collect();
-            if dead.is_empty() {
-                break;
-            }
-            let dead_bits: BitSet = dead.iter().map(|t| t.index()).collect();
-            let mut grew = false;
-            // Channel iv.
-            let mut hit_methods: Vec<MethodId> = Vec::new();
-            for (&m, mg) in &self.g.methods {
-                if tainted.contains(m.index()) {
-                    continue;
-                }
-                if mg.sites.iter().any(|&site| {
-                    !self.g.site(site).seen_receiver_types.is_disjoint(&dead_bits)
-                }) {
-                    hit_methods.push(m);
-                }
-            }
-            // Channel vi.
-            let mut hit_sinks: Vec<FlowId> = Vec::new();
-            for &(bound, target) in &self.type_subscribers {
-                if !dead.iter().any(|&t| self.program.is_subtype(t, bound)) {
-                    continue;
-                }
-                let tf = self.g.flow(target);
-                match tf.method {
-                    Some(m) => hit_methods.push(m),
-                    None => match tf.kind {
-                        FlowKind::RootSource { .. } => {
-                            // Owner lookup through the injection registry:
-                            // a root param's owner method, or — for a
-                            // reflective field — the fed sink.
-                            if let Some(inj) = self.injections.iter().find(|i| i.rs == target) {
-                                match inj.owner {
-                                    InjectionOwner::Root(rm) => hit_methods.push(rm),
-                                    InjectionOwner::ReflectiveField(_) => {
-                                        hit_sinks.push(inj.target)
-                                    }
-                                }
-                            }
-                        }
-                        FlowKind::FieldSink { .. }
-                        | FlowKind::ThrownSink
-                        | FlowKind::UnsafeSink => hit_sinks.push(target),
-                        _ => {}
-                    },
-                }
-            }
-            for m in hit_methods {
-                if self.reachable.contains(m.index()) && tainted.insert(m.index()) {
-                    method_work.push(m);
-                    grew = true;
-                }
-            }
-            for s in hit_sinks {
-                if tainted_sinks.insert(s.index()) {
-                    sink_work.push(s);
-                    grew = true;
-                }
-            }
-            if !grew {
-                break;
-            }
-        }
-
-        // ---- 2. kill stale injections ----------------------------------
-        // A tainted root's param injections (and a tainted sink's reflective
-        // injection) carry subscription state that may include dead types;
-        // kill them — re-rooting below creates fresh ones.
-        let mut invalidated = BitSet::new();
-        let injections = std::mem::take(&mut self.injections);
-        self.injections = injections
-            .into_iter()
-            .filter(|inj| {
-                let killed = match inj.owner {
-                    InjectionOwner::Root(rm) => tainted.contains(rm.index()),
-                    InjectionOwner::ReflectiveField(_) => {
-                        tainted_sinks.contains(inj.target.index())
-                    }
-                };
-                if killed {
-                    invalidated.insert(inj.rs.index());
-                }
-                !killed
-            })
-            .collect();
-
-        // ---- 3. park tainted fragments, collect the reset region -------
-        let tainted_methods: Vec<MethodId> = self
-            .reachable_order
-            .iter()
-            .copied()
-            .filter(|m| tainted.contains(m.index()))
-            .collect();
-        let mut parked = 0u64;
-        for &m in &tainted_methods {
-            if let Some(mg) = self.g.methods.remove(&m) {
-                for &f in &mg.flows {
-                    invalidated.insert(f.index());
-                }
-                for &site in &mg.sites {
-                    let s = self.g.site_mut(site);
-                    s.linked.clear();
-                    s.linked_set.clear();
-                    s.seen_receiver_types.clear();
-                }
-                self.replays
-                    .get_mut(&m)
-                    .expect("built fragments capture a replay")
-                    .graph = Some(mg);
-                parked += 1;
-            }
-            self.reachable.remove(m.index());
-        }
-        self.reachable_order.retain(|m| !tainted.contains(m.index()));
-        for i in tainted_sinks.iter() {
-            invalidated.insert(i);
-        }
-        self.invalidation.invalidated_methods += parked;
-        self.invalidation.invalidated_flows += invalidated.iter().count() as u64;
-
-        // ---- 4. purge + reset ------------------------------------------
-        // Only the *dedup set* is purged: the physical CSR edges stay (the
-        // joins they duplicate on re-add are idempotent), but re-adding a
-        // purged pair returns `true` again, which is what makes the
-        // re-wiring below fire its `push_state` seeds.
-        let _ = self.g.purge_dynamic_use_edges(&invalidated);
-        for i in invalidated.iter() {
-            let fl = self.g.flow_mut(FlowId::from_index(i));
-            fl.in_state = ValueState::Empty;
-            fl.delta = ValueState::Empty;
-            fl.out_state = ValueState::Empty;
-            fl.enabled = false;
-            fl.needs_full = false;
-        }
-        // Global pools are always-enabled pass-throughs; a tainted field
-        // sink also re-earns its lazy default seed (`Engine::field_sink`).
-        for i in tainted_sinks.iter() {
-            let f = FlowId::from_index(i);
-            self.g.flow_mut(f).enabled = true;
-            if let FlowKind::FieldSink { field } = self.g.flow(f).kind {
-                self.defaulted_fields.remove(field.index());
-            }
-        }
-        // The worklist keeps any stale queued entries (clearing QUEUED bits
-        // while entries are resident would corrupt the dedup invariant);
-        // they drain as counted no-op steps, exactly like pops of disabled
-        // flows always have.
-        {
-            let g = &self.g;
-            self.saturated_sites
-                .retain(|&s| !tainted.contains(g.site(s).caller.index()));
-        }
-        self.saturated_set = self.saturated_sites.iter().map(|s| s.index()).collect();
-        self.type_subscribers
-            .retain(|(_, target)| !invalidated.contains(target.index()));
-        // Rebuild the instantiated set from the surviving enabled `New`s
-        // (reset fragments are disabled now, so this is the live set).
-        let mut live_new = BitSet::new();
-        for i in 0..self.g.flow_count() {
-            let fl = self.g.flow(FlowId::from_index(i));
-            if let FlowKind::New(t) = fl.kind {
-                if fl.enabled {
-                    live_new.insert(t.index());
-                }
-            }
-        }
-        self.instantiated_order.retain(|t| live_new.contains(t.index()));
-        self.instantiated = self.instantiated_order.iter().map(|t| t.index()).collect();
-
-        // ---- 5. re-seed the frontier -----------------------------------
-        // Surviving links into the region: collected from the (now
-        // tainted-free) active fragments, wired after the roots below so a
-        // re-activated fragment exists to wire into.
-        let mut relink: Vec<(SiteId, MethodId)> = Vec::new();
-        for mg in self.g.methods.values() {
-            for &site in &mg.sites {
-                for &target in &self.g.site(site).linked {
-                    if tainted.contains(target.index()) {
-                        relink.push((site, target));
-                    }
-                }
-            }
-        }
-        // Tainted roots that survive re-root in the fresh bootstrap order:
-        // reflective roots, then session roots, then reflective fields.
-        let reflective_roots = self.config.reflective_roots.clone();
-        for m in reflective_roots {
-            if tainted.contains(m.index()) {
-                self.make_root(m);
-            }
-        }
-        for &m in surviving_roots {
-            if tainted.contains(m.index()) {
-                self.make_root(m);
-            }
-        }
-        let reflective_fields = self.config.reflective_fields.clone();
-        for field in reflective_fields {
-            if self
-                .g
-                .field_sink_opt(field)
-                .is_some_and(|sink| tainted_sinks.contains(sink.index()))
-            {
-                let sink = self.field_sink(field);
-                let declared = self.program.field(field).ty;
-                self.inject(sink, declared, InjectionOwner::ReflectiveField(field));
-            }
-        }
-        for (site, target) in relink {
-            self.wire_link(site, target);
-        }
-        // Live writers into tainted pools: their build-time edges are
-        // static (throws) or deduped without a replay push entry (stores),
-        // so re-seed them explicitly off the physical edges.
-        if tainted_sinks.iter().next().is_some() {
-            for i in 0..self.g.flow_count() {
-                if invalidated.contains(i) {
-                    continue;
-                }
-                let f = FlowId::from_index(i);
-                if !self.g.flow(f).enabled {
-                    continue;
-                }
-                let targets: Vec<FlowId> = self
-                    .g
-                    .use_targets(f)
-                    .filter(|t| tainted_sinks.contains(t.index()))
-                    .collect();
-                for t in targets {
-                    self.push_state(f, t);
-                }
-            }
+            self.inject_params(m);
         }
         self.sync_queued();
     }
@@ -2290,9 +1781,10 @@ impl<'p> Engine<'p> {
         self,
         elapsed: Duration,
         solves: u64,
+        invalidation: InvalidationStats,
         completeness: Completeness,
     ) -> AnalysisResult {
-        let stats = self.stats_snapshot(elapsed, solves);
+        let stats = self.stats_snapshot(elapsed, solves, invalidation);
         AnalysisResult::new(
             self.g,
             ReachableSet::from_discovery(self.reachable, self.reachable_order),

@@ -10,7 +10,7 @@
 //! never clones an edge list.
 
 use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
-use skipflow_ir::{BitSet, BlockId, FieldId, MethodId, TypeRef};
+use skipflow_ir::{BlockId, FieldId, MethodId, TypeRef};
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 const NO_SPILL: u32 = u32::MAX;
@@ -1069,22 +1069,6 @@ impl Pvpg {
         } else {
             false
         }
-    }
-
-    /// Drops every dynamically discovered use edge with an endpoint in
-    /// `invalidated` from the dedup set, so invalidated wiring is
-    /// re-discoverable: the next `add_use_dedup` for such a pair reports it
-    /// as new again and the caller re-runs its edge-added action
-    /// (`push_state`). The physical CSR/spill edges are append-only and stay
-    /// — a re-added pair stores a duplicate edge, which is harmless (joins
-    /// deduplicate state; the order repair of an existing direction is a
-    /// no-op) and bounded by the number of retraction/edit events. Returns
-    /// how many pairs were dropped.
-    pub fn purge_dynamic_use_edges(&mut self, invalidated: &BitSet) -> usize {
-        let before = self.dynamic_use_edges.len();
-        self.dynamic_use_edges
-            .retain(|&(s, t)| !invalidated.contains(s.index()) && !invalidated.contains(t.index()));
-        before - self.dynamic_use_edges.len()
     }
 
     /// Adds a predicate edge `s ⇝pred t` (construction-time, buffered).

@@ -104,16 +104,6 @@ impl TypeSet {
         changed
     }
 
-    /// Removes every member of `other` from `self`; returns `true` on change.
-    pub fn remove_all(&mut self, other: &TypeSet) -> bool {
-        let mut changed = other.has_null && self.has_null;
-        if other.has_null {
-            self.has_null = false;
-        }
-        changed |= self.bits.difference_with(&other.bits);
-        changed
-    }
-
     /// `self ⊆ other`.
     pub fn is_subset(&self, other: &TypeSet) -> bool {
         (!self.has_null || other.has_null) && self.bits.is_subset(&other.bits)
@@ -367,28 +357,6 @@ impl ValueState {
         self.join_tracking(&other, acc)
     }
 
-    /// Removes from `self` (a pending delta) the portion a solver step
-    /// already consumed. Deliberately conservative: when in doubt the value
-    /// is *kept*, so the flow is re-processed rather than under-propagated.
-    pub fn remove(&mut self, consumed: &ValueState) {
-        use ValueState::*;
-        match (&mut *self, consumed) {
-            (_, Empty) => {}
-            (Empty, _) => {}
-            // A consumed `Any` covered everything the flow will ever see.
-            (s, Any) => *s = Empty,
-            (Const(a), Const(b)) if *a == *b => *self = Empty,
-            (Types(s), Types(o)) => {
-                s.remove_all(o);
-                if s.is_empty() {
-                    *self = Empty;
-                }
-            }
-            // `Any` minus anything smaller, or mismatched kinds: keep.
-            _ => {}
-        }
-    }
-
     /// The partial order `self ≤ other` of lattice `L`.
     pub fn le(&self, other: &ValueState) -> bool {
         match (self, other) {
@@ -604,34 +572,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_is_conservative() {
-        // Exact removals empty the delta.
-        let mut d = ValueState::Const(3);
-        d.remove(&ValueState::Const(3));
-        assert_eq!(d, ValueState::Empty);
-        let mut d = ValueState::of_type(t(1));
-        d.join(&ValueState::of_type(t(2)));
-        d.remove(&ValueState::of_type(t(1)));
-        assert_eq!(d, ValueState::of_type(t(2)));
-        // Removing everything normalizes to Empty.
-        let mut d = ValueState::of_type(t(2));
-        d.remove(&ValueState::of_type(t(2)));
-        assert_eq!(d, ValueState::Empty);
-        // A consumed Any covered everything.
-        let mut d = ValueState::of_type(t(1));
-        d.remove(&ValueState::Any);
-        assert_eq!(d, ValueState::Empty);
-        // Mismatched kinds and Any-minus-smaller keep the delta (re-process
-        // rather than under-propagate).
-        let mut d = ValueState::Any;
-        d.remove(&ValueState::Const(1));
-        assert_eq!(d, ValueState::Any);
-        let mut d = ValueState::Const(1);
-        d.remove(&ValueState::of_type(t(1)));
-        assert_eq!(d, ValueState::Const(1));
-    }
-
-    #[test]
     fn typeset_null_flag_behaves_like_a_member() {
         let mut s = TypeSet::null_only();
         assert!(s.contains_null() && s.len() == 1 && !s.is_empty());
@@ -646,9 +586,6 @@ mod tests {
         let mut delta2 = TypeSet::new();
         assert!(!target.union_with_delta(&s, &mut delta2));
         assert!(delta2.is_empty());
-        // remove_all strips null.
-        assert!(target.remove_all(&TypeSet::null_only()));
-        assert!(!target.contains_null());
         // Subset accounts for null.
         assert!(TypeSet::null_only().is_subset(&s));
         assert!(!s.is_subset(&TypeSet::singleton(t(70_000))));

@@ -63,16 +63,17 @@ impl fmt::Display for Metrics {
 ///
 /// Two kinds of fields live here, explicitly separated:
 ///
-/// * **Session-cumulative** — condensation snapshots and maintenance totals
-///   that accumulate monotonically across every solve of a session
-///   (everything not listed as per-solve below, plus the `*_total` pop
-///   counters).
+/// * **Engine-cumulative** — condensation snapshots and maintenance totals
+///   that accumulate monotonically across every solve of the session's
+///   current engine (everything not listed as per-solve below, plus the
+///   `*_total` pop counters); an engine rebuild restarts them (see
+///   [`crate::SolveStats`]).
 /// * **Per-solve** — [`SchedulerStats::adaptive_pops`] and
 ///   [`SchedulerStats::adaptive_re_pops`] are re-based at the start of each
 ///   `solve()`, and [`SchedulerStats::flip_at_step`] is relative to the
 ///   solve that flipped; a *resumed* solve therefore reports its own
 ///   behaviour, never residue from the prior solve. (The flip itself stays
-///   sticky: `flips` is cumulative and at most 1 per session.)
+///   sticky: `flips` is cumulative and at most 1 per engine.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
     /// Live strongly connected components of the PVPG (including
@@ -107,7 +108,7 @@ pub struct SchedulerStats {
     pub rebucketed_flows: u64,
     /// Adaptive-scheduler FIFO→SCC flips (0 when the re-enqueue rate never
     /// tripped the detector, or under a forced scheduler). At most 1 per
-    /// session: the flip is sticky — once a workload has demonstrated
+    /// engine: the flip is sticky — once a workload has demonstrated
     /// re-processing, resumed solves stay on the SCC queue.
     pub flips: u64,
     /// Worklist steps *into the solve that flipped* at which the flip
@@ -123,15 +124,15 @@ pub struct SchedulerStats {
     /// every re-enqueue is observed when it drains, so this is the
     /// numerator of the re-enqueue rate the flip decision is based on.
     pub adaptive_re_pops: u64,
-    /// Session-cumulative total behind [`SchedulerStats::adaptive_pops`].
+    /// Engine-cumulative total behind [`SchedulerStats::adaptive_pops`].
     pub adaptive_pops_total: u64,
-    /// Session-cumulative total behind
+    /// Engine-cumulative total behind
     /// [`SchedulerStats::adaptive_re_pops`].
     pub adaptive_re_pops_total: u64,
 }
 
 /// Interrupt and resume counters of a session, embedded in
-/// [`crate::SolveStats`]. Session-cumulative, like `steps`.
+/// [`crate::SolveStats`]. Cumulative over the current engine, like `steps`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InterruptStats {
     /// Solves that ended at a checkpoint instead of the fixpoint (budget
@@ -143,31 +144,30 @@ pub struct InterruptStats {
     pub resumed_after_interrupt: u64,
 }
 
-/// Retraction / edit invalidation counters of a session, embedded in
-/// [`crate::SolveStats`]. Session-cumulative, like `steps`. All zero for a
-/// session that never called
+/// Retraction / edit counters of a session, embedded in
+/// [`crate::SolveStats`]. Session-cumulative: the session owns them across
+/// engine rebuilds. All zero for a session that never called
 /// [`retract_roots`](crate::AnalysisSession::retract_roots) or
 /// [`apply_edit`](crate::AnalysisSession::apply_edit).
+///
+/// A non-monotone mutation — retracting a solved-in root, disabling a
+/// reachable body — discards the session's engine and rebuilds it for the
+/// new configuration; the next solve starts from bottom.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InvalidationStats {
-    /// Root methods retracted from the engine after having been solved in
-    /// (roots removed while still pending are not counted — nothing was
-    /// derived from them).
+    /// Root methods retracted after having been solved in (roots removed
+    /// while still pending are not counted — nothing was derived from them).
     pub retractions: u64,
     /// Method-body edits applied ([`crate::MethodEdit`] — each disable and
-    /// each restore counts once).
+    /// each restore that changed the mask counts once).
     pub edits: u64,
-    /// Methods whose PVPG fragments were deactivated by the taint closure
-    /// (the over-delete region of the DRed-style invalidation; see the
-    /// checkpoint argument in `engine.rs`).
+    /// Reachable methods of the engines discarded by rebuilds.
     pub invalidated_methods: u64,
-    /// Flows reset to bottom by invalidations (fragment flows, killed
-    /// injection sources, and tainted global sinks).
+    /// Flows of the engines discarded by rebuilds.
     pub invalidated_flows: u64,
-    /// Worklist steps spent re-deriving after an invalidation: the steps
-    /// between the first invalidation since the last completed solve and
-    /// the completion of the solve that drained it. The `edit-` trajectory
-    /// family compares this against the fresh-solve step count.
+    /// Worklist steps from a rebuild to the completion of the solve that
+    /// drains it, interrupted solves in between included. The `edit-`
+    /// trajectory family compares this against the fresh-solve step count.
     pub rederive_steps: u64,
 }
 

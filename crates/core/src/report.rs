@@ -28,9 +28,17 @@ use skipflow_ir::{BitSet, BlockId, MethodId, Program, TypeId};
 use std::time::Duration;
 
 /// Solver statistics.
+///
+/// Most counters belong to the session's current engine: they accumulate
+/// across resumes but restart at zero when a retraction or a disable edit
+/// rebuilds the engine ([`crate::AnalysisSession::retract_roots`]) — that
+/// covers `steps`, the join counters, the graph sizes, and the `scheduler`
+/// and `interrupt` families (including the sticky adaptive flip). Only
+/// `solves`, `duration` and `invalidation` are session-cumulative.
 #[derive(Clone, Debug, Default)]
 pub struct SolveStats {
-    /// Worklist steps executed (cumulative across session resumes).
+    /// Worklist steps executed (cumulative across resumes of the current
+    /// engine).
     pub steps: u64,
     /// Of [`SolveStats::steps`], how many took the width-adaptive full-join
     /// fast path (the flow's narrow input state made a plain monotone
@@ -43,7 +51,8 @@ pub struct SolveStats {
     /// Of [`SolveStats::state_joins`], how many skipped the delta tracking
     /// via the narrow-join fast path.
     pub narrow_joins: u64,
-    /// Flows in the final PVPG (the arena only grows, so this is the peak).
+    /// Flows in the engine's PVPG (its arena only grows, so this is the
+    /// engine's peak).
     pub flows: usize,
     /// Use edges.
     pub use_edges: usize,
@@ -56,13 +65,13 @@ pub struct SolveStats {
     pub solves: u64,
     /// SCC-scheduler statistics (zero under FIFO / reference).
     pub scheduler: SchedulerStats,
-    /// Interrupt / resume / worker-panic counters (all zero for a session
-    /// that never hit a budget, cancel token, or panicking worker).
+    /// Interrupt / resume counters (all zero for an engine that never hit a
+    /// budget or cancel token).
     pub interrupt: InterruptStats,
-    /// Retraction / edit invalidation counters (all zero for a session that
-    /// never retracted roots or applied a method edit).
+    /// Retraction / edit counters (all zero for a session that never
+    /// retracted roots or applied a method edit; session-cumulative).
     pub invalidation: InvalidationStats,
-    /// Wall-clock analysis time (cumulative across session resumes).
+    /// Wall-clock analysis time (session-cumulative).
     pub duration: Duration,
 }
 

@@ -12,7 +12,7 @@
 //! mutation, so a resumed solve starts from current priorities instead of
 //! recomputing a condensation, and per-solve scheduler statistics are
 //! re-based per solve (see [`crate::SchedulerStats`] for the per-solve vs
-//! session-cumulative split).
+//! engine-cumulative split).
 //!
 //! Sessions are assembled with a typed builder:
 //!
@@ -48,13 +48,14 @@
 //!
 //! Sessions are also *non-monotone*: entry points can be removed again
 //! ([`AnalysisSession::retract_roots`]) and method bodies can be edited out
-//! and back ([`AnalysisSession::apply_edit`]). Both run the engine's
-//! DRed-style over-delete + re-derive (the checkpoint argument at the top of
-//! `engine.rs`): the affected region is reset to bottom and the next solve
-//! re-derives it, reaching a fixpoint bit-identical to a fresh analysis of
-//! the surviving roots under the current edit state
+//! and back ([`AnalysisSession::apply_edit`]). A mutation that deletes
+//! derived facts — retracting a solved-in root, disabling a reachable body —
+//! rebuilds the engine for the new configuration, then the next solve runs
+//! it from bottom: the fixpoint is a fresh analysis of the surviving roots
+//! under the current edit state by construction
 //! ([`AnalysisConfig::with_masked_methods`] reproduces that state for a
-//! fresh oracle). The per-session cost shows up in
+//! fresh oracle). Adding roots and restoring a body stay on the resume
+//! path. The per-session cost shows up in
 //! [`SolveStats::invalidation`](crate::InvalidationStats).
 //!
 //! The one-shot [`analyze`] free function remains as a thin convenience
@@ -64,6 +65,7 @@ use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
 use crate::engine::{Engine, SolveEnd};
 use crate::error::AnalysisError;
 use crate::interrupt::{CancelToken, Completeness, SolveOutcome};
+use crate::metrics::InvalidationStats;
 use crate::report::{AnalysisResult, AnalysisSnapshot, OwnedSnapshot, ReachableSet, SolveStats};
 use skipflow_ir::{BitSet, FieldId, MethodId, Program};
 use std::time::{Duration, Instant};
@@ -96,19 +98,18 @@ pub fn analyze(program: &Program, roots: &[MethodId], config: &AnalysisConfig) -
 /// ([`AnalysisSession::apply_edit`]).
 ///
 /// The edit model is deliberately minimal — a body is either present or
-/// absent. That is exactly the granularity the engine's invalidation works
-/// at (method-level DRed; see `engine.rs`), and any statement-level edit can
-/// be expressed as disable + (externally) swap the program + restore in a
-/// future PR. A disabled method stays a discoverable call target, but calls
-/// into it never return, matching a fresh solve under
-/// [`AnalysisConfig::with_masked_methods`].
+/// absent — and any statement-level edit can be expressed as disable +
+/// (externally) swap the program + restore. A disabled method stays a
+/// discoverable call target, but calls into it never return, matching a
+/// fresh solve under [`AnalysisConfig::with_masked_methods`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MethodEdit {
-    /// Masks the method's body out: its fragment is deactivated and every
-    /// fact derived through it is invalidated and re-derived.
+    /// Masks the method's body out. If the engine already reached the
+    /// method, the session rebuilds the engine under the new mask and the
+    /// next solve starts from bottom; otherwise only the mask is recorded.
     DisableBody,
-    /// Restores a previously disabled body (monotone: nothing is
-    /// invalidated; the fragment is rebuilt/re-activated and re-wired).
+    /// Restores a previously disabled body (monotone: the fragment is built
+    /// and wired into the sites that already resolved to it).
     RestoreBody,
 }
 
@@ -267,6 +268,8 @@ impl<'p> SessionBuilder<'p> {
             total_duration: Duration::ZERO,
             solves: 0,
             last_solve_steps: 0,
+            invalidation: InvalidationStats::default(),
+            rederiving: false,
             dirty: false,
         };
         session.accept_roots(roots);
@@ -276,7 +279,8 @@ impl<'p> SessionBuilder<'p> {
 
 /// A reusable analysis session: owns the PVPG, the solver state, and the
 /// scheduler across solves, supporting incremental root addition with
-/// fixpoint resume (see the module docs).
+/// fixpoint resume, and retraction and edits by engine rebuild (see the
+/// module docs).
 pub struct AnalysisSession<'p> {
     program: &'p Program,
     engine: Engine<'p>,
@@ -292,8 +296,13 @@ pub struct AnalysisSession<'p> {
     total_duration: Duration,
     solves: u64,
     last_solve_steps: u64,
+    /// Retraction / edit counters, kept across engine rebuilds.
+    invalidation: InvalidationStats,
+    /// Set by an engine rebuild until a solve completes: the steps in
+    /// between count as `rederive_steps`.
+    rederiving: bool,
     /// Set by a retraction or edit since the last solve: the published
-    /// views are stale (possibly *over*-approximate until re-derived), so
+    /// views are stale (possibly *over*-approximate until re-solved), so
     /// the saturated-no-op fast path must not skip the next solve.
     dirty: bool,
 }
@@ -351,26 +360,14 @@ impl<'p> AnalysisSession<'p> {
         Ok(self.accept_roots(roots))
     }
 
-    /// The roots already solved into the engine. Invalidation must re-root
-    /// only these: a still-pending root has derived nothing yet, and
-    /// re-rooting it early would leak its region past a later retraction
-    /// that finds it "never solved in".
-    fn solved_roots(&self) -> Vec<MethodId> {
-        self.roots
-            .iter()
-            .copied()
-            .filter(|r| !self.pending_roots.contains(r))
-            .collect()
-    }
-
     /// Removes entry points from the session — the non-monotone inverse of
-    /// [`AnalysisSession::add_roots`]. Facts derivable only from the
-    /// retracted roots are invalidated (DRed-style over-delete; see
-    /// `engine.rs`), and the next [`solve`](AnalysisSession::solve)
-    /// re-derives to a fixpoint bit-identical to a fresh analysis of the
-    /// surviving root set. Methods that are not currently roots are ignored;
-    /// unknown method ids reject the whole batch. Returns how many roots
-    /// were actually removed.
+    /// [`AnalysisSession::add_roots`]. Retracting a root that was already
+    /// solved in rebuilds the engine, so the next
+    /// [`solve`](AnalysisSession::solve) starts from bottom and reaches a
+    /// fresh analysis of the surviving root set; retracting a still-pending
+    /// root only drops it. Methods that are not currently roots are
+    /// ignored; unknown method ids reject the whole batch. Returns how many
+    /// roots were actually removed.
     pub fn retract_roots(
         &mut self,
         roots: impl IntoIterator<Item = MethodId>,
@@ -386,7 +383,7 @@ impl<'p> AnalysisSession<'p> {
             }
         }
         let mut removed = 0;
-        let mut removed_solved: Vec<MethodId> = Vec::new();
+        let mut solved_in = false;
         for m in roots {
             if !self.root_bits.remove(m.index()) {
                 continue;
@@ -398,20 +395,34 @@ impl<'p> AnalysisSession<'p> {
                 // retraction (nothing was derived from it).
                 self.pending_roots.remove(pos);
             } else {
-                removed_solved.push(m);
+                self.invalidation.retractions += 1;
+                solved_in = true;
             }
         }
-        if !removed_solved.is_empty() {
-            let solved_survivors = self.solved_roots();
-            self.engine.retract_roots(&removed_solved, &solved_survivors);
-            self.dirty = true;
+        if solved_in {
+            self.rebuild();
         }
         Ok(removed)
     }
 
+    /// Replaces the engine with a freshly bootstrapped one for the current
+    /// configuration and mask, and re-queues every surviving root as
+    /// pending in acceptance order: the next solve is exactly a fresh
+    /// session's first solve. The discarded engine's size is recorded in
+    /// the invalidation counters.
+    fn rebuild(&mut self) {
+        let fresh = self.engine.rebuilt();
+        let old = std::mem::replace(&mut self.engine, fresh);
+        self.invalidation.invalidated_methods += old.reachable_count() as u64;
+        self.invalidation.invalidated_flows += old.graph().flow_count() as u64;
+        self.pending_roots = self.roots.clone();
+        self.rederiving = true;
+        self.dirty = true;
+    }
+
     /// Applies a method-level edit to the analysed program (see
-    /// [`MethodEdit`]). Disabling a body invalidates everything derived
-    /// through it; restoring is monotone. Either way the next
+    /// [`MethodEdit`]). Disabling a reachable body rebuilds the engine
+    /// under the new mask; restoring is monotone. Either way the next
     /// [`solve`](AnalysisSession::solve) reaches a fixpoint bit-identical
     /// to a fresh analysis of the current roots with the current masked set
     /// ([`AnalysisSession::masked_methods`]). Returns whether the edit
@@ -430,8 +441,11 @@ impl<'p> AnalysisSession<'p> {
         }
         let changed = match edit {
             MethodEdit::DisableBody => {
-                let solved_survivors = self.solved_roots();
-                self.engine.mask_method(method, &solved_survivors)
+                let changed = self.engine.mask_method(method);
+                if changed && self.engine.is_reachable(method) {
+                    self.rebuild();
+                }
+                changed
             }
             MethodEdit::RestoreBody => {
                 let is_root = self.root_bits.contains(method.index())
@@ -440,6 +454,7 @@ impl<'p> AnalysisSession<'p> {
             }
         };
         if changed {
+            self.invalidation.edits += 1;
             self.dirty = true;
         }
         Ok(changed)
@@ -563,10 +578,16 @@ impl<'p> AnalysisSession<'p> {
         self.total_duration += start.elapsed();
         self.solves += 1;
         self.last_solve_steps = self.engine.steps() - steps_before;
+        if self.rederiving {
+            self.invalidation.rederive_steps += self.last_solve_steps;
+            self.rederiving = end != SolveEnd::Complete;
+        }
         self.reachable = self.engine.reachable_set();
-        self.stats = self.engine.stats_snapshot(self.total_duration, self.solves);
+        self.stats =
+            self.engine
+                .stats_snapshot(self.total_duration, self.solves, self.invalidation);
         // The refreshed views reflect every retraction/edit applied so far
-        // (a completed solve drained the re-derivation; an interrupted one
+        // (a completed solve drained the rebuilt engine; an interrupted one
         // still published a consistent checkpoint, and stays non-up-to-date
         // through the non-empty worklist).
         self.dirty = false;
@@ -623,7 +644,12 @@ impl<'p> AnalysisSession<'p> {
     /// the session's [`completeness`](AnalysisSession::completeness) tag.
     pub fn into_result(self) -> AnalysisResult {
         let completeness = self.completeness();
-        self.engine.finish(self.total_duration, self.solves, completeness)
+        self.engine.finish(
+            self.total_duration,
+            self.solves,
+            self.invalidation,
+            completeness,
+        )
     }
 
     /// The program under analysis.
@@ -644,7 +670,7 @@ impl<'p> AnalysisSession<'p> {
     /// Whether all accepted roots have been solved in. False once the
     /// engine hit the `FlowId` capacity limit, after an interrupted solve
     /// until a resume drains the remaining work, and after a retraction or
-    /// edit until the next solve re-derives — in all three cases the
+    /// edit until the next solve — in all three cases the
     /// published views do not describe the current configuration's
     /// fixpoint.
     pub fn is_up_to_date(&self) -> bool {

@@ -3,9 +3,9 @@
 //! session must be **bit-identical** (reachable set, instantiated types,
 //! per-flow states, liveness, linked targets, metrics) to a fresh analysis
 //! of the *surviving* root set under the *current* mask — across the full
-//! solver × scheduler matrix, through interrupted re-derivations, and under
-//! seeded random edit scripts. This is the weakened checkpoint argument
-//! documented at the top of `crates/core/src/engine.rs`.
+//! solver × scheduler matrix, through interrupted solves after an engine
+//! rebuild, and under seeded random edit scripts. This is the checkpoint
+//! argument documented at the top of `crates/core/src/engine.rs`.
 
 use skipflow::analysis::{
     analyze, AnalysisConfig, AnalysisSession, MethodEdit, SchedulerKind, SolveOutcome, SolverKind,
@@ -369,6 +369,88 @@ fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
             &fresh,
             &finished,
             &format!("script seed {seed} {solver:?}/{scheduler:?} final"),
+        );
+    }
+}
+
+/// A retraction of a solved-in root, or disabling a body the engine already
+/// reached, rebuilds the session's engine: the solve that follows must take
+/// exactly the steps of a fresh session's first solve over the same roots
+/// (in acceptance order) and mask, under every solver and scheduler, and
+/// all of them count as `rederive_steps`.
+#[test]
+fn rebuild_solve_points_cost_exactly_a_fresh_solve() {
+    let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
+    for (solver, scheduler) in [
+        (SolverKind::Reference, SchedulerKind::Fifo),
+        (SolverKind::Sequential, SchedulerKind::Fifo),
+        (SolverKind::Sequential, SchedulerKind::SccPriority),
+        (SolverKind::Sequential, SchedulerKind::Adaptive),
+    ] {
+        let config = AnalysisConfig::skipflow()
+            .with_solver(solver)
+            .with_scheduler(scheduler);
+        let mut rebuild_points = 0;
+        for seed in 31u64..41 {
+            let script = build_edit_script(&bench, seed, 24, 2);
+            let mut session = AnalysisSession::builder(&bench.program)
+                .config(config.clone())
+                .roots(bench.roots.iter().copied())
+                .build()
+                .expect("valid roots");
+            let mut roots = bench.roots.clone();
+            let mut masked: Vec<MethodId> = Vec::new();
+            let mut prev_reachable = skipflow::analysis::ReachableSet::default();
+            for (i, op) in script.ops.iter().enumerate() {
+                if !matches!(op, EditOp::Solve) {
+                    apply_op(&mut session, &mut roots, &mut masked, op);
+                    continue;
+                }
+                let before = session.snapshot().stats().invalidation;
+                session.solve();
+                // Only `Solve, mutation, Solve` windows are classified: the
+                // engine then still holds the previous fixpoint, whose roots
+                // were all solved in and whose reachable set is on record.
+                let rebuilt = i >= 2
+                    && script.ops[i - 2] == EditOp::Solve
+                    && match &script.ops[i - 1] {
+                        EditOp::RetractRoots(_) => true,
+                        // The engine the body was disabled in is the
+                        // previous solve point's fixpoint.
+                        EditOp::DisableMethod(m) => prev_reachable.contains(*m),
+                        _ => false,
+                    };
+                if rebuilt {
+                    let label = format!("seed {seed} {solver:?}/{scheduler:?} op {i}");
+                    let mut fresh = AnalysisSession::builder(&bench.program)
+                        .config(config.clone().with_masked_methods(masked.iter().copied()))
+                        .roots(session.roots().iter().copied())
+                        .build()
+                        .expect("valid roots");
+                    fresh.solve();
+                    assert_eq!(
+                        session.last_solve_steps(),
+                        fresh.last_solve_steps(),
+                        "{label}: a rebuild must solve like a fresh session"
+                    );
+                    let after = session.snapshot().stats().invalidation;
+                    assert_eq!(
+                        after.rederive_steps - before.rederive_steps,
+                        session.last_solve_steps(),
+                        "{label}"
+                    );
+                    assert!(
+                        after.invalidated_methods > before.invalidated_methods,
+                        "{label}"
+                    );
+                    rebuild_points += 1;
+                }
+                prev_reachable = session.snapshot().reachable_methods().clone();
+            }
+        }
+        assert!(
+            rebuild_points >= 10,
+            "{solver:?}/{scheduler:?}: only {rebuild_points} points"
         );
     }
 }
