@@ -672,4 +672,375 @@ mod tests {
         let errs = result.err().expect("must be rejected").0;
         assert!(errs.iter().any(|e| matches!(e, ValidationError::NullTypeTest { .. })), "{errs:?}");
     }
+
+    // ---- exact output, one test per variant -------------------------------
+    //
+    // These pin the full error list (order included) for shapes that only a
+    // raw body, a raw declaration or a mutated program can produce.
+
+    use crate::body::{Block, Phi, VarData};
+
+    fn v(i: usize) -> VarId {
+        VarId::from_index(i)
+    }
+
+    fn b(i: usize) -> BlockId {
+        BlockId::from_index(i)
+    }
+
+    fn block(begin: BlockBegin, stmts: Vec<Stmt>, end: BlockEnd) -> Block {
+        Block { begin, stmts, end }
+    }
+
+    fn start() -> BlockBegin {
+        BlockBegin::Start { params: vec![] }
+    }
+
+    fn zero(def: VarId) -> Stmt {
+        Stmt::Assign { def, expr: Expr::Const(0) }
+    }
+
+    fn run() -> String {
+        "A.run".to_string()
+    }
+
+    /// The errors of a program whose only method, `static A.run(): void`,
+    /// has the given raw blocks and `n_vars` variables.
+    fn raw_body_errors(blocks: Vec<Block>, n_vars: usize) -> Vec<ValidationError> {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("A");
+        let m = pb.method(a, "run").static_().returns(TypeRef::Void).build();
+        pb.set_body(m, Body { blocks, vars: vec![VarData::default(); n_vars] });
+        pb.finish().expect_err("must be rejected").0
+    }
+
+    /// A valid program with an instance method `A.m(int): void`; callers
+    /// break it after `finish`, where the builder's own asserts cannot
+    /// intervene.
+    fn valid_instance_method() -> (Program, MethodId) {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("A");
+        let m = pb.method(a, "m").params(vec![TypeRef::Prim]).returns(TypeRef::Void).build();
+        pb.set_trivial_body(m, None);
+        (pb.finish().expect("valid"), m)
+    }
+
+    #[test]
+    fn exact_entry_not_start() {
+        let (mut program, m) = valid_instance_method();
+        program.methods[m.index()].body = Some(Body {
+            blocks: vec![block(BlockBegin::Label, vec![], BlockEnd::Return(None))],
+            vars: vec![],
+        });
+        assert_eq!(
+            validate_program(&program),
+            vec![
+                ValidationError::EntryNotStart { method: "A.m".into() },
+                ValidationError::LabelPredCount { method: "A.m".into(), block: b(0), count: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_misplaced_start() {
+        let errs = raw_body_errors(
+            vec![
+                block(start(), vec![], BlockEnd::Return(None)),
+                block(start(), vec![], BlockEnd::Return(None)),
+            ],
+            0,
+        );
+        assert_eq!(errs, vec![ValidationError::MisplacedStart { method: run(), block: b(1) }]);
+    }
+
+    #[test]
+    fn exact_entry_has_predecessors() {
+        let errs = raw_body_errors(vec![block(start(), vec![], BlockEnd::Jump(b(0)))], 0);
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::EntryHasPredecessors { method: run() },
+                ValidationError::JumpToNonMerge { method: run(), from: b(0), to: b(0) },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_jump_to_non_merge() {
+        let errs = raw_body_errors(
+            vec![
+                block(start(), vec![], BlockEnd::Jump(b(2))),
+                block(BlockBegin::Label, vec![], BlockEnd::Return(None)),
+                block(start(), vec![], BlockEnd::Return(None)),
+            ],
+            0,
+        );
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::MisplacedStart { method: run(), block: b(2) },
+                ValidationError::JumpToNonMerge { method: run(), from: b(0), to: b(2) },
+                ValidationError::LabelPredCount { method: run(), block: b(1), count: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_label_pred_not_if() {
+        let errs = raw_body_errors(
+            vec![
+                block(start(), vec![], BlockEnd::Jump(b(1))),
+                block(BlockBegin::Label, vec![], BlockEnd::Return(None)),
+            ],
+            0,
+        );
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::JumpToNonMerge { method: run(), from: b(0), to: b(1) },
+                ValidationError::LabelPredNotIf { method: run(), block: b(1) },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_if_to_non_label() {
+        let cond = Cond::Cmp { op: CmpOp::Eq, lhs: v(0), rhs: v(0) };
+        let errs = raw_body_errors(
+            vec![
+                block(
+                    start(),
+                    vec![zero(v(0))],
+                    BlockEnd::If { cond, then_block: b(1), else_block: b(2) },
+                ),
+                block(
+                    BlockBegin::Merge { phis: vec![], preds: vec![b(0)] },
+                    vec![],
+                    BlockEnd::Return(None),
+                ),
+                block(BlockBegin::Label, vec![], BlockEnd::Return(None)),
+            ],
+            1,
+        );
+        assert_eq!(errs, vec![ValidationError::IfToNonLabel { method: run(), from: b(0), to: b(1) }]);
+    }
+
+    #[test]
+    fn exact_label_pred_count() {
+        // A label reached from both arms of one `if`, plus an unreachable
+        // label.
+        let cond = Cond::Cmp { op: CmpOp::Lt, lhs: v(0), rhs: v(0) };
+        let errs = raw_body_errors(
+            vec![
+                block(
+                    start(),
+                    vec![zero(v(0))],
+                    BlockEnd::If { cond, then_block: b(1), else_block: b(1) },
+                ),
+                block(BlockBegin::Label, vec![], BlockEnd::Return(None)),
+                block(BlockBegin::Label, vec![], BlockEnd::Return(None)),
+            ],
+            1,
+        );
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::LabelPredCount { method: run(), block: b(1), count: 2 },
+                ValidationError::LabelPredCount { method: run(), block: b(2), count: 0 },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_merge_pred_mismatch() {
+        let errs = raw_body_errors(
+            vec![
+                block(start(), vec![], BlockEnd::Jump(b(1))),
+                block(
+                    BlockBegin::Merge { phis: vec![], preds: vec![b(0), b(0)] },
+                    vec![],
+                    BlockEnd::Return(None),
+                ),
+            ],
+            0,
+        );
+        assert_eq!(errs, vec![ValidationError::MergePredMismatch { method: run(), block: b(1) }]);
+    }
+
+    #[test]
+    fn exact_phi_arg_count() {
+        let errs = raw_body_errors(
+            vec![
+                block(start(), vec![zero(v(0))], BlockEnd::Jump(b(1))),
+                block(
+                    BlockBegin::Merge {
+                        phis: vec![
+                            Phi { def: v(1), args: vec![v(0)] },
+                            Phi { def: v(2), args: vec![v(0), v(0)] },
+                            Phi { def: v(3), args: vec![] },
+                        ],
+                        preds: vec![b(0)],
+                    },
+                    vec![],
+                    BlockEnd::Return(None),
+                ),
+            ],
+            4,
+        );
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::PhiArgCount { method: run(), block: b(1), phi_index: 1 },
+                ValidationError::PhiArgCount { method: run(), block: b(1), phi_index: 2 },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_abstract_with_body() {
+        let (mut program, m) = valid_instance_method();
+        program.methods[m.index()].is_abstract = true;
+        assert_eq!(
+            validate_program(&program),
+            vec![ValidationError::AbstractWithBody { method: "A.m".into() }]
+        );
+    }
+
+    #[test]
+    fn exact_static_abstract() {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("A");
+        pb.method(a, "m").static_().abstract_().build();
+        let errs = pb.finish().expect_err("must be rejected").0;
+        assert_eq!(errs, vec![ValidationError::StaticAbstract { method: "A.m".into() }]);
+    }
+
+    #[test]
+    fn exact_body_param_mismatch() {
+        let (mut program, m) = valid_instance_method();
+        program.methods[m.index()].sig.params.clear();
+        assert_eq!(
+            validate_program(&program),
+            vec![ValidationError::BodyParamMismatch { method: "A.m".into() }]
+        );
+    }
+
+    #[test]
+    fn exact_bad_static_invoke() {
+        let mut pb = ProgramBuilder::new();
+        let a = pb.add_class("A");
+        let inst = pb.method(a, "inst").returns(TypeRef::Void).build();
+        pb.set_trivial_body(inst, None);
+        let two = pb.method(a, "two").static_().params(vec![TypeRef::Prim; 2]).build();
+        pb.set_trivial_body(two, None);
+        let m = pb.method(a, "run").static_().returns(TypeRef::Void).build();
+        pb.build_body(m, |bb| {
+            let x = bb.const_(1);
+            bb.invoke_static(two, &[x, x]);
+            bb.raw_end(BlockEnd::Jump(BlockId::from_index(1)));
+            bb.raw_merge_block(vec![], vec![BlockId::ENTRY]);
+            bb.raw_switch_to(BlockId::from_index(1));
+            bb.invoke_static(inst, &[x]);
+            bb.invoke_static(two, &[x]);
+            bb.ret(None);
+        });
+        let errs = pb.finish().expect_err("must be rejected").0;
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::BadStaticInvoke { method: run(), block: b(1) },
+                ValidationError::BadStaticInvoke { method: run(), block: b(1) },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_bad_superclass() {
+        let mut pb = ProgramBuilder::new();
+        let i = pb.add_interface("I", &[]);
+        pb.add_class_extending("C", i);
+        let errs = pb.finish().expect_err("must be rejected").0;
+        assert_eq!(errs, vec![ValidationError::BadSuperclass { ty: "C".into() }]);
+    }
+
+    #[test]
+    fn exact_not_an_interface() {
+        let mut pb = ProgramBuilder::new();
+        let c = pb.add_class("C");
+        let i = pb.add_interface("I", &[c]);
+        pb.class("D").implements_(i).implements_(c).build();
+        let errs = pb.finish().expect_err("must be rejected").0;
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::NotAnInterface { ty: "I".into() },
+                ValidationError::NotAnInterface { ty: "D".into() },
+            ]
+        );
+    }
+
+    #[test]
+    fn exact_ssa_errors_in_block_and_statement_order() {
+        let m0 = MethodId::from_index(0);
+        let cond = Cond::Cmp { op: CmpOp::Lt, lhs: v(0), rhs: v(1) };
+        let errs = raw_body_errors(
+            vec![
+                block(
+                    start(),
+                    vec![zero(v(0))],
+                    BlockEnd::If { cond, then_block: b(1), else_block: b(2) },
+                ),
+                block(
+                    BlockBegin::Label,
+                    vec![
+                        Stmt::InvokeStatic { def: v(5), target: m0, args: vec![v(2)] },
+                        zero(v(1)),
+                        zero(v(2)),
+                    ],
+                    BlockEnd::Jump(b(3)),
+                ),
+                block(BlockBegin::Label, vec![zero(v(0))], BlockEnd::Jump(b(3))),
+                block(
+                    BlockBegin::Merge {
+                        phis: vec![Phi { def: v(3), args: vec![v(1), v(2)] }],
+                        preds: vec![b(1), b(2)],
+                    },
+                    // A φ def redefined by a statement of its own block is
+                    // visible only after that statement.
+                    vec![
+                        Stmt::InvokeStatic { def: v(4), target: m0, args: vec![v(3)] },
+                        zero(v(3)),
+                    ],
+                    BlockEnd::Return(Some(v(2))),
+                ),
+                block(BlockBegin::Label, vec![], BlockEnd::Throw(v(7))),
+                block(
+                    BlockBegin::Merge { phis: vec![], preds: vec![] },
+                    vec![zero(v(5)), zero(v(9))],
+                    BlockEnd::Throw(v(3)),
+                ),
+            ],
+            6,
+        );
+        use ValidationError::*;
+        assert_eq!(
+            errs,
+            vec![
+                LabelPredCount { method: run(), block: b(4), count: 0 },
+                DuplicateDefinition { method: run(), var: v(0) },
+                DuplicateDefinition { method: run(), var: v(3) },
+                DuplicateDefinition { method: run(), var: v(5) },
+                DuplicateDefinition { method: run(), var: v(9) },
+                UseBeforeDef { method: run(), block: b(0), var: v(1) },
+                UseBeforeDef { method: run(), block: b(1), var: v(2) },
+                UseBeforeDef { method: run(), block: b(3), var: v(2) },
+                UseBeforeDef { method: run(), block: b(3), var: v(3) },
+                UseBeforeDef { method: run(), block: b(3), var: v(2) },
+                BadReturnArity { method: run(), block: b(3) },
+                UseBeforeDef { method: run(), block: b(4), var: v(7) },
+                BadStaticInvoke { method: run(), block: b(1) },
+                BadStaticInvoke { method: run(), block: b(3) },
+            ]
+        );
+    }
 }
