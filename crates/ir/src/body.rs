@@ -55,6 +55,25 @@ pub struct Block {
     pub end: BlockEnd,
 }
 
+impl Block {
+    /// The variables the header defines: the parameters of a `start` or the
+    /// φ defs of a `merge`.
+    pub(crate) fn header_defs(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (params, phis): (&[VarId], &[Phi]) = match &self.begin {
+            BlockBegin::Start { params } => (params, &[]),
+            BlockBegin::Merge { phis, .. } => (&[], phis),
+            BlockBegin::Label => (&[], &[]),
+        };
+        params.iter().copied().chain(phis.iter().map(|p| p.def))
+    }
+
+    /// The variables the block defines: header defs, then statement defs
+    /// in statement order.
+    pub(crate) fn defs(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.header_defs().chain(self.stmts.iter().filter_map(Stmt::def))
+    }
+}
+
 /// Debug information for one SSA variable.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct VarData {
@@ -132,10 +151,8 @@ impl Body {
         let mut stack: Vec<(BlockId, usize)> = vec![(BlockId::ENTRY, 0)];
         visited[BlockId::ENTRY.index()] = true;
         while let Some((block, child)) = stack.pop() {
-            let succs = self.blocks[block.index()].end.successors();
-            if child < succs.len() {
+            if let Some(s) = self.blocks[block.index()].end.successors().nth(child) {
                 stack.push((block, child + 1));
-                let s = succs[child];
                 if !visited[s.index()] {
                     visited[s.index()] = true;
                     stack.push((s, 0));
@@ -155,17 +172,8 @@ impl Body {
 
     /// All variables defined in the body, in definition order: parameters,
     /// then φs and statement defs in block order.
-    pub fn definitions(&self) -> Vec<VarId> {
-        let mut defs = Vec::new();
-        for (_, block) in self.iter_blocks() {
-            match &block.begin {
-                BlockBegin::Start { params } => defs.extend_from_slice(params),
-                BlockBegin::Merge { phis, .. } => defs.extend(phis.iter().map(|p| p.def)),
-                BlockBegin::Label => {}
-            }
-            defs.extend(block.stmts.iter().filter_map(|s| s.def()));
-        }
-        defs
+    pub fn definitions(&self) -> impl Iterator<Item = VarId> + '_ {
+        self.blocks.iter().flat_map(Block::defs)
     }
 }
 
@@ -268,7 +276,7 @@ mod tests {
             def: v(2),
             expr: Expr::Const(1),
         });
-        let defs = body.definitions();
+        let defs: Vec<_> = body.definitions().collect();
         assert_eq!(defs, vec![v(0), v(2), v(1)]);
     }
 

@@ -356,10 +356,11 @@ fn encode_end(p: &mut Writer, end: &BlockEnd) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
-    strings: Vec<String>,
+    /// The string table, borrowed from `buf`.
+    strings: Vec<&'a str>,
 }
 
-impl Reader<'_> {
+impl<'a> Reader<'a> {
     fn u8(&mut self, what: &'static str) -> Result<u8, DecodeError> {
         let v = *self.buf.get(self.pos).ok_or(DecodeError::Truncated(what))?;
         self.pos += 1;
@@ -381,11 +382,13 @@ impl Reader<'_> {
         self.pos += 8;
         Ok(i64::from_le_bytes(bytes.try_into().unwrap()))
     }
-    fn str_ref(&mut self, what: &'static str) -> Result<String, DecodeError> {
+    /// Reads a string-table index and lends the string; callers copy only
+    /// what they keep.
+    fn str_ref(&mut self, what: &'static str) -> Result<&'a str, DecodeError> {
         let idx = self.u32(what)? as usize;
         self.strings
             .get(idx)
-            .cloned()
+            .copied()
             .ok_or(DecodeError::Truncated(what))
     }
     fn opt_u32(&mut self, what: &'static str) -> Result<Option<u32>, DecodeError> {
@@ -439,7 +442,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
             .ok_or(DecodeError::Truncated("string bytes"))?;
         r.pos += len;
         r.strings
-            .push(String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadString)?);
+            .push(std::str::from_utf8(bytes).map_err(|_| DecodeError::BadString)?);
     }
 
     let mut pb = ProgramBuilder::new();
@@ -453,7 +456,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     let mut seen_names = std::collections::HashSet::new();
     for declared in 0..n_types {
         let name = r.str_ref("type name")?;
-        if !seen_names.insert(name.clone()) {
+        if !seen_names.insert(name) {
             return Err(DecodeError::Malformed("duplicate type name"));
         }
         let kind = r.u8("type kind")?;
@@ -473,10 +476,10 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         }
         match kind {
             2 => {
-                pb.add_interface(&name, &ifaces);
+                pb.add_interface(name, &ifaces);
             }
             k @ (0 | 1) => {
-                let mut cb = pb.class(&name);
+                let mut cb = pb.class(name);
                 if let Some(s) = superclass {
                     let s = s as usize;
                     if s == 0 || s > declared {
@@ -517,7 +520,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     for _ in 0..n_selectors {
         let name = r.str_ref("selector name")?;
         let arity = r.u32("selector arity")? as usize;
-        pb.selector(&name, arity);
+        pb.selector(name, arity);
     }
 
     // Fields.
@@ -528,9 +531,9 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         let ty = check_type_ref(r.type_ref()?)?;
         let is_static = r.u8("field static flag")? != 0;
         if is_static {
-            pb.add_static_field(owner, &name, ty);
+            pb.add_static_field(owner, name, ty);
         } else {
-            pb.add_field(owner, &name, ty);
+            pb.add_field(owner, name, ty);
         }
     }
 
@@ -560,7 +563,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         let is_static = flags & 1 != 0;
         let is_abstract = flags & 2 != 0;
         let expected_body_params = n_params + usize::from(!is_static);
-        let mut mb = pb.method(owner, &name).params(params).returns(ret);
+        let mut mb = pb.method(owner, name).params(params).returns(ret);
         if is_static {
             mb = mb.static_();
         }
@@ -656,7 +659,7 @@ fn decode_body(r: &mut Reader<'_>, limits: &Limits) -> Result<Body, DecodeError>
     let mut vars = Vec::with_capacity(n_vars);
     for _ in 0..n_vars {
         vars.push(VarData {
-            name: r.str_ref("var name")?,
+            name: r.str_ref("var name")?.to_owned(),
         });
     }
     let n_blocks = r.u32("block count")? as usize;

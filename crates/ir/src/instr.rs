@@ -93,19 +93,16 @@ impl Stmt {
         }
     }
 
-    /// Variables used (read) by this statement.
-    pub fn uses(&self) -> Vec<VarId> {
-        match self {
-            Stmt::Assign { .. } | Stmt::Catch { .. } => Vec::new(),
-            Stmt::Load { object, .. } => vec![*object],
-            Stmt::Store { object, value, .. } => vec![*object, *value],
-            Stmt::Invoke { receiver, args, .. } => {
-                let mut v = vec![*receiver];
-                v.extend_from_slice(args);
-                v
-            }
-            Stmt::InvokeStatic { args, .. } => args.clone(),
-        }
+    /// Variables used (read) by this statement, in operand order.
+    pub fn uses(&self) -> impl Iterator<Item = VarId> + '_ {
+        let (fixed, args): ([Option<VarId>; 2], &[VarId]) = match self {
+            Stmt::Assign { .. } | Stmt::Catch { .. } => ([None, None], &[]),
+            Stmt::Load { object, .. } => ([Some(*object), None], &[]),
+            Stmt::Store { object, value, .. } => ([Some(*object), Some(*value)], &[]),
+            Stmt::Invoke { receiver, args, .. } => ([Some(*receiver), None], args),
+            Stmt::InvokeStatic { args, .. } => ([None, None], args),
+        };
+        fixed.into_iter().flatten().chain(args.iter().copied())
     }
 }
 
@@ -222,10 +219,14 @@ impl Cond {
     }
 
     /// Variables read by the condition.
-    pub fn uses(&self) -> Vec<VarId> {
-        match self {
-            Cond::Cmp { lhs, rhs, .. } => vec![*lhs, *rhs],
-            Cond::InstanceOf { var, .. } => vec![*var],
+    pub fn uses(&self) -> impl Iterator<Item = VarId> {
+        self.operands().into_iter().flatten()
+    }
+
+    fn operands(&self) -> [Option<VarId>; 2] {
+        match *self {
+            Cond::Cmp { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
+            Cond::InstanceOf { var, .. } => [Some(var), None],
         }
     }
 }
@@ -252,27 +253,29 @@ pub enum BlockEnd {
 }
 
 impl BlockEnd {
-    /// Successor blocks of this terminator.
-    pub fn successors(&self) -> Vec<BlockId> {
-        match self {
-            BlockEnd::Return(_) | BlockEnd::Throw(_) => Vec::new(),
-            BlockEnd::Jump(t) => vec![*t],
+    /// Successor blocks of this terminator: `then` before `else`.
+    pub fn successors(&self) -> impl Iterator<Item = BlockId> {
+        let succs = match *self {
+            BlockEnd::Return(_) | BlockEnd::Throw(_) => [None, None],
+            BlockEnd::Jump(t) => [Some(t), None],
             BlockEnd::If {
                 then_block,
                 else_block,
                 ..
-            } => vec![*then_block, *else_block],
-        }
+            } => [Some(then_block), Some(else_block)],
+        };
+        succs.into_iter().flatten()
     }
 
     /// Variables read by this terminator.
-    pub fn uses(&self) -> Vec<VarId> {
-        match self {
-            BlockEnd::Return(v) => v.iter().copied().collect(),
-            BlockEnd::Jump(_) => Vec::new(),
-            BlockEnd::If { cond, .. } => cond.uses(),
-            BlockEnd::Throw(v) => vec![*v],
-        }
+    pub fn uses(&self) -> impl Iterator<Item = VarId> {
+        let vars = match *self {
+            BlockEnd::Return(v) => [v, None],
+            BlockEnd::Jump(_) => [None, None],
+            BlockEnd::If { cond, .. } => cond.operands(),
+            BlockEnd::Throw(v) => [Some(v), None],
+        };
+        vars.into_iter().flatten()
     }
 }
 
@@ -347,7 +350,7 @@ mod tests {
             args: vec![v(2), v(3)],
         };
         assert_eq!(s.def(), Some(v(0)));
-        assert_eq!(s.uses(), vec![v(1), v(2), v(3)]);
+        assert_eq!(s.uses().collect::<Vec<_>>(), vec![v(1), v(2), v(3)]);
 
         let st = Stmt::Store {
             object: v(1),
@@ -355,7 +358,7 @@ mod tests {
             value: v(2),
         };
         assert_eq!(st.def(), None);
-        assert_eq!(st.uses(), vec![v(1), v(2)]);
+        assert_eq!(st.uses().collect::<Vec<_>>(), vec![v(1), v(2)]);
     }
 
     #[test]
@@ -370,9 +373,9 @@ mod tests {
             else_block: BlockId::from_index(2),
         };
         assert_eq!(
-            b.successors(),
+            b.successors().collect::<Vec<_>>(),
             vec![BlockId::from_index(1), BlockId::from_index(2)]
         );
-        assert!(BlockEnd::Return(None).successors().is_empty());
+        assert_eq!(BlockEnd::Return(None).successors().count(), 0);
     }
 }

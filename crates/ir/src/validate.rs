@@ -6,9 +6,17 @@
 //! predecessor, the CFG is critical-edge free (implied by the previous two),
 //! every use is dominated by its definition, and every variable has exactly
 //! one definition.
+//!
+//! The per-method checks run over one scratch area reused from method to
+//! method, so validation allocates only while the scratch grows to the
+//! largest body and for the errors it reports (an error's `Owner.name`
+//! label is formatted only when the error is pushed). Each method's
+//! predecessors are computed once, as a CSR (compressed sparse row) array.
+//! The definite-assignment sets are flat rows of `u64` words, one row per
+//! block, and each block's defs are walked in place from its header and
+//! statements.
 
-use crate::bitset::BitSet;
-use crate::body::{Block, BlockBegin, Body};
+use crate::body::{BlockBegin, Body};
 use crate::ids::{BlockId, MethodId, TypeId, VarId};
 use crate::instr::{BlockEnd, Cond, Expr, Stmt};
 use crate::program::Program;
@@ -139,10 +147,169 @@ impl std::error::Error for ValidationError {}
 pub fn validate_program(program: &Program) -> Vec<ValidationError> {
     let mut errors = Vec::new();
     validate_hierarchy(program, &mut errors);
+    let mut scratch = Scratch::default();
     for m in program.iter_methods() {
-        validate_method(program, m, &mut errors);
+        validate_method(program, m, &mut scratch, &mut errors);
     }
     errors
+}
+
+/// Working storage of the per-method checks, reused from one method to the
+/// next: each buffer is cleared and resized, never freed, so it grows to
+/// the largest body seen and then stops allocating.
+#[derive(Default)]
+struct Scratch {
+    /// The CFG's predecessor lists.
+    preds: Preds,
+    /// The definite-assignment rows.
+    rows: Rows,
+    /// Per variable: a definition has been seen (unique-definition check).
+    seen: Vec<bool>,
+    /// Per variable: `b + 1` once a statement of block `b` is found to
+    /// define it (see the final pass of [`validate_ssa`]).
+    stmt_def_in: Vec<usize>,
+    /// A merge's declared predecessor list, sorted for comparison.
+    sorted: Vec<BlockId>,
+}
+
+/// Predecessor lists as a CSR (compressed sparse row) array: the
+/// predecessors of block `b` are `list[start[b]..start[b + 1]]`.
+///
+/// Rows list the same blocks in the same order as
+/// [`Body::predecessors`]: by source block id, then successor position, so
+/// each row is sorted. Successors outside the body are left out;
+/// [`validate_cfg`] reports them.
+#[derive(Default)]
+struct Preds {
+    start: Vec<usize>,
+    list: Vec<BlockId>,
+    /// Next free slot of each row while `list` is filled.
+    fill: Vec<usize>,
+}
+
+impl Preds {
+    fn compute(&mut self, body: &Body) {
+        let n = body.blocks.len();
+        let in_body = |s: &BlockId| s.index() < n;
+        self.start.clear();
+        self.start.resize(n + 1, 0);
+        for block in &body.blocks {
+            for s in block.end.successors().filter(in_body) {
+                self.start[s.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            self.start[i + 1] += self.start[i];
+        }
+        self.list.clear();
+        self.list.resize(self.start[n], BlockId::ENTRY);
+        self.fill.clear();
+        self.fill.extend_from_slice(&self.start[..n]);
+        for (id, block) in body.iter_blocks() {
+            for s in block.end.successors().filter(in_body) {
+                let slot = &mut self.fill[s.index()];
+                self.list[*slot] = id;
+                *slot += 1;
+            }
+        }
+    }
+
+    fn of(&self, b: BlockId) -> &[BlockId] {
+        &self.list[self.start[b.index()]..self.start[b.index() + 1]]
+    }
+}
+
+/// Definite-assignment sets as flat word rows: `words` `u64`s per row, bit
+/// `v` set when variable `v` is definitely assigned. `out` holds every
+/// block's `OUT` set, block `b` at `out[b * words..(b + 1) * words]`; `row`
+/// is the one `IN` (then live) set being computed. Bits at or above the
+/// variable count are never set.
+#[derive(Default)]
+struct Rows {
+    words: usize,
+    /// The bits of the last word that name variables.
+    last_mask: u64,
+    out: Vec<u64>,
+    row: Vec<u64>,
+}
+
+impl Rows {
+    /// Sizes the rows for `n_vars` variables and sets every `OUT` row to
+    /// the universe (the optimistic start of a greatest fixpoint).
+    fn reset(&mut self, n_vars: usize, n_blocks: usize) {
+        self.words = n_vars.div_ceil(64);
+        self.last_mask = match n_vars % 64 {
+            0 => u64::MAX,
+            r => (1 << r) - 1,
+        };
+        self.row.clear();
+        self.row.resize(self.words, 0);
+        self.out.clear();
+        self.out.resize(self.words * n_blocks, 0);
+        if self.words > 0 {
+            for row in self.out.chunks_exact_mut(self.words) {
+                fill_universe(row, self.last_mask);
+            }
+        }
+    }
+
+    fn out(&self, b: BlockId) -> &[u64] {
+        &self.out[b.index() * self.words..(b.index() + 1) * self.words]
+    }
+
+    /// Sets `row` to `IN[b]`: empty at the entry, the universe for a block
+    /// without predecessors (unreachable, so its uses are vacuous), else
+    /// the intersection of the predecessors' `OUT` rows.
+    fn flow_in(&mut self, b: BlockId, preds: &[BlockId]) {
+        let words = self.words;
+        if b == BlockId::ENTRY {
+            self.row.fill(0);
+            return;
+        }
+        match preds.split_first() {
+            None => fill_universe(&mut self.row, self.last_mask),
+            Some((first, rest)) => {
+                let at = first.index() * words;
+                self.row.copy_from_slice(&self.out[at..at + words]);
+                for p in rest {
+                    let at = p.index() * words;
+                    for (w, o) in self.row.iter_mut().zip(&self.out[at..at + words]) {
+                        *w &= o;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stores `row` as `OUT[b]`; returns whether it changed.
+    fn commit(&mut self, b: BlockId) -> bool {
+        let at = b.index() * self.words;
+        let out = &mut self.out[at..at + self.words];
+        let changed = out != self.row.as_slice();
+        if changed {
+            out.copy_from_slice(&self.row);
+        }
+        changed
+    }
+}
+
+/// Sets every bit that names a variable.
+fn fill_universe(row: &mut [u64], last_mask: u64) {
+    row.fill(u64::MAX);
+    if let Some(last) = row.last_mut() {
+        *last = last_mask;
+    }
+}
+
+/// Whether bit `v` is set; `false` for variables outside the row.
+fn has(row: &[u64], v: VarId) -> bool {
+    row.get(v.index() / 64)
+        .is_some_and(|w| w >> (v.index() % 64) & 1 != 0)
+}
+
+/// Sets bit `v`, which must name a variable of the body.
+fn set(row: &mut [u64], v: VarId) {
+    row[v.index() / 64] |= 1 << (v.index() % 64);
 }
 
 fn validate_hierarchy(program: &Program, errors: &mut Vec<ValidationError>) {
@@ -182,18 +349,24 @@ fn validate_hierarchy(program: &Program, errors: &mut Vec<ValidationError>) {
     }
 }
 
-fn validate_method(program: &Program, m: MethodId, errors: &mut Vec<ValidationError>) {
+fn validate_method(
+    program: &Program,
+    m: MethodId,
+    scratch: &mut Scratch,
+    errors: &mut Vec<ValidationError>,
+) {
     let md = program.method(m);
-    let label = program.method_label(m);
+    // The `Owner.name` label is formatted only for an error.
+    let label = || program.method_label(m);
     if md.is_static && md.is_abstract {
-        errors.push(ValidationError::StaticAbstract { method: label.clone() });
+        errors.push(ValidationError::StaticAbstract { method: label() });
     }
     match (&md.body, md.is_abstract) {
         (Some(_), true) => {
-            errors.push(ValidationError::AbstractWithBody { method: label.clone() });
+            errors.push(ValidationError::AbstractWithBody { method: label() });
         }
         (None, false) => {
-            errors.push(ValidationError::MissingBody { method: label.clone() });
+            errors.push(ValidationError::MissingBody { method: label() });
         }
         _ => {}
     }
@@ -203,29 +376,35 @@ fn validate_method(program: &Program, m: MethodId, errors: &mut Vec<ValidationEr
     match &body.blocks[0].begin {
         BlockBegin::Start { params } => {
             if params.len() != md.param_count() {
-                errors.push(ValidationError::BodyParamMismatch { method: label.clone() });
+                errors.push(ValidationError::BodyParamMismatch { method: label() });
             }
         }
-        _ => errors.push(ValidationError::EntryNotStart { method: label.clone() }),
+        _ => errors.push(ValidationError::EntryNotStart { method: label() }),
     }
     for (id, block) in body.iter_blocks().skip(1) {
         if matches!(block.begin, BlockBegin::Start { .. }) {
             errors.push(ValidationError::MisplacedStart {
-                method: label.clone(),
+                method: label(),
                 block: id,
             });
         }
     }
 
-    validate_cfg(body, &label, errors);
-    validate_ssa(program, md.sig.ret, body, &label, errors);
+    scratch.preds.compute(body);
+    validate_cfg(body, scratch, &label, errors);
+    validate_ssa(md.sig.ret, body, scratch, &label, errors);
     validate_instructions(program, body, &label, errors);
 }
 
-fn validate_cfg(body: &Body, label: &str, errors: &mut Vec<ValidationError>) {
-    let preds = body.predecessors();
-    if !preds[0].is_empty() {
-        errors.push(ValidationError::EntryHasPredecessors { method: label.to_string() });
+fn validate_cfg(
+    body: &Body,
+    scratch: &mut Scratch,
+    label: &dyn Fn() -> String,
+    errors: &mut Vec<ValidationError>,
+) {
+    let preds = &scratch.preds;
+    if !preds.of(BlockId::ENTRY).is_empty() {
+        errors.push(ValidationError::EntryHasPredecessors { method: label() });
     }
     for (id, block) in body.iter_blocks() {
         match &block.end {
@@ -234,7 +413,7 @@ fn validate_cfg(body: &Body, label: &str, errors: &mut Vec<ValidationError>) {
                     || !matches!(body.block(*t).begin, BlockBegin::Merge { .. })
                 {
                     errors.push(ValidationError::JumpToNonMerge {
-                        method: label.to_string(),
+                        method: label(),
                         from: id,
                         to: *t,
                     });
@@ -250,7 +429,7 @@ fn validate_cfg(body: &Body, label: &str, errors: &mut Vec<ValidationError>) {
                         || !matches!(body.block(t).begin, BlockBegin::Label)
                     {
                         errors.push(ValidationError::IfToNonLabel {
-                            method: label.to_string(),
+                            method: label(),
                             from: id,
                             to: t,
                         });
@@ -261,35 +440,36 @@ fn validate_cfg(body: &Body, label: &str, errors: &mut Vec<ValidationError>) {
         }
         match &block.begin {
             BlockBegin::Label => {
-                let ps = &preds[id.index()];
+                let ps = preds.of(id);
                 if ps.len() != 1 {
                     errors.push(ValidationError::LabelPredCount {
-                        method: label.to_string(),
+                        method: label(),
                         block: id,
                         count: ps.len(),
                     });
                 } else if !matches!(body.block(ps[0]).end, BlockEnd::If { .. }) {
                     errors.push(ValidationError::LabelPredNotIf {
-                        method: label.to_string(),
+                        method: label(),
                         block: id,
                     });
                 }
             }
             BlockBegin::Merge { phis, preds: declared } => {
-                let mut actual = preds[id.index()].clone();
-                let mut listed = declared.clone();
-                actual.sort_unstable();
+                // CSR rows are already sorted.
+                let listed = &mut scratch.sorted;
+                listed.clear();
+                listed.extend_from_slice(declared);
                 listed.sort_unstable();
-                if actual != listed {
+                if preds.of(id) != listed.as_slice() {
                     errors.push(ValidationError::MergePredMismatch {
-                        method: label.to_string(),
+                        method: label(),
                         block: id,
                     });
                 }
                 for (i, phi) in phis.iter().enumerate() {
                     if phi.args.len() != declared.len() {
                         errors.push(ValidationError::PhiArgCount {
-                            method: label.to_string(),
+                            method: label(),
                             block: id,
                             phi_index: i,
                         });
@@ -301,38 +481,31 @@ fn validate_cfg(body: &Body, label: &str, errors: &mut Vec<ValidationError>) {
     }
 }
 
-fn block_defs(block: &Block) -> Vec<VarId> {
-    let mut defs = Vec::new();
-    match &block.begin {
-        BlockBegin::Start { params } => defs.extend_from_slice(params),
-        BlockBegin::Merge { phis, .. } => defs.extend(phis.iter().map(|p| p.def)),
-        BlockBegin::Label => {}
-    }
-    defs.extend(block.stmts.iter().filter_map(|s| s.def()));
-    defs
-}
-
 /// Definite-assignment dataflow: `OUT[b] = IN[b] ∪ defs(b)`,
 /// `IN[b] = ∩ preds OUT[p]` (optimistic initialization with the universe,
 /// iterated to the greatest fixpoint). Equivalent to checking that every use
 /// is dominated by its definition.
+///
+/// The sets are [`Rows`] over [`Scratch::preds`]; defs are walked in place
+/// from the blocks.
 fn validate_ssa(
-    program: &Program,
     ret: TypeRef,
     body: &Body,
-    label: &str,
+    scratch: &mut Scratch,
+    label: &dyn Fn() -> String,
     errors: &mut Vec<ValidationError>,
 ) {
-    let _ = program;
     let n_vars = body.vars.len();
     let n_blocks = body.blocks.len();
+    let Scratch { preds, rows, seen, stmt_def_in, .. } = scratch;
 
     // Unique definitions.
-    let mut seen = vec![false; n_vars];
+    seen.clear();
+    seen.resize(n_vars, false);
     for def in body.definitions() {
         if def.index() >= n_vars || seen[def.index()] {
             errors.push(ValidationError::DuplicateDefinition {
-                method: label.to_string(),
+                method: label(),
                 var: def,
             });
         } else {
@@ -340,36 +513,18 @@ fn validate_ssa(
         }
     }
 
-    let preds = body.predecessors();
-    let universe: BitSet = (0..n_vars).collect();
-    let mut out: Vec<BitSet> = vec![universe.clone(); n_blocks];
+    rows.reset(n_vars, n_blocks);
     // Iterate to fixpoint (sets only shrink).
     loop {
         let mut changed = false;
         for (id, block) in body.iter_blocks() {
-            let mut in_set = if id == BlockId::ENTRY {
-                BitSet::with_capacity(n_vars)
-            } else if preds[id.index()].is_empty() {
-                // Unreachable block: keep optimistic (its uses are vacuous),
-                // but still flag locally-undefined vars below via the final
-                // per-block walk using the universe as IN.
-                universe.clone()
-            } else {
-                let mut s = universe.clone();
-                for p in &preds[id.index()] {
-                    s.intersect_with(&out[p.index()]);
-                }
-                s
-            };
-            for def in block_defs(block) {
+            rows.flow_in(id, preds.of(id));
+            for def in block.defs() {
                 if def.index() < n_vars {
-                    in_set.insert(def.index());
+                    set(&mut rows.row, def);
                 }
             }
-            if in_set != out[id.index()] {
-                out[id.index()] = in_set;
-                changed = true;
-            }
+            changed |= rows.commit(id);
         }
         if !changed {
             break;
@@ -377,34 +532,17 @@ fn validate_ssa(
     }
 
     // Final pass: check each use against the flow-in set at its position.
+    stmt_def_in.clear();
+    stmt_def_in.resize(n_vars, 0);
     for (id, block) in body.iter_blocks() {
-        let mut live = if id == BlockId::ENTRY {
-            BitSet::with_capacity(n_vars)
-        } else if preds[id.index()].is_empty() {
-            universe.clone()
-        } else {
-            let mut s = universe.clone();
-            for p in &preds[id.index()] {
-                s.intersect_with(&out[p.index()]);
-            }
-            s
-        };
-        let check = |v: VarId, live: &BitSet, errors: &mut Vec<ValidationError>| {
-            if v.index() >= n_vars || !live.contains(v.index()) {
-                errors.push(ValidationError::UseBeforeDef {
-                    method: label.to_string(),
-                    block: id,
-                    var: v,
-                });
-            }
-        };
+        rows.flow_in(id, preds.of(id));
         // φ arguments are checked against the corresponding predecessor.
         if let BlockBegin::Merge { phis, preds: declared } = &block.begin {
             for phi in phis {
                 for (arg, p) in phi.args.iter().zip(declared.iter()) {
-                    if p.index() < n_blocks && !out[p.index()].contains(arg.index()) {
+                    if p.index() < n_blocks && !has(rows.out(*p), *arg) {
                         errors.push(ValidationError::UseBeforeDef {
-                            method: label.to_string(),
+                            method: label(),
                             block: id,
                             var: *arg,
                         });
@@ -412,23 +550,39 @@ fn validate_ssa(
                 }
             }
         }
-        for def in block_defs(block) {
-            // Defs from the header become visible before statements run; for
-            // statements we interleave below, so only add header defs here.
-            if block.stmts.iter().all(|s| s.def() != Some(def)) {
-                live.insert(def.index());
+        // Header defs are visible before the statements run, except one
+        // that a statement of this block also defines: that one becomes
+        // visible at the statement.
+        for d in block.stmts.iter().filter_map(Stmt::def) {
+            if d.index() < n_vars {
+                stmt_def_in[d.index()] = id.index() + 1;
             }
         }
+        for d in block.header_defs() {
+            if d.index() < n_vars && stmt_def_in[d.index()] != id.index() + 1 {
+                set(&mut rows.row, d);
+            }
+        }
+        let live = &mut rows.row;
+        let mut check = |v: VarId, live: &[u64]| {
+            if !has(live, v) {
+                errors.push(ValidationError::UseBeforeDef {
+                    method: label(),
+                    block: id,
+                    var: v,
+                });
+            }
+        };
         for stmt in &block.stmts {
             for u in stmt.uses() {
-                check(u, &live, errors);
+                check(u, live);
             }
-            if let Some(d) = stmt.def() {
-                live.insert(d.index());
+            if let Some(d) = stmt.def().filter(|d| d.index() < n_vars) {
+                set(live, d);
             }
         }
         for u in block.end.uses() {
-            check(u, &live, errors);
+            check(u, live);
         }
         // Return arity.
         if let BlockEnd::Return(v) = &block.end {
@@ -438,7 +592,7 @@ fn validate_ssa(
             };
             if !ok {
                 errors.push(ValidationError::BadReturnArity {
-                    method: label.to_string(),
+                    method: label(),
                     block: id,
                 });
             }
@@ -449,7 +603,7 @@ fn validate_ssa(
 fn validate_instructions(
     program: &Program,
     body: &Body,
-    label: &str,
+    label: &dyn Fn() -> String,
     errors: &mut Vec<ValidationError>,
 ) {
     for (id, block) in body.iter_blocks() {
@@ -458,14 +612,14 @@ fn validate_instructions(
                 Stmt::Assign { expr: Expr::New(t), .. }
                     if !program.is_instantiable(*t) => {
                         errors.push(ValidationError::NewNotInstantiable {
-                            method: label.to_string(),
+                            method: label(),
                             ty: *t,
                         });
                     }
                 Stmt::Invoke { selector, args, .. }
                     if program.selector(*selector).arity != args.len() => {
                         errors.push(ValidationError::InvokeArityMismatch {
-                            method: label.to_string(),
+                            method: label(),
                             block: id,
                         });
                     }
@@ -473,21 +627,21 @@ fn validate_instructions(
                     let td = program.method(*target);
                     if !td.is_static || td.is_abstract || td.sig.params.len() != args.len() {
                         errors.push(ValidationError::BadStaticInvoke {
-                            method: label.to_string(),
+                            method: label(),
                             block: id,
                         });
                     }
                 }
                 Stmt::Catch { ty, .. }
                     if ty.is_null() => {
-                        errors.push(ValidationError::NullTypeTest { method: label.to_string() });
+                        errors.push(ValidationError::NullTypeTest { method: label() });
                     }
                 _ => {}
             }
         }
         if let BlockEnd::If { cond: Cond::InstanceOf { ty, .. }, .. } = &block.end {
             if ty.is_null() {
-                errors.push(ValidationError::NullTypeTest { method: label.to_string() });
+                errors.push(ValidationError::NullTypeTest { method: label() });
             }
         }
     }
@@ -1040,6 +1194,29 @@ mod tests {
                 UseBeforeDef { method: run(), block: b(4), var: v(7) },
                 BadStaticInvoke { method: run(), block: b(1) },
                 BadStaticInvoke { method: run(), block: b(3) },
+            ]
+        );
+    }
+
+    #[test]
+    fn out_of_range_targets_are_reported_not_indexed() {
+        let cond = Cond::Cmp { op: CmpOp::Eq, lhs: v(0), rhs: v(0) };
+        let errs = raw_body_errors(
+            vec![
+                block(
+                    start(),
+                    vec![zero(v(0))],
+                    BlockEnd::If { cond, then_block: b(1), else_block: b(7) },
+                ),
+                block(BlockBegin::Label, vec![], BlockEnd::Jump(b(9))),
+            ],
+            1,
+        );
+        assert_eq!(
+            errs,
+            vec![
+                ValidationError::IfToNonLabel { method: run(), from: b(0), to: b(7) },
+                ValidationError::JumpToNonMerge { method: run(), from: b(1), to: b(9) },
             ]
         );
     }

@@ -254,6 +254,13 @@ fn cmd_analyze(args: &[String]) -> Result<(), String> {
             println!("  removed: {}", program.method_label(m));
         }
     }
+    // The process exits next, and the OS reclaims its memory at once.
+    // Dropping would first walk and free every flow, edge and body one by
+    // one: on a 32k-method program that takes about half as long as the
+    // solve itself. Compiler drivers skip this teardown for the same reason
+    // (clang's `-disable-free`).
+    std::mem::forget(session);
+    std::mem::forget(program);
     Ok(())
 }
 
