@@ -40,6 +40,7 @@ pub mod frontend;
 mod ids;
 mod instr;
 pub mod interp;
+mod load;
 pub mod printer;
 mod program;
 mod types;
@@ -50,6 +51,7 @@ pub use body::{Block, BlockBegin, Body, Phi, VarData};
 pub use builder::{BodyBuilder, BranchExit, ClassBuilder, MethodDeclBuilder, ProgramBuilder, ValidationErrors};
 pub use ids::{BlockId, FieldId, MethodId, SelectorId, TypeId, VarId};
 pub use instr::{BlockEnd, CmpOp, Cond, Expr, Stmt};
+pub use load::{load_program, LoadError};
 pub use program::Program;
 pub use types::{FieldData, MethodData, SelectorData, Signature, TypeData, TypeKind, TypeRef};
 pub use validate::ValidationError;

@@ -17,7 +17,8 @@
 //!   its counts) extracted once per batch, and its heap bytes count toward
 //!   the session's memory estimate.
 //! * [`registry::Registry`] — many named [`AnalysisSession`]s over shared
-//!   `Arc<Program>`s. One writer thread per session coalesces queued
+//!   `Arc<Program>`s; sessions opened from identical source bytes share
+//!   one decoded program. One writer thread per session coalesces queued
 //!   mutations (root adds, root *retractions*, method-body *edits* —
 //!   [`registry::SessionOp`]) into ordered, budgeted, cancellable batch
 //!   solves, publishing exactly one epoch per batch; admission control

@@ -4,7 +4,7 @@
 use crate::protocol::{parse_request, Query, Request};
 use crate::registry::{Registry, ServerConfig, ServerError, SessionHandle};
 use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness, MethodEdit, SchedulerKind};
-use skipflow_ir::{frontend, MethodId, Program};
+use skipflow_ir::{MethodId, Program};
 use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use skipflow_modelcheck::sync::Arc;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -212,7 +212,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
             Ok(format!(
                 "ok sessions_live={} sessions_opened={} sessions_evicted={} \
                  epochs_published={} queries_served={} batches={} batched_roots={} \
-                 sheds={} memory_bytes={} memory_budget_bytes={}",
+                 sheds={} memory_bytes={} memory_budget_bytes={} programs={}",
                 s.sessions_live,
                 s.sessions_opened,
                 s.sessions_evicted,
@@ -223,6 +223,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.sheds,
                 s.memory_bytes,
                 s.memory_budget_bytes,
+                s.programs,
             ))
         }
         Request::Stats { session: Some(name) } => {
@@ -269,9 +270,9 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
             if registry.contains(&session) {
                 return Err(ServerError::DuplicateSession(session));
             }
-            let (program, config) = load_source(&source)?;
+            let (program, config) = load_source(registry, &source)?;
             let config = apply_opts(config, &opts)?;
-            let handle = registry.open(&session, Arc::new(program), config)?;
+            let handle = registry.open(&session, program, config)?;
             Ok(format!(
                 "ok opened {} methods={} epoch=0",
                 session,
@@ -372,28 +373,53 @@ fn resolve_method(program: &Program, spec: &str) -> Result<MethodId, ServerError
 }
 
 /// Loads `synth:<benchmark>` (a generated suite program, reflective roots
-/// pre-wired into the config) or a filesystem path (`SFBC` bytecode or
-/// `.sf` source).
-fn load_source(source: &str) -> Result<(Program, AnalysisConfig), ServerError> {
+/// pre-wired into the config; never cached) or a filesystem path (`SFBC`
+/// bytecode or `.sf` source). A path is re-read on every call, so edits to
+/// the file are always seen, and its bytes go through the registry's
+/// program table, so identical bytes share one decoded program.
+fn load_source(
+    registry: &Registry,
+    source: &str,
+) -> Result<(Arc<Program>, AnalysisConfig), ServerError> {
     if let Some(name) = source.strip_prefix("synth:") {
         let spec = skipflow_synth::suites::by_name(name).ok_or_else(|| {
             ServerError::Analysis(format!("unknown synth benchmark `{name}`"))
         })?;
         let bench = skipflow_synth::build_benchmark(&spec);
         let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots);
-        return Ok((bench.program, config));
+        return Ok((Arc::new(bench.program), config));
     }
-    let bytes = std::fs::read(source)
-        .map_err(|e| ServerError::Analysis(format!("cannot read {source}: {e}")))?;
-    let program = if bytes.starts_with(b"SFBC") {
-        skipflow_ir::encode::decode(&bytes)
-            .map_err(|e| ServerError::Analysis(format!("{source}: {e}")))?
-    } else {
-        let src = String::from_utf8(bytes)
-            .map_err(|_| ServerError::Analysis(format!("{source}: not UTF-8 source")))?;
-        frontend::compile(&src).map_err(|e| ServerError::Analysis(format!("{source}: {e}")))?
-    };
+    let bytes = read_source(source, registry.config().memory_budget_bytes)?;
+    let program = registry
+        .load_program(bytes)
+        .map_err(|e| ServerError::Analysis(format!("{source}: {e}")))?;
     Ok((program, AnalysisConfig::skipflow()))
+}
+
+/// Reads the file at `path`, refusing one larger than `limit` bytes: a
+/// regular file by its length, before reading it; anything else (a pipe, a
+/// device) once `limit + 1` bytes have arrived.
+fn read_source(path: &str, limit: usize) -> Result<Vec<u8>, ServerError> {
+    let cannot_read = |e: io::Error| ServerError::Analysis(format!("cannot read {path}: {e}"));
+    let too_large = || {
+        ServerError::Analysis(format!(
+            "{path}: source is larger than the memory budget ({limit} bytes)"
+        ))
+    };
+    let file = std::fs::File::open(path).map_err(cannot_read)?;
+    let meta = file.metadata().map_err(cannot_read)?;
+    let mut bytes = Vec::new();
+    if meta.is_file() {
+        if meta.len() > limit as u64 {
+            return Err(too_large());
+        }
+        bytes.reserve_exact(meta.len() as usize);
+    }
+    file.take((limit as u64).saturating_add(1)).read_to_end(&mut bytes).map_err(cannot_read)?;
+    if bytes.len() > limit {
+        return Err(too_large());
+    }
+    Ok(bytes)
 }
 
 fn apply_opts(

@@ -34,6 +34,20 @@
 //!   When nothing can be evicted the request is shed with
 //!   [`ServerError::Overloaded`] instead of degrading every session.
 //!
+//! **Programs are decoded once per byte string.** The registry keeps a
+//! table of decoded programs keyed by their exact source bytes, which
+//! `open <path>` loads through. Opening a second session from identical
+//! bytes — same length, every byte equal, never just a hash — reuses the
+//! first session's `Arc<Program>` instead of decoding and validating a
+//! second copy; loading is a pure function of the bytes, so a hit is
+//! exactly the program a fresh load would give, with every check already
+//! run. A miss loads outside the table lock, and when two loads of the
+//! same bytes race, the first insert wins and the loser drops its copy.
+//! An entry lives only as long as some session (or other caller) holds its
+//! program: entries the table alone holds are pruned on every lookup,
+//! after every retired session, and before `stats` counts them. Programs
+//! handed straight to [`Registry::open`] never enter the table.
+//!
 //! Because the writer drains the queue *before* solving, the session's own
 //! pending-root list is empty at publish time: the completeness tag of every
 //! published epoch is exact for the roots it covers, which is what lets the
@@ -46,12 +60,12 @@ use skipflow_core::{
     AnalysisConfig, AnalysisError, AnalysisSession, Completeness, InterruptReason, MethodEdit,
     OwnedSnapshot, SolveStats,
 };
-use skipflow_ir::{MethodId, Program};
+use skipflow_ir::{LoadError, MethodId, Program};
 use std::collections::HashMap;
 use std::fmt;
 
 use skipflow_modelcheck::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use skipflow_modelcheck::sync::{Arc, Mutex};
+use skipflow_modelcheck::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -63,7 +77,8 @@ pub struct ServerConfig {
     /// Global memory budget (session memory estimates — engine plus
     /// published answers — summed across sessions).
     /// Exceeding it evicts idle sessions LRU-first; if nothing is evictable
-    /// the triggering request is shed.
+    /// the triggering request is shed. It also caps the bytes one `open`
+    /// reads from a source file.
     pub memory_budget_bytes: usize,
     /// Per-session queued-root shed threshold: `roots` requests beyond this
     /// many not-yet-batched roots are refused.
@@ -374,11 +389,25 @@ pub struct RegistryStats {
     pub memory_bytes: usize,
     /// The configured memory budget, in bytes.
     pub memory_budget_bytes: usize,
+    /// Decoded programs in the table, each shared by every live session
+    /// opened from its bytes.
+    pub programs: usize,
 }
 
 struct Entry {
     handle: Arc<SessionHandle>,
     writer: Option<JoinHandle<()>>,
+}
+
+/// A decoded program and the exact bytes it was loaded from.
+struct CachedProgram {
+    bytes: Vec<u8>,
+    program: Arc<Program>,
+}
+
+/// The program loaded from exactly `bytes`, if the table holds one.
+fn find<'a>(programs: &'a [CachedProgram], bytes: &[u8]) -> Option<&'a Arc<Program>> {
+    programs.iter().find(|e| e.bytes == bytes).map(|e| &e.program)
 }
 
 /// The multi-session front door: opens sessions, routes roots and queries,
@@ -387,6 +416,9 @@ pub struct Registry {
     cfg: ServerConfig,
     start: Instant,
     sessions: Mutex<HashMap<String, Entry>>,
+    /// The program table (see the module docs). Never locked together with
+    /// `sessions`.
+    programs: Mutex<Vec<CachedProgram>>,
     opened: AtomicU64,
     evicted: AtomicU64,
     shed_total: AtomicU64,
@@ -405,6 +437,7 @@ impl Registry {
             cfg,
             start: Instant::now(),
             sessions: Mutex::new(HashMap::new()),
+            programs: Mutex::new(Vec::new()),
             opened: AtomicU64::new(0),
             evicted: AtomicU64::new(0),
             shed_total: AtomicU64::new(0),
@@ -483,6 +516,32 @@ impl Registry {
         // sessions is relieved before this one grows.
         let _ = self.relieve_memory_pressure(name);
         Ok(handle)
+    }
+
+    /// The program loaded from `bytes` ([`skipflow_ir::load_program`]),
+    /// shared with every live session opened from identical bytes. A miss
+    /// loads outside the table lock; if another load of the same bytes
+    /// inserted first, its program is returned and this copy dropped.
+    pub(crate) fn load_program(&self, bytes: Vec<u8>) -> Result<Arc<Program>, LoadError> {
+        let hit = find(&self.live_programs(), &bytes).cloned();
+        if let Some(program) = hit {
+            return Ok(program);
+        }
+        let program = Arc::new(skipflow_ir::load_program(&bytes)?);
+        let mut programs = self.live_programs();
+        if let Some(first) = find(&programs, &bytes) {
+            return Ok(first.clone());
+        }
+        programs.push(CachedProgram { bytes, program: program.clone() });
+        Ok(program)
+    }
+
+    /// The program table, locked, after dropping the entries no one but
+    /// the table holds.
+    fn live_programs(&self) -> MutexGuard<'_, Vec<CachedProgram>> {
+        let mut programs = self.programs.lock().expect("program table lock poisoned");
+        programs.retain(|e| Arc::strong_count(&e.program) > 1);
+        programs
     }
 
     /// The handle for `name`, refreshing its LRU clock.
@@ -595,6 +654,7 @@ impl Registry {
 
     /// Point-in-time registry counters.
     pub fn stats(&self) -> RegistryStats {
+        let programs = self.live_programs().len();
         let sessions = self.sessions.lock().unwrap();
         let mut s = RegistryStats {
             sessions_live: sessions.len(),
@@ -607,6 +667,7 @@ impl Registry {
             sheds: self.shed_total.load(SeqCst),
             memory_bytes: 0,
             memory_budget_bytes: self.cfg.memory_budget_bytes,
+            programs,
         };
         for entry in sessions.values() {
             let h = &entry.handle;
@@ -705,6 +766,8 @@ impl Registry {
         }
     }
 
+    /// Stops `entry`'s writer, folds its counters into the registry totals,
+    /// and prunes its program from the table if no other session holds it.
     fn retire(&self, mut entry: Entry) {
         entry.handle.gate.signal_shutdown();
         if let Some(writer) = entry.writer.take() {
@@ -716,6 +779,8 @@ impl Registry {
         self.retired_epochs.fetch_add(h.epochs_published(), SeqCst);
         self.retired_batches.fetch_add(h.batches(), SeqCst);
         self.retired_batched_roots.fetch_add(h.batched_roots(), SeqCst);
+        drop(entry);
+        drop(self.live_programs());
     }
 }
 

@@ -26,7 +26,7 @@
 use skipflow::analysis::{
     AnalysisConfig, AnalysisSession, AnalysisSnapshot, CallGraphQuery, Completeness,
 };
-use skipflow::ir::{encode, frontend, printer, MethodId, Program};
+use skipflow::ir::{self, encode, printer, MethodId, Program};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -124,11 +124,7 @@ fn session_for<'p>(
 /// sniffing) or the binary `SFBC` format.
 fn load_program(path: &str) -> Result<Program, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if bytes.starts_with(b"SFBC") {
-        return encode::decode(&bytes).map_err(|e| format!("{path}: {e}"));
-    }
-    let src = String::from_utf8(bytes).map_err(|_| format!("{path}: not UTF-8 source"))?;
-    frontend::compile(&src).map_err(|e| format!("{path}: {e}"))
+    ir::load_program(&bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {

@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
-use std::process::{Command, Stdio};
+use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
 const SRC: &str = "
@@ -47,13 +47,10 @@ impl Conn {
     }
 }
 
-#[test]
-fn serve_loopback_round_trip() {
-    let dir = tmpdir("roundtrip");
-    let src_path = dir.join("app.sf");
-    std::fs::write(&src_path, SRC).unwrap();
-
-    // Port 0 → the kernel picks; the server prints the bound address.
+/// Spawns `skipflow serve` on an ephemeral port (port 0 → the kernel
+/// picks; the server prints the bound address) and returns it with that
+/// address.
+fn spawn_server() -> (Child, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_skipflow"))
         .args(["serve", "--addr", "127.0.0.1:0", "--max-sessions", "4"])
         .stdout(Stdio::piped())
@@ -69,6 +66,15 @@ fn serve_loopback_round_trip() {
         .strip_prefix("listening on ")
         .unwrap_or_else(|| panic!("unexpected startup line: {line:?}"))
         .to_string();
+    (child, addr)
+}
+
+#[test]
+fn serve_loopback_round_trip() {
+    let dir = tmpdir("roundtrip");
+    let src_path = dir.join("app.sf");
+    std::fs::write(&src_path, SRC).unwrap();
+    let (mut child, addr) = spawn_server();
 
     let mut conn = Conn::connect(&addr);
     assert_eq!(conn.request("ping"), "ok pong");
@@ -114,5 +120,41 @@ fn serve_loopback_round_trip() {
     let status = child.wait().expect("server exit");
     assert!(status.success(), "server exited with {status:?}");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two connections opening the same file share one decoded program, which
+/// the server frees with the last session on it.
+#[test]
+fn serve_shares_one_program_across_connections() {
+    let dir = tmpdir("shared");
+    let src_path = dir.join("app.sf");
+    std::fs::write(&src_path, SRC).unwrap();
+    let (mut child, addr) = spawn_server();
+    let programs = |conn: &mut Conn| {
+        let stats = conn.request("stats");
+        stats
+            .split_whitespace()
+            .find_map(|kv| kv.strip_prefix("programs="))
+            .unwrap_or_else(|| panic!("no programs= field: {stats}"))
+            .to_string()
+    };
+
+    let mut a = Conn::connect(&addr);
+    let mut b = Conn::connect(&addr);
+    let opened_a = a.request(&format!("open a {}", src_path.display()));
+    let opened_b = b.request(&format!("open b {}", src_path.display()));
+    assert!(opened_a.starts_with("ok opened a methods="), "{opened_a}");
+    assert_eq!(opened_b, opened_a.replacen(" a ", " b ", 1));
+    assert_eq!(programs(&mut a), "1");
+
+    assert_eq!(a.request("evict a"), "ok evicted");
+    assert_eq!(programs(&mut b), "1", "b still holds the program");
+    assert_eq!(b.request("evict b"), "ok evicted");
+    assert_eq!(programs(&mut a), "0");
+
+    assert_eq!(a.request("shutdown"), "ok bye");
+    let status = child.wait().expect("server exit");
+    assert!(status.success(), "server exited with {status:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
