@@ -19,12 +19,11 @@
 //! * `--skip-table1` skips only the table1 corpus (the step gate never
 //!   reads it); the ladder, fan-out, and resume rungs all run and are all
 //!   gated.
-//! * `--scheduler fifo` forces the PR 1 FIFO worklist (and disables the
-//!   narrow-join fast path) on every delta solver — the *pre-change
-//!   capture* mode, so baseline and change are measured by the same
-//!   binary on the same machine.
+//! * `--scheduler fifo` forces the FIFO worklist on every sequential
+//!   solver run — the *pre-change capture* mode, so baseline and change
+//!   are measured by the same binary on the same machine.
 //! * `--skip-paired` skips the paired wall-time-guard measurements
-//!   (adaptive-vs-FIFO per ladder rung, delta-vs-Reference on the
+//!   (adaptive-vs-FIFO per ladder rung, sequential-vs-Reference on the
 //!   largest) — they cost ~100 extra analyses per rung and only matter
 //!   for committed captures; the CI step gate passes this flag.
 //! * `--baseline` points at a previous run of this same harness; the

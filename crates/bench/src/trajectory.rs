@@ -9,8 +9,7 @@
 //!   rung is the headline number.
 //! * **fanout** — shared-field fan-out programs of doubling reader count
 //!   (one field sink feeding hundreds of readers), the regime where
-//!   difference propagation and SCC-priority scheduling are asymptotically
-//!   better than full re-joins and FIFO ordering.
+//!   SCC-priority scheduling is asymptotically better than FIFO ordering.
 //! * **resume** — the session API's incremental-root workload: solve a
 //!   benchmark's own roots, then `add_roots` a spread of extra entry points
 //!   and re-solve. Each record carries the *fresh* union fixpoint
@@ -44,11 +43,10 @@
 //! (reachable methods, dead blocks) so perf changes that silently alter
 //! results are caught immediately. All three schedulers are measured side
 //! by side (`scheduler` field: `adaptive` — the default, primary row —
-//! plus forced `scc` and `fifo`), along with a narrow-join-disabled
-//! ablation row (`narrow_join: 0`), so one document carries the
-//! scheduler comparison and the fast-path ablation; a pre-change capture
-//! (PR 3 behaviour: FIFO, no fast path) is produced by running the same
-//! binary with `--scheduler fifo`.
+//! plus forced `scc` and `fifo`) next to the full-join reference solver,
+//! so one document carries the scheduler comparison; a pre-change capture
+//! (FIFO everywhere) is produced by running the same binary with
+//! `--scheduler fifo`.
 
 use skipflow_core::{
     analyze, AnalysisConfig, AnalysisResult, AnalysisSession, CancelToken, SchedulerKind,
@@ -69,9 +67,6 @@ pub struct RunRecord {
     /// Scheduler label (`adaptive` / `scc` / `fifo`; the reference solver
     /// is always `fifo`).
     pub scheduler: String,
-    /// The narrow-join fast-path width the run was configured with (0 =
-    /// disabled — the ablation row).
-    pub narrow_join: usize,
     /// Adaptive FIFO→SCC flips the run performed (0 under forced
     /// schedulers and when the re-push rate never tripped).
     pub flips: u64,
@@ -79,8 +74,6 @@ pub struct RunRecord {
     pub wall_ms: f64,
     /// Worklist steps executed.
     pub steps: u64,
-    /// Of `steps`, the width-adaptive full-join fast-path steps.
-    pub full_join_steps: u64,
     /// Input-state joins that changed a state.
     pub state_joins: u64,
     /// Peak flow count (the PVPG arena only grows).
@@ -117,11 +110,10 @@ pub struct WorkloadRecord {
     /// independently measured rows above cannot resolve the ±2 % guard on
     /// a shared machine.
     pub adaptive_fifo_wall_ratio: Option<f64>,
-    /// Narrow-join delta vs full-join Reference wall-time ratio from the
-    /// same paired protocol (largest ladder rung of a default capture
-    /// only) — the "delta is no longer slower than Reference on
-    /// narrow-state corpora" guard.
-    pub delta_reference_wall_ratio: Option<f64>,
+    /// Sequential vs Reference wall-time ratio from the same paired
+    /// protocol (largest ladder rung of a default capture only) — the
+    /// "the scheduled solver is not slower than its oracle" guard.
+    pub sequential_reference_wall_ratio: Option<f64>,
     /// Armed-guard vs unarmed solve wall-time ratio from the same paired
     /// protocol (largest ladder rung of a default capture only): a
     /// `solve_interruptible` run carrying a never-tripped cancel token
@@ -247,11 +239,9 @@ pub fn measure_resume(
             config: label.to_string(),
             solver: solver_label(config.solver()),
             scheduler: scheduler.clone(),
-            narrow_join: effective_narrow_join(&config),
             flips: sched.flips,
             wall_ms,
             steps,
-            full_join_steps: result.stats().full_join_steps,
             state_joins: joins,
             flows: result.stats().flows,
             use_edges: result.stats().use_edges,
@@ -285,9 +275,7 @@ pub fn measure_resume(
 /// sequential solver runs the FIFO scheduler in both phases.
 pub fn run_resume(force_fifo: bool) -> Vec<WorkloadRecord> {
     let config = if force_fifo {
-        AnalysisConfig::skipflow()
-            .with_scheduler(SchedulerKind::Fifo)
-            .with_narrow_join_width(0)
+        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo)
     } else {
         AnalysisConfig::skipflow()
     };
@@ -304,7 +292,7 @@ pub fn run_resume(force_fifo: bool) -> Vec<WorkloadRecord> {
                 generated_methods: bench.total_methods(),
                 runs: vec![fresh, incremental],
                 adaptive_fifo_wall_ratio: None,
-                delta_reference_wall_ratio: None,
+                sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
             }
         })
@@ -710,18 +698,6 @@ fn solver_label(kind: SolverKind) -> String {
     }
 }
 
-/// The narrow-join width a run actually executes with: the engine forces
-/// the fast path *off* for the Reference solver (it must stay the
-/// byte-for-byte full-join oracle), so its rows record 0 regardless of the
-/// configured width — a consumer filtering `narrow_join > 0` sees only
-/// rows the fast path could have touched.
-fn effective_narrow_join(config: &AnalysisConfig) -> usize {
-    match config.solver() {
-        SolverKind::Reference => 0,
-        _ => config.narrow_join_width(),
-    }
-}
-
 fn scheduler_label(config: &AnalysisConfig) -> &'static str {
     match (config.solver(), config.scheduler()) {
         (SolverKind::Reference, _) | (_, SchedulerKind::Fifo) => "fifo",
@@ -779,11 +755,9 @@ pub fn measure_group(
                 config: config.label().to_string(),
                 solver: solver_label(config.solver()),
                 scheduler: scheduler_label(config).to_string(),
-                narrow_join: effective_narrow_join(config),
                 flips: stats.scheduler.flips,
                 wall_ms,
                 steps: stats.steps,
-                full_join_steps: stats.full_join_steps,
                 state_joins: stats.state_joins,
                 flows: stats.flows,
                 use_edges: stats.use_edges,
@@ -797,33 +771,25 @@ pub fn measure_group(
 }
 
 /// The configuration set measured per ladder/fanout workload. With
-/// `force_fifo` every delta solver runs the PR 3 behaviour — FIFO worklist
-/// and no narrow-join fast path — that is the pre-change capture mode
-/// (`--scheduler fifo`); otherwise the adaptive-default configs are
-/// measured with forced-FIFO, forced-SCC, and narrow-join-disabled
+/// `force_fifo` every sequential solver runs the FIFO worklist — the
+/// pre-change capture mode (`--scheduler fifo`); otherwise the
+/// adaptive-default configs are measured with forced-FIFO and forced-SCC
 /// sequential runs alongside, so one document carries the scheduler
-/// comparison *and* the fast-path ablation.
+/// comparison.
 fn scaling_configs(force_fifo: bool) -> Vec<AnalysisConfig> {
     if force_fifo {
         vec![
-            AnalysisConfig::skipflow()
-                .with_scheduler(SchedulerKind::Fifo)
-                .with_narrow_join_width(0),
+            AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
             AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
-            AnalysisConfig::baseline_pta()
-                .with_scheduler(SchedulerKind::Fifo)
-                .with_narrow_join_width(0),
+            AnalysisConfig::baseline_pta().with_scheduler(SchedulerKind::Fifo),
         ]
     } else {
         vec![
-            // The primary row: adaptive scheduler + narrow-join fast path.
+            // The primary row: the adaptive scheduler.
             AnalysisConfig::skipflow(),
             // Forced schedulers for the in-document comparison.
             AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
             AnalysisConfig::skipflow().with_scheduler(SchedulerKind::SccPriority),
-            // Ablation row: adaptive scheduling without the narrow-join
-            // fast path (isolates the two tentpole mechanisms).
-            AnalysisConfig::skipflow().with_narrow_join_width(0),
             AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
             AnalysisConfig::baseline_pta(),
         ]
@@ -957,7 +923,7 @@ fn run_scaling_family(
             // Both wall-time guards come from drift-cancelling paired
             // measurements (default captures only; skipped for CI step-gate
             // runs, which never read the ratios): adaptive-vs-FIFO on
-            // every ladder rung, delta-vs-Reference on the largest.
+            // every ladder rung, sequential-vs-Reference on the largest.
             let paired = paired && kind == "ladder" && !force_fifo;
             let adaptive_fifo_wall_ratio = paired.then(|| {
                 measure_paired_wall_ratio(
@@ -967,7 +933,7 @@ fn run_scaling_family(
                     48,
                 )
             });
-            let delta_reference_wall_ratio = (paired && i + 1 == specs.len()).then(|| {
+            let sequential_reference_wall_ratio = (paired && i + 1 == specs.len()).then(|| {
                 measure_paired_wall_ratio(
                     &bench,
                     &AnalysisConfig::skipflow(),
@@ -986,7 +952,7 @@ fn run_scaling_family(
                 generated_methods: bench.total_methods(),
                 runs,
                 adaptive_fifo_wall_ratio,
-                delta_reference_wall_ratio,
+                sequential_reference_wall_ratio,
                 interrupt_overhead_wall_ratio,
             }
         })
@@ -994,8 +960,7 @@ fn run_scaling_family(
 }
 
 /// Runs the ladder: each rung under SkipFlow (sequential under all three
-/// schedulers plus the narrow-join ablation, and the reference full-join
-/// solver) plus the PTA baseline. With `paired`, the
+/// schedulers, and the reference full-join solver) plus the PTA baseline. With `paired`, the
 /// wall-time-guard ratios are also measured (expensive; committed captures
 /// only — CI's step gate passes `false`).
 pub fn run_ladder(force_fifo: bool, paired: bool) -> Vec<WorkloadRecord> {
@@ -1023,7 +988,7 @@ pub fn run_table1() -> Vec<WorkloadRecord> {
                 generated_methods: bench.total_methods(),
                 runs,
                 adaptive_fifo_wall_ratio: None,
-                delta_reference_wall_ratio: None,
+                sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
             }
         })
@@ -1140,7 +1105,7 @@ pub fn render_json_document(
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v7\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v8\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -1156,19 +1121,17 @@ pub fn render_json_document(
             let _ = writeln!(
                 out,
                 "        {{\"config\": \"{}\", \"solver\": \"{}\", \"scheduler\": \"{}\", \
-                 \"narrow_join\": {}, \"flips\": {}, \"wall_ms\": {:.3}, \
-                 \"steps\": {}, \"full_join_steps\": {}, \"state_joins\": {}, \"flows\": {}, \
+                 \"flips\": {}, \"wall_ms\": {:.3}, \
+                 \"steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
                  \"order_repairs\": {}, \"scc_merges\": {}, \
                  \"reachable_methods\": {}, \"dead_blocks\": {}}}{comma}",
                 json_escape(&r.config),
                 json_escape(&r.solver),
                 json_escape(&r.scheduler),
-                r.narrow_join,
                 r.flips,
                 r.wall_ms,
                 r.steps,
-                r.full_join_steps,
                 r.state_joins,
                 r.flows,
                 r.use_edges,
@@ -1362,7 +1325,7 @@ fn render_summary_json(workloads: &[WorkloadRecord], baseline: Option<&str>) -> 
             let reduction = 1.0 - seq.wall_ms / reference.wall_ms;
             let _ = writeln!(
                 out,
-                "    \"largest_{kind}_rung_wall_ms\": {{\"delta\": {:.3}, \"reference\": {:.3}}},",
+                "    \"largest_{kind}_rung_wall_ms\": {{\"sequential\": {:.3}, \"reference\": {:.3}}},",
                 seq.wall_ms, reference.wall_ms
             );
             let _ = writeln!(
@@ -1413,26 +1376,26 @@ fn render_summary_json(workloads: &[WorkloadRecord], baseline: Option<&str>) -> 
         "    \"adaptive_flipped_on_fanout\": {},",
         json_opt_bool(adaptive_flipped)
     );
-    // Narrow-join fast-path guard: on the largest ladder rung the primary
-    // delta run (narrow-join enabled) must not be slower than the full-join
-    // reference loop — the regression BENCH_PR2 documented is gone. Judged
-    // on the paired measurement like the adaptive band above.
-    let narrow_vs_reference = workloads
+    // Oracle guard: on the largest ladder rung the primary sequential run
+    // must not be slower than the full-join reference loop it is checked
+    // against. Judged on the paired measurement like the adaptive band
+    // above.
+    let sequential_vs_reference = workloads
         .iter()
         .filter(|w| w.kind == "ladder")
         .max_by_key(|w| w.generated_methods)
         .and_then(|w| {
-            let ratio = w.delta_reference_wall_ratio?;
+            let ratio = w.sequential_reference_wall_ratio?;
             let _ = writeln!(
                 out,
-                "    \"largest_ladder_rung_narrow_join_vs_reference_wall\": {ratio:.4},"
+                "    \"largest_ladder_rung_sequential_vs_reference_wall\": {ratio:.4},"
             );
             Some(ratio <= 1.0)
         });
     let _ = writeln!(
         out,
-        "    \"narrow_join_delta_not_slower_than_reference\": {},",
-        json_opt_bool(narrow_vs_reference)
+        "    \"sequential_not_slower_than_reference\": {},",
+        json_opt_bool(sequential_vs_reference)
     );
     // Interrupt-machinery guard (PR 6): arming the per-step interrupt
     // guard with a never-tripped cancel token must cost at most 1 % wall
@@ -1518,7 +1481,7 @@ mod tests {
                 &AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
                 2,
             )),
-            delta_reference_wall_ratio: Some(1.0),
+            sequential_reference_wall_ratio: Some(1.0),
             interrupt_overhead_wall_ratio: Some(measure_paired_interrupt_overhead(
                 &bench,
                 &AnalysisConfig::skipflow(),
@@ -1550,7 +1513,6 @@ mod tests {
             (seq.solver.as_str(), seq.scheduler.as_str()),
             ("sequential", "adaptive")
         );
-        assert!(seq.narrow_join > 0, "primary row runs the fast path");
         assert_eq!((fifo.solver.as_str(), fifo.scheduler.as_str()), ("sequential", "fifo"));
         assert_eq!(
             (reference.solver.as_str(), reference.scheduler.as_str()),
@@ -1570,7 +1532,7 @@ mod tests {
         let wall = w.runs[0].wall_ms;
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w], None);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v7\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v8\""));
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…
@@ -1625,7 +1587,7 @@ mod tests {
             generated_methods: bench.total_methods(),
             runs: vec![fresh, inc],
             adaptive_fifo_wall_ratio: None,
-            delta_reference_wall_ratio: None,
+            sequential_reference_wall_ratio: None,
             interrupt_overhead_wall_ratio: None,
         };
         let doc = render_json("test", &[w], None);

@@ -16,7 +16,7 @@
 use skipflow_ir::{FieldId, MethodId};
 use std::time::Duration;
 
-/// How the delta solver orders its worklist.
+/// How the sequential solver orders its worklist.
 ///
 /// Scheduling is a pure performance heuristic: every order reaches the same
 /// least fixpoint (all joins are monotone), so both schedulers are proven
@@ -57,12 +57,13 @@ pub enum SchedulerKind {
 /// Which fixpoint solver drives the analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Single-threaded delta-propagation worklist solver (the default).
+    /// Single-threaded worklist solver (the default).
     Sequential,
     /// The full-join reference solver: recomputes and re-joins a flow's
     /// entire output on every step. Slow by design — it is the oracle the
-    /// differential tests and the perf-trajectory harness compare the delta
-    /// solvers against.
+    /// differential tests and the perf-trajectory harness compare the
+    /// sequential solver against. It shares the sequential solver's step
+    /// rule but runs its own FIFO loop with no scheduler and no no-op rule.
     Reference,
 }
 
@@ -113,14 +114,8 @@ pub struct AnalysisConfig {
     pub(crate) masked_methods: Vec<MethodId>,
     /// Solver selection.
     pub(crate) solver: SolverKind,
-    /// Worklist scheduling for the delta solver.
+    /// Worklist scheduling for the sequential solver.
     pub(crate) scheduler: SchedulerKind,
-    /// Word-width threshold of the delta solver's narrow-join fast path:
-    /// joins into a flow whose live input state is *strictly below* this
-    /// many words skip the delta bookkeeping and mark the flow for a plain
-    /// full-join step instead. `0` disables the fast path; `usize::MAX`
-    /// forces full joins everywhere (the per-flow Reference behaviour).
-    pub(crate) narrow_join_width: usize,
     /// Safety valve for the fixpoint iteration; `None` means unbounded.
     pub(crate) max_steps: Option<u64>,
     /// Per-solve worklist-step budget; exceeding it *interrupts* the solve
@@ -135,11 +130,6 @@ pub struct AnalysisConfig {
     #[cfg(feature = "fault-inject")]
     pub(crate) fault_plan: crate::fault::FaultPlan,
 }
-
-/// Default [`AnalysisConfig::narrow_join_width`]: states up to one word wide
-/// (primitive constants, `Any`, and type sets within a single 64-bit band)
-/// take the full-join fast path; wider states keep difference propagation.
-pub const DEFAULT_NARROW_JOIN_WIDTH: usize = 2;
 
 impl AnalysisConfig {
     /// Full SkipFlow: predicate edges + primitive tracking (the paper's
@@ -157,7 +147,6 @@ impl AnalysisConfig {
             masked_methods: Vec::new(),
             solver: SolverKind::Sequential,
             scheduler: SchedulerKind::Adaptive,
-            narrow_join_width: DEFAULT_NARROW_JOIN_WIDTH,
             max_steps: None,
             step_budget: None,
             wall_budget: None,
@@ -211,18 +200,6 @@ impl AnalysisConfig {
     /// Sets the worklist scheduler.
     pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.scheduler = scheduler;
-        self
-    }
-
-    /// Sets the narrow-join fast-path threshold in 64-bit words: joins into
-    /// a flow whose live input state is strictly narrower than `width` words
-    /// skip the delta bookkeeping and schedule a plain full-join step
-    /// (the Reference step) instead. `0` disables the fast path (every join
-    /// is difference-tracked, the pre-PR 4 behaviour); `usize::MAX` makes
-    /// every flow full-join (the ablation bound). The default is
-    /// [`DEFAULT_NARROW_JOIN_WIDTH`].
-    pub fn with_narrow_join_width(mut self, width: usize) -> Self {
-        self.narrow_join_width = width;
         self
     }
 
@@ -388,11 +365,6 @@ impl AnalysisConfig {
         self.scheduler
     }
 
-    /// The narrow-join fast-path word-width threshold (0 = disabled).
-    pub fn narrow_join_width(&self) -> usize {
-        self.narrow_join_width
-    }
-
     /// The fixpoint step bound, if any.
     pub fn max_steps(&self) -> Option<u64> {
         self.max_steps
@@ -468,19 +440,13 @@ mod tests {
         assert_eq!(c.solver(), SolverKind::Reference);
         assert_eq!(c.saturation_threshold(), Some(32));
         assert_eq!(c.scheduler(), SchedulerKind::Adaptive, "adaptive is the default");
-        assert_eq!(
-            c.narrow_join_width(),
-            DEFAULT_NARROW_JOIN_WIDTH,
-            "narrow-join fast path is on by default"
-        );
         let c = c.with_scheduler(SchedulerKind::Fifo).with_saturation(None);
         assert_eq!(c.scheduler(), SchedulerKind::Fifo);
         assert_eq!(c.saturation_threshold(), None);
         let c = c.with_max_steps(10).with_coarse_exceptions(false);
         assert_eq!(c.max_steps(), Some(10));
         assert!(!c.coarse_exceptions());
-        let c = c.with_narrow_join_width(0).with_scheduler(SchedulerKind::SccPriority);
-        assert_eq!(c.narrow_join_width(), 0);
+        let c = c.with_scheduler(SchedulerKind::SccPriority);
         assert_eq!(c.scheduler(), SchedulerKind::SccPriority);
     }
 

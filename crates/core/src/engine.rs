@@ -1,5 +1,5 @@
-//! The fixpoint engine: delta (difference) propagation over the PVPG
-//! (paper Appendix C, Figure 15).
+//! The fixpoint engine: worklist propagation of whole value states over
+//! the PVPG (paper Appendix C, Figure 15).
 //!
 //! The inference rules map onto the engine as follows:
 //!
@@ -18,74 +18,55 @@
 //!   input, filtered according to the flow kind (`Cond` uses
 //!   [`crate::compare::compare`]).
 //!
-//! # Delta propagation
+//! # The step rule
 //!
-//! The sequential solver uses *difference propagation*: each flow carries a
-//! pending `delta` — the part of its input state not yet pushed through the
-//! flow. [`Engine::join_in`] joins incoming state into `in_state` and
-//! accumulates exactly the new information into `delta` (word-level on
-//! type-set bits); a worklist step drains the delta, filters only the
-//! drained part through the flow kind, and joins the result into
-//! `out_state` while tracking what is new there — successors receive only
-//! those new bits.
+//! The sequential solver has one step rule, the paper's: joins of whole
+//! value states. [`Engine::join_in`] joins incoming state into a flow's
+//! `in_state` with a plain monotone join, widens it to `Any` above the
+//! saturation threshold (`maybe_saturate`), and queues the flow on change.
+//! A worklist step recomputes the flow's output from its full `in_state`
+//! ([`Engine::compute_out`]); [`Engine::apply_out`] joins that into
+//! `out_state` and, on change, pushes the whole output along use,
+//! predicate, and observe edges. Successor joins deduplicate, so pushing
+//! bits a successor already holds changes nothing and queues nothing.
 //!
-//! Invariants:
+//! **The no-op rule.** Plain pass-throughs, `TypeFilter`, and the
+//! declared-type `Param` filter are distributive and map `⊥` to `⊥`. For
+//! these kinds, a step whose input is still empty is a no-op: it computes
+//! nothing and does not count as propagation work (the SCC queue's
+//! frontier tier keys on that, see [`Engine::mark_worked`]). After a
+//! flow's first step only a join that changed its input re-queues it, so
+//! this is the only no-op such a step can be. The other kinds always
+//! recompute: `CmpFilter` because its output also depends on the observed
+//! right operand, whose growth re-queues it without new input (`x < y`
+//! admits previously rejected values of `x` once `y` grows); `CatchAll`
+//! because it adds `null` even to an empty input; and `PredOn` because it
+//! is a constant source.
 //!
-//! * `delta ⊑ in_state` at all times, and `out_state ⊒` the filtered image
-//!   of every drained delta (`out_state ⊒ applied deltas`);
-//! * the delta is drained exactly once per dequeue of an *enabled* flow
-//!   (disabled flows keep accumulating until their predicate fires);
-//! * only *distributive* kinds filter the bare delta (`TypeFilter`, the
-//!   declared-type `Param` filter, and plain pass-throughs — kinds where
-//!   `filter(a ∨ b) = filter(a) ∨ filter(b)`). `CmpFilter` is excluded
-//!   because its output depends on the observed right operand: when that
-//!   operand grows, the *entire* input must be re-filtered (e.g. `x < y`
-//!   admits previously-rejected values of `x` once `y` grows), so it always
-//!   recomputes from the full `in_state`. `CatchAll` is excluded because it
-//!   unconditionally adds `null` even to an empty input, and `PredOn` is a
-//!   constant source.
+//! **Why full joins.** The solver used to carry a second rule beside this
+//! one: difference propagation, where each flow kept a pending delta of
+//! not-yet-pushed input and a step filtered only that delta, plus a width
+//! threshold that picked one rule per join. The second rule never paid for
+//! itself. Steps and state joins were identical under every threshold on
+//! every trajectory rung. The default threshold already took the full-join
+//! path on most steps (296,708 of 346,149 on rung-32000, 12,267 of 14,128
+//! on fanout-400). Paired, interleaved always-delta against always-full
+//! runs never showed delta winning by the 10 % that would justify its
+//! bookkeeping. On a shared 2-core host, the median delta/full wall ratios
+//! of two runs (12 and 20 pairs) were 1.04 and 1.01 on rung-32000, 1.02
+//! and 1.05 on fanout-400, and 1.12 and 1.08 on a wide-state shared sink
+//! with 2,048 writers: delta was slower, if anything. Full joins also keep
+//! [`Flow`] to two value states.
 //!
-//! Saturation widening (`maybe_saturate`) is folded into the tracking joins:
-//! when a state widens to `Any`, the pending/propagated delta widens with
-//! it, so successors observe the widening.
-//!
-//! All states grow monotonically, every propagated delta is part of the
-//! corresponding full state, and filtering is monotone — so the delta
-//! solver reaches the same least fixpoint as the full-join reference solver
-//! ([`SolverKind::Reference`], kept as the differential-testing oracle),
-//! and the worklist loop terminates because the lattice has finite height.
-//!
-//! # The width-adaptive narrow-join fast path
-//!
-//! Difference propagation only pays for itself when states are wide: for a
-//! state one or two words wide, re-joining the whole thing costs the same
-//! word operations as tracking the difference, and the per-join `acc`
-//! matching plus the per-step `take` of the pending delta become pure
-//! overhead (the regime where the full-join Reference loop used to *beat*
-//! the delta path on narrow-state corpora). The fast path therefore keys on
-//! the live [`ValueState::width_words`] of the target's input: when it is
-//! below [`AnalysisConfig::narrow_join_width`] (in 64-bit words),
-//! [`Engine::join_in`] performs a plain monotone `join` and sets the flow's
-//! `needs_full` flag instead of maintaining the delta; the next worklist
-//! step for a flagged flow recomputes its output from the *full* input and
-//! plain-joins it onward (exactly the Reference step). Wide flows keep
-//! `join_tracking` and the delta step, so the fan-out win is untouched.
-//!
-//! **Why this is monotone-safe.** The flag records "the pending delta may
-//! under-represent the unpushed information". A flagged flow never takes
-//! the delta step: the full recompute covers every join ever made into the
-//! flow (tracked or not), because `in_state` only grows and the output
-//! functions are monotone. Once the step clears the flag, any later tracked
-//! join restores the exact-delta invariant for the *new* information only —
-//! which is sufficient, since everything older was already pushed by the
-//! full step. Mixed sequences of plain and tracked joins therefore converge
-//! to the same least fixpoint as pure difference propagation, enforced
-//! differentially by `tests/delta_vs_reference.rs` over narrow-join widths
-//! {0, 2, ∞}.
+//! All states grow monotonically and every output function is monotone,
+//! so the solver reaches the same least fixpoint as the full-join
+//! reference solver ([`SolverKind::Reference`], kept as the independent
+//! FIFO oracle), and the worklist loop terminates because the lattice has
+//! finite height.
 //!
 //! # Scheduling
 //!
-//! The delta solver drains its worklist under one of three schedulers
+//! The sequential solver drains its worklist under one of three schedulers
 //! ([`crate::SchedulerKind`]):
 //!
 //! * **FIFO** — a plain queue; kept as the scheduling oracle.
@@ -205,7 +186,7 @@
 //! argument applies, because every engine action is monotone and
 //! idempotent:
 //!
-//! * all value states (`in_state`, `delta`, `out_state`) only ever grow
+//! * all value states (`in_state`, `out_state`) only ever grow
 //!   (joins in a finite-height lattice; saturation widens to the absorbing
 //!   `Any`), and `enabled` flips only from `false` to `true`;
 //! * structures only accrete — flows, edges, linked targets, instantiated
@@ -241,8 +222,8 @@
 //! machinery:
 //!
 //! * **Why stopping mid-solve is sound.** The scheduling invariant is that
-//!   an enabled flow with a non-empty pending delta is queued (except
-//!   transiently *inside* a step). The engine only ever checks its
+//!   an enabled flow whose input changed since its last step is queued
+//!   (except transiently *inside* a step). The engine only ever checks its
 //!   interrupt guard ([`Engine::poll_interrupt`]) at points where no step
 //!   is open — the top of the sequential and reference loops. So an
 //!   interrupted engine is indistinguishable from one that was handed a
@@ -250,11 +231,11 @@
 //!   (monotonicity — the partial result is a sound under-approximation),
 //!   and the next [`Engine::run_solver`] simply keeps draining.
 //! * **What survives an interrupt.** Everything, because nothing is torn
-//!   down: the pending deltas (`delta ⊑ in_state` still holds), the
-//!   `queued` residency/processed/worked bits, the live online topological
-//!   order and its union-find condensation, the sticky adaptive flip (and
-//!   its cleared-per-solve window), the saturation and subscriber
-//!   registries, and the cumulative counters. The resumed solve re-bases
+//!   down: the flows' states, the `queued` residency/processed/worked
+//!   bits, the live online topological order and its union-find
+//!   condensation, the sticky adaptive flip (and its cleared-per-solve
+//!   window), the saturation and subscriber registries, and the
+//!   cumulative counters. The resumed solve re-bases
 //!   its per-solve statistics exactly like a resume after completion.
 //! * **Budget semantics.** The step budget is per-solve (`steps` executed
 //!   since this `run_solver` call) and checked *exactly*, before every
@@ -293,9 +274,10 @@ const QUEUED: u8 = 1;
 const PROCESSED: u8 = 2;
 
 /// Bit 2 of [`Engine::queued`]: some worklist step did real propagation
-/// work for the flow (a no-op dequeue — disabled flow, empty delta — does
-/// not count). This is the SCC queue's frontier-tier signal: a flow stays
-/// in the frontier until its first *working* step.
+/// work for the flow (a no-op dequeue — disabled flow, empty input of a
+/// distributive kind — does not count). This is the SCC queue's
+/// frontier-tier signal: a flow stays in the frontier until its first
+/// *working* step.
 const WORKED: u8 = 4;
 
 /// Flow-capacity headroom the engine keeps below [`MAX_FLOW_COUNT`]: a
@@ -590,10 +572,6 @@ pub(crate) struct Engine<'p> {
     /// The flip detector's `(pops, re_pops)` at the start of the current
     /// solve — the baseline the per-solve adaptive counters subtract.
     adaptive_base: (u64, u64),
-    /// Resolved narrow-join fast-path threshold: the configured
-    /// `narrow_join_width`, except 0 (disabled) for the reference solver,
-    /// which must stay byte-for-byte the PR 1 algorithm.
-    narrow_join: usize,
     /// Set once the PVPG hits the `FlowId` capacity limit: the engine stops
     /// building fragments and the session surfaces the error
     /// ([`crate::AnalysisSession::try_solve`]).
@@ -611,16 +589,13 @@ pub(crate) struct Engine<'p> {
     fault: crate::fault::FaultPlan,
     sched_stats: SchedulerStats,
     steps: u64,
-    full_join_steps: u64,
     state_joins: u64,
-    narrow_joins: u64,
 }
 
 impl<'p> Engine<'p> {
     pub(crate) fn new(program: &'p Program, config: AnalysisConfig) -> Self {
-        // The reference solver is the oracle: it always runs the PR 1 FIFO
-        // order regardless of the configured scheduler, and never takes the
-        // narrow-join fast path (its join_in must stay the PR 3 code path).
+        // The reference solver is the oracle: it always runs the FIFO order,
+        // whatever scheduler is configured.
         let worklist = match (config.solver, config.scheduler) {
             (SolverKind::Reference, _) | (_, SchedulerKind::Fifo | SchedulerKind::Adaptive) => {
                 Worklist::Fifo(VecDeque::new())
@@ -629,10 +604,6 @@ impl<'p> Engine<'p> {
         };
         let adaptive = !matches!(config.solver, SolverKind::Reference)
             && config.scheduler == SchedulerKind::Adaptive;
-        let narrow_join = match config.solver {
-            SolverKind::Reference => 0,
-            _ => config.narrow_join_width,
-        };
         // The online topological order backs every scheduler that reads
         // priorities, from the first moment one needs it: session start
         // under forced SCC, the first flip under Adaptive (a one-time
@@ -669,7 +640,6 @@ impl<'p> Engine<'p> {
             flip: adaptive.then(FlipTracker::new),
             solve_start_steps: 0,
             adaptive_base: (0, 0),
-            narrow_join,
             overflow: None,
             guard: None,
             last_interrupted: false,
@@ -678,9 +648,7 @@ impl<'p> Engine<'p> {
             fault: config_fault_plan,
             sched_stats: SchedulerStats::default(),
             steps: 0,
-            full_join_steps: 0,
             state_joins: 0,
-            narrow_joins: 0,
         }
     }
 
@@ -1002,9 +970,7 @@ impl<'p> Engine<'p> {
         }
         SolveStats {
             steps: self.steps,
-            full_join_steps: self.full_join_steps,
             state_joins: self.state_joins,
-            narrow_joins: self.narrow_joins,
             flows: self.g.flow_count(),
             use_edges,
             pred_edges,
@@ -1043,9 +1009,10 @@ impl<'p> Engine<'p> {
     /// Marks a dequeued flow off-queue and dequeued-once, feeding the
     /// adaptive flip detector (if still active) the re-process bit. The
     /// [`WORKED`] bit is *not* set here: a pop that turns out to be a
-    /// no-op (disabled flow, empty delta) has not done any propagation
-    /// work, so the flow stays in the SCC queue's frontier tier until a
-    /// step actually computes something ([`Engine::mark_worked`]).
+    /// no-op (disabled flow, empty input of a distributive kind) has not
+    /// done any propagation work, so the flow stays in the SCC queue's
+    /// frontier tier until a step actually computes something
+    /// ([`Engine::mark_worked`]).
     #[inline]
     fn note_dequeued(&mut self, f: FlowId) {
         let slot = &mut self.queued[f.index()];
@@ -1095,44 +1062,16 @@ impl<'p> Engine<'p> {
         self.type_subscribers.push((bound, target));
     }
 
-    /// Joins `state` into `target`'s input, accumulating the new information
-    /// into `target`'s pending delta, and queues the flow on change.
+    /// Joins `state` into `target`'s input (a plain monotone join, then
+    /// saturation) and queues the flow on change.
     ///
     /// Disabled flows accumulate without being queued: dequeuing them would
     /// be a no-op, and [`Engine::enable`] queues the flow when its predicate
-    /// fires, at which point the accumulated delta is drained normally.
+    /// fires, at which point its first step pushes everything accumulated.
     fn join_in(&mut self, target: FlowId, state: &ValueState) {
-        let sat = self.config.saturation_threshold;
         let flow = self.g.flow_mut(target);
-        // Width-adaptive fast path (module docs): while the live input state
-        // is narrow, a plain monotone join beats the delta bookkeeping. The
-        // `needs_full` flag makes the next step recompute from the full
-        // input, so the (now possibly stale) pending delta is never trusted.
-        if self.narrow_join > 0 && flow.in_state.width_words() < self.narrow_join {
-            if flow.in_state.join(state) {
-                if let (Some(k), ValueState::Types(s)) = (sat, &flow.in_state) {
-                    if s.len() > k {
-                        flow.in_state = ValueState::Any;
-                    }
-                }
-                flow.needs_full = true;
-                self.state_joins += 1;
-                self.narrow_joins += 1;
-                if flow.enabled {
-                    self.enqueue(target);
-                }
-            }
-            return;
-        }
-        if flow.in_state.join_tracking(state, &mut flow.delta) {
-            if let (Some(k), ValueState::Types(s)) = (sat, &flow.in_state) {
-                if s.len() > k {
-                    // Saturation (Wimmer et al. [60]): the widening is new
-                    // information — the pending delta widens with the state.
-                    flow.in_state = ValueState::Any;
-                    flow.delta = ValueState::Any;
-                }
-            }
+        if flow.in_state.join(state) {
+            maybe_saturate(&mut flow.in_state, self.config.saturation_threshold);
             self.state_joins += 1;
             if flow.enabled {
                 self.enqueue(target);
@@ -1298,8 +1237,8 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// One worklist step (sequential solver): drain the flow's pending
-    /// delta, filter it through the flow kind, and propagate what is new.
+    /// One worklist step (sequential solver): recompute the flow's output
+    /// from its full input and propagate it (module docs, "The step rule").
     fn process(&mut self, f: FlowId) {
         self.steps += 1;
         if matches!(self.worklist, Worklist::Scc(_)) && self.g.flow_in_cycle(f) {
@@ -1308,60 +1247,28 @@ impl<'p> Engine<'p> {
         if let Some(max) = self.config.max_steps {
             assert!(self.steps <= max, "analysis exceeded max_steps = {max}");
         }
-        if !self.g.flow(f).enabled {
-            // Disabled flows keep accumulating their delta until enabled.
+        let flow = self.g.flow(f);
+        if !flow.enabled {
+            // Disabled flows keep accumulating their input until enabled.
             return;
         }
-        if self.g.flow(f).needs_full {
-            self.mark_worked(f);
-            // Width-adaptive fast path: joins into this flow skipped the
-            // delta bookkeeping, so recompute from the full input (the
-            // Reference step) and discard the stale delta — the full
-            // recompute covers it (module docs, narrow-join monotonicity).
-            let flow = self.g.flow_mut(f);
-            flow.needs_full = false;
-            let _ = flow.delta.take();
-            self.full_join_steps += 1;
-            let out_new = self.compute_out(f);
-            self.apply_out_full(f, out_new);
+        // The no-op rule: a distributive kind maps an empty input to an
+        // empty output. The other kinds are also re-queued by observer
+        // notifications without new input, so they always recompute.
+        let distributive = !matches!(
+            flow.kind,
+            FlowKind::CmpFilter { .. } | FlowKind::CatchAll { .. } | FlowKind::PredOn
+        );
+        if distributive && flow.in_state.is_empty() {
             return;
         }
-        let delta = self.g.flow_mut(f).delta.take();
-        let out_new = match &self.g.flow(f).kind {
-            // Non-distributive / source kinds: recompute from the full
-            // input (see the module docs for why CmpFilter cannot use the
-            // delta). No early exit on an empty delta — these are also
-            // re-enqueued by observer notifications without new input.
-            FlowKind::CmpFilter { .. } | FlowKind::CatchAll { .. } | FlowKind::PredOn => {
-                self.compute_out(f)
-            }
-            FlowKind::TypeFilter { ty, negated } => {
-                if delta.is_empty() {
-                    return;
-                }
-                filter_typecheck_owned(self.program, delta, *ty, *negated)
-            }
-            FlowKind::Param { declared, .. } if self.config.declared_type_filtering => {
-                if delta.is_empty() {
-                    return;
-                }
-                declared_filter_owned(self.program, delta, *declared)
-            }
-            // Plain pass-throughs move the delta, clone-free.
-            _ => {
-                if delta.is_empty() {
-                    return;
-                }
-                delta
-            }
-        };
         self.mark_worked(f);
+        let out_new = self.compute_out(f);
         self.apply_out(f, out_new);
     }
 
     /// Full-input output computation (the TypeCheck / Cond / PassThrough
-    /// rules): used by the non-distributive kinds, the narrow-join fast
-    /// path, and the reference solver.
+    /// rules), shared by both solvers.
     fn compute_out(&self, f: FlowId) -> ValueState {
         let flow = self.g.flow(f);
         match &flow.kind {
@@ -1389,52 +1296,12 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Joins a step's output into `out_state`, tracking what is new, and
-    /// propagates exactly that along use, predicate, and observe edges.
-    /// Clone-free: successor lists are walked through CSR cursors and the
-    /// propagated state is a local delta.
-    fn apply_out(&mut self, f: FlowId, out_new: ValueState) {
-        let sat = self.config.saturation_threshold;
-        let mut prop = ValueState::Empty;
-        let changed = {
-            let flow = self.g.flow_mut(f);
-            let changed = flow.out_state.join_tracking_owned(out_new, &mut prop);
-            if changed {
-                if let (Some(k), ValueState::Types(s)) = (sat, &flow.out_state) {
-                    if s.len() > k {
-                        flow.out_state = ValueState::Any;
-                        prop = ValueState::Any;
-                    }
-                }
-            }
-            changed
-        };
-        if !changed {
-            return;
-        }
-        let mut cur = self.g.uses.cursor(f);
-        while let Some(t) = self.g.uses.next(&mut cur) {
-            self.join_in(t, &prop);
-        }
-        if self.g.flow(f).out_state.is_non_empty() {
-            let mut cur = self.g.preds.cursor(f);
-            while let Some(t) = self.g.preds.next(&mut cur) {
-                self.enable(t);
-            }
-        }
-        let mut cur = self.g.observes.cursor(f);
-        while let Some(t) = self.g.observes.next(&mut cur) {
-            self.notify_observer(t);
-        }
-    }
-
-    /// Joins a full-recompute step's output into `out_state` with a plain
-    /// monotone join and propagates the *entire* output state along use,
-    /// predicate, and observe edges — the Reference step's tail, shared by
-    /// the reference solver and the delta solver's narrow-join fast path.
-    /// Successor `join_in`s deduplicate, so re-propagating the full (narrow)
-    /// state is cheaper than tracking what was new.
-    fn apply_out_full(&mut self, f: FlowId, new_out: ValueState) {
+    /// Joins a step's output into `out_state` with a plain monotone join
+    /// and, on change, propagates the *entire* output state along use,
+    /// predicate, and observe edges — the step tail of both solvers.
+    /// Successor `join_in`s deduplicate, so re-propagating bits a successor
+    /// already holds changes nothing there.
+    fn apply_out(&mut self, f: FlowId, new_out: ValueState) {
         let sat = self.config.saturation_threshold;
         let changed = {
             let flow = self.g.flow_mut(f);
@@ -1765,13 +1632,8 @@ impl<'p> Engine<'p> {
         if !self.g.flow(f).enabled {
             return;
         }
-        // The reference solver propagates full states; the delta bookkeeping
-        // is drained so the invariant `delta ⊑ in_state` stays meaningful.
-        let flow = self.g.flow_mut(f);
-        flow.needs_full = false;
-        let _ = flow.delta.take();
         let new_out = self.compute_out(f);
-        self.apply_out_full(f, new_out);
+        self.apply_out(f, new_out);
     }
 
     /// Consumes the engine into an owned [`AnalysisResult`] (zero-copy: the
@@ -1825,29 +1687,6 @@ fn filter_typecheck(
     }
 }
 
-/// [`filter_typecheck`] over an owned input (a drained delta): the same
-/// filter, with the pass-through cases moved instead of cloned.
-fn filter_typecheck_owned(
-    program: &Program,
-    input: ValueState,
-    ty: TypeId,
-    negated: bool,
-) -> ValueState {
-    match input {
-        ValueState::Empty | ValueState::Const(_) => ValueState::Empty,
-        ValueState::Any => ValueState::Any,
-        ValueState::Types(s) => {
-            let mask = program.subtypes(ty);
-            let filtered = if negated {
-                s.difference_mask(mask)
-            } else {
-                s.intersect_mask(mask, false)
-            };
-            ValueState::from_types(filtered)
-        }
-    }
-}
-
 /// Declared-type filtering for parameters: object parameters admit subtypes
 /// of the declared type plus `null`; primitive parameters admit everything.
 fn declared_filter(program: &Program, input: &ValueState, declared: TypeRef) -> ValueState {
@@ -1856,16 +1695,6 @@ fn declared_filter(program: &Program, input: &ValueState, declared: TypeRef) -> 
             ValueState::from_types(s.intersect_mask(program.subtypes(t), true))
         }
         _ => input.clone(),
-    }
-}
-
-/// [`declared_filter`] over an owned input (a drained delta).
-fn declared_filter_owned(program: &Program, input: ValueState, declared: TypeRef) -> ValueState {
-    match (input, declared) {
-        (ValueState::Types(s), TypeRef::Object(t)) => {
-            ValueState::from_types(s.intersect_mask(program.subtypes(t), true))
-        }
-        (other, _) => other,
     }
 }
 
@@ -1920,14 +1749,6 @@ mod tests {
         // instanceof Animal admits both subclasses.
         let out = filter_typecheck(&p, &input, animal, false);
         assert_eq!(out, types_of(&[dog, cat]));
-
-        // The owned (delta) variant agrees everywhere.
-        for (ty, negated) in [(dog, false), (dog, true), (animal, false)] {
-            assert_eq!(
-                filter_typecheck(&p, &input, ty, negated),
-                filter_typecheck_owned(&p, input.clone(), ty, negated)
-            );
-        }
     }
 
     #[test]
@@ -1941,12 +1762,6 @@ mod tests {
         // Filtering to nothing normalizes to Empty.
         let only_null = ValueState::null();
         assert_eq!(filter_typecheck(&p, &only_null, dog, false), ValueState::Empty);
-        for input in [ValueState::Empty, ValueState::Const(3), ValueState::Any, only_null] {
-            assert_eq!(
-                filter_typecheck(&p, &input, dog, false),
-                filter_typecheck_owned(&p, input, dog, false)
-            );
-        }
     }
 
     #[test]
@@ -1969,14 +1784,6 @@ mod tests {
         // Primitive declarations pass anything through.
         assert_eq!(declared_filter(&p, &ValueState::Const(7), TypeRef::Prim), ValueState::Const(7));
         assert_eq!(declared_filter(&p, &input, TypeRef::Prim), input);
-
-        // The owned (delta) variant agrees everywhere.
-        for declared in [TypeRef::Object(dog), TypeRef::Object(animal), TypeRef::Prim] {
-            assert_eq!(
-                declared_filter(&p, &input, declared),
-                declared_filter_owned(&p, input.clone(), declared)
-            );
-        }
     }
 
     /// A PVPG with the online order enabled and `n` phi flows wired by

@@ -217,23 +217,11 @@ pub struct Flow {
     pub block: Option<BlockId>,
     /// Joined input state (from use edges and injections).
     pub in_state: ValueState,
-    /// The pending delta: the part of `in_state` that has not yet been
-    /// pushed through this flow (difference propagation). Invariants:
-    /// `delta ⊑ in_state`, and the delta is drained exactly once per
-    /// dequeue of an enabled flow.
-    pub delta: ValueState,
     /// Filtered output state; grows monotonically.
     pub out_state: ValueState,
     /// Whether the flow has been enabled by its predicate (paper: only
     /// enabled flows propagate).
     pub enabled: bool,
-    /// Width-adaptive fast path: set when a join into this flow skipped the
-    /// delta bookkeeping (the flow's live input state was below the
-    /// configured narrow-join width), so the pending `delta` may
-    /// under-represent the unpushed information. The next worklist step must
-    /// then recompute from the *full* input (the Reference step) instead of
-    /// draining the delta; the step clears the flag.
-    pub needs_full: bool,
 }
 
 impl Flow {
@@ -243,10 +231,8 @@ impl Flow {
             method,
             block,
             in_state: ValueState::Empty,
-            delta: ValueState::Empty,
             out_state: ValueState::Empty,
             enabled: false,
-            needs_full: false,
         }
     }
 
@@ -312,6 +298,15 @@ mod tests {
         assert!(!f.is_active(), "empty out-state is inactive");
         f.out_state = ValueState::Const(0);
         assert!(f.is_active(), "false (0) still activates predicates");
+    }
+
+    /// The arena holds one `Flow` per PVPG vertex: two value states (40
+    /// bytes each) plus kind, provenance and the enabled bit. A third state
+    /// would cost 40 bytes on every flow of every engine.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn flow_stays_within_120_bytes() {
+        assert!(std::mem::size_of::<Flow>() <= 120, "{}", std::mem::size_of::<Flow>());
     }
 
     #[test]

@@ -91,19 +91,6 @@ impl TypeSet {
         changed
     }
 
-    /// Unions `other` into `self`, accumulating the newly inserted types
-    /// into `delta` (word-level); returns `true` on change.
-    pub fn union_with_delta(&mut self, other: &TypeSet, delta: &mut TypeSet) -> bool {
-        let mut changed = false;
-        if other.has_null && !self.has_null {
-            self.has_null = true;
-            delta.has_null = true;
-            changed = true;
-        }
-        changed |= self.bits.union_with_delta(&other.bits, &mut delta.bits);
-        changed
-    }
-
     /// `self ⊆ other`.
     pub fn is_subset(&self, other: &TypeSet) -> bool {
         (!self.has_null || other.has_null) && self.bits.is_subset(&other.bits)
@@ -150,13 +137,6 @@ impl TypeSet {
             has_null: self.has_null && !other.has_null,
             bits,
         }
-    }
-
-    /// Storage width of the set in 64-bit words (the banded bitset's band
-    /// length; the `null` flag is free). The engine's width-adaptive fast
-    /// path treats states below a configured word width as "narrow".
-    pub fn width_words(&self) -> usize {
-        self.bits.word_width()
     }
 
     /// Iterates member types in ascending id order (`null` first — its id
@@ -277,86 +257,6 @@ impl ValueState {
         }
     }
 
-    /// Takes the state out, leaving `Empty` — used to drain a flow's pending
-    /// delta without cloning.
-    pub fn take(&mut self) -> ValueState {
-        std::mem::take(self)
-    }
-
-    /// Joins `other` into `self` like [`ValueState::join`], additionally
-    /// accumulating the *new information* into `acc` (the pending delta of a
-    /// flow). The invariant maintained is `acc ⊑ self` afterwards: `acc`
-    /// only ever receives values that are genuinely part of `self`, so
-    /// propagating `acc` can never invent values.
-    ///
-    /// Widenings (distinct constants, mixed kinds, joins with `Any`) push
-    /// `Any` into `acc` — the new information is "everything".
-    pub fn join_tracking(&mut self, other: &ValueState, acc: &mut ValueState) -> bool {
-        use ValueState::*;
-        match (&mut *self, other) {
-            (_, Empty) => false,
-            (Any, _) => false,
-            (Empty, o) => {
-                *self = o.clone();
-                acc.join(o);
-                true
-            }
-            (s, Any) => {
-                *s = Any;
-                *acc = Any;
-                true
-            }
-            (Const(a), Const(b)) if *a == *b => false,
-            (Const(_), Const(_)) => {
-                *self = Any;
-                *acc = Any;
-                true
-            }
-            (Types(s), Types(o)) => match acc {
-                Types(acc_set) => s.union_with_delta(o, acc_set),
-                Empty => {
-                    let mut acc_set = TypeSet::new();
-                    let changed = s.union_with_delta(o, &mut acc_set);
-                    if changed {
-                        *acc = Types(acc_set);
-                    }
-                    changed
-                }
-                // `acc` already saturated (or of mixed kind): a plain union
-                // suffices — `acc ⊒` anything we could add is preserved by
-                // joining `other` wholesale (still ⊑ self).
-                _ => {
-                    let changed = s.union_with(o);
-                    if changed {
-                        acc.join(other);
-                    }
-                    changed
-                }
-            },
-            // Mixed primitive/object joins widen to top.
-            _ => {
-                *self = Any;
-                *acc = Any;
-                true
-            }
-        }
-    }
-
-    /// [`ValueState::join_tracking`] over an owned right-hand side: the
-    /// common first-touch case (`self` still `Empty`) moves `other` into
-    /// place instead of cloning it, and only the tracking copy remains.
-    pub fn join_tracking_owned(&mut self, other: ValueState, acc: &mut ValueState) -> bool {
-        if let ValueState::Empty = self {
-            if other.is_empty() {
-                return false;
-            }
-            acc.join(&other);
-            *self = other;
-            return true;
-        }
-        self.join_tracking(&other, acc)
-    }
-
     /// The partial order `self ≤ other` of lattice `L`.
     pub fn le(&self, other: &ValueState) -> bool {
         match (self, other) {
@@ -381,19 +281,6 @@ impl ValueState {
         match self {
             ValueState::Const(c) => Some(*c),
             _ => None,
-        }
-    }
-
-    /// Representation width of the state in 64-bit words. `Empty`, `Const`,
-    /// and `Any` are single-tag states of width 0; a type set is as wide as
-    /// its bitset band. This is the measure the width-adaptive join fast
-    /// path compares against [`crate::AnalysisConfig::narrow_join_width`]:
-    /// below the threshold, a plain monotone full join beats the per-word
-    /// delta bookkeeping of [`ValueState::join_tracking`].
-    pub fn width_words(&self) -> usize {
-        match self {
-            ValueState::Types(s) => s.width_words(),
-            _ => 0,
         }
     }
 
@@ -511,81 +398,21 @@ mod tests {
     }
 
     #[test]
-    fn join_tracking_accumulates_exactly_the_new_information() {
-        // Types ∨ Types: only the genuinely new members reach the delta.
-        let mut s = ValueState::of_type(t(1));
-        let mut acc = ValueState::Empty;
-        let mut incoming = ValueState::of_type(t(1));
-        incoming.join(&ValueState::of_type(t(2)));
-        assert!(s.join_tracking(&incoming, &mut acc));
-        assert_eq!(acc, ValueState::of_type(t(2)), "only T2 is new");
-        // A second identical join changes nothing and leaves acc alone.
-        assert!(!s.join_tracking(&incoming, &mut acc));
-        assert_eq!(acc, ValueState::of_type(t(2)));
-        // Accumulation across joins.
-        assert!(s.join_tracking(&ValueState::of_type(t(3)), &mut acc));
-        let types = acc.types().unwrap();
-        assert!(types.contains(t(2)) && types.contains(t(3)) && !types.contains(t(1)));
-
-        // First touch: the whole incoming state is new.
-        let mut empty = ValueState::Empty;
-        let mut acc2 = ValueState::Empty;
-        assert!(empty.join_tracking(&ValueState::Const(5), &mut acc2));
-        assert_eq!(acc2, ValueState::Const(5));
-
-        // Widenings push Any into the delta.
-        let mut c = ValueState::Const(5);
-        let mut acc3 = ValueState::Empty;
-        assert!(c.join_tracking(&ValueState::Const(6), &mut acc3));
-        assert_eq!(c, ValueState::Any);
-        assert_eq!(acc3, ValueState::Any);
-    }
-
-    #[test]
-    fn join_tracking_agrees_with_join_and_keeps_acc_below_self() {
-        let states = [
-            ValueState::Empty,
-            ValueState::Const(0),
-            ValueState::Const(1),
-            ValueState::of_type(t(1)),
-            ValueState::null(),
-            ValueState::Any,
-        ];
-        for a in &states {
-            for b in &states {
-                let mut plain = a.clone();
-                let plain_changed = plain.join(b);
-                let mut tracked = a.clone();
-                let mut acc = ValueState::Empty;
-                let tracked_changed = tracked.join_tracking(b, &mut acc);
-                assert_eq!(plain, tracked, "join({a:?}, {b:?})");
-                assert_eq!(plain_changed, tracked_changed);
-                assert!(acc.le(&tracked), "acc {acc:?} escapes state {tracked:?}");
-                // Owned variant agrees too.
-                let mut owned = a.clone();
-                let mut acc2 = ValueState::Empty;
-                assert_eq!(owned.join_tracking_owned(b.clone(), &mut acc2), plain_changed);
-                assert_eq!(owned, plain);
-                assert_eq!(acc2, acc);
-            }
-        }
-    }
-
-    #[test]
     fn typeset_null_flag_behaves_like_a_member() {
         let mut s = TypeSet::null_only();
         assert!(s.contains_null() && s.len() == 1 && !s.is_empty());
         assert!(!s.insert(TypeId::NULL), "already present");
         s.insert(t(70_000));
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![TypeId::NULL, t(70_000)]);
-        // union_with_delta carries the null flag into the delta exactly once.
+        // union_with carries the null flag across and reports it exactly once.
         let mut target = TypeSet::singleton(t(3));
-        let mut delta = TypeSet::new();
-        assert!(target.union_with_delta(&s, &mut delta));
-        assert!(delta.contains_null() && delta.contains(t(70_000)) && !delta.contains(t(3)));
-        let mut delta2 = TypeSet::new();
-        assert!(!target.union_with_delta(&s, &mut delta2));
-        assert!(delta2.is_empty());
+        assert!(target.union_with(&s));
+        assert!(target.contains_null() && target.contains(t(70_000)) && target.contains(t(3)));
+        assert_eq!(target.len(), 3);
+        assert!(!target.union_with(&s), "a second union adds nothing");
+        let mut only_null = TypeSet::singleton(t(3));
+        assert!(only_null.union_with(&TypeSet::null_only()), "null alone is a change");
+        assert!(!only_null.union_with(&TypeSet::null_only()));
         // Subset accounts for null.
         assert!(TypeSet::null_only().is_subset(&s));
         assert!(!s.is_subset(&TypeSet::singleton(t(70_000))));

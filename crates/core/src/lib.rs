@@ -120,7 +120,7 @@ mod session;
 pub mod shrink;
 
 pub use compare::compare;
-pub use config::{AnalysisConfig, SchedulerKind, SolverKind, DEFAULT_NARROW_JOIN_WIDTH};
+pub use config::{AnalysisConfig, SchedulerKind, SolverKind};
 pub use error::AnalysisError;
 pub use flow::{CallKind, CallSite, Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
 pub use graph::{CheckCategory, IfRecord, MethodGraph, OrderStats, Pvpg, SccInfo};

@@ -32,7 +32,7 @@ use std::time::Duration;
 /// Most counters belong to the session's current engine: they accumulate
 /// across resumes but restart at zero when a retraction or a disable edit
 /// rebuilds the engine ([`crate::AnalysisSession::retract_roots`]) — that
-/// covers `steps`, the join counters, the graph sizes, and the `scheduler`
+/// covers `steps`, `state_joins`, the graph sizes, and the `scheduler`
 /// and `interrupt` families (including the sticky adaptive flip). Only
 /// `solves`, `duration` and `invalidation` are session-cumulative.
 #[derive(Clone, Debug, Default)]
@@ -40,17 +40,8 @@ pub struct SolveStats {
     /// Worklist steps executed (cumulative across resumes of the current
     /// engine).
     pub steps: u64,
-    /// Of [`SolveStats::steps`], how many took the width-adaptive full-join
-    /// fast path (the flow's narrow input state made a plain monotone
-    /// re-join cheaper than delta bookkeeping). Always 0 when
-    /// [`crate::AnalysisConfig::narrow_join_width`] is 0 and for the
-    /// reference solver (whose every step is a full join by definition).
-    pub full_join_steps: u64,
     /// Input-state joins that actually changed a state (propagation volume).
     pub state_joins: u64,
-    /// Of [`SolveStats::state_joins`], how many skipped the delta tracking
-    /// via the narrow-join fast path.
-    pub narrow_joins: u64,
     /// Flows in the engine's PVPG (its arena only grows, so this is the
     /// engine's peak).
     pub flows: usize,

@@ -171,7 +171,7 @@ impl<'p> SessionBuilder<'p> {
         self
     }
 
-    /// Selects the delta solver's worklist scheduler.
+    /// Selects the sequential solver's worklist scheduler.
     pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
         self.config = self.config.with_scheduler(scheduler);
         self
@@ -180,13 +180,6 @@ impl<'p> SessionBuilder<'p> {
     /// Sets (or clears) the saturation threshold.
     pub fn saturation(mut self, threshold: impl Into<Option<usize>>) -> Self {
         self.config = self.config.with_saturation(threshold);
-        self
-    }
-
-    /// Sets the width-adaptive narrow-join fast-path threshold in 64-bit
-    /// words (see [`AnalysisConfig::with_narrow_join_width`]; 0 disables).
-    pub fn narrow_join_width(mut self, width: usize) -> Self {
-        self.config = self.config.with_narrow_join_width(width);
         self
     }
 

@@ -77,9 +77,8 @@ impl BitSet {
     }
 
     /// Number of storage words in the band (including interior zero words).
-    /// This is the *representation width*, not the population count — the
-    /// engine's width-adaptive join fast path keys off it: states a word or
-    /// two wide are cheaper to re-join wholesale than to difference-track.
+    /// This is the *representation width*, not the population count — what
+    /// the set's storage costs in heap words.
     pub fn word_width(&self) -> usize {
         self.words.len()
     }
@@ -142,30 +141,6 @@ impl BitSet {
             let a = &mut self.words[w - off];
             changed |= b & !*a != 0;
             *a |= b;
-        }
-        changed
-    }
-
-    /// Unions `other` into `self` and accumulates the *newly set* bits into
-    /// `delta` (word-level; the heart of difference propagation). Returns
-    /// `true` if any bit changed.
-    pub fn union_with_delta(&mut self, other: &BitSet, delta: &mut BitSet) -> bool {
-        let Some((lo, hi)) = other.bounds() else {
-            return false;
-        };
-        self.reserve_words(lo, hi);
-        let off = self.offset as usize;
-        let mut changed = false;
-        for w in lo..=hi {
-            let b = other.word(w);
-            let a = &mut self.words[w - off];
-            let new = b & !*a;
-            if new != 0 {
-                changed = true;
-                *a |= new;
-                delta.reserve_words(w, w);
-                delta.words[w - delta.offset as usize] |= new;
-            }
         }
         changed
     }
@@ -375,24 +350,6 @@ mod tests {
         c.remove(500);
         assert_eq!(c, BitSet::new());
         assert_ne!(a, BitSet::new());
-    }
-
-    #[test]
-    fn union_with_delta_reports_exactly_the_new_bits() {
-        let mut a: BitSet = [1, 2, 64].into_iter().collect();
-        let b: BitSet = [2, 3, 200].into_iter().collect();
-        let mut delta = BitSet::new();
-        assert!(a.union_with_delta(&b, &mut delta));
-        assert_eq!(a.iter().collect::<Vec<_>>(), vec![1, 2, 3, 64, 200]);
-        assert_eq!(delta.iter().collect::<Vec<_>>(), vec![3, 200]);
-        // Second union adds nothing; delta accumulates (is not cleared).
-        let mut delta2 = BitSet::new();
-        assert!(!a.union_with_delta(&b, &mut delta2));
-        assert!(delta2.is_empty());
-        // Accumulation across calls.
-        let c: BitSet = [3, 7].into_iter().collect();
-        assert!(a.union_with_delta(&c, &mut delta));
-        assert_eq!(delta.iter().collect::<Vec<_>>(), vec![3, 7, 200]);
     }
 
     #[test]

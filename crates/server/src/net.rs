@@ -2,7 +2,7 @@
 //! request line, all state behind the [`Registry`].
 
 use crate::protocol::{parse_request, Query, Request};
-use crate::registry::{Registry, ServerConfig, ServerError, SessionHandle};
+use crate::registry::{require_nonzero_budgets, Registry, ServerConfig, ServerError, SessionHandle};
 use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness, MethodEdit, SchedulerKind};
 use skipflow_ir::{MethodId, Program};
 use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering::SeqCst};
@@ -430,13 +430,14 @@ fn apply_opts(
     for (key, value) in opts {
         config = match key.as_str() {
             "scheduler" => {
+                // Forced SCC is never the best choice (adaptive flips to it
+                // when re-processing shows), so it stays library-only.
                 let kind = match value.as_str() {
                     "fifo" => SchedulerKind::Fifo,
-                    "scc" => SchedulerKind::SccPriority,
                     "adaptive" => SchedulerKind::Adaptive,
                     other => {
                         return Err(ServerError::Analysis(format!(
-                            "unknown scheduler `{other}` (fifo|scc|adaptive)"
+                            "unknown scheduler `{other}` (fifo|adaptive)"
                         )))
                     }
                 };
@@ -459,6 +460,7 @@ fn apply_opts(
             }
         };
     }
+    require_nonzero_budgets(&config)?;
     Ok(config)
 }
 

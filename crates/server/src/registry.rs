@@ -148,6 +148,19 @@ impl fmt::Display for ServerError {
 
 impl std::error::Error for ServerError {}
 
+/// Refuses a zero step or wall budget. Every batch of such a session would
+/// interrupt before its first step and the writer would resume at once, so
+/// the session would spin forever without making progress.
+pub(crate) fn require_nonzero_budgets(config: &AnalysisConfig) -> Result<(), ServerError> {
+    if config.step_budget() == Some(0) {
+        return Err(ServerError::Analysis("step budget must be at least 1".into()));
+    }
+    if config.wall_budget() == Some(Duration::ZERO) {
+        return Err(ServerError::Analysis("wall budget must be at least 1 ms".into()));
+    }
+    Ok(())
+}
+
 /// One queued session mutation, applied by the writer in arrival order.
 /// Runs of same-kind root ops are coalesced into one session call; the
 /// relative order of adds, retracts, and edits is preserved exactly.
@@ -454,7 +467,8 @@ impl Registry {
     }
 
     /// Opens a session named `name` analyzing `program` under `config`
-    /// (per-batch budgets from the [`ServerConfig`] are applied on top).
+    /// (per-batch budgets from the [`ServerConfig`] are applied on top, and
+    /// a resulting zero step or wall budget is refused).
     /// Publishes the empty epoch 0 immediately, spawns the writer thread,
     /// and returns the handle.
     pub fn open(
@@ -464,6 +478,7 @@ impl Registry {
         config: AnalysisConfig,
     ) -> Result<Arc<SessionHandle>, ServerError> {
         let config = self.apply_budgets(config);
+        require_nonzero_budgets(&config)?;
         // Validate eagerly on the caller's thread (and produce the initial
         // empty answers) so `open` reports builder errors synchronously.
         let initial_session = AnalysisSession::builder(&program)

@@ -171,8 +171,13 @@ fn session_level_errors_after_real_traffic_are_structured() {
     let (addr, handle) = start_server();
     let mut client = Client::connect(&addr).expect("connect");
 
+    // Forced SCC is library-only: the protocol refuses it, structured.
     let resp = client
         .request("open s synth:luindex scheduler=scc")
+        .expect("open scc");
+    assert!(resp.starts_with("err analysis:"), "{resp:?}");
+    let resp = client
+        .request("open s synth:luindex scheduler=fifo")
         .expect("open");
     assert!(resp.starts_with("ok opened"), "{resp:?}");
 

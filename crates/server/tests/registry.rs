@@ -192,6 +192,43 @@ fn memory_estimate_counts_published_answers_without_a_graph_copy() {
 }
 
 #[test]
+fn zero_budgets_are_refused_at_open() {
+    let registry = Registry::new(ServerConfig::default());
+    let run = |line: &str| handle_request(&registry, parse_request(line).unwrap());
+
+    // A zero budget would interrupt every batch before its first step, and
+    // the writer would resume at once, forever.
+    for (opt, what) in [("steps=0", "step budget"), ("ms=0", "wall budget")] {
+        let resp = run(&format!("open z synth:luindex {opt}"));
+        assert!(
+            resp.starts_with("err analysis:") && resp.contains(&format!("{what} must be at least 1")),
+            "{opt}: {resp}"
+        );
+        assert_eq!(run("sessions"), "ok sessions=0", "{opt}");
+    }
+    // The library path refuses it too, including a zero server-wide budget.
+    let zero = AnalysisConfig::skipflow().with_step_budget(0);
+    assert!(matches!(registry.open("z", program(), zero), Err(ServerError::Analysis(_))));
+    let zero_wall = Registry::new(ServerConfig {
+        batch_wall_budget: Some(Duration::ZERO),
+        ..ServerConfig::default()
+    });
+    assert!(matches!(
+        zero_wall.open("z", program(), AnalysisConfig::skipflow()),
+        Err(ServerError::Analysis(_))
+    ));
+
+    // The smallest accepted budget still makes progress: one step per
+    // batch, and a flush settles on the complete fixpoint.
+    let opened = run("open one synth:luindex steps=1");
+    assert!(opened.starts_with("ok opened one"), "{opened}");
+    assert!(run("roots one #0").starts_with("ok queued 1"));
+    let flushed = run("flush one");
+    assert!(flushed.starts_with("ok flushed epoch=") && !flushed.contains("[partial]"), "{flushed}");
+    assert_eq!(run("evict one"), "ok evicted");
+}
+
+#[test]
 fn protocol_layer_in_process() {
     let registry = Registry::new(ServerConfig::default());
     let dir = std::env::temp_dir().join(format!("skipflow-registry-proto-{}", std::process::id()));

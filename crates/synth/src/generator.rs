@@ -647,9 +647,8 @@ impl Gen {
     /// sink in the PVPG), and `readers` methods each loading that field and
     /// dispatching on the result. Every store adds one type to the sink's
     /// value state, and every addition must reach all readers — the regime
-    /// where difference propagation pushes one type per event while a full
-    /// re-join re-pushes the whole accumulated state, and where SCC
-    /// priority scheduling drains all writers before the sink fans out.
+    /// where SCC priority scheduling drains all writers before the sink
+    /// fans out, while FIFO re-pushes the growing state once per writer.
     /// Returns the live driver method.
     fn emit_shared_hub(&mut self, readers: usize, writers: usize) -> MethodId {
         let iface = self.pb.add_interface("HubIface", &[]);
@@ -726,9 +725,9 @@ impl Gen {
             let h = bb.new_obj(hub);
             // Readers first: their sink → load use edges wire while the
             // sink is still empty, so every writer's store afterwards is an
-            // *incremental* update that must fan out to all readers — the
-            // asymmetry between difference propagation (push one new type)
-            // and full re-joins (re-push the whole accumulated state).
+            // *incremental* update that must fan out to all readers — what
+            // separates a scheduler that drains the writers first from one
+            // that fans out after every store.
             let mut acc = bb.const_(0);
             for r in &read_methods {
                 acc = bb.invoke_static(*r, &[h]);

@@ -132,10 +132,10 @@ pub struct BenchmarkSpec {
     pub loop_calls: bool,
     /// Shared-field fan-out workload: number of reader methods loading one
     /// shared field and dispatching on it (`0` disables the subsystem).
-    /// This is the regime where difference propagation and SCC ordering
-    /// are asymptotically better than full re-joins: every new type stored
-    /// into the single field sink must reach every reader without
-    /// re-pushing the whole accumulated state.
+    /// This is the regime where SCC ordering is asymptotically better than
+    /// FIFO: every new type stored into the single field sink must reach
+    /// every reader, and draining all writers before the sink fans out
+    /// pushes the accumulated state once instead of once per writer.
     pub shared_sink_readers: usize,
     /// Writer implementations feeding the shared field sink (each stores a
     /// distinct type, so the sink's state grows one type at a time).

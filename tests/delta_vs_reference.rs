@@ -1,11 +1,13 @@
-//! Differential validation of the delta-propagation solver against the
-//! full-join reference solver ([`SolverKind::Reference`]): on the whole
-//! synthetic quick corpus (plus randomized, fan-out, and loop-call specs),
-//! every scheduler × narrow-join width combination — FIFO, SCC priority,
-//! and the adaptive flip between them — must produce
-//! *identical* analysis results: the reachable set, every per-method value
-//! state, liveness, dead-branch reports, linked call targets, and the
-//! counter metrics — with and without saturation.
+//! Differential validation of the sequential solver against the
+//! reference solver ([`SolverKind::Reference`]), its independent FIFO
+//! full-join oracle: on the whole synthetic quick corpus (plus randomized,
+//! fan-out, and loop-call specs), under SkipFlow and the PTA baseline, with
+//! and without saturation, every scheduler — FIFO, SCC priority, and the
+//! adaptive flip between them — must produce *identical* analysis results:
+//! the reachable set, every per-method value state, liveness, dead-branch
+//! reports, linked call targets, and the counter metrics. The schedulers
+//! reorder the sequential solver's steps and add its no-op rule; the
+//! reference loop has neither.
 //!
 //! Results are compared per method rather than per flow id: the solvers may
 //! discover methods in different orders, which permutes flow ids, but every
@@ -17,23 +19,9 @@ use skipflow::synth::{build_benchmark, suites, BenchmarkSpec, Suite};
 mod common;
 use common::assert_results_identical;
 
-/// The delta-solver matrix: every scheduler at the default narrow-join
-/// width, plus the fast-path-off (0) and everything-full-join (∞) widths
-/// under the two schedulers that exercise them hardest (plain FIFO order
-/// and the adaptive flip path) — keeps the product tractable while every
-/// (scheduler, width) regime is covered.
-fn scheduler_width_matrix() -> Vec<(SchedulerKind, usize)> {
-    let default_width = AnalysisConfig::skipflow().narrow_join_width();
-    vec![
-        (SchedulerKind::Fifo, default_width),
-        (SchedulerKind::SccPriority, default_width),
-        (SchedulerKind::Adaptive, default_width),
-        (SchedulerKind::Fifo, 0),
-        (SchedulerKind::Adaptive, 0),
-        (SchedulerKind::Fifo, usize::MAX),
-        (SchedulerKind::Adaptive, usize::MAX),
-    ]
-}
+/// Every scheduler the sequential solver runs under.
+const SCHEDULERS: [SchedulerKind; 3] =
+    [SchedulerKind::Fifo, SchedulerKind::SccPriority, SchedulerKind::Adaptive];
 
 fn check_spec(spec: &BenchmarkSpec) {
     let bench = build_benchmark(spec);
@@ -48,11 +36,10 @@ fn check_spec(spec: &BenchmarkSpec) {
                 .with_solver(SolverKind::Reference)
                 .with_saturation(saturation);
             let reference = analyze(program, &bench.roots, &reference_cfg);
-            for (scheduler, narrow) in scheduler_width_matrix() {
+            for scheduler in SCHEDULERS {
                 let cfg = base
                     .clone()
                     .with_scheduler(scheduler)
-                    .with_narrow_join_width(narrow)
                     .with_saturation(saturation);
                 let result = analyze(program, &bench.roots, &cfg);
                 assert_results_identical(
@@ -60,7 +47,7 @@ fn check_spec(spec: &BenchmarkSpec) {
                     &reference,
                     &result,
                     &format!(
-                        "{}/{}/sat={saturation:?}/{scheduler:?}/narrow={narrow}",
+                        "{}/{}/sat={saturation:?}/{scheduler:?}",
                         spec.name,
                         base.label()
                     ),
@@ -88,9 +75,9 @@ fn delta_solvers_match_reference_on_randomized_specs() {
 
 #[test]
 fn delta_solvers_match_reference_under_heavy_fanout() {
-    // Wide dispatch produces the large type sets where difference
-    // propagation actually diverges from full re-joins internally — the
-    // observable results must still be identical.
+    // Wide dispatch produces large, multi-word type sets, where the
+    // schedulers' step orders diverge most from the reference FIFO loop —
+    // the observable results must still be identical.
     let spec = BenchmarkSpec::new("diff-wide", Suite::DaCapo, 400, 0.2).with_fanout(16);
     check_spec(&spec);
 }

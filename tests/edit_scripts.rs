@@ -2,8 +2,9 @@
 //! sequence of root retractions and method-body edits, re-solving the
 //! session must be **bit-identical** (reachable set, instantiated types,
 //! per-flow states, liveness, linked targets, metrics) to a fresh analysis
-//! of the *surviving* root set under the *current* mask — across the full
-//! solver × scheduler matrix, through interrupted solves after an engine
+//! of the *surviving* root set under the *current* mask — for the
+//! sequential solver under FIFO, SCC priority and the adaptive flip and for
+//! the reference solver, through interrupted solves after an engine
 //! rebuild, and under seeded random edit scripts. This is the checkpoint
 //! argument documented at the top of `crates/core/src/engine.rs`.
 
@@ -19,20 +20,14 @@ use skipflow::synth::{
 mod common;
 use common::assert_results_identical;
 
-/// The solver × scheduler × narrow-join matrix (the reference solver
-/// ignores both knobs, so it appears once) — the same coverage the
-/// monotone-resume tests use.
-fn solver_matrix() -> Vec<(SolverKind, SchedulerKind, usize)> {
-    let default_width = AnalysisConfig::skipflow().narrow_join_width();
-    vec![
-        (SolverKind::Sequential, SchedulerKind::Fifo, default_width),
-        (SolverKind::Sequential, SchedulerKind::SccPriority, default_width),
-        (SolverKind::Sequential, SchedulerKind::Adaptive, default_width),
-        (SolverKind::Sequential, SchedulerKind::Fifo, 0),
-        (SolverKind::Sequential, SchedulerKind::Fifo, usize::MAX),
-        (SolverKind::Reference, SchedulerKind::Fifo, default_width),
-    ]
-}
+/// The solver × scheduler matrix (the reference solver always runs FIFO,
+/// so it appears once) — the same coverage the monotone-resume tests use.
+const SOLVER_MATRIX: [(SolverKind, SchedulerKind); 4] = [
+    (SolverKind::Sequential, SchedulerKind::Fifo),
+    (SolverKind::Sequential, SchedulerKind::SccPriority),
+    (SolverKind::Sequential, SchedulerKind::Adaptive),
+    (SolverKind::Reference, SchedulerKind::Fifo),
+];
 
 fn bench() -> Benchmark {
     build_benchmark(&BenchmarkSpec::new("edits", Suite::DaCapo, 60, 0.2))
@@ -58,12 +53,11 @@ fn retraction_matches_fresh_solve_of_survivors_across_matrix() {
     let bench = bench();
     let extra = pick_spread_roots(&bench.program, &bench.roots, 3);
     assert!(!extra.is_empty());
-    for (solver, scheduler, width) in solver_matrix() {
+    for (solver, scheduler) in SOLVER_MATRIX {
         let config = AnalysisConfig::skipflow()
             .with_solver(solver)
-            .with_scheduler(scheduler)
-            .with_narrow_join_width(width);
-        let label = format!("retract {solver:?}/{scheduler:?}/w{width}");
+            .with_scheduler(scheduler);
+        let label = format!("retract {solver:?}/{scheduler:?}");
 
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())
@@ -100,12 +94,11 @@ fn edits_match_fresh_solve_under_the_mask_across_matrix() {
         .iter()
         .find(|&&m| bench.program.method(m).body.is_some() && !bench.roots.contains(&m))
         .expect("a reachable non-root method");
-    for (solver, scheduler, width) in solver_matrix() {
+    for (solver, scheduler) in SOLVER_MATRIX {
         let config = AnalysisConfig::skipflow()
             .with_solver(solver)
-            .with_scheduler(scheduler)
-            .with_narrow_join_width(width);
-        let label = format!("edit {solver:?}/{scheduler:?}/w{width}");
+            .with_scheduler(scheduler);
+        let label = format!("edit {solver:?}/{scheduler:?}");
 
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())

@@ -1,8 +1,10 @@
 //! Differential validation of the session API's incremental resume: solving
 //! roots `A`, then `add_roots(B)` and re-solving, must be **bit-identical**
 //! (reachable set, instantiated types, per-flow states, liveness, linked
-//! targets, metrics) to a fresh session over `A ∪ B` — across every
-//! solver × scheduler combination, with and without saturation. This is the
+//! targets, metrics) to a fresh session over `A ∪ B` — for the sequential
+//! solver under FIFO, SCC priority and the adaptive flip, and for the
+//! reference solver, under SkipFlow and the PTA baseline, with and without
+//! saturation. This is the
 //! monotone half of the checkpoint invariant documented at the top of
 //! `crates/core/src/engine.rs`.
 
@@ -17,24 +19,14 @@ use skipflow::synth::{
 mod common;
 use common::assert_results_identical;
 
-/// Every solver × scheduler × narrow-join-width combination the resume
-/// matrix covers (the reference solver ignores both knobs, so it appears
-/// once). The fast-path-off (0) and everything-full-join (∞) widths ride
-/// on the delta solver under the two schedulers that exercise them
-/// hardest.
-fn solver_matrix() -> Vec<(SolverKind, SchedulerKind, usize)> {
-    let default_width = AnalysisConfig::skipflow().narrow_join_width();
-    vec![
-        (SolverKind::Sequential, SchedulerKind::Fifo, default_width),
-        (SolverKind::Sequential, SchedulerKind::SccPriority, default_width),
-        (SolverKind::Sequential, SchedulerKind::Adaptive, default_width),
-        (SolverKind::Sequential, SchedulerKind::Fifo, 0),
-        (SolverKind::Sequential, SchedulerKind::Adaptive, 0),
-        (SolverKind::Sequential, SchedulerKind::Fifo, usize::MAX),
-        (SolverKind::Sequential, SchedulerKind::Adaptive, usize::MAX),
-        (SolverKind::Reference, SchedulerKind::Fifo, default_width),
-    ]
-}
+/// Every solver × scheduler combination the resume matrix covers (the
+/// reference solver always runs FIFO, so it appears once).
+const SOLVER_MATRIX: [(SolverKind, SchedulerKind); 4] = [
+    (SolverKind::Sequential, SchedulerKind::Fifo),
+    (SolverKind::Sequential, SchedulerKind::SccPriority),
+    (SolverKind::Sequential, SchedulerKind::Adaptive),
+    (SolverKind::Reference, SchedulerKind::Fifo),
+];
 
 /// Solves roots `A`, resumes with `B`, and compares against a fresh session
 /// over `A ∪ B` for one configuration. Also checks the resume actually
@@ -82,19 +74,18 @@ fn check_spec(spec: &BenchmarkSpec) {
     assert!(!extra.is_empty(), "{}: no extra roots to add", spec.name);
     for saturation in [None, Some(3)] {
         for base in [AnalysisConfig::skipflow(), AnalysisConfig::baseline_pta()] {
-            for (solver, scheduler, narrow) in solver_matrix() {
+            for (solver, scheduler) in SOLVER_MATRIX {
                 let config = base
                     .clone()
                     .with_solver(solver)
                     .with_scheduler(scheduler)
-                    .with_narrow_join_width(narrow)
                     .with_saturation(saturation);
                 check_resume_identity(
                     &bench,
                     &extra,
                     &config,
                     &format!(
-                        "{}/{}/sat={saturation:?}/{solver:?}/{scheduler:?}/narrow={narrow}",
+                        "{}/{}/sat={saturation:?}/{solver:?}/{scheduler:?}",
                         spec.name,
                         base.label()
                     ),
@@ -107,7 +98,7 @@ fn check_spec(spec: &BenchmarkSpec) {
 #[test]
 fn resume_matches_fresh_union_on_quick_corpus_specs() {
     // Two representative quick-corpus shapes (the full sweep per spec covers
-    // 2 saturations × 2 configs × 5 solver/scheduler combinations).
+    // 2 saturations × 2 configs × 4 solver/scheduler combinations).
     for spec in suites::quick().into_iter().take(2) {
         check_spec(&spec);
     }
