@@ -1,122 +1,109 @@
-//! The perf-trajectory binary: runs the synth ladder, the fan-out rungs,
-//! the resume, serve, and edit families, and the table1 corpus, and writes
-//! a `BENCH_PR<n>.json` record for the repository's performance history.
+//! The perf-trajectory binary: runs the synth ladder, the fan-out and
+//! resume rungs, and the table1 corpus (feature ablation), and writes a
+//! `BENCH_PR<n>.json` record (schema `v9`) for the repository's
+//! performance history.
 //!
 //! ```text
 //! cargo run --release -p skipflow-bench --bin trajectory -- \
-//!     [--out BENCH_PR5.json] [--pr PR5] [--ladder-only] [--skip-table1] \
-//!     [--scheduler fifo] [--skip-paired] \
-//!     [--baseline BENCH_PR4.json] \
+//!     --out BENCH_PR5.json [--pr PR5] [--skip-table1] [--skip-paired] \
 //!     [--check-steps BENCH_PR5.json]
 //! ```
 //!
-//! * `--ladder-only` runs only the ladder family — it now does what its
-//!   name says. (It previously *kept* the fan-out and resume rungs and
-//!   only skipped table1, which let CI pass the flag believing the full
-//!   rung set was gated; CI now runs everything except table1 via
-//!   `--skip-table1`, and a capture workload missing from a `--ladder-only`
-//!   run fails the step gate loudly instead of passing vacuously.)
+//! * `--out` (required) is the document to write; there is no default, so
+//!   a bare run never overwrites a committed capture.
+//! * `--pr` is the label recorded in the document.
 //! * `--skip-table1` skips only the table1 corpus (the step gate never
 //!   reads it); the ladder, fan-out, and resume rungs all run and are all
 //!   gated.
-//! * `--scheduler fifo` forces the FIFO worklist on every sequential
-//!   solver run — the *pre-change capture* mode, so baseline and change
-//!   are measured by the same binary on the same machine.
 //! * `--skip-paired` skips the paired wall-time-guard measurements
-//!   (adaptive-vs-FIFO per ladder rung, sequential-vs-Reference on the
-//!   largest) — they cost ~100 extra analyses per rung and only matter
-//!   for committed captures; the CI step gate passes this flag.
-//! * `--baseline` points at a previous run of this same harness; the
-//!   summary then records wall-time and step-count reductions on the
-//!   largest ladder and fan-out rungs against it.
+//!   (adaptive-vs-FIFO per ladder rung, sequential-vs-Reference and the
+//!   cancel-check overhead on the largest) — they cost ~100 extra analyses
+//!   per rung and only matter for committed captures; the CI step gate
+//!   passes this flag.
 //! * `--check-steps` compares the current run's `SkipFlow`/`sequential`
 //!   step counts per scaling workload against a committed capture and
 //!   exits non-zero on a > 20 % regression. Steps are deterministic per
 //!   corpus, so the gate is machine-independent (wall time is not).
+//!
+//! Any other argument prints the usage and exits 2.
 
 use skipflow_bench::trajectory::{
-    parse_baseline_steps, parse_baseline_workloads, render_json_document, run_edits, run_fanout,
-    run_ladder, run_resume, run_serve, run_table1,
+    parse_baseline_steps, parse_baseline_workloads, render_json, run_fanout, run_ladder,
+    run_resume, run_table1,
 };
 
 /// Maximum tolerated step-count growth versus the committed capture.
 const STEP_REGRESSION_TOLERANCE: f64 = 0.20;
 
+const USAGE: &str = "usage: trajectory --out <file> [--pr <label>] [--skip-table1] \
+                     [--skip-paired] [--check-steps <capture>]";
+
+/// The parsed command line.
+#[derive(Debug, PartialEq)]
+struct Args {
+    out: String,
+    pr: String,
+    skip_table1: bool,
+    skip_paired: bool,
+    check_steps: Option<String>,
+}
+
+/// Parses the arguments after the program name; any unknown flag, missing
+/// value or missing `--out` is an error.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut out = None;
+    let mut pr = "PR2".to_string();
+    let mut skip_table1 = false;
+    let mut skip_paired = false;
+    let mut check_steps = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().cloned().ok_or(format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--out" => out = Some(value()?),
+            "--pr" => pr = value()?,
+            "--check-steps" => check_steps = Some(value()?),
+            "--skip-table1" => skip_table1 = true,
+            "--skip-paired" => skip_paired = true,
+            other => return Err(format!("unknown argument {other}")),
+        }
+    }
+    Ok(Args {
+        out: out.ok_or("--out is required")?,
+        pr,
+        skip_table1,
+        skip_paired,
+        check_steps,
+    })
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let get = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let out_path = get("--out").unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let pr = get("--pr").unwrap_or_else(|| "PR2".to_string());
-    let ladder_only = args.iter().any(|a| a == "--ladder-only");
-    let skip_table1 = args.iter().any(|a| a == "--skip-table1");
-    let skip_paired = args.iter().any(|a| a == "--skip-paired");
-    let force_fifo = match get("--scheduler").as_deref() {
-        Some("fifo") => true,
-        Some("scc") | None => false,
-        Some(other) => panic!("unknown --scheduler {other} (expected fifo|scc)"),
-    };
-    let baseline = get("--baseline").map(|p| {
-        std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read baseline {p}: {e}"))
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("error: {e}\n{USAGE}");
+        std::process::exit(2);
     });
-    let check_steps = get("--check-steps").map(|p| {
-        (
-            p.clone(),
-            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read capture {p}: {e}")),
-        )
+    let check_steps = args.check_steps.map(|p| {
+        let capture =
+            std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read capture {p}: {e}"));
+        (p, capture)
     });
 
     eprintln!("running ladder…");
-    let mut workloads = run_ladder(force_fifo, !skip_paired);
-    let mut serve = Vec::new();
-    let mut edits = Vec::new();
-    if !ladder_only {
-        eprintln!("running fan-out rungs…");
-        workloads.extend(run_fanout(force_fifo));
-        eprintln!("running resume rungs…");
-        workloads.extend(run_resume(force_fifo));
-        // The serve and edit families post-date the pre-change capture
-        // mode: a `--scheduler fifo` document emulates the solver before
-        // the server and retraction existed, so it carries neither block.
-        if !force_fifo {
-            eprintln!("running serve family…");
-            serve = run_serve();
-            eprintln!("running edit family…");
-            edits = run_edits();
-        }
-        if !skip_table1 {
-            eprintln!("running table1 corpus…");
-            workloads.extend(run_table1());
-        }
+    let mut workloads = run_ladder(!args.skip_paired);
+    eprintln!("running fan-out rungs…");
+    workloads.extend(run_fanout());
+    eprintln!("running resume rungs…");
+    workloads.extend(run_resume());
+    if !args.skip_table1 {
+        eprintln!("running table1 corpus…");
+        workloads.extend(run_table1());
     }
 
-    let json = render_json_document(&pr, &workloads, &serve, &edits, baseline.as_deref());
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
+    let out_path = &args.out;
+    let json = render_json(&args.pr, &workloads);
+    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("write {out_path}: {e}"));
     eprintln!("wrote {out_path}");
-
-    // Human-readable recap of the serve family on stdout.
-    for s in &serve {
-        println!(
-            "{:<12} {:<5} coalescing {:>5.1} roots/batch, {:>9.0} queries/s during solve, \
-             publication latency {:>7.2} ms, {} published bytes, extraction {:>6.3} ms",
-            s.name, s.scheduler, s.coalescing_ratio, s.queries_per_sec_during_solve,
-            s.publication_latency_ms, s.published_bytes, s.publish_ms
-        );
-    }
-
-    // Human-readable recap of the edit family on stdout.
-    for e in &edits {
-        println!(
-            "{:<16} {} mutations / {} solves: rebuilds discarded {} methods / {} flows, \
-             rebuilt solves {} steps vs fresh {} ({:.2}x), {:.1} ms",
-            e.name, e.script_steps, e.solve_points, e.invalidated_methods, e.invalidated_flows,
-            e.rederive_steps, e.fresh_steps, e.rederive_fresh_ratio, e.wall_ms
-        );
-    }
 
     // Human-readable recap of the scaling families on stdout.
     println!(
@@ -185,5 +172,45 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("check-steps: no regression against {path}");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(command_line: &str) -> Result<Args, String> {
+        let args: Vec<String> = command_line.split_whitespace().map(String::from).collect();
+        parse_args(&args)
+    }
+
+    #[test]
+    fn parses_the_ci_command_and_rejects_everything_else() {
+        let ci = parse(
+            "--skip-table1 --skip-paired --out /tmp/t.json --pr ci --check-steps BENCH_PR10.json",
+        );
+        assert_eq!(
+            ci,
+            Ok(Args {
+                out: "/tmp/t.json".to_string(),
+                pr: "ci".to_string(),
+                skip_table1: true,
+                skip_paired: true,
+                check_steps: Some("BENCH_PR10.json".to_string()),
+            })
+        );
+        assert_eq!(parse(""), Err("--out is required".to_string()));
+        assert_eq!(parse("--out"), Err("--out needs a value".to_string()));
+        for stale in [
+            "--scheduler fifo",
+            "--baseline BENCH_PR2.json",
+            "--ladder-only",
+        ] {
+            let flag = stale.split(' ').next().unwrap();
+            assert_eq!(
+                parse(&format!("--out t.json {stale}")),
+                Err(format!("unknown argument {flag}"))
+            );
+        }
     }
 }

@@ -2,18 +2,19 @@
 //!
 //! The evaluation harness: regenerates the paper's **Table 1** (all three
 //! benchmark suites × {PTA, SkipFlow} × eight metrics) and **Figure 9**
-//! (per-suite normalized metrics), plus ablation sweeps.
+//! (per-suite normalized metrics), plus the in-process perf trajectory.
 //!
 //! Binaries:
 //!
 //! * `cargo run -p skipflow-bench --bin table1 -- --suite all`
 //! * `cargo run -p skipflow-bench --bin fig9`
-//! * `cargo run --release -p skipflow-bench --bin trajectory` — the perf
-//!   trajectory record (`BENCH_PR<n>.json`; see [`trajectory`])
+//! * `cargo run --release -p skipflow-bench --bin trajectory -- --out <file>`
+//!   — the perf trajectory record (`BENCH_PR<n>.json`; see [`trajectory`]):
+//!   the CI step gate, the scheduler comparison, the feature ablation over
+//!   the table1 corpus, and the paired wall-time guards
 //!
-//! Criterion benches (`cargo bench -p skipflow-bench`) measure analysis
-//! time for both configurations, the ablations, and the lattice/graph
-//! micro-operations.
+//! End-to-end wall times (the CLI and the server, input bytes to answer)
+//! are measured by the separate `e2ebench/` workspace.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -1,6 +1,8 @@
 //! The perf-trajectory harness: a fixed workload set measured the same way
-//! in every PR, so the repository accumulates a comparable performance
-//! record (`BENCH_PR<n>.json` at the repo root).
+//! in every PR, so the repository accumulates a comparable record
+//! (`BENCH_PR<n>.json` at the repo root). Its job is the deterministic
+//! step gate and the in-process precision rows; end-to-end wall times
+//! (CLI and server, load to answer) are measured by `e2ebench/`.
 //!
 //! Four workload families:
 //!
@@ -16,37 +18,20 @@
 //!   (`SkipFlow`/`sequential`, the row the step gate checks) next to the
 //!   *incremental* re-solve (`SkipFlow-resume`): same results, far fewer
 //!   steps.
-//! * **serve** — the analysis-server workload: an in-process
-//!   `skipflow_server::Registry` session measured for batch coalescing
-//!   (queued roots per writer batch), sustained query throughput while a
-//!   solve is in flight (the lock-free epoch publication's headline
-//!   number), epoch publication latency (roots accepted → settled epoch
-//!   visible), and the cost of what is published: the heap bytes of the
-//!   settled epoch's answers and the median per-epoch answer extraction
-//!   (`owned_snapshot`) wall. Serve records live in their own JSON block
-//!   with their own schema; the step gate never reads them.
-//! * **edit** — the non-monotone incrementality workload: a seeded
-//!   [`skipflow_synth::build_edit_script`] stream of root additions, root
-//!   *retractions*, and method-body *edits* driven through one
-//!   [`AnalysisSession`], measuring the engines discarded by rebuilds
-//!   (a retraction of a solved-in root or a disable of a reachable body
-//!   rebuilds the session's engine) and the steps from each rebuild to the
-//!   solve that drains it against fresh solves of the configuration at
-//!   every solve point — whose fixpoints the session must match exactly.
-//!   Edit records live in their own JSON block like serve records; the
-//!   step gate never reads them.
-//! * **table1** — the full 35-benchmark corpus under PTA and SkipFlow,
-//!   sequential solver, mirroring the paper's evaluation.
+//! * **table1** — the full 35-benchmark corpus under the feature ablation
+//!   (PTA, predicates only, primitives only, full SkipFlow), sequential
+//!   solver, mirroring the paper's evaluation. Ungated.
 //!
 //! Per run the harness records wall time, worklist steps, state joins (the
 //! propagation volume), the peak flow count, and the precision outcomes
 //! (reachable methods, dead blocks) so perf changes that silently alter
 //! results are caught immediately. All three schedulers are measured side
 //! by side (`scheduler` field: `adaptive` — the default, primary row —
-//! plus forced `scc` and `fifo`) next to the full-join reference solver,
-//! so one document carries the scheduler comparison; a pre-change capture
-//! (FIFO everywhere) is produced by running the same binary with
-//! `--scheduler fifo`.
+//! plus forced `fifo` and `scc`) next to the full-join reference solver,
+//! so one document carries the scheduler comparison. The wall-time guards
+//! (adaptive vs FIFO, sequential vs reference, armed vs unarmed interrupt
+//! checks) are paired ratios within one run, never comparisons across
+//! captures.
 
 use skipflow_core::{
     analyze, AnalysisConfig, AnalysisResult, AnalysisSession, CancelToken, SchedulerKind,
@@ -98,7 +83,7 @@ pub struct RunRecord {
 pub struct WorkloadRecord {
     /// Workload name (`rung-8000`, `fanout-400`, `sunflow`, …).
     pub name: String,
-    /// Workload family (`ladder` / `fanout` / `table1`).
+    /// Workload family (`ladder` / `fanout` / `resume` / `table1`).
     pub kind: &'static str,
     /// Concrete methods the generator emitted.
     pub generated_methods: usize,
@@ -111,11 +96,11 @@ pub struct WorkloadRecord {
     /// a shared machine.
     pub adaptive_fifo_wall_ratio: Option<f64>,
     /// Sequential vs Reference wall-time ratio from the same paired
-    /// protocol (largest ladder rung of a default capture only) — the
+    /// protocol (largest ladder rung of a full capture only) — the
     /// "the scheduled solver is not slower than its oracle" guard.
     pub sequential_reference_wall_ratio: Option<f64>,
     /// Armed-guard vs unarmed solve wall-time ratio from the same paired
-    /// protocol (largest ladder rung of a default capture only): a
+    /// protocol (largest ladder rung of a full capture only): a
     /// `solve_interruptible` run carrying a never-tripped cancel token
     /// against the identical solve with no guard. The PR 6 interrupt
     /// machinery promises the strided poll costs ≤ 1 % wall time — this is
@@ -271,14 +256,8 @@ pub fn measure_resume(
 }
 
 /// Runs the resume rungs (fresh union vs incremental re-solve per spec).
-/// `force_fifo` mirrors the ladder/fan-out pre-change capture mode: the
-/// sequential solver runs the FIFO scheduler in both phases.
-pub fn run_resume(force_fifo: bool) -> Vec<WorkloadRecord> {
-    let config = if force_fifo {
-        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo)
-    } else {
-        AnalysisConfig::skipflow()
-    };
+pub fn run_resume() -> Vec<WorkloadRecord> {
+    let config = AnalysisConfig::skipflow();
     resume_specs()
         .iter()
         .map(|spec| {
@@ -295,390 +274,6 @@ pub fn run_resume(force_fifo: bool) -> Vec<WorkloadRecord> {
                 sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
             }
-        })
-        .collect()
-}
-
-/// One measured serve workload (one scheduler over the serve rung).
-#[derive(Clone, Debug)]
-pub struct ServeRecord {
-    /// Workload name (`serve-2000`).
-    pub name: String,
-    /// Scheduler label (`adaptive` / `scc` / `fifo`).
-    pub scheduler: String,
-    /// Roots accepted across the coalescing phase.
-    pub roots_queued: u64,
-    /// Writer batches those roots were coalesced into.
-    pub batches: u64,
-    /// `roots_queued / batches` — > 1 means the writer coalesced queued
-    /// registrations into shared solves.
-    pub coalescing_ratio: f64,
-    /// Epochs published across all three phases.
-    pub epochs_published: u64,
-    /// Of those, interrupted (partial) checkpoints — 0 with no batch budget.
-    pub partial_epochs: u64,
-    /// Snapshot queries answered by the reader threads during the in-flight
-    /// solve of the throughput phase.
-    pub queries_total: u64,
-    /// Those queries per second — served lock-free from the last published
-    /// epoch while the writer solved.
-    pub queries_per_sec_during_solve: f64,
-    /// Median roots-accepted → settled-epoch-visible wall time over the
-    /// latency phase's single-root batches.
-    pub publication_latency_ms: f64,
-    /// Heap bytes of the latency session's settled epoch's answers
-    /// (`SessionHandle::published_bytes`).
-    pub published_bytes: usize,
-    /// Median `owned_snapshot` wall per epoch over the latency phase's
-    /// epochs, replayed on an in-process session.
-    pub publish_ms: f64,
-}
-
-/// The serve rung: ladder shape at moderate size, so one batch solve is
-/// long enough to overlap queries with but short enough to repeat.
-fn serve_spec() -> BenchmarkSpec {
-    BenchmarkSpec::new("serve-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8)
-}
-
-/// Measures the analysis-server workload for one scheduler, entirely
-/// in-process (no TCP): phase 1 registers roots one at a time while the
-/// writer is mid-solve and reads the coalescing counters; phase 2 hammers
-/// the published snapshot from reader threads for the duration of a full
-/// batch solve; phase 3 times single-root batch → settled-epoch publication,
-/// reads the settled epoch's published bytes, and replays its epochs on an
-/// in-process session to time the per-epoch answer extraction.
-fn measure_serve(scheduler: SchedulerKind) -> ServeRecord {
-    use skipflow_core::CallGraphQuery as _;
-    use skipflow_server::{Registry, ServerConfig};
-    use skipflow_modelcheck::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
-    use skipflow_modelcheck::sync::Arc;
-    use std::time::Duration;
-
-    let bench = build_benchmark(&serve_spec());
-    let config = AnalysisConfig::skipflow()
-        .with_scheduler(scheduler)
-        .with_reflective_roots(bench.reflective_roots.iter().copied());
-    let program = Arc::new(bench.program);
-    let mut spread =
-        skipflow_synth::pick_spread_roots(&program, &bench.roots, 48).into_iter();
-    let registry = Registry::new(ServerConfig::default());
-    let flush = |name: &str| {
-        registry
-            .flush(name, Duration::from_secs(120))
-            .expect("serve bench flush")
-    };
-
-    // Phase 1 — coalescing: the first root keeps the writer busy while the
-    // rest are registered one request at a time; the writer drains them in
-    // far fewer batches than requests.
-    let h = registry.open("coalesce", program.clone(), config.clone()).expect("open");
-    registry.add_roots("coalesce", bench.roots.clone()).expect("roots");
-    let mut queued = bench.roots.len() as u64;
-    for root in spread.by_ref().take(32) {
-        registry.add_roots("coalesce", vec![root]).expect("roots");
-        queued += 1;
-    }
-    flush("coalesce");
-    let batches = h.batches().max(1);
-    let coalescing_ratio = queued as f64 / batches as f64;
-    let mut epochs_published = h.epochs_published();
-    let mut partial_epochs = h.partial_epochs();
-    registry.evict("coalesce").expect("evict");
-
-    // Phase 2 — sustained query throughput during an in-flight solve: the
-    // readers only count queries answered between the roots being accepted
-    // and the flush returning, i.e. while the writer is actually solving.
-    let h = registry.open("qps", program.clone(), config.clone()).expect("open");
-    let stop = Arc::new(AtomicBool::new(false));
-    let served = Arc::new(AtomicU64::new(0));
-    let readers: Vec<_> = (0..4)
-        .map(|_| {
-            let h = h.clone();
-            let stop = stop.clone();
-            let served = served.clone();
-            std::thread::spawn(move || {
-                while !stop.load(Relaxed) {
-                    let ep = h.published();
-                    std::hint::black_box(ep.snapshot.reachable_count());
-                    served.fetch_add(1, Relaxed);
-                }
-            })
-        })
-        .collect();
-    let start = Instant::now();
-    registry.add_roots("qps", bench.roots.clone()).expect("roots");
-    flush("qps");
-    let solve_secs = start.elapsed().as_secs_f64();
-    stop.store(true, Relaxed);
-    for r in readers {
-        r.join().expect("reader");
-    }
-    let queries_total = served.load(Relaxed);
-    let queries_per_sec_during_solve = queries_total as f64 / solve_secs.max(1e-9);
-    epochs_published += h.epochs_published();
-    partial_epochs += h.partial_epochs();
-    registry.evict("qps").expect("evict");
-
-    // Phase 3 — publication latency: sequential single-root batches against
-    // an already-saturated session; each flush waits for the settled epoch,
-    // so the wall time is accept → publish. Median over the batches.
-    let _ = registry.open("latency", program.clone(), config.clone()).expect("open");
-    registry.add_roots("latency", bench.roots.clone()).expect("roots");
-    flush("latency");
-    let latency_roots: Vec<MethodId> = spread.take(8).collect();
-    let mut latencies: Vec<f64> = latency_roots
-        .iter()
-        .map(|&root| {
-            let start = Instant::now();
-            registry.add_roots("latency", vec![root]).expect("roots");
-            flush("latency");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    let publication_latency_ms = median_ms(&mut latencies);
-    let h = registry.get("latency").expect("latency session");
-    epochs_published += h.epochs_published();
-    partial_epochs += h.partial_epochs();
-    let published_bytes = h.published_bytes();
-    registry.shutdown_all();
-
-    // The same epochs (the roots batch, then one per single root) on an
-    // in-process session, timing the extraction the writer publishes.
-    let mut session = AnalysisSession::builder(&program)
-        .config(config)
-        .roots(bench.roots.iter().copied())
-        .build()
-        .expect("serve bench session");
-    let mut publish = Vec::new();
-    for root in std::iter::once(None).chain(latency_roots.iter().copied().map(Some)) {
-        session.add_roots(root).expect("replay root");
-        session.solve();
-        let start = Instant::now();
-        std::hint::black_box(session.owned_snapshot());
-        publish.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    let publish_ms = median_ms(&mut publish);
-
-    ServeRecord {
-        name: serve_spec().name,
-        scheduler: match scheduler {
-            SchedulerKind::Fifo => "fifo",
-            SchedulerKind::SccPriority => "scc",
-            SchedulerKind::Adaptive => "adaptive",
-        }
-        .to_string(),
-        roots_queued: queued,
-        batches,
-        coalescing_ratio,
-        epochs_published,
-        partial_epochs,
-        queries_total,
-        queries_per_sec_during_solve,
-        publication_latency_ms,
-        published_bytes,
-        publish_ms,
-    }
-}
-
-/// The median of `samples` (0 for none).
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples.get(samples.len() / 2).copied().unwrap_or(0.0)
-}
-
-/// Runs the serve family under all three schedulers.
-pub fn run_serve() -> Vec<ServeRecord> {
-    [SchedulerKind::Adaptive, SchedulerKind::SccPriority, SchedulerKind::Fifo]
-        .into_iter()
-        .map(measure_serve)
-        .collect()
-}
-
-/// One measured edit-script workload: a seeded non-monotone operation
-/// stream (root adds/retracts, body disables/restores, interleaved solve
-/// points) driven through a single session, with the rebuild volume and
-/// the rebuild-and-resume steps compared against fresh solves of the
-/// configuration at *every* solve point.
-#[derive(Clone, Debug)]
-pub struct EditRecord {
-    /// Workload name (`edit-rung-2000`).
-    pub name: String,
-    /// Concrete methods the generator emitted.
-    pub generated_methods: usize,
-    /// Mutation operations in the script (solve points not counted).
-    pub script_steps: usize,
-    /// Solve points in the script (≥ 2: the initial solve and the final).
-    pub solve_points: usize,
-    /// Solved-in roots the script retracted (pending removals not counted).
-    pub retractions: u64,
-    /// Method-body edits the script applied (disables + restores).
-    pub edits: u64,
-    /// Reachable methods of the engines the script's rebuilds discarded.
-    pub invalidated_methods: u64,
-    /// Flows of the engines the script's rebuilds discarded.
-    pub invalidated_flows: u64,
-    /// Worklist steps from each rebuild to the completion of the solve that
-    /// drained it, summed over the script.
-    pub rederive_steps: u64,
-    /// Worklist steps of fresh solves of the session's configuration
-    /// (current roots under the current mask), summed over every solve
-    /// point of the script.
-    pub fresh_steps: u64,
-    /// `rederive_steps / fresh_steps` — what the rebuild-and-resume solves
-    /// of the whole non-monotone stream cost relative to solving every
-    /// solve point's configuration from scratch. At most 1.0: a rebuild
-    /// solves exactly like a fresh session, and only some solve points
-    /// follow one.
-    pub rederive_fresh_ratio: f64,
-    /// Wall-clock time of the session's part of the script (every mutation
-    /// and solve point; the fresh oracle solves are not counted).
-    pub wall_ms: f64,
-}
-
-/// The edit rungs (one ladder-shaped, one fan-out-shaped, the same sizes
-/// as the resume rungs) with their script seeds.
-pub fn edit_specs() -> Vec<(BenchmarkSpec, u64)> {
-    vec![
-        (
-            BenchmarkSpec::new("edit-rung-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8),
-            0xED17_0001,
-        ),
-        (
-            BenchmarkSpec::new("edit-fanout-200", Suite::DaCapo, 60, 0.0)
-                .with_shared_sink(200, 128),
-            0xED17_0002,
-        ),
-    ]
-}
-
-/// Mutation operations per edit script.
-pub const EDIT_SCRIPT_STEPS: usize = 24;
-
-/// Roots moved per add/retract batch of an edit script.
-pub const EDIT_SCRIPT_CHURN: usize = 4;
-
-/// Drives the seeded edit script over `bench` through one session and
-/// measures it (see [`EditRecord`]). Panics if the session's fixpoint at
-/// any solve point diverges from a fresh solve of that point's
-/// configuration, or its final fixpoint from the script's final
-/// configuration, on the precision guards — the bit-level identity is
-/// enforced by `tests/edit_scripts.rs`, but a perf document must never be
-/// produced from diverging runs.
-pub fn measure_edits(
-    name: &str,
-    bench: &Benchmark,
-    seed: u64,
-    steps: usize,
-    churn: usize,
-    config: &AnalysisConfig,
-) -> EditRecord {
-    use skipflow_core::MethodEdit;
-    use skipflow_synth::{build_edit_script, EditOp};
-
-    let config = config
-        .clone()
-        .with_reflective_roots(bench.reflective_roots.iter().copied());
-    let script = build_edit_script(bench, seed, steps, churn);
-    let script_steps = script.ops.iter().filter(|op| !matches!(op, EditOp::Solve)).count();
-    let solve_points = script.ops.len() - script_steps;
-
-    let start = Instant::now();
-    let mut session = AnalysisSession::builder(&bench.program)
-        .config(config.clone())
-        .roots(bench.roots.iter().copied())
-        .build()
-        .expect("benchmark roots are valid");
-    let mut wall = start.elapsed();
-    let mut fresh_steps = 0;
-    for op in &script.ops {
-        let start = Instant::now();
-        match op {
-            EditOp::AddRoots(batch) => {
-                session.add_roots(batch.iter().copied()).expect("script adds are valid");
-            }
-            EditOp::RetractRoots(batch) => {
-                session
-                    .retract_roots(batch.iter().copied())
-                    .expect("script retracts current roots");
-            }
-            EditOp::DisableMethod(m) => {
-                session
-                    .apply_edit(*m, MethodEdit::DisableBody)
-                    .expect("script disables concrete methods");
-            }
-            EditOp::RestoreMethod(m) => {
-                session
-                    .apply_edit(*m, MethodEdit::RestoreBody)
-                    .expect("script restores masked methods");
-            }
-            EditOp::Solve => {
-                session.solve();
-            }
-        }
-        wall += start.elapsed();
-        if let EditOp::Solve = op {
-            // The fresh oracle of this solve point: the session's current
-            // roots under its current mask, solved from scratch.
-            let oracle_config = config.clone().with_masked_methods(session.masked_methods());
-            let fresh = analyze(&bench.program, session.roots(), &oracle_config);
-            assert_eq!(
-                session.snapshot().reachable_methods(),
-                fresh.reachable_methods(),
-                "edit workload {name}: session diverged from a fresh solve point"
-            );
-            fresh_steps += fresh.stats().steps;
-        }
-    }
-    let inv = session.snapshot().stats().invalidation;
-    let result = session.into_result();
-
-    // The fresh oracle of the script's end state: surviving roots under the
-    // final mask, never having seen the intermediate configurations.
-    let oracle_config = config
-        .clone()
-        .with_masked_methods(script.final_masked.iter().copied());
-    let fresh = analyze(&bench.program, &script.final_roots, &oracle_config);
-    assert_eq!(
-        result.reachable_methods(),
-        fresh.reachable_methods(),
-        "edit workload {name}: session diverged from the fresh final fixpoint"
-    );
-    assert_eq!(
-        dead_block_total(&result),
-        dead_block_total(&fresh),
-        "edit workload {name}: dead-block totals diverged"
-    );
-
-    EditRecord {
-        name: name.to_string(),
-        generated_methods: bench.total_methods(),
-        script_steps,
-        solve_points,
-        retractions: inv.retractions,
-        edits: inv.edits,
-        invalidated_methods: inv.invalidated_methods,
-        invalidated_flows: inv.invalidated_flows,
-        rederive_steps: inv.rederive_steps,
-        fresh_steps,
-        rederive_fresh_ratio: inv.rederive_steps as f64 / fresh_steps.max(1) as f64,
-        wall_ms: wall.as_secs_f64() * 1e3,
-    }
-}
-
-/// Runs the edit rungs under the default (adaptive) configuration.
-pub fn run_edits() -> Vec<EditRecord> {
-    edit_specs()
-        .iter()
-        .map(|(spec, seed)| {
-            let bench = build_benchmark(spec);
-            measure_edits(
-                &spec.name,
-                &bench,
-                *seed,
-                EDIT_SCRIPT_STEPS,
-                EDIT_SCRIPT_CHURN,
-                &AnalysisConfig::skipflow(),
-            )
         })
         .collect()
 }
@@ -770,68 +365,43 @@ pub fn measure_group(
         .collect()
 }
 
-/// The configuration set measured per ladder/fanout workload. With
-/// `force_fifo` every sequential solver runs the FIFO worklist — the
-/// pre-change capture mode (`--scheduler fifo`); otherwise the
-/// adaptive-default configs are measured with forced-FIFO and forced-SCC
-/// sequential runs alongside, so one document carries the scheduler
-/// comparison.
-fn scaling_configs(force_fifo: bool) -> Vec<AnalysisConfig> {
-    if force_fifo {
-        vec![
-            AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
-            AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
-            AnalysisConfig::baseline_pta().with_scheduler(SchedulerKind::Fifo),
-        ]
-    } else {
-        vec![
-            // The primary row: the adaptive scheduler.
-            AnalysisConfig::skipflow(),
-            // Forced schedulers for the in-document comparison.
-            AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
-            AnalysisConfig::skipflow().with_scheduler(SchedulerKind::SccPriority),
-            AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
-            AnalysisConfig::baseline_pta(),
-        ]
-    }
+/// The configuration set measured per ladder/fanout workload: the
+/// adaptive-default configs with forced-FIFO and forced-SCC sequential runs
+/// alongside, so one document carries the scheduler comparison.
+fn scaling_configs() -> Vec<AnalysisConfig> {
+    vec![
+        // The primary row: the adaptive scheduler.
+        AnalysisConfig::skipflow(),
+        // Forced schedulers for the in-document comparison.
+        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
+        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::SccPriority),
+        AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
+        AnalysisConfig::baseline_pta(),
+    ]
 }
 
-/// Median per-pair wall-time ratio of `a` to `b` from a *paired*
-/// measurement: the two configurations run back-to-back within each pair
-/// (order swapped every pair), each pair yields one `a/b` ratio, and the
-/// median over all pairs is taken. Pairing cancels drift slower than a
-/// pair (thermal windows, noisy neighbours); the median discards pairs a
-/// noise burst split down the middle. This is what the ±2 %
-/// adaptive-vs-FIFO ladder guard is judged on — independently measured
-/// best-of rows swing far more than the band on a shared machine.
-pub fn measure_paired_wall_ratio(
-    bench: &Benchmark,
-    a: &AnalysisConfig,
-    b: &AnalysisConfig,
+/// Median per-pair ratio of `a`'s wall time to `b`'s, each side a closure
+/// returning one run's wall time in milliseconds: one untimed warm-up per
+/// side, then `pairs` pairs run back-to-back with the order swapped every
+/// pair, one `a/b` ratio per pair, and the median over all pairs. Pairing
+/// cancels drift slower than a pair (thermal windows, noisy neighbours);
+/// the median discards pairs a noise burst split down the middle.
+fn paired_median_ratio(
     pairs: usize,
+    mut a: impl FnMut() -> f64,
+    mut b: impl FnMut() -> f64,
 ) -> f64 {
-    let prep = |c: &AnalysisConfig| {
-        c.clone()
-            .with_reflective_roots(bench.reflective_roots.iter().copied())
-    };
-    let (a, b) = (prep(a), prep(b));
-    for c in [&a, &b] {
-        let _warmup = analyze(&bench.program, &bench.roots, c);
-    }
-    let timed = |c: &AnalysisConfig| {
-        let start = Instant::now();
-        let _ = analyze(&bench.program, &bench.roots, c);
-        start.elapsed().as_secs_f64() * 1e3
-    };
+    let _ = a();
+    let _ = b();
     let mut ratios: Vec<f64> = (0..pairs.max(1))
         .map(|i| {
             if i % 2 == 0 {
-                let wall_a = timed(&a);
-                let wall_b = timed(&b);
+                let wall_a = a();
+                let wall_b = b();
                 wall_a / wall_b
             } else {
-                let wall_b = timed(&b);
-                let wall_a = timed(&a);
+                let wall_b = b();
+                let wall_a = a();
                 wall_a / wall_b
             }
         })
@@ -845,15 +415,37 @@ pub fn measure_paired_wall_ratio(
     }
 }
 
+/// Median per-pair wall-time ratio of analyzing `bench` under `a` to
+/// analyzing it under `b` (`paired_median_ratio`). This is what the ±2 %
+/// adaptive-vs-FIFO ladder guard is judged on — independently measured
+/// best-of rows swing far more than the band on a shared machine.
+pub fn measure_paired_wall_ratio(
+    bench: &Benchmark,
+    a: &AnalysisConfig,
+    b: &AnalysisConfig,
+    pairs: usize,
+) -> f64 {
+    let timed = |c: &AnalysisConfig| {
+        let c = c
+            .clone()
+            .with_reflective_roots(bench.reflective_roots.iter().copied());
+        move || {
+            let start = Instant::now();
+            let _ = analyze(&bench.program, &bench.roots, &c);
+            start.elapsed().as_secs_f64() * 1e3
+        }
+    };
+    paired_median_ratio(pairs, timed(a), timed(b))
+}
+
 /// Median per-pair wall-time ratio of an *armed* interruptible solve to an
-/// unarmed one, by the same paired protocol as
-/// [`measure_paired_wall_ratio`]: both sides build a fresh session over the
-/// benchmark roots and drive it with `solve_interruptible`, but side A
-/// passes a cancel token that never trips (arming the per-step interrupt
-/// guard) while side B passes `None` (the guard stays a single `Option`
-/// test per step). The ratio therefore isolates exactly the cost of the
-/// strided cancel/budget polling the PR 6 acceptance bound (≤ 1 % wall on
-/// the largest ladder rung) is about.
+/// unarmed one (`paired_median_ratio`): both sides build a fresh session
+/// over the benchmark roots and drive it with `solve_interruptible`, but
+/// side A passes a cancel token that never trips (arming the per-step
+/// interrupt guard) while side B passes `None` (the guard stays a single
+/// `Option` test per step). The ratio therefore isolates exactly the cost
+/// of the strided cancel/budget polling, which must stay ≤ 1 % wall on the
+/// largest ladder rung.
 pub fn measure_paired_interrupt_overhead(
     bench: &Benchmark,
     config: &AnalysisConfig,
@@ -880,35 +472,12 @@ pub fn measure_paired_interrupt_overhead(
         );
         wall
     };
-    // Warm-ups, one per side.
-    let _ = timed(Some(&token));
-    let _ = timed(None);
-    let mut ratios: Vec<f64> = (0..pairs.max(1))
-        .map(|i| {
-            if i % 2 == 0 {
-                let armed = timed(Some(&token));
-                let unarmed = timed(None);
-                armed / unarmed
-            } else {
-                let unarmed = timed(None);
-                let armed = timed(Some(&token));
-                armed / unarmed
-            }
-        })
-        .collect();
-    ratios.sort_by(|x, y| x.total_cmp(y));
-    let n = ratios.len();
-    if n % 2 == 1 {
-        ratios[n / 2]
-    } else {
-        (ratios[n / 2 - 1] + ratios[n / 2]) / 2.0
-    }
+    paired_median_ratio(pairs, || timed(Some(&token)), || timed(None))
 }
 
 fn run_scaling_family(
     specs: &[BenchmarkSpec],
     kind: &'static str,
-    force_fifo: bool,
     paired: bool,
 ) -> Vec<WorkloadRecord> {
     specs
@@ -916,15 +485,17 @@ fn run_scaling_family(
         .enumerate()
         .map(|(i, spec)| {
             let bench = build_benchmark(spec);
-            // 9 interleaved timed iterations (up from 5): the adaptive
-            // scheduler's ladder guard compares wall times at a ±2 % band,
-            // which a best-of-5 on a shared machine cannot resolve.
-            let runs = measure_group(&bench, &scaling_configs(force_fifo), 9);
-            // Both wall-time guards come from drift-cancelling paired
-            // measurements (default captures only; skipped for CI step-gate
+            // 9 interleaved timed iterations: the adaptive scheduler's
+            // ladder guard compares wall times at a ±2 % band, which a
+            // best-of-5 on a shared machine cannot resolve.
+            let runs = measure_group(&bench, &scaling_configs(), 9);
+            // All three wall-time guards come from drift-cancelling paired
+            // measurements (full captures only; skipped for CI step-gate
             // runs, which never read the ratios): adaptive-vs-FIFO on
-            // every ladder rung, sequential-vs-Reference on the largest.
-            let paired = paired && kind == "ladder" && !force_fifo;
+            // every ladder rung; sequential-vs-Reference and the
+            // cancel-check overhead on the largest.
+            let paired = paired && kind == "ladder";
+            let largest = paired && i + 1 == specs.len();
             let adaptive_fifo_wall_ratio = paired.then(|| {
                 measure_paired_wall_ratio(
                     &bench,
@@ -933,7 +504,7 @@ fn run_scaling_family(
                     48,
                 )
             });
-            let sequential_reference_wall_ratio = (paired && i + 1 == specs.len()).then(|| {
+            let sequential_reference_wall_ratio = largest.then(|| {
                 measure_paired_wall_ratio(
                     &bench,
                     &AnalysisConfig::skipflow(),
@@ -941,9 +512,7 @@ fn run_scaling_family(
                     48,
                 )
             });
-            // The PR 6 cancel-check overhead guard: armed vs unarmed
-            // interruptible solve on the largest ladder rung only.
-            let interrupt_overhead_wall_ratio = (paired && i + 1 == specs.len()).then(|| {
+            let interrupt_overhead_wall_ratio = largest.then(|| {
                 measure_paired_interrupt_overhead(&bench, &AnalysisConfig::skipflow(), 48)
             });
             WorkloadRecord {
@@ -960,33 +529,37 @@ fn run_scaling_family(
 }
 
 /// Runs the ladder: each rung under SkipFlow (sequential under all three
-/// schedulers, and the reference full-join solver) plus the PTA baseline. With `paired`, the
-/// wall-time-guard ratios are also measured (expensive; committed captures
-/// only — CI's step gate passes `false`).
-pub fn run_ladder(force_fifo: bool, paired: bool) -> Vec<WorkloadRecord> {
-    run_scaling_family(&ladder_specs(), "ladder", force_fifo, paired)
+/// schedulers, and the reference full-join solver) plus the PTA baseline.
+/// With `paired`, the wall-time-guard ratios are also measured (expensive;
+/// full captures only — CI's step gate passes `false`).
+pub fn run_ladder(paired: bool) -> Vec<WorkloadRecord> {
+    run_scaling_family(&ladder_specs(), "ladder", paired)
 }
 
 /// Runs the fan-out rungs under the same configuration set as the ladder.
-pub fn run_fanout(force_fifo: bool) -> Vec<WorkloadRecord> {
-    run_scaling_family(&fanout_specs(), "fanout", force_fifo, false)
+pub fn run_fanout() -> Vec<WorkloadRecord> {
+    run_scaling_family(&fanout_specs(), "fanout", false)
 }
 
-/// Runs the full table1 corpus under PTA and SkipFlow (sequential).
+/// Runs the full table1 corpus under the feature ablation — PTA, predicate
+/// edges only, primitive tracking only, and full SkipFlow — with the
+/// sequential solver, one interleaved [`measure_group`] per benchmark.
 pub fn run_table1() -> Vec<WorkloadRecord> {
+    let configs = [
+        AnalysisConfig::baseline_pta(),
+        AnalysisConfig::predicates_only(),
+        AnalysisConfig::primitives_only(),
+        AnalysisConfig::skipflow(),
+    ];
     skipflow_synth::suites::all()
         .iter()
         .map(|spec| {
             let bench = build_benchmark(spec);
-            let runs = vec![
-                measure_run(&bench, &AnalysisConfig::baseline_pta(), 1),
-                measure_run(&bench, &AnalysisConfig::skipflow(), 1),
-            ];
             WorkloadRecord {
                 name: spec.name.clone(),
                 kind: "table1",
                 generated_methods: bench.total_methods(),
-                runs,
+                runs: measure_group(&bench, &configs, 1),
                 adaptive_fifo_wall_ratio: None,
                 sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
@@ -1009,13 +582,13 @@ fn json_opt_bool(v: Option<bool>) -> &'static str {
     }
 }
 
-/// Extracts a numeric field from the *first* `SkipFlow`/`sequential` run
-/// line of `workload` in a previously written trajectory document
-/// (line-oriented parse of this module's own format — no JSON dependency
-/// available offline). In a default capture the first sequential row is the
-/// SCC scheduler; in a `--scheduler fifo` (pre-change) capture it is FIFO —
-/// so "first match" always denotes the document's primary configuration.
-fn parse_baseline_field(doc: &str, workload: &str, field: &str) -> Option<f64> {
+/// The worklist step count of `workload`'s *first* `SkipFlow`/`sequential`
+/// run line in a previously written trajectory document (line-oriented
+/// parse of this module's own format — no JSON dependency available
+/// offline). The first such row is the adaptive scheduler's, the
+/// document's primary configuration. Steps are deterministic per corpus,
+/// so they make a machine-independent CI regression gate.
+pub fn parse_baseline_steps(doc: &str, workload: &str) -> Option<u64> {
     let needle = format!("\"name\": \"{workload}\"");
     let mut in_workload = false;
     for line in doc.lines() {
@@ -1023,27 +596,13 @@ fn parse_baseline_field(doc: &str, workload: &str, field: &str) -> Option<f64> {
             in_workload = true;
         }
         if in_workload && line.contains("\"config\": \"SkipFlow\", \"solver\": \"sequential\"") {
-            let key = format!("\"{field}\": ");
-            let i = line.find(&key)? + key.len();
+            let i = line.find("\"steps\": ")? + "\"steps\": ".len();
             let rest = &line[i..];
             let end = rest.find([',', '}'])?;
             return rest[..end].trim().parse().ok();
         }
     }
     None
-}
-
-/// The `SkipFlow`/`sequential` wall time of `workload` from a baseline
-/// document (see `parse_baseline_field` for which row is picked).
-pub fn parse_baseline_wall_ms(doc: &str, workload: &str) -> Option<f64> {
-    parse_baseline_field(doc, workload, "wall_ms")
-}
-
-/// The `SkipFlow`/`sequential` worklist step count of `workload` from a
-/// baseline document. Steps are deterministic per corpus, so they make a
-/// machine-independent CI regression gate.
-pub fn parse_baseline_steps(doc: &str, workload: &str) -> Option<u64> {
-    parse_baseline_field(doc, workload, "steps").map(|v| v as u64)
 }
 
 /// The workload names of every ladder/fanout record in a baseline document.
@@ -1066,36 +625,8 @@ pub fn parse_baseline_workloads(doc: &str) -> Vec<String> {
     names
 }
 
-/// Renders the records as the `BENCH_PR<n>.json` document. `baseline` is a
-/// previously captured pre-change document of the same harness, used for the
-/// headline wall-time comparison on the largest ladder rung.
-pub fn render_json(pr: &str, workloads: &[WorkloadRecord], baseline: Option<&str>) -> String {
-    render_json_document(pr, workloads, &[], &[], baseline)
-}
-
-/// [`render_json`] plus the serve-family block, kept for callers that
-/// predate the edit family.
-pub fn render_json_with_serve(
-    pr: &str,
-    workloads: &[WorkloadRecord],
-    serve: &[ServeRecord],
-    baseline: Option<&str>,
-) -> String {
-    render_json_document(pr, workloads, serve, &[], baseline)
-}
-
-/// The full document: scaling workloads plus the serve and edit families.
-/// Serve and edit records have their own schemas (no `SkipFlow`/
-/// `sequential` step rows), so they render as separate `"serve"` /
-/// `"edits"` arrays the step-gate parser — which only recognises `rung-` /
-/// `fanout-` / `resume-` names — never sees.
-pub fn render_json_document(
-    pr: &str,
-    workloads: &[WorkloadRecord],
-    serve: &[ServeRecord],
-    edits: &[EditRecord],
-    baseline: Option<&str>,
-) -> String {
+/// Renders the records as the `BENCH_PR<n>.json` document.
+pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs())
@@ -1105,7 +636,7 @@ pub fn render_json_document(
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v8\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v9\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -1146,72 +677,16 @@ pub fn render_json_document(
         let _ = writeln!(out, "    }}{comma}");
     }
     let _ = writeln!(out, "  ],");
-    if !serve.is_empty() {
-        let _ = writeln!(out, "  \"serve\": [");
-        for (si, s) in serve.iter().enumerate() {
-            let comma = if si + 1 < serve.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"scheduler\": \"{}\", \"roots_queued\": {}, \
-                 \"batches\": {}, \"coalescing_ratio\": {:.3}, \"epochs_published\": {}, \
-                 \"partial_epochs\": {}, \"queries_total\": {}, \
-                 \"queries_per_sec_during_solve\": {:.1}, \
-                 \"publication_latency_ms\": {:.3}, \"published_bytes\": {}, \
-                 \"publish_ms\": {:.3}}}{comma}",
-                json_escape(&s.name),
-                json_escape(&s.scheduler),
-                s.roots_queued,
-                s.batches,
-                s.coalescing_ratio,
-                s.epochs_published,
-                s.partial_epochs,
-                s.queries_total,
-                s.queries_per_sec_during_solve,
-                s.publication_latency_ms,
-                s.published_bytes,
-                s.publish_ms,
-            );
-        }
-        let _ = writeln!(out, "  ],");
-    }
-    if !edits.is_empty() {
-        let _ = writeln!(out, "  \"edits\": [");
-        for (ei, e) in edits.iter().enumerate() {
-            let comma = if ei + 1 < edits.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    {{\"name\": \"{}\", \"generated_methods\": {}, \"script_steps\": {}, \
-                 \"solve_points\": {}, \"retractions\": {}, \"edits\": {}, \
-                 \"invalidated_methods\": {}, \"invalidated_flows\": {}, \
-                 \"rederive_steps\": {}, \"fresh_steps\": {}, \
-                 \"rederive_fresh_ratio\": {:.4}, \"wall_ms\": {:.3}}}{comma}",
-                json_escape(&e.name),
-                e.generated_methods,
-                e.script_steps,
-                e.solve_points,
-                e.retractions,
-                e.edits,
-                e.invalidated_methods,
-                e.invalidated_flows,
-                e.rederive_steps,
-                e.fresh_steps,
-                e.rederive_fresh_ratio,
-                e.wall_ms,
-            );
-        }
-        let _ = writeln!(out, "  ],");
-    }
-    out.push_str(&render_summary_json(workloads, baseline));
+    out.push_str(&render_summary_json(workloads));
     let _ = writeln!(out, "}}");
     out
 }
 
 /// The headline summary object: wall-time and step-count reductions on the
-/// largest ladder and fanout rungs versus (a) a pre-change baseline run of
-/// the same harness, (b) the in-file FIFO-scheduled sequential run, and
-/// (c) the in-tree full-join reference solver, with precision-identity
-/// guards across every solver/scheduler measured.
-fn render_summary_json(workloads: &[WorkloadRecord], baseline: Option<&str>) -> String {
+/// largest ladder and fanout rungs versus (a) the in-file FIFO-scheduled
+/// sequential run and (b) the in-tree full-join reference solver, with
+/// precision-identity guards across every solver/scheduler measured.
+fn render_summary_json(workloads: &[WorkloadRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "  \"summary\": {{");
     // Precision identity across *all* runs of every scaling workload: the
@@ -1283,30 +758,6 @@ fn render_summary_json(workloads: &[WorkloadRecord], baseline: Option<&str>) -> 
             json_escape(&w.name)
         );
         let Some(seq) = seq else { continue };
-        if let Some(doc) = baseline {
-            if let Some(pre) = parse_baseline_wall_ms(doc, &w.name) {
-                let reduction = 1.0 - seq.wall_ms / pre;
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_wall_ms_pre_change\": {pre:.3},"
-                );
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_wall_reduction_vs_pre_change\": {reduction:.4},"
-                );
-            }
-            if let Some(pre_steps) = parse_baseline_steps(doc, &w.name) {
-                let reduction = 1.0 - seq.steps as f64 / pre_steps as f64;
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_steps_pre_change\": {pre_steps},"
-                );
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_step_reduction_vs_pre_change\": {reduction:.4},"
-                );
-            }
-        }
         if let Some(fifo) = fifo {
             if !std::ptr::eq(seq, fifo) {
                 let wall_red = 1.0 - seq.wall_ms / fifo.wall_ms;
@@ -1529,10 +980,9 @@ mod tests {
     #[test]
     fn rendered_json_roundtrips_through_the_baseline_parser() {
         let w = tiny_workload();
-        let wall = w.runs[0].wall_ms;
         let steps = w.runs[0].steps;
-        let doc = render_json("test", &[w], None);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v8\""));
+        let doc = render_json("test", &[w]);
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v9\""));
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…
@@ -1541,17 +991,10 @@ mod tests {
         assert!(doc.contains("\"results_identical_to_reference\": true"));
         assert!(doc.contains("\"results_identical_across_solvers\": true"));
         assert!(doc.contains("largest_ladder_rung_step_reduction_vs_fifo"));
-        let parsed = parse_baseline_wall_ms(&doc, "rung-tiny").expect("parses back");
-        assert!((parsed - wall).abs() < 0.01, "{parsed} vs {wall}");
         // The first sequential row is the document's primary configuration
-        // (SCC in a default capture), and steps parse exactly.
+        // (the adaptive scheduler), and steps parse exactly.
         assert_eq!(parse_baseline_steps(&doc, "rung-tiny"), Some(steps));
         assert_eq!(parse_baseline_workloads(&doc), vec!["rung-tiny".to_string()]);
-        // A second run fed the first as baseline records the comparison.
-        let w2 = tiny_workload();
-        let doc2 = render_json("test2", &[w2], Some(&doc));
-        assert!(doc2.contains("largest_ladder_rung_wall_reduction_vs_pre_change"));
-        assert!(doc2.contains("largest_ladder_rung_step_reduction_vs_pre_change"));
     }
 
     #[test]
@@ -1567,12 +1010,6 @@ mod tests {
             (fresh.solver.as_str(), fresh.scheduler.as_str()),
             ("sequential", "adaptive")
         );
-        // The pre-change capture mode carries through to the resume records.
-        let fifo_cfg = AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo);
-        let (fresh_fifo, inc_fifo) = measure_resume(&bench, &extra, &fifo_cfg, 1);
-        assert_eq!(fresh_fifo.scheduler, "fifo");
-        assert_eq!(inc_fifo.scheduler, "fifo");
-        assert_eq!(fresh_fifo.reachable_methods, fresh.reachable_methods);
         assert!(
             inc.steps < fresh.steps,
             "incremental {} vs fresh {}",
@@ -1590,7 +1027,7 @@ mod tests {
             sequential_reference_wall_ratio: None,
             interrupt_overhead_wall_ratio: None,
         };
-        let doc = render_json("test", &[w], None);
+        let doc = render_json("test", &[w]);
         assert!(doc.contains("\"resume_incremental_fewer_steps\": true"), "{doc}");
         // …and renders as an unjudged (null) guard when never measured.
         assert!(doc.contains("\"cancel_check_overhead_within_1pct\": null"), "{doc}");
@@ -1599,79 +1036,6 @@ mod tests {
         // The step gate covers resume rungs through their fresh-union row.
         assert_eq!(parse_baseline_workloads(&doc), vec!["resume-tiny".to_string()]);
         assert!(parse_baseline_steps(&doc, "resume-tiny").is_some());
-    }
-
-    #[test]
-    fn serve_block_renders_and_stays_invisible_to_the_step_gate() {
-        let w = tiny_workload();
-        let serve = ServeRecord {
-            name: "serve-2000".to_string(),
-            scheduler: "adaptive".to_string(),
-            roots_queued: 40,
-            batches: 5,
-            coalescing_ratio: 8.0,
-            epochs_published: 12,
-            partial_epochs: 0,
-            queries_total: 90_000,
-            queries_per_sec_during_solve: 1.2e6,
-            publication_latency_ms: 3.25,
-            published_bytes: 48_128,
-            publish_ms: 0.125,
-        };
-        let doc = render_json_with_serve("test", &[w], &[serve], None);
-        assert!(doc.contains("\"serve\": ["), "{doc}");
-        assert!(doc.contains("\"coalescing_ratio\": 8.000"), "{doc}");
-        assert!(doc.contains("\"queries_per_sec_during_solve\": 1200000.0"), "{doc}");
-        assert!(doc.contains("\"published_bytes\": 48128"), "{doc}");
-        assert!(doc.contains("\"publish_ms\": 0.125"), "{doc}");
-        // The step gate's workload scan must not pick the serve record up.
-        assert_eq!(parse_baseline_workloads(&doc), vec!["rung-tiny".to_string()]);
-        // An empty serve family renders no block at all (pre-change capture
-        // mode), and the two entry points agree on everything else.
-        let w2 = tiny_workload();
-        let doc2 = render_json("test", &[w2], None);
-        assert!(!doc2.contains("\"serve\": ["));
-    }
-
-    #[test]
-    fn edit_block_renders_and_stays_invisible_to_the_step_gate() {
-        let spec = BenchmarkSpec::new("edit-tiny", Suite::DaCapo, 60, 0.2);
-        let bench = build_benchmark(&spec);
-        let rec = measure_edits("edit-tiny", &bench, 7, 12, 2, &AnalysisConfig::skipflow());
-        // The seeded script must actually exercise the non-monotone paths
-        // (the generator's op mix makes a mutation-free 12-step script
-        // impossible), and the measurement must have solved something.
-        assert!(rec.script_steps > 0 && rec.solve_points >= 2);
-        assert!(rec.retractions + rec.edits > 0, "script never invalidated: {rec:?}");
-        assert!(rec.invalidated_flows > 0, "{rec:?}");
-        assert!(rec.rederive_fresh_ratio > 0.0);
-        // Rebuilt solves cost what fresh ones do, and only some solve
-        // points follow a rebuild.
-        assert!(rec.rederive_fresh_ratio <= 1.0, "{rec:?}");
-        // The ratio's denominator sums one fresh solve per solve point, so
-        // it exceeds a single fresh solve of the script's final state.
-        let script = skipflow_synth::build_edit_script(&bench, 7, 12, 2);
-        let final_config = AnalysisConfig::skipflow()
-            .with_reflective_roots(bench.reflective_roots.iter().copied())
-            .with_masked_methods(script.final_masked.iter().copied());
-        let final_fresh = analyze(&bench.program, &script.final_roots, &final_config);
-        assert!(rec.fresh_steps > final_fresh.stats().steps, "{rec:?}");
-        assert_eq!(
-            rec.rederive_fresh_ratio,
-            rec.rederive_steps as f64 / rec.fresh_steps as f64
-        );
-
-        let w = tiny_workload();
-        let doc = render_json_document("test", &[w], &[], &[rec], None);
-        assert!(doc.contains("\"edits\": ["), "{doc}");
-        assert!(doc.contains("\"rederive_fresh_ratio\""), "{doc}");
-        // The step gate's workload scan must not pick the edit record up.
-        assert_eq!(parse_baseline_workloads(&doc), vec!["rung-tiny".to_string()]);
-        // An empty edit family renders no block at all (pre-change capture
-        // mode, like serve).
-        let w2 = tiny_workload();
-        let doc2 = render_json_document("test", &[w2], &[], &[], None);
-        assert!(!doc2.contains("\"edits\": ["));
     }
 
     #[test]

@@ -116,10 +116,8 @@ pub struct AnalysisConfig {
     pub(crate) solver: SolverKind,
     /// Worklist scheduling for the sequential solver.
     pub(crate) scheduler: SchedulerKind,
-    /// Safety valve for the fixpoint iteration; `None` means unbounded.
-    pub(crate) max_steps: Option<u64>,
     /// Per-solve worklist-step budget; exceeding it *interrupts* the solve
-    /// (a resumable checkpoint, unlike the assert-based `max_steps` valve).
+    /// (a resumable checkpoint).
     pub(crate) step_budget: Option<u64>,
     /// Per-solve wall-clock budget.
     pub(crate) wall_budget: Option<Duration>,
@@ -147,7 +145,6 @@ impl AnalysisConfig {
             masked_methods: Vec::new(),
             solver: SolverKind::Sequential,
             scheduler: SchedulerKind::Adaptive,
-            max_steps: None,
             step_budget: None,
             wall_budget: None,
             memory_budget: None,
@@ -203,18 +200,10 @@ impl AnalysisConfig {
         self
     }
 
-    /// Sets (or clears, with `None`) the fixpoint step bound. Tests use a
-    /// bound to fail fast on engine bugs; production runs leave it `None`.
-    pub fn with_max_steps(mut self, max_steps: impl Into<Option<u64>>) -> Self {
-        self.max_steps = max_steps.into();
-        self
-    }
-
     /// Sets (or clears, with `None`) the per-solve worklist-step budget.
-    /// Unlike [`AnalysisConfig::with_max_steps`] (an assert-based fail-fast
-    /// valve for tests), exhausting a step budget is not an error: the solve
-    /// returns [`SolveOutcome::Interrupted`](crate::SolveOutcome) with a
-    /// queryable partial snapshot, and the next solve resumes — so
+    /// Exhausting a step budget is not an error: the solve returns
+    /// [`SolveOutcome::Interrupted`](crate::SolveOutcome) with a queryable
+    /// partial snapshot, and the next solve resumes — so
     /// repeatedly solving under a budget of `k` advances the fixpoint `k`
     /// steps at a time until it completes.
     pub fn with_step_budget(mut self, budget: impl Into<Option<u64>>) -> Self {
@@ -365,11 +354,6 @@ impl AnalysisConfig {
         self.scheduler
     }
 
-    /// The fixpoint step bound, if any.
-    pub fn max_steps(&self) -> Option<u64> {
-        self.max_steps
-    }
-
     /// The per-solve worklist-step budget, if any.
     pub fn step_budget(&self) -> Option<u64> {
         self.step_budget
@@ -443,8 +427,7 @@ mod tests {
         let c = c.with_scheduler(SchedulerKind::Fifo).with_saturation(None);
         assert_eq!(c.scheduler(), SchedulerKind::Fifo);
         assert_eq!(c.saturation_threshold(), None);
-        let c = c.with_max_steps(10).with_coarse_exceptions(false);
-        assert_eq!(c.max_steps(), Some(10));
+        let c = c.with_coarse_exceptions(false);
         assert!(!c.coarse_exceptions());
         let c = c.with_scheduler(SchedulerKind::SccPriority);
         assert_eq!(c.scheduler(), SchedulerKind::SccPriority);

@@ -1244,9 +1244,6 @@ impl<'p> Engine<'p> {
         if matches!(self.worklist, Worklist::Scc(_)) && self.g.flow_in_cycle(f) {
             self.sched_stats.steps_in_cycles += 1;
         }
-        if let Some(max) = self.config.max_steps {
-            assert!(self.steps <= max, "analysis exceeded max_steps = {max}");
-        }
         let flow = self.g.flow(f);
         if !flow.enabled {
             // Disabled flows keep accumulating their input until enabled.
@@ -1626,9 +1623,6 @@ impl<'p> Engine<'p> {
     /// One full-join step (reference solver only).
     fn process_reference(&mut self, f: FlowId) {
         self.steps += 1;
-        if let Some(max) = self.config.max_steps {
-            assert!(self.steps <= max, "analysis exceeded max_steps = {max}");
-        }
         if !self.g.flow(f).enabled {
             return;
         }

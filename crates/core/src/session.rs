@@ -81,9 +81,9 @@ use std::time::{Duration, Instant};
 /// # Panics
 ///
 /// Panics on invalid input (unknown root/field ids) —
-/// the session builder reports these as [`AnalysisError`] instead — and if
-/// `config.max_steps` is exceeded (a fail-fast valve for engine bugs in
-/// tests; production runs leave it `None`).
+/// the session builder reports these as [`AnalysisError`] instead — and
+/// when a configured budget runs out (see [`AnalysisSession::solve`]); a
+/// step budget is how tests fail fast on engine bugs.
 pub fn analyze(program: &Program, roots: &[MethodId], config: &AnalysisConfig) -> AnalysisResult {
     let mut session = AnalysisSession::builder(program)
         .config(config.clone())
@@ -180,12 +180,6 @@ impl<'p> SessionBuilder<'p> {
     /// Sets (or clears) the saturation threshold.
     pub fn saturation(mut self, threshold: impl Into<Option<usize>>) -> Self {
         self.config = self.config.with_saturation(threshold);
-        self
-    }
-
-    /// Sets (or clears) the fixpoint step bound (tests' fail-fast valve).
-    pub fn max_steps(mut self, max_steps: impl Into<Option<u64>>) -> Self {
-        self.config = self.config.with_max_steps(max_steps);
         self
     }
 
@@ -469,10 +463,8 @@ impl<'p> AnalysisSession<'p> {
     ///
     /// # Panics
     ///
-    /// Panics if the configured `max_steps` bound is exceeded (the
-    /// fail-fast valve for engine bugs in tests), and on every condition
-    /// [`AnalysisSession::try_solve`] reports as an error — graph-capacity
-    /// exhaustion or an exhausted budget. Use
+    /// Panics on every condition [`AnalysisSession::try_solve`] reports as
+    /// an error — graph-capacity exhaustion or an exhausted budget. Use
     /// [`try_solve`](AnalysisSession::try_solve) (or
     /// [`solve_interruptible`](AnalysisSession::solve_interruptible) for
     /// budgeted runs) to receive those as structured values instead.

@@ -710,7 +710,7 @@ mod tests {
             );
             bb.ret(Some(leaked.unwrap()));
         });
-        let errs = result.err().expect("must be rejected").0;
+        let errs = result.expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::UseBeforeDef { .. })),
             "{errs:?}"
@@ -725,7 +725,7 @@ mod tests {
             bb.push_stmt(Stmt::Assign { def: x, expr: Expr::Const(2) });
             bb.ret(Some(x));
         });
-        let errs = result.err().expect("must be rejected").0;
+        let errs = result.expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::DuplicateDefinition { .. })),
             "{errs:?}"
@@ -742,7 +742,7 @@ mod tests {
         let _ = bb.new_obj(a);
         bb.ret(None);
         pb.set_body(m, bb.finish());
-        let errs = pb.finish().err().expect("must be rejected").0;
+        let errs = pb.finish().expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::NewNotInstantiable { .. })),
             "{errs:?}"
@@ -754,7 +754,7 @@ mod tests {
         let mut pb = ProgramBuilder::new();
         let a = pb.add_class("A");
         pb.method(a, "m").returns(TypeRef::Void).build();
-        let errs = pb.finish().err().expect("must be rejected").0;
+        let errs = pb.finish().expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::MissingBody { .. })),
             "{errs:?}"
@@ -766,7 +766,7 @@ mod tests {
         let result = one_method_program(|bb| {
             bb.ret(None); // method declared to return Prim
         });
-        let errs = result.err().expect("must be rejected").0;
+        let errs = result.expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::BadReturnArity { .. })),
             "{errs:?}"
@@ -793,7 +793,7 @@ mod tests {
             });
             bb.ret(None);
         });
-        let errs = pb.finish().err().expect("must be rejected").0;
+        let errs = pb.finish().expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::InvokeArityMismatch { .. })),
             "{errs:?}"
@@ -805,7 +805,7 @@ mod tests {
         let mut pb = ProgramBuilder::new();
         let i = pb.add_interface("I", &[]);
         pb.add_field(i, "x", TypeRef::Prim);
-        let errs = pb.finish().err().expect("must be rejected").0;
+        let errs = pb.finish().expect_err("must be rejected").0;
         assert!(
             errs.iter().any(|e| matches!(e, ValidationError::InterfaceInstanceField { .. })),
             "{errs:?}"
@@ -823,7 +823,7 @@ mod tests {
             );
             bb.ret(Some(j[0]));
         });
-        let errs = result.err().expect("must be rejected").0;
+        let errs = result.expect_err("must be rejected").0;
         assert!(errs.iter().any(|e| matches!(e, ValidationError::NullTypeTest { .. })), "{errs:?}");
     }
 

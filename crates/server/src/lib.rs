@@ -52,7 +52,7 @@
 //!           | query <session> <q>
 //! source   := synth:<benchmark>        (generated suite program)
 //!           | <path>                   (.sf source or SFBC bytecode)
-//! opt      := scheduler=fifo|scc|adaptive | steps=<n> | ms=<n>
+//! opt      := scheduler=fifo|adaptive | steps=<n ≥ 1> | ms=<n ≥ 1>
 //! root     := <Cls>.<method> | #<method-id>
 //! q        := reachable <root> | reachable-count | call-edges
 //!           | poly-calls | completeness | epoch
@@ -114,3 +114,41 @@ pub use registry::{
     PublishedEpoch, Registry, RegistryStats, ServerConfig, ServerError, SessionHandle, SessionOp,
     SessionStats,
 };
+
+#[cfg(test)]
+mod tests {
+    /// The first ```` ```text ```` block of `doc` whose first line starts
+    /// with `first`, with every line passed through `strip`.
+    fn text_block(doc: &str, strip: fn(&str) -> &str, first: &str) -> String {
+        let lines: Vec<&str> = doc.lines().map(strip).collect();
+        let start = lines
+            .windows(2)
+            .position(|w| w[0] == "```text" && w[1].starts_with(first))
+            .unwrap_or_else(|| panic!("no text block starting with {first:?}"))
+            + 1;
+        let len = lines[start..]
+            .iter()
+            .position(|l| *l == "```")
+            .expect("text block is closed");
+        lines[start..start + len].join("\n")
+    }
+
+    #[test]
+    fn crate_doc_grammar_matches_the_protocol_reference() {
+        let crate_doc = text_block(
+            include_str!("lib.rs"),
+            |l| {
+                l.strip_prefix("//! ")
+                    .or_else(|| l.strip_prefix("//!"))
+                    .unwrap_or(l)
+            },
+            "request  :=",
+        );
+        let reference = text_block(
+            include_str!("../../../docs/PROTOCOL.md"),
+            |l| l,
+            "request  :=",
+        );
+        assert_eq!(crate_doc, reference);
+    }
+}

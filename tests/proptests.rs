@@ -167,9 +167,9 @@ proptest! {
     #[test]
     fn random_programs_satisfy_the_precision_ladder(spec in arb_spec()) {
         let bench = build_benchmark(&spec);
-        let bounded = AnalysisConfig::skipflow().with_max_steps(5_000_000);
+        let bounded = AnalysisConfig::skipflow().with_step_budget(5_000_000);
         let skf = analyze(&bench.program, &bench.roots, &bounded);
-        let pta_cfg = AnalysisConfig::baseline_pta().with_max_steps(5_000_000);
+        let pta_cfg = AnalysisConfig::baseline_pta().with_step_budget(5_000_000);
         let pta = analyze(&bench.program, &bench.roots, &pta_cfg);
         let rta = rapid_type_analysis(&bench.program, &bench.roots);
 

@@ -130,7 +130,7 @@ fn call_graph_edges_and_dot() {
 }
 
 #[test]
-#[should_panic(expected = "max_steps")]
+#[should_panic(expected = "step budget exhausted")]
 fn max_steps_guard_fires() {
     let program = compile(
         "class Main { static method main(): int { return 1; } }",
@@ -138,6 +138,6 @@ fn max_steps_guard_fires() {
     .unwrap();
     let main_cls = program.type_by_name("Main").unwrap();
     let main = program.method_by_name(main_cls, "main").unwrap();
-    let config = AnalysisConfig::skipflow().with_max_steps(1);
+    let config = AnalysisConfig::skipflow().with_step_budget(1);
     let _ = analyze(&program, &[main], &config);
 }
