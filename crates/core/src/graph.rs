@@ -1141,6 +1141,47 @@ impl Pvpg {
         self.methods.get(&m)
     }
 
+    /// Every built method graph, in method-id order.
+    pub fn method_graphs(&self) -> impl Iterator<Item = (MethodId, &MethodGraph)> + '_ {
+        self.methods.iter().map(|(&m, mg)| (m, mg))
+    }
+
+    /// The flows created while `mg` was built, in arena order.
+    pub fn method_flows<'a>(&'a self, mg: &'a MethodGraph) -> impl Iterator<Item = FlowId> + 'a {
+        mg.flows.iter().copied()
+    }
+
+    /// `mg`'s parameter flows, receiver first for instance methods.
+    pub fn method_params<'a>(&'a self, mg: &'a MethodGraph) -> &'a [FlowId] {
+        &mg.params
+    }
+
+    /// `mg`'s call sites, in creation order.
+    pub fn method_sites<'a>(&'a self, mg: &'a MethodGraph) -> &'a [SiteId] {
+        &mg.sites
+    }
+
+    /// `mg`'s `if` records, in creation order.
+    pub fn method_ifs<'a>(&'a self, mg: &'a MethodGraph) -> &'a [IfRecord] {
+        &mg.ifs
+    }
+
+    /// The entry predicate of each of `mg`'s blocks, indexed by block id.
+    pub fn block_preds<'a>(&'a self, mg: &'a MethodGraph) -> &'a [FlowId] {
+        &mg.block_preds
+    }
+
+    /// The statement flows of `block` in `mg`, aligned with the block's
+    /// statements (empty for a block id outside the body).
+    pub fn stmt_flows<'a>(&'a self, mg: &'a MethodGraph, block: BlockId) -> &'a [FlowId] {
+        mg.stmt_flows.get(block.index()).map_or(&[], Vec::as_slice)
+    }
+
+    /// The argument flows of `site`, receiver first for virtual calls.
+    pub fn site_args(&self, site: SiteId) -> &[FlowId] {
+        &self.sites[site.index()].args
+    }
+
     /// Creates an always-enabled injection source bounded by `declared`.
     pub fn add_root_source(&mut self, declared: TypeRef) -> FlowId {
         let mut flow = Flow::new(FlowKind::RootSource { declared }, None, None);

@@ -251,3 +251,59 @@ fn delta_solvers_match_reference_on_loop_call_corpora() {
 }
 
 
+
+/// A method that passes its own parameter back to itself creates the
+/// self use-edge `(p, p)`, the one case where a pushed state's source and
+/// target are the same flow. One static and one virtual recursion, each
+/// wired mid-solve (the static call sits behind a comparison on another
+/// call's result, the virtual one behind receiver dispatch), so both self-edges exist and receive a
+/// push. Results must match the reference under FIFO and Adaptive, and
+/// the join counts are pinned.
+#[test]
+fn self_use_edges_push_like_any_other_edge() {
+    use skipflow::analysis::FlowKind;
+    let program = skipflow::ir::frontend::compile(
+        "class Main {
+           static method id(x: int): int { return x; }
+           static method down(x: int): int {
+             var y = Main.id(x);
+             if (y < 10) { return Main.down(x); }
+             return y;
+           }
+           method spin(x: int): int { return this.spin(x); }
+           static method main(): int {
+             var b = Main.down(any());
+             var m = new Main();
+             return m.spin(b);
+           }
+         }",
+    )
+    .unwrap();
+    let main_cls = program.type_by_name("Main").unwrap();
+    let root = program.method_by_name(main_cls, "main").unwrap();
+    let reference = analyze(
+        &program,
+        &[root],
+        &AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
+    );
+    let mut joins = Vec::new();
+    for scheduler in [SchedulerKind::Fifo, SchedulerKind::Adaptive] {
+        let cfg = AnalysisConfig::skipflow().with_scheduler(scheduler);
+        let result = analyze(&program, &[root], &cfg);
+        let label = format!("self-edge/{scheduler:?}");
+        assert_results_identical(&program, &reference, &result, &label);
+        // Both recursions really did wire a parameter onto itself.
+        let g = result.graph();
+        // `x` is parameter 0 of the static method, 1 behind the receiver.
+        for (name, index) in [("down", 0), ("spin", 1)] {
+            let m = program.method_by_name(main_cls, name).unwrap();
+            let mg = g.method_graph(m).expect("reachable");
+            let x = g.method_params(mg)[index];
+            assert!(matches!(g.flow(x).kind, FlowKind::Param { .. }));
+            assert!(g.use_targets(x).any(|t| t == x), "{name}: self-edge on its parameter");
+        }
+        joins.push(result.stats().state_joins);
+    }
+    joins.push(reference.stats().state_joins);
+    assert_eq!(joins, [21, 21, 21]);
+}
