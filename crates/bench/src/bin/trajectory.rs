@@ -1,6 +1,7 @@
 //! The perf-trajectory binary: runs the synth ladder, the fan-out and
 //! resume rungs, and the table1 corpus (feature ablation), and writes a
-//! `BENCH_PR<n>.json` record (schema `v9`) for the repository's
+//! `BENCH_PR<n>.json` record (schema `v10`: every row carries `build_ms`,
+//! the fragment-build share of its `wall_ms`) for the repository's
 //! performance history.
 //!
 //! ```text
@@ -107,20 +108,21 @@ fn main() {
 
     // Human-readable recap of the scaling families on stdout.
     println!(
-        "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10} {:>10} {:>12} {:>9} {:>7}",
-        "workload", "methods", "config", "solver", "sched", "wall[ms]", "steps", "joins", "reach",
-        "dead"
+        "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10} {:>10} {:>10} {:>12} {:>9} {:>7}",
+        "workload", "methods", "config", "solver", "sched", "wall[ms]", "build[ms]", "steps",
+        "joins", "reach", "dead"
     );
     for w in workloads.iter().filter(|w| w.kind != "table1") {
         for r in &w.runs {
             println!(
-                "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10.2} {:>10} {:>12} {:>9} {:>7}",
+                "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10.2} {:>10.2} {:>10} {:>12} {:>9} {:>7}",
                 w.name,
                 w.generated_methods,
                 r.config,
                 r.solver,
                 r.scheduler,
                 r.wall_ms,
+                r.build_ms,
                 r.steps,
                 r.state_joins,
                 r.reachable_methods,

@@ -22,10 +22,11 @@
 //!   (PTA, predicates only, primitives only, full SkipFlow), sequential
 //!   solver, mirroring the paper's evaluation. Ungated.
 //!
-//! Per run the harness records wall time, worklist steps, state joins (the
-//! propagation volume), the peak flow count, and the precision outcomes
-//! (reachable methods, dead blocks) so perf changes that silently alter
-//! results are caught immediately. All three schedulers are measured side
+//! Per run the harness records wall time and the fragment-build part of it
+//! (`build_ms`, so each row splits into build and propagation), worklist
+//! steps, state joins (the propagation volume), the peak flow count, and
+//! the precision outcomes (reachable methods, dead blocks) so perf changes
+//! that silently alter results are caught immediately. All three schedulers are measured side
 //! by side (`scheduler` field: `adaptive` — the default, primary row —
 //! plus forced `fifo` and `scc`) next to the full-join reference solver,
 //! so one document carries the scheduler comparison. The wall-time guards
@@ -57,6 +58,10 @@ pub struct RunRecord {
     pub flips: u64,
     /// Wall-clock analysis time in milliseconds.
     pub wall_ms: f64,
+    /// The part of `wall_ms` spent building PVPG fragments
+    /// ([`skipflow_core::SolveStats::build`]), from the same run; the rest
+    /// is propagation. Ungated: it is a wall time.
+    pub build_ms: f64,
     /// Worklist steps executed.
     pub steps: u64,
     /// Input-state joins that changed a state.
@@ -186,7 +191,7 @@ pub fn measure_resume(
     // iteration — previously the wall was the min while steps/joins came
     // from whichever iteration ran last, leaving rows internally
     // inconsistent whenever the minimum was not the final iteration.
-    let mut resume_best: Option<(f64, u64, u64, AnalysisResult)> = None;
+    let mut resume_best: Option<(f64, f64, u64, u64, AnalysisResult)> = None;
     for _ in 0..iters.max(1) {
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())
@@ -194,18 +199,20 @@ pub fn measure_resume(
             .build()
             .expect("benchmark roots are valid");
         session.solve();
-        let joins_before = session.snapshot().stats().state_joins;
+        let before = session.snapshot().stats().clone();
         let start = Instant::now();
         session.add_roots(extra.iter().copied()).expect("extra roots are valid");
         session.solve();
         let wall = start.elapsed().as_secs_f64() * 1e3;
         let steps = session.last_solve_steps();
-        let joins = session.snapshot().stats().state_joins - joins_before;
+        let after = session.snapshot().stats().clone();
+        let joins = after.state_joins - before.state_joins;
+        let build = (after.build - before.build).as_secs_f64() * 1e3;
         if resume_best.as_ref().is_none_or(|(w, ..)| wall < *w) {
-            resume_best = Some((wall, steps, joins, session.into_result()));
+            resume_best = Some((wall, build, steps, joins, session.into_result()));
         }
     }
-    let (resume_wall, resume_steps, resume_joins, resumed_result) =
+    let (resume_wall, resume_build, resume_steps, resume_joins, resumed_result) =
         resume_best.expect("at least one incremental run");
 
     assert_eq!(
@@ -218,7 +225,7 @@ pub fn measure_resume(
     assert_eq!(fresh_dead, resumed_dead, "resume dead-block totals diverged");
 
     let scheduler = scheduler_label(&config).to_string();
-    let record = |label: &str, result: &AnalysisResult, wall_ms, steps, joins| {
+    let record = |label: &str, result: &AnalysisResult, wall_ms, build_ms, steps, joins| {
         let sched = &result.stats().scheduler;
         RunRecord {
             config: label.to_string(),
@@ -226,6 +233,7 @@ pub fn measure_resume(
             scheduler: scheduler.clone(),
             flips: sched.flips,
             wall_ms,
+            build_ms,
             steps,
             state_joins: joins,
             flows: result.stats().flows,
@@ -242,6 +250,7 @@ pub fn measure_resume(
             "SkipFlow",
             &fresh_result,
             fresh_wall,
+            fresh_stats.build.as_secs_f64() * 1e3,
             fresh_stats.steps,
             fresh_stats.state_joins,
         ),
@@ -249,6 +258,7 @@ pub fn measure_resume(
             "SkipFlow-resume",
             &resumed_result,
             resume_wall,
+            resume_build,
             resume_steps,
             resume_joins,
         ),
@@ -313,7 +323,8 @@ pub fn measure_run(bench: &Benchmark, config: &AnalysisConfig, iters: usize) -> 
 /// Measures several configurations over the same benchmark with the timed
 /// iterations *interleaved* round-robin (warm-ups first), so heap warm-up
 /// and machine drift hit every configuration equally instead of biasing
-/// whichever happens to run first. Records the best iteration per config.
+/// whichever happens to run first. Records the best iteration per config
+/// (its wall time, fragment-build time and result together).
 pub fn measure_group(
     bench: &Benchmark,
     configs: &[AnalysisConfig],
@@ -335,8 +346,11 @@ pub fn measure_group(
         for (i, config) in configs.iter().enumerate() {
             let start = Instant::now();
             let r = analyze(&bench.program, &bench.roots, config);
-            walls[i] = walls[i].min(start.elapsed().as_secs_f64() * 1e3);
-            results[i] = Some(r);
+            let wall = start.elapsed().as_secs_f64() * 1e3;
+            if wall < walls[i] {
+                walls[i] = wall;
+                results[i] = Some(r);
+            }
         }
     }
     configs
@@ -352,6 +366,7 @@ pub fn measure_group(
                 scheduler: scheduler_label(config).to_string(),
                 flips: stats.scheduler.flips,
                 wall_ms,
+                build_ms: stats.build.as_secs_f64() * 1e3,
                 steps: stats.steps,
                 state_joins: stats.state_joins,
                 flows: stats.flows,
@@ -636,7 +651,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v9\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v10\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -652,7 +667,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
             let _ = writeln!(
                 out,
                 "        {{\"config\": \"{}\", \"solver\": \"{}\", \"scheduler\": \"{}\", \
-                 \"flips\": {}, \"wall_ms\": {:.3}, \
+                 \"flips\": {}, \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
                  \"steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
                  \"order_repairs\": {}, \"scc_merges\": {}, \
@@ -662,6 +677,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
                 json_escape(&r.scheduler),
                 r.flips,
                 r.wall_ms,
+                r.build_ms,
                 r.steps,
                 r.state_joins,
                 r.flows,
@@ -970,6 +986,10 @@ mod tests {
             ("reference", "fifo")
         );
         assert!(seq.steps > 0 && seq.state_joins > 0 && seq.flows > 0);
+        // Every row's fragment-build time is a part of its own wall time.
+        for r in &w.runs {
+            assert!(r.build_ms > 0.0 && r.build_ms <= r.wall_ms, "{r:?}");
+        }
         // The precision guards must agree between solvers and schedulers.
         for r in [fifo, reference] {
             assert_eq!(seq.reachable_methods, r.reachable_methods);
@@ -982,7 +1002,8 @@ mod tests {
         let w = tiny_workload();
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w]);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v9\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v10\""));
+        assert!(doc.contains("\"build_ms\": "), "{doc}");
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…

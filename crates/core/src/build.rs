@@ -16,40 +16,62 @@
 //! filtering flows. A collision on a back edge can only be a filter
 //! refinement of an already-joined definition and is dropped (a sound
 //! over-approximation).
+//!
+//! # Allocation-free growth
+//!
+//! A fragment allocates nothing of its own in steady state. Its lists go to
+//! `Pvpg`-wide pools (see [`MethodGraph`]), and the builder's working state
+//! lives in one engine-owned [`BuildScratch`], reused across fragments: the
+//! per-block `(m, pred)` states are cleared, not freed, so their maps and φ
+//! lists keep their capacity, and the reverse-postorder walk runs in the
+//! scratch's buffers.
+//!
+//! The three build outputs the engine acts on after the build — flows to
+//! enable, initial pushes and catch subscriptions — are *stacks* in the
+//! scratch rather than per-build vectors. Acting on them re-enters the
+//! builder (`enable → link → make_reachable` builds a callee's fragment),
+//! so a single taken buffer would leave every nested build allocating a
+//! fresh one. Instead each fragment notes the stacks' lengths before it
+//! builds, walks its own entries by index (nested builds push above them
+//! and truncate back before returning), and truncates to the noted lengths
+//! when done. The builder itself never re-enters: it returns before any of
+//! its outputs is acted on.
 
 use crate::config::AnalysisConfig;
 use crate::flow::{CallKind, CallSite, Flow, FlowId, FlowKind};
-use crate::graph::{CheckCategory, IfRecord, MethodGraph, Pvpg};
+use crate::graph::{pool_index, CheckCategory, IfRecord, MethodGraph, Pvpg, Span};
 use skipflow_ir::{
-    BlockBegin, BlockEnd, BlockId, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
+    BlockBegin, BlockEnd, BlockId, Body, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
 };
 
-/// Everything the engine needs to integrate a freshly built method graph.
+/// The builder's reusable working state and the engine's build-output
+/// stacks (module docs, "Allocation-free growth").
 #[derive(Debug, Default)]
-pub(crate) struct BuildOutput {
-    /// The per-method graph summary.
-    pub graph: MethodGraph,
-    /// Index of the first flow created for this method (all flows from here
-    /// to the current end of the arena belong to it).
-    pub first_flow: usize,
+pub(crate) struct BuildScratch {
+    /// Per-block construction states; the first `block_count` are live
+    /// during a build, the rest keep their capacity for larger bodies.
+    states: Vec<BlockCtx>,
+    /// Reverse-postorder walk: the order and its traversal scratch.
+    rpo: Vec<BlockId>,
+    rpo_visited: Vec<bool>,
+    rpo_stack: Vec<(BlockId, usize)>,
     /// Flows gated directly by `pred_on`, to be enabled immediately (under
-    /// the predicate-less baseline the engine enables the whole range
-    /// instead).
-    pub enables: Vec<FlowId>,
+    /// the predicate-less baseline the engine enables the whole fragment
+    /// range instead).
+    pub(crate) enables: Vec<FlowId>,
     /// Build-time edges from global flows that may already carry state
     /// (field sinks, the thrown/unsafe pools) and need an initial push.
-    pub pushes: Vec<(FlowId, FlowId)>,
+    pub(crate) pushes: Vec<(FlowId, FlowId)>,
     /// Catch flows to subscribe to instantiated exception types (coarse
     /// exception policy).
-    pub catch_subscribers: Vec<(TypeId, FlowId)>,
+    pub(crate) catch_subscribers: Vec<(TypeId, FlowId)>,
 }
 
 /// A small variable→flow map kept sorted by [`VarId`]: method bodies bind a
 /// handful of SSA variables, so a sorted vector beats a `BTreeMap` on both
-/// lookup and (especially) the per-branch clones `initBlock` performs —
-/// cloning is one allocation instead of one per tree node. The sorted order
-/// also keeps iteration deterministic, which fixes the order implicit φs
-/// are created in.
+/// lookup and the per-branch copies `initBlock` performs (a copy reuses the
+/// target's buffer). The sorted order also keeps iteration deterministic,
+/// which fixes the order implicit φs are created in.
 #[derive(Clone, Debug, Default)]
 struct VarMap {
     entries: Vec<(VarId, FlowId)>,
@@ -94,22 +116,40 @@ struct BlockCtx {
     visited: bool,
 }
 
+impl BlockCtx {
+    /// Resets to the empty state, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.map.entries.clear();
+        self.pred = None;
+        self.phi_pred = None;
+        self.phi_flows.clear();
+        self.phi_defs.clear();
+        self.implicit_phis.clear();
+        self.visited = false;
+    }
+}
+
 struct Builder<'a> {
     g: &'a mut Pvpg,
+    scratch: &'a mut BuildScratch,
     program: &'a Program,
     config: &'a AnalysisConfig,
     method: MethodId,
-    out: BuildOutput,
-    states: Vec<BlockCtx>,
+    /// The fragment's first entry in the block pools.
+    blocks_start: usize,
+    ret: Option<FlowId>,
 }
 
-/// Builds the PVPG fragment for method `m` (which must have a body).
+/// Builds the PVPG fragment for method `m` (which must have a body) and
+/// returns its record; the engine stores it once it has acted on the
+/// fragment's entries on the `scratch` output stacks.
 pub(crate) fn build_method_graph(
     g: &mut Pvpg,
+    scratch: &mut BuildScratch,
     program: &Program,
     config: &AnalysisConfig,
     m: MethodId,
-) -> BuildOutput {
+) -> MethodGraph {
     let first_flow = g.flow_count();
     let body = program
         .method(m)
@@ -117,60 +157,84 @@ pub(crate) fn build_method_graph(
         .as_ref()
         .expect("reachable methods have bodies");
     let n_blocks = body.block_count();
+    if scratch.states.len() < n_blocks {
+        scratch.states.resize_with(n_blocks, BlockCtx::default);
+    }
+    for ctx in &mut scratch.states[..n_blocks] {
+        ctx.clear();
+    }
+
+    // Lay out the block pools and the statement CSR up front: every block
+    // is visited exactly once, so the walk fills each slot exactly once.
+    let first_param = g.param_pool.len();
+    let first_site = g.sites.len();
+    let first_if = g.if_pool.len();
+    let blocks_start = g.block_pred_pool.len();
+    let stmts_start = g.stmt_pool.len();
+    let mut stmt_end = stmts_start;
+    for (_, block) in body.iter_blocks() {
+        g.block_stmt_start.push(pool_index(stmt_end));
+        stmt_end += block.stmts.len();
+    }
+    g.block_pred_pool.resize(blocks_start + n_blocks, g.pred_on);
+    g.stmt_pool.resize(stmt_end, g.pred_on);
 
     let mut b = Builder {
         g,
+        scratch,
         program,
         config,
         method: m,
-        out: BuildOutput {
-            first_flow,
-            ..BuildOutput::default()
-        },
-        states: vec![BlockCtx::default(); n_blocks],
+        blocks_start,
+        ret: None,
     };
-    b.out.graph.stmt_flows = vec![Vec::new(); n_blocks];
-    b.out.graph.block_preds = vec![FlowId(0); n_blocks];
 
     // Pre-create φ_pred and declared-φ flows for every merge, so back edges
     // can connect loop-carried values.
     for (id, block) in body.iter_blocks() {
         if let BlockBegin::Merge { phis, .. } = &block.begin {
             let phi_pred = b.new_flow(FlowKind::PhiPred, Some(id));
-            let ctx = &mut b.states[id.index()];
+            let ctx = &mut b.scratch.states[id.index()];
             ctx.phi_pred = Some(phi_pred);
             ctx.pred = Some(phi_pred);
             for phi in phis {
                 ctx.phi_defs.push(phi.def);
             }
             // φ flows need the φ_pred as predicate.
-            let defs: Vec<VarId> = phis.iter().map(|p| p.def).collect();
-            for def in defs {
+            for phi in phis {
                 let f = b.new_flow(FlowKind::Phi, Some(id));
                 b.g.add_pred(phi_pred, f);
-                let ctx = &mut b.states[id.index()];
+                let ctx = &mut b.scratch.states[id.index()];
                 ctx.phi_flows.push(f);
-                ctx.map.insert(def, f);
+                ctx.map.insert(phi.def, f);
             }
         }
     }
 
-    for block_id in body.reverse_postorder() {
+    body.reverse_postorder_into(
+        &mut b.scratch.rpo,
+        &mut b.scratch.rpo_visited,
+        &mut b.scratch.rpo_stack,
+    );
+    for i in 0..n_blocks {
+        let block_id = b.scratch.rpo[i];
         b.process_block(body, block_id);
     }
 
-    // Record created flows.
-    let graph_flows: Vec<FlowId> = (first_flow..b.g.flow_count())
-        .map(FlowId::from_index)
-        .collect();
-    b.out.graph.flows = graph_flows;
-    let mut out = b.out;
-    // Stamp sites into the method graph (collected during the walk).
-    out.graph.sites.sort_unstable();
-    out.graph.sites.dedup();
+    let ret = b.ret;
+    let g = b.g;
+    let graph = MethodGraph {
+        ret,
+        flows: Span::between(first_flow, g.flow_count()),
+        params: Span::between(first_param, g.param_pool.len()),
+        sites: Span::between(first_site, g.sites.len()),
+        ifs: Span::between(first_if, g.if_pool.len()),
+        blocks: Span::between(blocks_start, g.block_pred_pool.len()),
+        stmts: Span::between(stmts_start, g.stmt_pool.len()),
+    };
     // Freeze this fragment's construction-time edges into CSR storage.
     g.seal_batch(first_flow);
-    out
+    graph
 }
 
 impl Builder<'_> {
@@ -185,7 +249,7 @@ impl Builder<'_> {
         let f = self.new_flow(kind, Some(block));
         self.g.add_pred(pred, f);
         if pred == self.g.pred_on {
-            self.out.enables.push(f);
+            self.scratch.enables.push(f);
         }
         f
     }
@@ -196,9 +260,10 @@ impl Builder<'_> {
             .unwrap_or_else(|| panic!("validated SSA: {v} must be mapped"))
     }
 
-    fn process_block(&mut self, body: &skipflow_ir::Body, id: BlockId) {
-        // Take the accumulated entry context.
-        let mut ctx = std::mem::take(&mut self.states[id.index()]);
+    fn process_block(&mut self, body: &Body, id: BlockId) {
+        // Take the accumulated entry context (handed back, with its
+        // buffers, at the end).
+        let mut ctx = std::mem::take(&mut self.scratch.states[id.index()]);
 
         match &body.block(id).begin {
             BlockBegin::Start { params } => {
@@ -212,7 +277,7 @@ impl Builder<'_> {
                         self.g.pred_on,
                     );
                     ctx.map.insert(*p, f);
-                    self.out.graph.params.push(f);
+                    self.g.param_pool.push(f);
                 }
             }
             BlockBegin::Merge { .. } => {
@@ -231,13 +296,16 @@ impl Builder<'_> {
         }
 
         let pred0 = ctx.pred.expect("entry predicate installed");
-        self.out.graph.block_preds[id.index()] = pred0;
+        let slot = self.blocks_start + id.index();
+        self.g.block_pred_pool[slot] = pred0;
 
-        // Statements (paper Figure 12). `body` is not reachable through
-        // `self`, so iterating it borrows nothing from the builder.
-        for stmt in &body.block(id).stmts {
+        // Statements (paper Figure 12), written into the block's CSR slots.
+        // `body` is not reachable through `self`, so iterating it borrows
+        // nothing from the builder.
+        let stmts_at = self.g.block_stmt_start[slot] as usize;
+        for (k, stmt) in body.block(id).stmts.iter().enumerate() {
             let f = self.process_stmt(&mut ctx, id, stmt);
-            self.out.graph.stmt_flows[id.index()].push(f);
+            self.g.stmt_pool[stmts_at + k] = f;
         }
 
         // Terminator.
@@ -257,11 +325,11 @@ impl Builder<'_> {
                         self.new_predicated_flow(FlowKind::Const(0), id, pred)
                     }
                 };
-                let ret = match self.out.graph.ret {
+                let ret = match self.ret {
                     Some(r) => r,
                     None => {
                         let r = self.new_flow(FlowKind::MethodReturn, Some(id));
-                        self.out.graph.ret = Some(r);
+                        self.ret = Some(r);
                         r
                     }
                 };
@@ -287,7 +355,7 @@ impl Builder<'_> {
                 let category = self.classify(&ctx, cond);
                 let then_pred = self.init_branch(&ctx, id, *then_block, *cond);
                 let else_pred = self.init_branch(&ctx, id, *else_block, cond.invert());
-                self.out.graph.ifs.push(IfRecord {
+                self.g.if_pool.push(IfRecord {
                     block: id,
                     category,
                     then_pred,
@@ -297,7 +365,7 @@ impl Builder<'_> {
         }
 
         ctx.visited = true;
-        self.states[id.index()] = ctx;
+        self.scratch.states[id.index()] = ctx;
     }
 
     fn process_stmt(&mut self, ctx: &mut BlockCtx, id: BlockId, stmt: &Stmt) -> FlowId {
@@ -331,12 +399,12 @@ impl Builder<'_> {
                 } else {
                     let sink = self.g.field_sink(*field);
                     self.g.add_use_dedup(sink, f);
-                    self.out.pushes.push((sink, f));
+                    self.scratch.pushes.push((sink, f));
                 }
                 if self.config.unsafe_fields.contains(field) {
                     let us = self.g.unsafe_sink;
                     self.g.add_use_dedup(us, f);
-                    self.out.pushes.push((us, f));
+                    self.scratch.pushes.push((us, f));
                 }
                 ctx.map.insert(*def, f);
                 f
@@ -378,15 +446,17 @@ impl Builder<'_> {
                 args,
             } => {
                 let recv = self.lookup(ctx, *receiver);
-                let mut arg_flows = vec![recv];
+                let first_arg = self.g.arg_pool.len();
+                self.g.arg_pool.push(recv);
                 for a in args {
-                    arg_flows.push(self.lookup(ctx, *a));
+                    let f = self.lookup(ctx, *a);
+                    self.g.arg_pool.push(f);
                 }
                 let site = self.g.add_site(CallSite {
                     kind: CallKind::Virtual,
                     flow: FlowId(0), // patched below
                     receiver: Some(recv),
-                    args: arg_flows,
+                    args: Span::between(first_arg, self.g.arg_pool.len()),
                     selector: Some(*selector),
                     static_target: None,
                     caller: self.method,
@@ -397,7 +467,6 @@ impl Builder<'_> {
                 let f = self.new_predicated_flow(FlowKind::Invoke { site }, id, pred);
                 self.g.site_mut(site).flow = f;
                 self.g.add_observe(recv, f);
-                self.out.graph.sites.push(site);
                 ctx.map.insert(*def, f);
                 // The invocation becomes the predicate for what follows
                 // (paper §3 "Method Invocations as Predicates").
@@ -405,12 +474,16 @@ impl Builder<'_> {
                 f
             }
             Stmt::InvokeStatic { def, target, args } => {
-                let arg_flows: Vec<FlowId> = args.iter().map(|a| self.lookup(ctx, *a)).collect();
+                let first_arg = self.g.arg_pool.len();
+                for a in args {
+                    let f = self.lookup(ctx, *a);
+                    self.g.arg_pool.push(f);
+                }
                 let site = self.g.add_site(CallSite {
                     kind: CallKind::Static,
                     flow: FlowId(0),
                     receiver: None,
-                    args: arg_flows,
+                    args: Span::between(first_arg, self.g.arg_pool.len()),
                     selector: None,
                     static_target: Some(*target),
                     caller: self.method,
@@ -420,7 +493,6 @@ impl Builder<'_> {
                 });
                 let f = self.new_predicated_flow(FlowKind::InvokeStatic { site }, id, pred);
                 self.g.site_mut(site).flow = f;
-                self.out.graph.sites.push(site);
                 ctx.map.insert(*def, f);
                 ctx.pred = Some(f);
                 f
@@ -429,9 +501,9 @@ impl Builder<'_> {
                 let f = self.new_predicated_flow(FlowKind::CatchAll { ty: *ty }, id, pred);
                 let sink = self.g.thrown_sink;
                 self.g.add_use_dedup(sink, f);
-                self.out.pushes.push((sink, f));
+                self.scratch.pushes.push((sink, f));
                 if self.config.coarse_exceptions {
-                    self.out.catch_subscribers.push((*ty, f));
+                    self.scratch.catch_subscribers.push((*ty, f));
                 }
                 ctx.map.insert(*def, f);
                 f
@@ -440,9 +512,9 @@ impl Builder<'_> {
     }
 
     /// The paper's `propagate` (Figure 13), adjusted for pre-created φs.
-    fn propagate(&mut self, body: &skipflow_ir::Body, ctx: &BlockCtx, from: BlockId, target: BlockId) {
+    fn propagate(&mut self, body: &Body, ctx: &BlockCtx, from: BlockId, target: BlockId) {
         let t_idx = target.index();
-        let phi_pred = self.states[t_idx]
+        let phi_pred = self.scratch.states[t_idx]
             .phi_pred
             .expect("jump targets are merge blocks");
         let pred = ctx.pred.unwrap();
@@ -455,7 +527,7 @@ impl Builder<'_> {
         // header whose predecessor predicate is `pred_on` would stay
         // disabled and everything in the loop body would be wrongly dead.
         if pred == self.g.pred_on {
-            self.out.enables.push(phi_pred);
+            self.scratch.enables.push(phi_pred);
         }
 
         // Connect declared φ arguments for this predecessor position.
@@ -465,7 +537,7 @@ impl Builder<'_> {
                 .position(|p| *p == from)
                 .expect("validated merge predecessor lists");
             for (phi, k) in phis.iter().zip(0..) {
-                let phi_flow = self.states[t_idx].phi_flows[k];
+                let phi_flow = self.scratch.states[t_idx].phi_flows[k];
                 let src = self.lookup(ctx, phi.args[j]);
                 self.g.add_use(src, phi_flow);
             }
@@ -473,33 +545,34 @@ impl Builder<'_> {
 
         // Collision-based propagation of the remaining mappings (filter
         // redefinitions and plain inherited values). `ctx` is the caller's
-        // local context, disjoint from `self.states`, so no copy is needed.
+        // local context, disjoint from the scratch states, so no copy is
+        // needed.
         for (v, f) in ctx.map.iter() {
-            if self.states[t_idx].phi_defs.contains(&v) {
+            let st = &mut self.scratch.states[t_idx];
+            if st.phi_defs.contains(&v) {
                 continue;
             }
-            let existing = self.states[t_idx].map.get(v);
-            match existing {
+            match st.map.get(v) {
                 None => {
-                    if !self.states[t_idx].visited {
-                        self.states[t_idx].map.insert(v, f);
+                    if !st.visited {
+                        st.map.insert(v, f);
                     }
                 }
                 Some(e) if e == f => {}
                 Some(e) => {
-                    if self.states[t_idx].visited {
+                    if st.visited {
                         // Back edge: the collision is a filter refinement of
                         // an already-joined definition; drop it (sound).
                         continue;
                     }
-                    if self.states[t_idx].implicit_phis.contains(&e) {
+                    if st.implicit_phis.contains(&e) {
                         self.g.add_use(f, e);
                     } else {
                         let nf = self.new_flow(FlowKind::Phi, Some(target));
                         self.g.add_pred(phi_pred, nf);
                         self.g.add_use(e, nf);
                         self.g.add_use(f, nf);
-                        let st = &mut self.states[t_idx];
+                        let st = &mut self.scratch.states[t_idx];
                         st.map.insert(v, nf);
                         st.implicit_phis.push(nf);
                     }
@@ -512,13 +585,18 @@ impl Builder<'_> {
     /// the branch block's entry state and returns its entry predicate.
     fn init_branch(&mut self, ctx: &BlockCtx, from: BlockId, target: BlockId, cond: Cond) -> FlowId {
         let pred = ctx.pred.unwrap();
-        let mut t_map = ctx.map.clone();
+        // A branch block has the `if` as its only predecessor: its entry
+        // map is a copy of this block's map, written into its own buffer.
+        let t_idx = target.index();
+        let t_map = &mut self.scratch.states[t_idx].map.entries;
+        t_map.clear();
+        t_map.extend_from_slice(&ctx.map.entries);
         let t_pred = match cond {
             Cond::InstanceOf { var, ty, negated } => {
                 let f = self.new_predicated_flow(FlowKind::TypeFilter { ty, negated }, from, pred);
                 let src = self.lookup(ctx, var);
                 self.g.add_use(src, f);
-                t_map.insert(var, f);
+                self.scratch.states[t_idx].map.insert(var, f);
                 f
             }
             Cond::Cmp { op, lhs, rhs } => {
@@ -527,21 +605,19 @@ impl Builder<'_> {
                 let fl = self.new_predicated_flow(FlowKind::CmpFilter { op, other: r }, from, pred);
                 self.g.add_use(l, fl);
                 self.g.add_observe(r, fl);
-                t_map.insert(lhs, fl);
+                self.scratch.states[t_idx].map.insert(lhs, fl);
                 let fr = self
                     .new_predicated_flow(FlowKind::CmpFilter { op: op.flip(), other: l }, from, fl);
                 // Chained predicates: b.pred ⇝ f_l ⇝ f_r.
                 self.g.add_use(r, fr);
                 self.g.add_observe(l, fr);
-                t_map.insert(rhs, fr);
+                self.scratch.states[t_idx].map.insert(rhs, fr);
                 fr
             }
         };
-        let st = &mut self.states[target.index()];
-        st.map = t_map;
+        let st = &mut self.scratch.states[t_idx];
         st.pred = Some(t_pred);
-        st
-            .phi_pred = None;
+        st.phi_pred = None;
         t_pred
     }
 
@@ -574,9 +650,18 @@ mod tests {
     use super::*;
     use skipflow_ir::{BodyBuilder, BranchExit, CmpOp, ProgramBuilder, TypeRef};
 
+    /// Builds `m`'s fragment into a fresh graph and scratch.
+    fn build(program: &Program, m: MethodId) -> (Pvpg, BuildScratch, MethodGraph) {
+        let mut g = Pvpg::new();
+        let mut scratch = BuildScratch::default();
+        let config = AnalysisConfig::skipflow();
+        let mg = build_method_graph(&mut g, &mut scratch, program, &config, m);
+        (g, scratch, mg)
+    }
+
     fn build_single(
         body_f: impl FnOnce(&mut BodyBuilder),
-    ) -> (Program, Pvpg, BuildOutput) {
+    ) -> (Program, Pvpg, BuildScratch, MethodGraph) {
         let mut pb = ProgramBuilder::new();
         let a = pb.add_class("A");
         let m = pb.method(a, "run").static_().returns(TypeRef::Prim).build();
@@ -584,31 +669,29 @@ mod tests {
         body_f(&mut bb);
         pb.set_body(m, bb.finish());
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
         let m = program.method_by_name(program.type_by_name("A").unwrap(), "run").unwrap();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        (program, g, out)
+        let (g, scratch, mg) = build(&program, m);
+        (program, g, scratch, mg)
     }
 
     #[test]
     fn straight_line_flows_are_pred_on_gated() {
-        let (_, g, out) = build_single(|bb| {
+        let (_, g, scratch, mg) = build_single(|bb| {
             let c = bb.const_(5);
             bb.ret(Some(c));
         });
         // const + return site + method return.
-        assert_eq!(out.graph.flows.len(), 3);
+        assert_eq!(mg.flows.len(), 3);
         // The constant is gated by pred_on and queued for enabling.
-        assert_eq!(out.enables.len(), 2, "const and return site");
+        assert_eq!(scratch.enables.len(), 2, "const and return site");
         let (_, preds, _) = g.edge_counts();
         assert!(preds >= 2);
-        assert!(out.graph.ret.is_some());
+        assert!(mg.ret.is_some());
     }
 
     #[test]
     fn if_creates_filter_chain_and_records_category() {
-        let (_, g, out) = build_single(|bb| {
+        let (_, g, _, mg) = build_single(|bb| {
             let x = bb.any_prim();
             let ten = bb.const_(10);
             let j = bb.if_else(
@@ -618,8 +701,8 @@ mod tests {
             );
             bb.ret(Some(j[0]));
         });
-        assert_eq!(out.graph.ifs.len(), 1);
-        let rec = &out.graph.ifs[0];
+        assert_eq!(g.method_ifs(&mg).len(), 1);
+        let rec = &g.method_ifs(&mg)[0];
         assert_eq!(rec.category, CheckCategory::Prim);
         // then_pred is the flipped filter f_r whose predicate is f_l.
         let fr = g.flow(rec.then_pred);
@@ -650,10 +733,8 @@ mod tests {
             bb.ret(Some(j[0]));
         });
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        assert_eq!(out.graph.ifs[0].category, CheckCategory::Null);
+        let (g, _, mg) = build(&program, m);
+        assert_eq!(g.method_ifs(&mg)[0].category, CheckCategory::Null);
     }
 
     #[test]
@@ -676,10 +757,8 @@ mod tests {
             bb.ret(Some(j[0]));
         });
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        let rec = &out.graph.ifs[0];
+        let (g, _, mg) = build(&program, m);
+        let rec = &g.method_ifs(&mg)[0];
         assert_eq!(rec.category, CheckCategory::Type);
         assert!(matches!(
             g.flow(rec.then_pred).kind,
@@ -712,19 +791,14 @@ mod tests {
             bb.ret(Some(r));
         });
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        assert_eq!(out.graph.sites.len(), 1);
-        let site = g.site(out.graph.sites[0]);
+        let (g, _, mg) = build(&program, m);
+        assert_eq!(g.method_sites(&mg).len(), 1);
+        let site = g.site(g.method_sites(&mg).next().unwrap());
         let invoke_flow = site.flow;
         // The const created after the invoke is predicated by the invoke.
-        let const_flow = out
-            .graph
-            .flows
-            .iter()
-            .find(|&&f| matches!(g.flow(f).kind, FlowKind::Const(9)))
-            .copied()
+        let const_flow = g
+            .method_flows(&mg)
+            .find(|&f| matches!(g.flow(f).kind, FlowKind::Const(9)))
             .unwrap();
         assert!(
             g.pred_targets(invoke_flow).any(|t| t == const_flow),
@@ -734,7 +808,7 @@ mod tests {
 
     #[test]
     fn loop_phis_receive_back_edge_use_edges() {
-        let (_, g, out) = build_single(|bb| {
+        let (_, g, _, mg) = build_single(|bb| {
             let zero = bb.const_(0);
             let hundred = bb.const_(100);
             let after = bb.while_loop(
@@ -746,18 +820,12 @@ mod tests {
         });
         // Find the φ flow: it must have two incoming use edges — one from the
         // initial constant, one from the loop-body AnyPrim.
-        let phi = out
-            .graph
-            .flows
-            .iter()
-            .find(|&&f| matches!(g.flow(f).kind, FlowKind::Phi))
-            .copied()
+        let phi = g
+            .method_flows(&mg)
+            .find(|&f| matches!(g.flow(f).kind, FlowKind::Phi))
             .expect("loop φ exists");
-        let incoming: Vec<FlowId> = out
-            .graph
-            .flows
-            .iter()
-            .copied()
+        let incoming: Vec<FlowId> = g
+            .method_flows(&mg)
             .filter(|&f| g.use_targets(f).any(|t| t == phi))
             .collect();
         assert_eq!(incoming.len(), 2, "initial value and back-edge value");
@@ -773,16 +841,11 @@ mod tests {
         let m = pb.method(a, "run").static_().returns(TypeRef::Void).build();
         pb.set_trivial_body(m, None);
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        let ret = out.graph.ret.unwrap();
+        let (g, _, mg) = build(&program, m);
+        let ret = mg.ret.unwrap();
         // The return site feeding the method return is a Const(0) token.
-        let token = out
-            .graph
-            .flows
-            .iter()
-            .copied()
+        let token = g
+            .method_flows(&mg)
             .find(|&f| g.use_targets(f).any(|t| t == ret))
             .unwrap();
         assert!(matches!(g.flow(token).kind, FlowKind::Const(0)));
@@ -799,15 +862,10 @@ mod tests {
             bb.throw(e);
         });
         let program = pb.finish().unwrap();
-        let mut g = Pvpg::new();
-        let config = AnalysisConfig::skipflow();
-        let out = build_method_graph(&mut g, &program, &config, m);
-        assert!(out.graph.ret.is_none(), "throwing methods have no return flow");
-        let throw_site = out
-            .graph
-            .flows
-            .iter()
-            .copied()
+        let (g, _, mg) = build(&program, m);
+        assert!(mg.ret.is_none(), "throwing methods have no return flow");
+        let throw_site = g
+            .method_flows(&mg)
             .find(|&f| matches!(g.flow(f).kind, FlowKind::ThrowSite))
             .unwrap();
         assert!(g.use_targets(throw_site).any(|t| t == g.thrown_sink));

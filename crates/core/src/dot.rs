@@ -6,7 +6,6 @@
 use crate::flow::{FlowId, FlowKind};
 use crate::report::AnalysisSnapshot;
 use skipflow_ir::{MethodId, Program};
-use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 fn flow_label(result: &AnalysisSnapshot<'_>, program: &Program, f: FlowId) -> String {
@@ -51,8 +50,11 @@ fn flow_label(result: &AnalysisSnapshot<'_>, program: &Program, f: FlowId) -> St
     format!("{kind}\\n{state}")
 }
 
-/// Renders the PVPG fragment of one reachable method as Graphviz `dot`.
-/// Returns `None` if the method was never reached (it has no fragment).
+/// Renders the PVPG fragment of one reachable method as Graphviz `dot`:
+/// the method's own flows and the edges among them. Global flows the
+/// fragment's build happened to create (a static field's sink) are not
+/// drawn. Returns `None` if the method was never reached (it has no
+/// fragment).
 /// Takes any [`AnalysisSnapshot`] view — pass `result.snapshot()` for an
 /// owned [`crate::AnalysisResult`].
 pub fn method_pvpg_dot(
@@ -60,8 +62,11 @@ pub fn method_pvpg_dot(
     program: &Program,
     method: MethodId,
 ) -> Option<String> {
-    let mg = result.graph().method_graph(method)?;
-    let in_set: BTreeSet<FlowId> = mg.flows.iter().copied().collect();
+    let g = result.graph();
+    let mg = g.method_graph(method)?;
+    // The fragment's flows are one contiguous arena range; membership is
+    // a range check plus the owner test that excludes global flows.
+    let own = |f: FlowId| mg.flows.contains(f.index()) && g.flow(f).method == Some(method);
     let mut out = String::new();
     let _ = writeln!(out, "digraph pvpg {{");
     let _ = writeln!(out, "  rankdir=TB;");
@@ -71,8 +76,8 @@ pub fn method_pvpg_dot(
         program.method_label(method)
     );
     let _ = writeln!(out, "  node [shape=box, fontname=\"monospace\"];");
-    for &f in &mg.flows {
-        let flow = result.graph().flow(f);
+    for f in g.method_flows(mg).filter(|&f| own(f)) {
+        let flow = g.flow(f);
         let color = if flow.is_active() {
             "red"
         } else if flow.enabled {
@@ -88,15 +93,14 @@ pub fn method_pvpg_dot(
         );
     }
     // Edges within the fragment (cross-method edges are summarized).
-    let g = result.graph();
-    for &f in &mg.flows {
+    for f in g.method_flows(mg).filter(|&f| own(f)) {
         for t in g.use_targets(f) {
-            if in_set.contains(&t) {
+            if own(t) {
                 let _ = writeln!(out, "  n{} -> n{};", f.index(), t.index());
             }
         }
         for t in g.pred_targets(f) {
-            if in_set.contains(&t) {
+            if own(t) {
                 let _ = writeln!(
                     out,
                     "  n{} -> n{} [style=dashed, arrowhead=empty];",
@@ -106,7 +110,7 @@ pub fn method_pvpg_dot(
             }
         }
         for t in g.observe_targets(f) {
-            if in_set.contains(&t) {
+            if own(t) {
                 let _ = writeln!(out, "  n{} -> n{} [style=dotted];", f.index(), t.index());
             }
         }
@@ -154,6 +158,36 @@ mod tests {
         // active (red).
         assert!(dot.contains("color=grey"), "{dot}");
         assert!(dot.contains("color=red"), "{dot}");
+    }
+
+    #[test]
+    fn static_field_sinks_are_not_drawn_as_the_method_s_flows() {
+        // `get`'s build creates the sink of `Main.flag` on first access, so
+        // the sink's id falls inside `get`'s flow range; it is global.
+        let program = compile(
+            "class Main {
+               static var flag: int;
+               static method get(): int { return Main.flag; }
+               static method main(): int { return Main.get(); }
+             }",
+        )
+        .unwrap();
+        let main_cls = program.type_by_name("Main").unwrap();
+        let main = program.method_by_name(main_cls, "main").unwrap();
+        let get = program.method_by_name(main_cls, "get").unwrap();
+        let result = analyze(&program, &[main], &AnalysisConfig::skipflow());
+        let g = result.graph();
+        let mg = g.method_graph(get).expect("reachable");
+        assert!(
+            g.method_flows(mg).any(|f| matches!(g.flow(f).kind, FlowKind::FieldSink { .. })),
+            "the sink sits in get's flow range"
+        );
+        let dot = method_pvpg_dot(&result.snapshot(), &program, get).expect("reachable");
+        assert!(dot.contains("LoadField flag"), "{dot}");
+        assert!(!dot.contains("label=\"Field flag"), "{dot}");
+        let nodes = dot.lines().filter(|l| l.contains("[label=")).count();
+        let own = g.method_flows(mg).filter(|&f| g.flow(f).method == Some(get)).count();
+        assert_eq!(nodes, own, "{dot}");
     }
 
     #[test]

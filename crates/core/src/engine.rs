@@ -250,7 +250,7 @@
 //! interrupt at every `k`, resume, and require bit-identical results to an
 //! uninterrupted solve across every solver × scheduler combination.
 
-use crate::build::{build_method_graph, BuildOutput};
+use crate::build::{build_method_graph, BuildScratch};
 use crate::compare::compare;
 use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
 use crate::error::AnalysisError;
@@ -590,6 +590,11 @@ pub(crate) struct Engine<'p> {
     sched_stats: SchedulerStats,
     steps: u64,
     state_joins: u64,
+    /// The fragment builder's reusable scratch and the build-output stacks
+    /// (`crate::build` module docs, "Allocation-free growth").
+    build: BuildScratch,
+    /// Wall time spent inside `build_method_graph` (engine-lifetime).
+    build_time: Duration,
 }
 
 impl<'p> Engine<'p> {
@@ -649,6 +654,8 @@ impl<'p> Engine<'p> {
             sched_stats: SchedulerStats::default(),
             steps: 0,
             state_joins: 0,
+            build: BuildScratch::default(),
+            build_time: Duration::ZERO,
         }
     }
 
@@ -756,8 +763,10 @@ impl<'p> Engine<'p> {
     /// A freshly bootstrapped engine for this engine's configuration under
     /// the current mask, with no roots: the session swaps it in on a
     /// non-monotone mutation (module docs, "Resume"). Fault-plan triggers
-    /// that already fired stay consumed.
-    pub(crate) fn rebuilt(&self) -> Engine<'p> {
+    /// that already fired stay consumed. The fragment builder's scratch
+    /// moves to the new engine, which rebuilds every reached fragment, so
+    /// the rebuild starts with warm buffers.
+    pub(crate) fn rebuilt(&mut self) -> Engine<'p> {
         let mut config = self.config.clone();
         config.masked_methods = self.masked_list();
         #[cfg(feature = "fault-inject")]
@@ -765,6 +774,7 @@ impl<'p> Engine<'p> {
             config.fault_plan = self.fault.clone();
         }
         let mut engine = Engine::new(self.program, config);
+        engine.build = std::mem::take(&mut self.build);
         engine.bootstrap();
         engine
     }
@@ -980,6 +990,7 @@ impl<'p> Engine<'p> {
             interrupt: self.interrupt_stats,
             invalidation,
             duration,
+            build: self.build_time,
         }
     }
 
@@ -1070,8 +1081,7 @@ impl<'p> Engine<'p> {
     /// fires, at which point its first step pushes everything accumulated.
     fn join_in(&mut self, target: FlowId, state: &ValueState) {
         let flow = self.g.flow_mut(target);
-        if flow.in_state.join(state) {
-            maybe_saturate(&mut flow.in_state, self.config.saturation_threshold);
+        if join_state(flow, state, self.config.saturation_threshold) {
             self.state_joins += 1;
             if flow.enabled {
                 self.enqueue(target);
@@ -1114,23 +1124,40 @@ impl<'p> Engine<'p> {
     }
 
     /// Builds `m`'s PVPG fragment and runs its enable-time actions. The
-    /// graph is inserted into [`Pvpg::methods`] only after those actions
-    /// ran, so a self-recursive static call linked while enabling the body
+    /// graph is recorded in the [`Pvpg`] only after those actions ran, so
+    /// a self-recursive static call linked while enabling the body
     /// observes no callee graph and stays unwired.
+    ///
+    /// The actions are this fragment's entries on the build-output stacks,
+    /// walked by index: they can build further fragments, which push above
+    /// them and truncate back before returning (`crate::build` module
+    /// docs, "Allocation-free growth").
     fn build_fragment(&mut self, m: MethodId) {
-        let out: BuildOutput = build_method_graph(&mut self.g, self.program, &self.config, m);
+        let enables_from = self.build.enables.len();
+        let pushes_from = self.build.pushes.len();
+        let catches_from = self.build.catch_subscribers.len();
+        let started = Instant::now();
+        let mg = build_method_graph(&mut self.g, &mut self.build, self.program, &self.config, m);
+        self.build_time += started.elapsed();
+        let (enables_to, pushes_to, catches_to) = (
+            self.build.enables.len(),
+            self.build.pushes.len(),
+            self.build.catch_subscribers.len(),
+        );
         self.sync_queued();
         if self.config.predicates {
-            for f in out.enables {
+            for i in enables_from..enables_to {
+                let f = self.build.enables[i];
                 self.enable(f);
             }
         } else {
             // Baseline: every flow is enabled at creation.
-            for i in out.first_flow..self.g.flow_count() {
-                self.enable(FlowId::from_index(i));
+            for f in self.g.method_flows(&mg) {
+                self.enable(f);
             }
         }
-        for (s, t) in out.pushes {
+        for i in pushes_from..pushes_to {
+            let (s, t) = self.build.pushes[i];
             // Seed defaults for field sinks created during construction
             // (static-field accesses wire their sink at build time).
             for end in [s, t] {
@@ -1140,10 +1167,14 @@ impl<'p> Engine<'p> {
             }
             self.push_state(s, t);
         }
-        for (ty, f) in out.catch_subscribers {
+        for i in catches_from..catches_to {
+            let (ty, f) = self.build.catch_subscribers[i];
             self.subscribe(ty, f);
         }
-        self.g.methods.insert(m, out.graph);
+        self.build.enables.truncate(enables_from);
+        self.build.pushes.truncate(pushes_from);
+        self.build.catch_subscribers.truncate(catches_from);
+        self.g.set_method_graph(m, mg);
     }
 
     /// Marks `m` as a root: reachable, with parameters injected per the
@@ -1156,11 +1187,11 @@ impl<'p> Engine<'p> {
     /// Injects every instantiated subtype of each parameter's declared type
     /// into `m`'s parameters (nothing while `m` has no fragment).
     fn inject_params(&mut self, m: MethodId) {
-        let Some(graph) = self.g.methods.get(&m) else { return };
-        let params = graph.params.clone();
+        let Some(&graph) = self.g.method_graph(m) else { return };
         let md = self.program.method(m);
-        for (i, p) in params.iter().enumerate() {
-            self.inject(*p, md.param_type(i));
+        for i in 0..self.g.method_params(&graph).len() {
+            let p = self.g.method_params(&graph)[i];
+            self.inject(p, md.param_type(i));
         }
     }
 
@@ -1458,22 +1489,23 @@ impl<'p> Engine<'p> {
         if self.program.method(target).is_abstract {
             return;
         }
-        let (args, invoke_flow) = {
-            let s = self.g.site(site);
-            (s.args.clone(), s.flow)
-        };
+        let invoke_flow = self.g.site(site).flow;
         self.g.set_fragment_anchor(Some(invoke_flow));
         self.make_reachable(target);
         self.g.set_fragment_anchor(None);
-        let Some(callee) = self.g.methods.get(&target) else { return };
-        let params = callee.params.clone();
-        let ret = callee.ret;
-        for (a, p) in args.iter().zip(params.iter()) {
-            if self.g.add_use_dedup(*a, *p) {
-                self.push_state(*a, *p);
+        let Some(&callee) = self.g.method_graph(target) else { return };
+        // Arguments and parameters are read by index from their pools: the
+        // pushes below can grow the pools (never rewrite them), so each
+        // read re-borrows instead of holding a slice across a push.
+        let n = self.g.site_args(site).len().min(self.g.method_params(&callee).len());
+        for i in 0..n {
+            let a = self.g.site_args(site)[i];
+            let p = self.g.method_params(&callee)[i];
+            if self.g.add_use_dedup(a, p) {
+                self.push_state(a, p);
             }
         }
-        if let Some(r) = ret {
+        if let Some(r) = callee.ret {
             if self.g.add_use_dedup(r, invoke_flow) {
                 self.push_state(r, invoke_flow);
             }
@@ -1483,11 +1515,30 @@ impl<'p> Engine<'p> {
     /// Pushes `s`'s current output into `t`'s input, respecting the
     /// only-enabled-flows-propagate rule. Used when an edge is added after
     /// its source already carries state (not on the steady-state step path).
+    /// The join reads the source in place; only a self-edge (`s == t`,
+    /// a method passing its parameter back to itself) clones the state.
     fn push_state(&mut self, s: FlowId, t: FlowId) {
-        let src = self.g.flow(s);
-        if src.enabled && src.out_state.is_non_empty() {
-            let out = src.out_state.clone();
-            self.join_in(t, &out);
+        if s == t {
+            let src = self.g.flow(s);
+            if src.enabled && src.out_state.is_non_empty() {
+                let out = src.out_state.clone();
+                self.join_in(t, &out);
+            }
+            return;
+        }
+        let [src, dst] = self
+            .g
+            .flows
+            .get_disjoint_mut([s.index(), t.index()])
+            .expect("distinct flows in the arena");
+        if !(src.enabled && src.out_state.is_non_empty()) {
+            return;
+        }
+        if join_state(dst, &src.out_state, self.config.saturation_threshold) {
+            self.state_joins += 1;
+            if dst.enabled {
+                self.enqueue(t);
+            }
         }
     }
 
@@ -1539,7 +1590,7 @@ impl<'p> Engine<'p> {
     /// also leaves unwired (see [`Engine::build_fragment`]).
     fn resurrect_body(&mut self, m: MethodId, is_root: bool) {
         if !self.reachable.contains(m.index())
-            || self.g.methods.contains_key(&m)
+            || self.g.method_graph(m).is_some()
             || self.program.method(m).body.is_none()
             || self.overflow.is_some()
         {
@@ -1553,8 +1604,8 @@ impl<'p> Engine<'p> {
             return;
         }
         let mut callers: Vec<SiteId> = Vec::new();
-        for mg in self.g.methods.values() {
-            for &site in &mg.sites {
+        for (_, mg) in self.g.method_graphs() {
+            for site in self.g.method_sites(mg) {
                 if self.g.site(site).linked_set.contains(m.index()) {
                     callers.push(site);
                 }
@@ -1650,6 +1701,17 @@ impl<'p> Engine<'p> {
             completeness,
         )
     }
+}
+
+/// Joins `state` into `flow`'s input, then saturates: the one input join
+/// of both [`Engine::join_in`] and the in-place [`Engine::push_state`].
+/// Returns whether the input changed.
+fn join_state(flow: &mut Flow, state: &ValueState, threshold: Option<usize>) -> bool {
+    let changed = flow.in_state.join(state);
+    if changed {
+        maybe_saturate(&mut flow.in_state, threshold);
+    }
+    changed
 }
 
 /// The TypeCheck rule: keep (or remove, negated) subtypes of `ty`.

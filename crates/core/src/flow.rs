@@ -261,9 +261,11 @@ pub struct CallSite {
     pub flow: FlowId,
     /// The receiver flow (virtual calls only).
     pub receiver: Option<FlowId>,
-    /// Argument flows, *including* the receiver at index 0 for virtual
-    /// calls — positionally aligned with the callee's body parameters.
-    pub args: Vec<FlowId>,
+    /// Argument flows in the graph's argument pool, *including* the
+    /// receiver at index 0 for virtual calls — positionally aligned with
+    /// the callee's body parameters. Read them through
+    /// [`crate::Pvpg::site_args`].
+    pub(crate) args: crate::graph::Span,
     /// Dispatch selector (virtual calls).
     pub selector: Option<skipflow_ir::SelectorId>,
     /// Statically bound target (static calls).

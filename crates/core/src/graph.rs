@@ -11,7 +11,8 @@
 
 use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
 use skipflow_ir::{BlockId, FieldId, MethodId, TypeRef};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher};
 
 const NO_SPILL: u32 = u32::MAX;
 
@@ -915,25 +916,114 @@ pub struct IfRecord {
     pub else_pred: FlowId,
 }
 
+/// Narrows a pool length or index to the `u32` the pools are indexed by,
+/// like flow ids; panics if a pool outgrows that (4 billion entries).
+pub(crate) fn pool_index(i: usize) -> u32 {
+    u32::try_from(i).expect("PVPG pools are indexed by u32")
+}
+
+/// A half-open range `start..end` of indices into one of the [`Pvpg`]'s
+/// arenas or pools. Unlike `Range<u32>` it is `Copy`, which keeps
+/// [`MethodGraph`] a plain value.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Span {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+}
+
+impl Span {
+    /// The span from `start` to the current length `end` of a pool.
+    pub(crate) fn between(start: usize, end: usize) -> Self {
+        Span {
+            start: pool_index(start),
+            end: pool_index(end),
+        }
+    }
+
+    pub(crate) fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    pub(crate) fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    pub(crate) fn contains(self, i: usize) -> bool {
+        self.range().contains(&i)
+    }
+}
+
 /// The PVPG fragment of one method, plus reporting metadata.
-#[derive(Clone, Debug, Default)]
+///
+/// A small `Copy` record of [`Span`]s: the fragment's lists live in
+/// `Pvpg`-wide arenas and pools, appended to once per fragment, so building
+/// a fragment allocates nothing of its own. Read the lists through the
+/// graph's accessors ([`Pvpg::method_flows`], [`Pvpg::method_params`],
+/// [`Pvpg::method_sites`], [`Pvpg::method_ifs`], [`Pvpg::block_preds`] and
+/// [`Pvpg::stmt_flows`]).
+#[derive(Clone, Copy, Debug, Default)]
 pub struct MethodGraph {
-    /// Parameter flows, receiver first for instance methods.
-    pub params: Vec<FlowId>,
     /// The method-return flow (joins all return sites).
     pub ret: Option<FlowId>,
-    /// Call sites in source order.
-    pub sites: Vec<SiteId>,
-    /// All flows created for the method.
-    pub flows: Vec<FlowId>,
-    /// Per-`if` records for the counter metrics.
-    pub ifs: Vec<IfRecord>,
-    /// Entry predicate of each basic block (indexed by block id);
-    /// block-level liveness = that flow is active.
-    pub block_preds: Vec<FlowId>,
-    /// One flow per (block, statement) pair for instruction-level liveness,
-    /// aligned with the body's statement enumeration.
-    pub stmt_flows: Vec<Vec<FlowId>>,
+    /// The flow arena range `first_flow..end` created while the fragment
+    /// was built. It can contain global flows the build created on first
+    /// use (a static field's sink), whose `method` is `None`.
+    pub(crate) flows: Span,
+    /// Parameter flows (receiver first for instance methods), in the
+    /// parameter pool.
+    pub(crate) params: Span,
+    /// Call sites, in creation order: a range of the site arena itself,
+    /// since every site is created by exactly one fragment build.
+    pub(crate) sites: Span,
+    /// `if` records, in the if pool.
+    pub(crate) ifs: Span,
+    /// One entry per basic block, indexed by block id, in the block pools:
+    /// the entry predicate (block liveness = that flow is active) and the
+    /// start of the block's statement flows.
+    pub(crate) blocks: Span,
+    /// All statement flows of the body, in the statement pool: a CSR whose
+    /// per-block starts sit in the block pool.
+    pub(crate) stmts: Span,
+}
+
+/// Builds a hasher for the dynamic-edge dedup set: its keys are
+/// `(source << 32) | target` over dense, engine-assigned flow ids — never
+/// values taken from the input — so one multiply spreads them, and folding
+/// the high half into the low half feeds the bits hashbrown picks buckets
+/// from.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EdgeKeyHash;
+
+/// The hasher [`EdgeKeyHash`] builds; it accepts only `u64` keys.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct EdgeKeyHasher(u64);
+
+impl BuildHasher for EdgeKeyHash {
+    type Hasher = EdgeKeyHasher;
+
+    fn build_hasher(&self) -> EdgeKeyHasher {
+        EdgeKeyHasher(0)
+    }
+}
+
+impl Hasher for EdgeKeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge keys hash as u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+}
+
+/// The dedup key of the edge `s → t`.
+fn edge_key(s: FlowId, t: FlowId) -> u64 {
+    (u64::from(s.0) << 32) | u64::from(t.0)
 }
 
 /// The whole-program PVPG.
@@ -955,21 +1045,38 @@ pub struct Pvpg {
     pub thrown_sink: FlowId,
     /// Global pool of unsafe-accessed field values.
     pub unsafe_sink: FlowId,
-    /// Per-method graphs, created when a method becomes reachable.
-    pub methods: BTreeMap<MethodId, MethodGraph>,
+    /// Per-method graphs, indexed by method id; an entry is set when the
+    /// method's fragment is built.
+    methods: Vec<Option<MethodGraph>>,
+    /// Parameter flows of every fragment ([`MethodGraph::params`]).
+    pub(crate) param_pool: Vec<FlowId>,
+    /// Argument flows of every call site ([`CallSite::args`]).
+    pub(crate) arg_pool: Vec<FlowId>,
+    /// `if` records of every fragment ([`MethodGraph::ifs`]).
+    pub(crate) if_pool: Vec<IfRecord>,
+    /// Entry predicate of every block of every fragment
+    /// ([`MethodGraph::blocks`]).
+    pub(crate) block_pred_pool: Vec<FlowId>,
+    /// Start of each block's statement flows in `stmt_pool`, aligned with
+    /// `block_pred_pool`.
+    pub(crate) block_stmt_start: Vec<u32>,
+    /// Statement flows of every fragment ([`MethodGraph::stmts`]).
+    pub(crate) stmt_pool: Vec<FlowId>,
     /// Per-field sinks, created on first access.
     field_sinks: HashMap<FieldId, FlowId>,
-    /// Dedup set for dynamically added use edges (field/invoke linking).
-    dynamic_use_edges: HashSet<(FlowId, FlowId)>,
+    /// Dedup set for dynamically added use edges (field/invoke linking),
+    /// keyed by [`edge_key`].
+    dynamic_use_edges: HashSet<u64, EdgeKeyHash>,
     /// Online topological order / SCC maintenance over the value-carrying
     /// edges, kept current through every flow and edge mutation. Enabled by
     /// the engine for the schedulers that read priorities
     /// ([`Pvpg::enable_online_order`]); `None` for the FIFO oracle and the
     /// reference solver, which must not pay for it.
     topo: Option<OnlineTopo>,
-    /// Value edges added while a construction batch was open (static-field
-    /// and unsafe-sink wiring): the online order absorbs them at
-    /// [`Pvpg::seal_batch`], when its searches can walk the sealed pools.
+    /// Value edges the online order absorbs at the next
+    /// [`Pvpg::seal_batch`]: those added while a construction batch was
+    /// open (static-field and unsafe-sink wiring), then the batch's own.
+    /// Reused across batches.
     topo_deferred: Vec<(FlowId, FlowId)>,
 }
 
@@ -985,9 +1092,15 @@ impl Pvpg {
             pred_on: FlowId(0),
             thrown_sink: FlowId(0),
             unsafe_sink: FlowId(0),
-            methods: BTreeMap::new(),
+            methods: Vec::new(),
+            param_pool: Vec::new(),
+            arg_pool: Vec::new(),
+            if_pool: Vec::new(),
+            block_pred_pool: Vec::new(),
+            block_stmt_start: Vec::new(),
+            stmt_pool: Vec::new(),
             field_sinks: HashMap::new(),
-            dynamic_use_edges: HashSet::new(),
+            dynamic_use_edges: HashSet::default(),
             topo: None,
             topo_deferred: Vec::new(),
         };
@@ -1052,7 +1165,7 @@ impl Pvpg {
     /// solving: field accesses and invoke linking); goes straight to the
     /// spill arena. Returns `true` if the edge is new.
     pub fn add_use_dedup(&mut self, s: FlowId, t: FlowId) -> bool {
-        if self.dynamic_use_edges.insert((s, t)) {
+        if self.dynamic_use_edges.insert(edge_key(s, t)) {
             let n = self.flows.len();
             self.uses.push_spill(s, t, n);
             if self.uses.pending.is_empty() && self.observes.pending.is_empty() {
@@ -1088,18 +1201,20 @@ impl Pvpg {
     /// seal, so its searches can walk the CSR pools.
     pub fn seal_batch(&mut self, first_flow: usize) {
         let n = self.flows.len();
-        let feed = self
-            .topo
-            .is_some()
-            .then(|| (self.uses.pending.clone(), self.observes.pending.clone()));
+        if self.topo.is_some() {
+            // Queue the batch's value edges behind the deferred ones: the
+            // pools drain their pending buffers when they seal.
+            self.topo_deferred.extend_from_slice(&self.uses.pending);
+            self.topo_deferred.extend_from_slice(&self.observes.pending);
+        }
         self.uses.seal(first_flow, n);
         self.preds.seal(first_flow, n);
         self.observes.seal(first_flow, n);
-        if let (Some(topo), Some((u, o))) = (self.topo.as_mut(), feed) {
-            let deferred = std::mem::take(&mut self.topo_deferred);
-            for (s, t) in deferred.into_iter().chain(u).chain(o) {
+        if let Some(topo) = self.topo.as_mut() {
+            for &(s, t) in &self.topo_deferred {
                 topo.insert_edge(s, t, &self.uses, &self.observes);
             }
+            self.topo_deferred.clear();
         }
     }
 
@@ -1136,50 +1251,72 @@ impl Pvpg {
         self.field_sinks.get(&field).copied()
     }
 
-    /// The method graph of `m`, if the method has become reachable.
+    /// The method graph of `m`, if its fragment has been built.
     pub fn method_graph(&self, m: MethodId) -> Option<&MethodGraph> {
-        self.methods.get(&m)
+        self.methods.get(m.index())?.as_ref()
+    }
+
+    /// Records `m`'s built fragment.
+    pub(crate) fn set_method_graph(&mut self, m: MethodId, mg: MethodGraph) {
+        if self.methods.len() <= m.index() {
+            self.methods.resize(m.index() + 1, None);
+        }
+        self.methods[m.index()] = Some(mg);
     }
 
     /// Every built method graph, in method-id order.
     pub fn method_graphs(&self) -> impl Iterator<Item = (MethodId, &MethodGraph)> + '_ {
-        self.methods.iter().map(|(&m, mg)| (m, mg))
+        self.methods
+            .iter()
+            .enumerate()
+            .filter_map(|(i, mg)| Some((MethodId::from_index(i), mg.as_ref()?)))
     }
 
-    /// The flows created while `mg` was built, in arena order.
-    pub fn method_flows<'a>(&'a self, mg: &'a MethodGraph) -> impl Iterator<Item = FlowId> + 'a {
-        mg.flows.iter().copied()
+    /// The flows created while `mg` was built, in arena order (see
+    /// [`MethodGraph`] for the global flows this range can include).
+    pub fn method_flows(&self, mg: &MethodGraph) -> impl Iterator<Item = FlowId> + 'static {
+        mg.flows.range().map(FlowId::from_index)
     }
 
     /// `mg`'s parameter flows, receiver first for instance methods.
-    pub fn method_params<'a>(&'a self, mg: &'a MethodGraph) -> &'a [FlowId] {
-        &mg.params
+    pub fn method_params(&self, mg: &MethodGraph) -> &[FlowId] {
+        &self.param_pool[mg.params.range()]
     }
 
     /// `mg`'s call sites, in creation order.
-    pub fn method_sites<'a>(&'a self, mg: &'a MethodGraph) -> &'a [SiteId] {
-        &mg.sites
+    pub fn method_sites(&self, mg: &MethodGraph) -> impl ExactSizeIterator<Item = SiteId> + 'static {
+        mg.sites.range().map(SiteId::from_index)
     }
 
     /// `mg`'s `if` records, in creation order.
-    pub fn method_ifs<'a>(&'a self, mg: &'a MethodGraph) -> &'a [IfRecord] {
-        &mg.ifs
+    pub fn method_ifs(&self, mg: &MethodGraph) -> &[IfRecord] {
+        &self.if_pool[mg.ifs.range()]
     }
 
     /// The entry predicate of each of `mg`'s blocks, indexed by block id.
-    pub fn block_preds<'a>(&'a self, mg: &'a MethodGraph) -> &'a [FlowId] {
-        &mg.block_preds
+    pub fn block_preds(&self, mg: &MethodGraph) -> &[FlowId] {
+        &self.block_pred_pool[mg.blocks.range()]
     }
 
     /// The statement flows of `block` in `mg`, aligned with the block's
     /// statements (empty for a block id outside the body).
-    pub fn stmt_flows<'a>(&'a self, mg: &'a MethodGraph, block: BlockId) -> &'a [FlowId] {
-        mg.stmt_flows.get(block.index()).map_or(&[], Vec::as_slice)
+    pub fn stmt_flows(&self, mg: &MethodGraph, block: BlockId) -> &[FlowId] {
+        if block.index() >= mg.blocks.len() {
+            return &[];
+        }
+        let b = mg.blocks.start as usize + block.index();
+        let start = self.block_stmt_start[b] as usize;
+        let end = if block.index() + 1 < mg.blocks.len() {
+            self.block_stmt_start[b + 1] as usize
+        } else {
+            mg.stmts.end as usize
+        };
+        &self.stmt_pool[start..end]
     }
 
     /// The argument flows of `site`, receiver first for virtual calls.
     pub fn site_args(&self, site: SiteId) -> &[FlowId] {
-        &self.sites[site.index()].args
+        &self.arg_pool[self.sites[site.index()].args.range()]
     }
 
     /// Creates an always-enabled injection source bounded by `declared`.

@@ -183,7 +183,7 @@ pub fn compute_metrics(result: &AnalysisSnapshot<'_>, program: &Program) -> Metr
         ..Metrics::default()
     };
 
-    for (&method, mg) in &g.methods {
+    for (method, mg) in g.method_graphs() {
         let body = match &program.method(method).body {
             Some(b) => b,
             None => continue,
@@ -191,8 +191,9 @@ pub fn compute_metrics(result: &AnalysisSnapshot<'_>, program: &Program) -> Metr
 
         // Branching-instruction counters: a check survives when the `if`
         // itself is live and neither branch is proven dead.
-        for rec in &mg.ifs {
-            let if_live = g.flow(mg.block_preds[rec.block.index()]).is_active();
+        let block_preds = g.block_preds(mg);
+        for rec in g.method_ifs(mg) {
+            let if_live = g.flow(block_preds[rec.block.index()]).is_active();
             if !if_live {
                 continue;
             }
@@ -210,11 +211,11 @@ pub fn compute_metrics(result: &AnalysisSnapshot<'_>, program: &Program) -> Metr
         // Live instructions: statements whose flows are enabled, plus one
         // terminator per live block.
         for (bi, _block) in body.iter_blocks() {
-            let block_live = g.flow(mg.block_preds[bi.index()]).is_active();
+            let block_live = g.flow(block_preds[bi.index()]).is_active();
             if block_live {
                 m.live_instructions += 1; // terminator
             }
-            for &f in &mg.stmt_flows[bi.index()] {
+            for &f in g.stmt_flows(mg, bi) {
                 if g.flow(f).enabled {
                     m.live_instructions += 1;
                 }

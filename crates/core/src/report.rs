@@ -34,7 +34,8 @@ use std::time::Duration;
 /// rebuilds the engine ([`crate::AnalysisSession::retract_roots`]) — that
 /// covers `steps`, `state_joins`, the graph sizes, and the `scheduler`
 /// and `interrupt` families (including the sticky adaptive flip). Only
-/// `solves`, `duration` and `invalidation` are session-cumulative.
+/// `solves`, `duration` and `invalidation` are session-cumulative; `build`
+/// belongs to the engine like `steps`.
 #[derive(Clone, Debug, Default)]
 pub struct SolveStats {
     /// Worklist steps executed (cumulative across resumes of the current
@@ -64,6 +65,11 @@ pub struct SolveStats {
     pub invalidation: InvalidationStats,
     /// Wall-clock analysis time (session-cumulative).
     pub duration: Duration,
+    /// Wall time spent building PVPG fragments, the part of the analysis
+    /// that is not propagation: every fragment the engine built, whether
+    /// at root injection or discovered mid-solve. Engine-lifetime, like
+    /// `steps`; an engine rebuild re-builds and re-times every fragment.
+    pub build: Duration,
 }
 
 /// The set of reachable methods: a bitset for O(1) membership plus the ids
@@ -218,7 +224,7 @@ impl<'a> AnalysisSnapshot<'a> {
     /// methods).
     pub fn param_state(&self, m: MethodId, i: usize) -> Option<&'a ValueState> {
         let mg = self.graph.method_graph(m)?;
-        let p = *mg.params.get(i)?;
+        let p = *self.graph.method_params(mg).get(i)?;
         Some(&self.graph.flow(p).out_state)
     }
 
@@ -228,9 +234,9 @@ impl<'a> AnalysisSnapshot<'a> {
         let Some(mg) = self.graph.method_graph(m) else {
             return Vec::new();
         };
-        mg.sites
-            .iter()
-            .map(|&s| {
+        self.graph
+            .method_sites(mg)
+            .map(|s| {
                 let site = self.graph.site(s);
                 CallSiteInfo {
                     site: s,
@@ -248,7 +254,8 @@ impl<'a> AnalysisSnapshot<'a> {
         let Some(mg) = self.graph.method_graph(m) else {
             return Vec::new();
         };
-        mg.block_preds
+        self.graph
+            .block_preds(mg)
             .iter()
             .map(|&p| self.graph.flow(p).is_active())
             .collect()
@@ -278,14 +285,14 @@ impl<'a> AnalysisSnapshot<'a> {
     /// `block` in `m` (for fine-grained assertions in tests).
     pub fn stmt_state(&self, m: MethodId, block: BlockId, stmt: usize) -> Option<&'a ValueState> {
         let mg = self.graph.method_graph(m)?;
-        let f = *mg.stmt_flows.get(block.index())?.get(stmt)?;
+        let f = *self.graph.stmt_flows(mg, block).get(stmt)?;
         Some(&self.graph.flow(f).out_state)
     }
 
     /// Whether the flow of statement `stmt` in `block` of `m` is enabled.
     pub fn stmt_enabled(&self, m: MethodId, block: BlockId, stmt: usize) -> Option<bool> {
         let mg = self.graph.method_graph(m)?;
-        let f = *mg.stmt_flows.get(block.index())?.get(stmt)?;
+        let f = *self.graph.stmt_flows(mg, block).get(stmt)?;
         Some(self.graph.flow(f).enabled)
     }
 
@@ -344,8 +351,8 @@ impl<'a> AnalysisSnapshot<'a> {
     /// applications the paper's introduction cites.
     pub fn call_graph_edges(&self) -> Vec<CallEdge> {
         let mut edges = Vec::new();
-        for (&caller, mg) in &self.graph.methods {
-            for &site in &mg.sites {
+        for (caller, mg) in self.graph.method_graphs() {
+            for site in self.graph.method_sites(mg) {
                 let s = self.graph.site(site);
                 if !self.graph.flow(s.flow).enabled {
                     continue;
@@ -367,8 +374,8 @@ impl<'a> AnalysisSnapshot<'a> {
     /// PolyCalls counter, shared with [`crate::CallGraphQuery`]).
     pub fn poly_call_sites(&self) -> usize {
         let mut n = 0;
-        for mg in self.graph.methods.values() {
-            for &site in &mg.sites {
+        for (_, mg) in self.graph.method_graphs() {
+            for site in self.graph.method_sites(mg) {
                 let s = self.graph.site(site);
                 if s.kind == CallKind::Virtual
                     && self.graph.flow(s.flow).enabled
@@ -390,8 +397,8 @@ impl<'a> AnalysisSnapshot<'a> {
         let mut sites = Vec::new();
         let mut targets = Vec::new();
         let mut poly_calls = 0;
-        for (&caller, mg) in &self.graph.methods {
-            for (ordinal, &id) in mg.sites.iter().enumerate() {
+        for (caller, mg) in self.graph.method_graphs() {
+            for (ordinal, id) in self.graph.method_sites(mg).enumerate() {
                 let site = self.graph.site(id);
                 if site.linked.is_empty() || !self.graph.flow(site.flow).enabled {
                     continue;

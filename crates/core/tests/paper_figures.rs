@@ -181,9 +181,7 @@ fn fig7_onexit_pvpg_structure() {
     let mg = g.method_graph(on_exit).expect("reachable");
 
     let find = |pred: &dyn Fn(&FlowKind) -> bool| -> skipflow_core::FlowId {
-        mg.flows
-            .iter()
-            .copied()
+        g.method_flows(mg)
             .find(|&f| pred(&g.flow(f).kind))
             .expect("flow exists")
     };

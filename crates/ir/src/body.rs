@@ -144,11 +144,29 @@ impl Body {
     /// block receives a position (the PVPG builder still creates flows for
     /// them; they simply stay disabled).
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
+        let mut order = Vec::with_capacity(self.blocks.len());
+        self.reverse_postorder_into(&mut order, &mut Vec::new(), &mut Vec::new());
+        order
+    }
+
+    /// [`Body::reverse_postorder`] into caller-owned buffers: `order`
+    /// receives the result, `visited` and `stack` are traversal scratch.
+    /// All three are cleared first, so a caller walking many bodies reuses
+    /// their capacity instead of allocating per body.
+    pub fn reverse_postorder_into(
+        &self,
+        order: &mut Vec<BlockId>,
+        visited: &mut Vec<bool>,
+        stack: &mut Vec<(BlockId, usize)>,
+    ) {
         let n = self.blocks.len();
-        let mut visited = vec![false; n];
-        let mut postorder = Vec::with_capacity(n);
-        // Iterative DFS to avoid recursion depth limits on deep CFGs.
-        let mut stack: Vec<(BlockId, usize)> = vec![(BlockId::ENTRY, 0)];
+        order.clear();
+        visited.clear();
+        visited.resize(n, false);
+        stack.clear();
+        // Iterative DFS to avoid recursion depth limits on deep CFGs;
+        // `order` collects the postorder, reversed below.
+        stack.push((BlockId::ENTRY, 0));
         visited[BlockId::ENTRY.index()] = true;
         while let Some((block, child)) = stack.pop() {
             if let Some(s) = self.blocks[block.index()].end.successors().nth(child) {
@@ -158,16 +176,15 @@ impl Body {
                     stack.push((s, 0));
                 }
             } else {
-                postorder.push(block);
+                order.push(block);
             }
         }
-        postorder.reverse();
+        order.reverse();
         for (i, seen) in visited.iter().enumerate() {
             if !seen {
-                postorder.push(BlockId::from_index(i));
+                order.push(BlockId::from_index(i));
             }
         }
-        postorder
     }
 
     /// All variables defined in the body, in definition order: parameters,
@@ -267,6 +284,20 @@ mod tests {
         let rpo = body.reverse_postorder();
         assert_eq!(rpo.len(), 5);
         assert_eq!(*rpo.last().unwrap(), b(4));
+    }
+
+    #[test]
+    fn rpo_into_reused_buffers_matches_a_fresh_walk() {
+        let mut small = diamond();
+        small.blocks.truncate(1);
+        small.blocks[0].end = BlockEnd::Return(None);
+        let (mut order, mut visited, mut stack) = (Vec::new(), Vec::new(), Vec::new());
+        // Larger body first, so the smaller walk starts from dirty buffers.
+        for body in [diamond(), small] {
+            body.reverse_postorder_into(&mut order, &mut visited, &mut stack);
+            assert_eq!(order, body.reverse_postorder());
+        }
+        assert_eq!(order, vec![b(0)]);
     }
 
     #[test]

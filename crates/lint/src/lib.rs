@@ -39,13 +39,15 @@ use std::path::Path;
 /// The production surface is exactly two modules — the publication cell and
 /// the model-check shim (whose job is to wrap the unsafe primitives) — plus
 /// the shim's own test suites, which must forge raw-pointer misuse to prove
-/// the explorer catches it.
+/// the explorer catches it, and the allocation-count test, whose counting
+/// `#[global_allocator]` must implement the unsafe `GlobalAlloc` trait.
 pub const UNSAFE_FILE_ALLOWLIST: &[&str] = &[
     "crates/server/src/publish.rs",
     "crates/modelcheck/src/sched.rs",
     "crates/modelcheck/src/shim.rs",
     "crates/modelcheck/tests/explorer.rs",
     "crates/modelcheck/tests/passthrough.rs",
+    "tests/alloc_counts.rs",
 ];
 
 /// Files allowed to name `std::sync::atomic` directly: only the shim, which

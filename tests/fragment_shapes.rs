@@ -78,7 +78,7 @@ fn fingerprint(g: &Pvpg, program: &skipflow::ir::Program) -> u64 {
         h.debug(&mg.ret);
         let sites = g.method_sites(mg);
         h.usize(sites.len());
-        for &s in sites {
+        for s in sites {
             h.usize(s.index());
             h.usize(g.site(s).flow.index());
             targets(&mut h, g.site_args(s).iter().copied());
