@@ -164,8 +164,9 @@ pub(crate) fn build_method_graph(
         ctx.clear();
     }
 
-    // Lay out the block pools and the statement CSR up front: every block
-    // is visited exactly once, so the walk fills each slot exactly once.
+    // Lay out the block pools and the statement CSR up front (`pred_on`
+    // is a placeholder): every block is visited exactly once, so the walk
+    // overwrites each slot exactly once.
     let first_param = g.param_pool.len();
     let first_site = g.sites.len();
     let first_if = g.if_pool.len();
@@ -197,14 +198,12 @@ pub(crate) fn build_method_graph(
             let ctx = &mut b.scratch.states[id.index()];
             ctx.phi_pred = Some(phi_pred);
             ctx.pred = Some(phi_pred);
-            for phi in phis {
-                ctx.phi_defs.push(phi.def);
-            }
             // φ flows need the φ_pred as predicate.
             for phi in phis {
                 let f = b.new_flow(FlowKind::Phi, Some(id));
                 b.g.add_pred(phi_pred, f);
                 let ctx = &mut b.scratch.states[id.index()];
+                ctx.phi_defs.push(phi.def);
                 ctx.phi_flows.push(f);
                 ctx.map.insert(phi.def, f);
             }

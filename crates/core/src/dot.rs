@@ -179,14 +179,18 @@ mod tests {
         let g = result.graph();
         let mg = g.method_graph(get).expect("reachable");
         assert!(
-            g.method_flows(mg).any(|f| matches!(g.flow(f).kind, FlowKind::FieldSink { .. })),
+            g.method_flows(mg)
+                .any(|f| matches!(g.flow(f).kind, FlowKind::FieldSink { .. })),
             "the sink sits in get's flow range"
         );
         let dot = method_pvpg_dot(&result.snapshot(), &program, get).expect("reachable");
         assert!(dot.contains("LoadField flag"), "{dot}");
         assert!(!dot.contains("label=\"Field flag"), "{dot}");
         let nodes = dot.lines().filter(|l| l.contains("[label=")).count();
-        let own = g.method_flows(mg).filter(|&f| g.flow(f).method == Some(get)).count();
+        let own = g
+            .method_flows(mg)
+            .filter(|&f| g.flow(f).method == Some(get))
+            .count();
         assert_eq!(nodes, own, "{dot}");
     }
 

@@ -1495,8 +1495,7 @@ impl<'p> Engine<'p> {
         self.g.set_fragment_anchor(None);
         let Some(&callee) = self.g.method_graph(target) else { return };
         // Arguments and parameters are read by index from their pools: the
-        // pushes below can grow the pools (never rewrite them), so each
-        // read re-borrows instead of holding a slice across a push.
+        // loop body mutates the graph, so no slice can be held across it.
         let n = self.g.site_args(site).len().min(self.g.method_params(&callee).len());
         for i in 0..n {
             let a = self.g.site_args(site)[i];

@@ -7,7 +7,18 @@
 //! while edges discovered during solving (field wiring, invoke linking) go
 //! to a linked spill arena. Worklist steps iterate successors through a
 //! [`EdgeCursor`] — a `Copy` value that survives re-borrows — so the engine
-//! never clones an edge list.
+//! never clones an edge list. Dynamic use edges are deduplicated through a
+//! set keyed by the packed `(source, target)` pair under a one-multiply
+//! hash (flow ids are dense engine-assigned indices, not input values).
+//!
+//! Per-method summaries follow the same layout. A [`MethodGraph`] is a
+//! `Copy` record of index ranges into graph-wide pools — parameters, `if`
+//! records, per-block entry predicates, and statement flows as a CSR with
+//! per-block starts — plus ranges of the flow and call-site arenas
+//! themselves, which a fragment fills contiguously. Call-site arguments
+//! live in one more pool. The records sit in a dense table indexed by
+//! method id, so iteration is in id order. Growing the graph therefore
+//! allocates only when an arena or pool doubles.
 
 use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
 use skipflow_ir::{BlockId, FieldId, MethodId, TypeRef};
@@ -955,7 +966,7 @@ impl Span {
 
 /// The PVPG fragment of one method, plus reporting metadata.
 ///
-/// A small `Copy` record of [`Span`]s: the fragment's lists live in
+/// A small `Copy` record of index ranges: the fragment's lists live in
 /// `Pvpg`-wide arenas and pools, appended to once per fragment, so building
 /// a fragment allocates nothing of its own. Read the lists through the
 /// graph's accessors ([`Pvpg::method_flows`], [`Pvpg::method_params`],
@@ -1284,7 +1295,10 @@ impl Pvpg {
     }
 
     /// `mg`'s call sites, in creation order.
-    pub fn method_sites(&self, mg: &MethodGraph) -> impl ExactSizeIterator<Item = SiteId> + 'static {
+    pub fn method_sites(
+        &self,
+        mg: &MethodGraph,
+    ) -> impl ExactSizeIterator<Item = SiteId> + 'static {
         mg.sites.range().map(SiteId::from_index)
     }
 

@@ -7,7 +7,10 @@
 //! reached method on a ladder program (dominated by fragment build) and
 //! per call edge on a shared-sink fan-out (dominated by call linking).
 //! Growing the graph is meant to allocate only when one of its shared
-//! arenas or pools doubles, so both ratios stay small constants.
+//! arenas or pools doubles, so fragment builds and call links add almost
+//! nothing; what remains is propagation (value states growing and being
+//! copied). The bounds sit just above the measured counts, which are
+//! deterministic: the analysis is, and the counters see only this thread.
 
 use skipflow::analysis::{AnalysisConfig, AnalysisSession};
 use skipflow::synth::{build_benchmark, BenchmarkSpec, Suite};
@@ -89,16 +92,20 @@ fn ladder_solve_allocations_per_reached_method() {
     let spec = BenchmarkSpec::new("rung-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8);
     let (allocs, methods, _) = measure(&spec);
     let per_method = allocs as f64 / methods as f64;
-    eprintln!("ladder: {allocs} allocations, {methods} reached methods, {per_method:.2} per method");
-    assert!(per_method <= 1e9, "{per_method:.2} allocations per reached method");
+    eprintln!(
+        "ladder: {allocs} allocations, {methods} reached methods, {per_method:.2} per method"
+    );
+    assert!(
+        per_method <= 15.0,
+        "{per_method:.2} allocations per reached method"
+    );
 }
 
 #[test]
 fn fanout_solve_allocations_per_call_edge() {
-    let spec =
-        BenchmarkSpec::new("fanout-100", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
+    let spec = BenchmarkSpec::new("fanout-100", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
     let (allocs, _, edges) = measure(&spec);
     let per_edge = allocs as f64 / edges as f64;
     eprintln!("fanout: {allocs} allocations, {edges} call edges, {per_edge:.2} per call edge");
-    assert!(per_edge <= 1e9, "{per_edge:.2} allocations per call edge");
+    assert!(per_edge <= 1.0, "{per_edge:.2} allocations per call edge");
 }

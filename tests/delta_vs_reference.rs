@@ -300,7 +300,10 @@ fn self_use_edges_push_like_any_other_edge() {
             let mg = g.method_graph(m).expect("reachable");
             let x = g.method_params(mg)[index];
             assert!(matches!(g.flow(x).kind, FlowKind::Param { .. }));
-            assert!(g.use_targets(x).any(|t| t == x), "{name}: self-edge on its parameter");
+            assert!(
+                g.use_targets(x).any(|t| t == x),
+                "{name}: self-edge on its parameter"
+            );
         }
         joins.push(result.stats().state_joins);
     }

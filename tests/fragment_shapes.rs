@@ -60,7 +60,9 @@ fn fingerprint(g: &Pvpg, program: &skipflow::ir::Program) -> u64 {
     let mut h = Fnv::new();
     let mut methods = 0usize;
     for m in (0..program.method_count()).map(MethodId::from_index) {
-        let Some(mg) = g.method_graph(m) else { continue };
+        let Some(mg) = g.method_graph(m) else {
+            continue;
+        };
         methods += 1;
         h.usize(m.index());
         let flows: Vec<_> = g.method_flows(mg).collect();
@@ -132,7 +134,6 @@ fn ladder_fragment_shapes_are_pinned() {
 
 #[test]
 fn shared_sink_fragment_shapes_are_pinned() {
-    let spec =
-        BenchmarkSpec::new("fanout-100", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
+    let spec = BenchmarkSpec::new("fanout-100", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
     assert_eq!(fingerprint_of(&spec), 9793394209361792785);
 }
