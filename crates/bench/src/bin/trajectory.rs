@@ -1,7 +1,8 @@
 //! The perf-trajectory binary: runs the synth ladder, the fan-out and
 //! resume rungs, and the table1 corpus (feature ablation), and writes a
-//! `BENCH_PR<n>.json` record (schema `v10`: every row carries `build_ms`,
-//! the fragment-build share of its `wall_ms`) for the repository's
+//! `BENCH_PR<n>.json` record (schema `v11`: every row carries `build_ms`,
+//! the fragment-build share of its `wall_ms`, and no longer the
+//! always-zero `order_repairs`/`scc_merges`) for the repository's
 //! performance history.
 //!
 //! ```text

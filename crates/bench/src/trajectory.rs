@@ -70,13 +70,6 @@ pub struct RunRecord {
     pub flows: usize,
     /// Use edges in the final PVPG.
     pub use_edges: usize,
-    /// Order-violating edge insertions the online order repaired in place
-    /// (0 under FIFO/reference, which never maintain the order) — the
-    /// bounded maintenance that replaced the batch `scc_recomputes` of the
-    /// v3 schema.
-    pub order_repairs: u64,
-    /// Component unions performed by online cycle collapses.
-    pub scc_merges: u64,
     /// Reachable methods (precision guard).
     pub reachable_methods: usize,
     /// Dead blocks across reachable methods (precision guard).
@@ -238,8 +231,6 @@ pub fn measure_resume(
             state_joins: joins,
             flows: result.stats().flows,
             use_edges: result.stats().use_edges,
-            order_repairs: sched.order_repairs,
-            scc_merges: sched.scc_merges,
             reachable_methods: result.reachable_methods().len(),
             dead_blocks: dead_block_total(result),
         }
@@ -371,8 +362,6 @@ pub fn measure_group(
                 state_joins: stats.state_joins,
                 flows: stats.flows,
                 use_edges: stats.use_edges,
-                order_repairs: stats.scheduler.order_repairs,
-                scc_merges: stats.scheduler.scc_merges,
                 reachable_methods: result.reachable_methods().len(),
                 dead_blocks: dead_block_total(&result),
             }
@@ -651,7 +640,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v10\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v11\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -670,7 +659,6 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
                  \"flips\": {}, \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
                  \"steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
-                 \"order_repairs\": {}, \"scc_merges\": {}, \
                  \"reachable_methods\": {}, \"dead_blocks\": {}}}{comma}",
                 json_escape(&r.config),
                 json_escape(&r.solver),
@@ -682,8 +670,6 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
                 r.state_joins,
                 r.flows,
                 r.use_edges,
-                r.order_repairs,
-                r.scc_merges,
                 r.reachable_methods,
                 r.dead_blocks,
             );
@@ -1002,7 +988,7 @@ mod tests {
         let w = tiny_workload();
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w]);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v10\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v11\""));
         assert!(doc.contains("\"build_ms\": "), "{doc}");
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));

@@ -26,29 +26,25 @@ pub enum SchedulerKind {
     /// Plain FIFO worklist (the PR 1 behaviour). Kept as the scheduling
     /// oracle for differential tests and pre-change benchmark captures.
     Fifo,
-    /// SCC-aware priority scheduling, forced from solve start: flows are
-    /// prioritized by the *live* topological order of their strongly
-    /// connected component in the PVPG — maintained online
-    /// (Pearce–Kelly-style in-place repairs as edges are inserted, cycle
-    /// collapse on merge), so every flow carries an exact priority from the
-    /// moment it is created — and each SCC is iterated to local fixpoint
-    /// before any flow of a later SCC is re-processed (first-time flows
-    /// drain frontier-first; see the scheduling invariants in `engine.rs`).
-    /// Pays the per-edge order maintenance + bucket-indirection overhead
-    /// even on workloads that never re-process (use
-    /// [`SchedulerKind::Adaptive`] unless benchmarking the forced mode).
+    /// The tiered queue, forced from solve start. Flows that have never
+    /// done propagation work drain first, in FIFO order (the frontier
+    /// tier). Re-enqueued flows drain after them, lowest flow index first
+    /// (the priority tier). Flow indices follow creation order, which
+    /// roughly tracks the order in which propagation discovered the graph.
+    /// The name is historical: the priority tier used to rank flows by the
+    /// topological order of their strongly connected component, and
+    /// creation order proved as good in steps (see "Scheduling" in
+    /// `engine.rs`). Use [`SchedulerKind::Adaptive`] unless benchmarking
+    /// the forced mode.
     SccPriority,
-    /// Adaptive FIFO→SCC scheduling (the default): every solve starts on
-    /// the plain FIFO worklist, the engine tracks the re-enqueue rate
+    /// Adaptive FIFO→tiered scheduling (the default): every solve starts
+    /// on the plain FIFO worklist, the engine tracks the re-enqueue rate
     /// (`re_pops / pops` over a sliding window), and only when the rate
     /// shows that flows are genuinely being re-processed does it *flip* to
-    /// the SCC priority queue. The session's first flip absorbs the graph
-    /// into the online order once; afterwards the condensation stays
-    /// current through every mutation (and across resumes), so later flips
-    /// of resumed solves never recompute anything. Re-processing
-    /// heavy workloads (shared-sink fan-out, big value cycles) get the full
-    /// SCC step win minus a small detection lag; acyclic propagate-once
-    /// workloads pay only the (cheap, per-edge) order maintenance. Results
+    /// the tiered queue of [`SchedulerKind::SccPriority`]. Re-processing
+    /// heavy workloads (shared-sink fan-out, big value cycles) get the
+    /// tiered step win minus a small detection lag; acyclic
+    /// propagate-once workloads never flip and run as plain FIFO. Results
     /// are scheduler-independent (all joins are monotone), so the mid-solve
     /// flip is safe at any step boundary.
     Adaptive,

@@ -33,7 +33,7 @@
 //! **The no-op rule.** Plain pass-throughs, `TypeFilter`, and the
 //! declared-type `Param` filter are distributive and map `⊥` to `⊥`. For
 //! these kinds, a step whose input is still empty is a no-op: it computes
-//! nothing and does not count as propagation work (the SCC queue's
+//! nothing and does not count as propagation work (the tiered queue's
 //! frontier tier keys on that, see [`Engine::mark_worked`]). After a
 //! flow's first step only a join that changed its input re-queues it, so
 //! this is the only no-op such a step can be. The other kinds always
@@ -70,93 +70,62 @@
 //! ([`crate::SchedulerKind`]):
 //!
 //! * **FIFO** — a plain queue; kept as the scheduling oracle.
-//! * **SCC priority** (forced) — flows are prioritized by the live
-//!   topological order of their strongly connected component in the PVPG,
-//!   maintained *online* by [`crate::graph::OnlineTopo`] over the
-//!   value-carrying use and observe edges (predicate edges are one-shot
-//!   enabling, impose no re-processing order, and are excluded — including
-//!   them would glue method chains into one SCC via invoke-as-predicate
-//!   and erase the ordering).
+//! * **Tiered** (forced by [`crate::SchedulerKind::SccPriority`]) — flows
+//!   that have never done propagation work drain first, in FIFO order (the
+//!   *frontier tier*); re-enqueued flows drain after them, lowest flow index
+//!   first (the *priority tier*).
 //! * **Adaptive** (the default) — starts every solve on the FIFO queue and
-//!   *flips* to the SCC queue mid-solve when re-processing is observed (see
-//!   "The adaptive flip" below).
+//!   *flips* to the tiered queue mid-solve when re-processing is observed
+//!   (see "The adaptive flip" below).
 //!
-//! Invariants of the online-order SCC scheduler:
+//! **Why a frontier tier.** A first-time step is structure discovery: it
+//! builds fragments and wires the edges later steps propagate along, and it
+//! can be premature at most once. Re-processing ahead of discovery is what
+//! wastes steps: a re-enqueued fan-out hub drained while an enabling
+//! cascade is still growing re-propagates once per producer the cascade
+//! discovers. The tiered queue's fan-out win comes from this tier.
 //!
-//! * **Exact priorities at all times** — every flow is assigned an order
-//!   position the moment it is created, and every inserted value edge
-//!   either already respects the order or triggers an in-place
-//!   Pearce–Kelly-style repair of the affected region (bounded
-//!   bidirectional search; the smaller side moves). There is no
-//!   provisional adoption, no dirty counter, and no batch recompute: the
-//!   condensation the queue reads is current after every mutation,
-//!   enforced by `Pvpg::assert_valid_order` in the differential suites and
-//!   a Tarjan-oracle property test.
-//! * **Anchored fragment placement** — a fragment built mid-solve by call
-//!   linking is placed directly between the call's arguments and its
-//!   invoke flow, which is exactly where the `argument → parameter` and
-//!   `return → invoke` edges want it: the dominant linking pattern
-//!   inserts only order-consistent edges and pays no repairs.
-//! * **Cycle collapse** — when an inserted edge closes a cycle, the
-//!   components on the connecting paths merge into one (union-find +
-//!   member-list splice) and the disturbed region re-packs into the
-//!   vacated label slots: strictly-upstream components take the lowest
-//!   slots (they only move down, and any unvisited predecessor of them
-//!   lies below the search window), strictly-downstream components take
-//!   the highest slots (symmetrically safe), and the merged component
-//!   sits between the two blocks, whose unvisited neighbours are all
-//!   outside the window. This is the Pearce–Kelly pooled reorder extended
-//!   with contraction.
-//! * **Frontier first, then local fixpoint before successors** — the
-//!   queue drains flows that have never done propagation work in FIFO
-//!   order *before* any re-enqueued flow: a first-time step is structure
-//!   discovery (it builds fragments and wires the very edges the order
-//!   schedules by) and can be premature at most once, whereas an exact
-//!   topological order over an *incomplete* graph would happily drain a
-//!   re-enqueued fan-out hub once per yet-undiscovered producer.
-//!   Re-enqueued flows then drain lowest-label-first: every PVPG edge
-//!   between distinct SCCs goes label-upward, so intra-SCC re-enqueues
-//!   land back in the bucket being drained and an SCC reaches its local
-//!   fixpoint before any flow of a later SCC is re-processed.
-//! * **Bounded, self-healing queue maintenance** — a repair that relocates
-//!   a component while some of its flows are queued leaves stale bucket
-//!   entries; the pop paths detect the label mismatch and re-queue the
-//!   flow under its live label (`rebucketed_flows`). Work is proportional
-//!   to the flows actually disturbed, never to the queue or the graph.
-//! * **Correctness is scheduling-independent** — priorities are purely a
-//!   performance heuristic: all joins are monotone, so any dequeue order
-//!   converges to the same least fixpoint. Implicit dependencies that are
-//!   not materialized as edges (type-subscriber injections, saturated-site
-//!   re-dispatch) may therefore be safely absent from the order.
-//! * The reference solver always runs FIFO — it is the oracle and stays
-//!   byte-for-byte the full-join algorithm — and neither it nor the forced
-//!   FIFO scheduler pays for the online order (it is never enabled there).
+//! **Why creation order is enough for the priority tier.** Flow indices are
+//! creation order, and the engine creates flows as propagation discovers
+//! them, a callee's fragment when a call first links it. So draining
+//! re-enqueued flows in index order tends to settle a region before the
+//! regions it discovered. The tier used to rank flows by an exact online
+//! topological order of their strongly connected components, kept through
+//! in-place repairs, anchored fragment placement and cycle collapse.
+//! Keying it by flow index instead left every step count the CI gate
+//! checks equal or lower: the ladder and resume-rung-2000 rows are
+//! unchanged, fanout-100 went 3,616 → 3,531, fanout-200 7,120 → 7,035,
+//! fanout-400 14,128 → 14,043 and resume-fanout-200 7,172 → 7,129. The
+//! ungated rows moved both ways: PTA rung-2000 27,944 → 29,385 (+5.2 %),
+//! PTA rung-32000 447,646 → 454,011 (+1.4 %), forced-tiered rung-32000
+//! 326,993 → 326,621. A constant key (the frontier tier plus one FIFO)
+//! costs 14–18 % more steps on the SkipFlow fan-outs, so the tier needs
+//! some order, but not an exact one.
 //!
-//! # The adaptive flip (FIFO → SCC)
+//! **Correctness is scheduling-independent.** The order is purely a
+//! performance heuristic: all joins are monotone, so any dequeue order
+//! converges to the same least fixpoint. The reference solver always runs
+//! FIFO — it is the oracle and stays byte-for-byte the full-join algorithm.
 //!
-//! The SCC machinery costs real wall time — the per-edge order maintenance
-//! and the bucket indirection on every push/pop — and only pays off when
-//! flows are *re-processed* (cyclic regions, shared-sink fan-out). On
-//! acyclic propagate-once workloads FIFO is strictly cheaper. The default
-//! [`crate::SchedulerKind::Adaptive`] therefore starts every solve on the
-//! FIFO queue and watches the **re-enqueue rate**: a sliding window over
-//! the last [`FLIP_WINDOW`] worklist pops counts how many dequeued a flow
-//! that had already done real propagation work. When the window is
-//! dominated by re-pops ([`FLIP_TRIP`] of [`FLIP_WINDOW`]) *and* enough
-//! work is queued for ordering to matter ([`FLIP_MIN_QUEUE`]), the solver
-//! flips: the *first* flip of a session absorbs the graph into the online
-//! order (one O(V+E) pass — the cost the old lazy condensation paid, paid
-//! at the same moment), and the queued flows migrate into the SCC queue
-//! in their FIFO order under exact priorities. From then on the order is
-//! maintained through every mutation, so everything after the first flip
-//! — including every *resumed* solve of the session — reads an
-//! already-current condensation and never recomputes anything.
-//! The window is cleared at the start of every solve, so
-//! a resumed solve's flip decision rides on its own behaviour (the
-//! per-solve vs cumulative split is documented on
+//! # The adaptive flip (FIFO → tiered)
+//!
+//! The tiered queue only pays off when flows are *re-processed* (cyclic
+//! regions, shared-sink fan-out); on acyclic propagate-once workloads the
+//! plain FIFO queue does the same work with less bookkeeping per push and
+//! pop. The default [`crate::SchedulerKind::Adaptive`] therefore starts
+//! every solve on the FIFO queue and watches the **re-enqueue rate**: a
+//! sliding window over the last [`FLIP_WINDOW`] worklist pops counts how
+//! many dequeued a flow that had already been dequeued before. When the
+//! window is dominated by re-pops ([`FLIP_TRIP`] of [`FLIP_WINDOW`]) *and*
+//! enough work is queued for ordering to matter ([`FLIP_MIN_QUEUE`]), the
+//! solver flips: the queued flows move into the priority tier, where they
+//! drain in index order. The flip costs one heap push per queued flow and
+//! reads nothing off the graph. The window is cleared at the start of every
+//! solve, so a resumed solve's flip decision rides on its own behaviour
+//! (the per-solve vs cumulative split is documented on
 //! [`crate::SchedulerStats`]), while the flip itself is sticky: once a
-//! session has demonstrated re-processing, resumed solves stay on the SCC
-//! queue.
+//! session has demonstrated re-processing, resumed solves stay on the
+//! tiered queue.
 //!
 //! **Why the mid-solve flip is safe.** Scheduling is a pure performance
 //! heuristic (see above): every dequeue order converges to the same least
@@ -164,7 +133,7 @@
 //! graph, not the queue. The flip merely permutes the order in which the
 //! already-queued flows are drained, and it is only ever taken *between*
 //! worklist steps, so no step observes a half-migrated queue. `tests/delta_vs_reference.rs` asserts a
-//! flipping run is result-identical to forced-FIFO and forced-SCC runs.
+//! flipping run is result-identical to forced-FIFO and forced-tiered runs.
 //!
 //! # Resume (the checkpoint argument)
 //!
@@ -232,11 +201,10 @@
 //!   and the next [`Engine::run_solver`] simply keeps draining.
 //! * **What survives an interrupt.** Everything, because nothing is torn
 //!   down: the flows' states, the `queued` residency/processed/worked
-//!   bits, the live online topological order and its union-find
-//!   condensation, the sticky adaptive flip (and its cleared-per-solve
-//!   window), the saturation and subscriber registries, and the
-//!   cumulative counters. The resumed solve re-bases
-//!   its per-solve statistics exactly like a resume after completion.
+//!   bits, both tiers of the queue, the sticky adaptive flip (and its
+//!   cleared-per-solve window), the saturation and subscriber registries,
+//!   and the cumulative counters. The resumed solve re-bases its per-solve
+//!   statistics exactly like a resume after completion.
 //! * **Budget semantics.** The step budget is per-solve (`steps` executed
 //!   since this `run_solver` call) and checked *exactly*, before every
 //!   step, so an interrupt-at-`k` sweep is deterministic; the cancel
@@ -261,7 +229,8 @@ use crate::lattice::{TypeSet, ValueState};
 use crate::metrics::{InterruptStats, InvalidationStats, SchedulerStats};
 use crate::report::{AnalysisResult, ReachableSet, SolveStats};
 use skipflow_ir::{BitSet, MethodId, Program, TypeId, TypeRef};
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Bit 0 of [`Engine::queued`]: the flow is resident in the worklist.
@@ -275,7 +244,7 @@ const PROCESSED: u8 = 2;
 
 /// Bit 2 of [`Engine::queued`]: some worklist step did real propagation
 /// work for the flow (a no-op dequeue — disabled flow, empty input of a
-/// distributive kind — does not count). This is the SCC queue's
+/// distributive kind — does not count). This is the tiered queue's
 /// frontier-tier signal: a flow stays in the frontier until its first
 /// *working* step.
 const WORKED: u8 = 4;
@@ -295,15 +264,16 @@ const FLOW_CAPACITY_MARGIN: usize = 1 << 22;
 /// hottest loop; a ring buffer here costs measurable wall time).
 const FLIP_WINDOW: usize = 128;
 
-/// Re-pushes within the window that trip the FIFO→SCC flip (3/4 of
+/// Re-pushes within the window that trip the FIFO→tiered flip (3/4 of
 /// [`FLIP_WINDOW`]): the queue is then demonstrably dominated by
-/// re-processing, which is the regime where SCC priorities win 10–25× in
+/// re-processing, which is the regime where the tiered queue wins in
 /// steps. Acyclic ladders measure far below this outside their drain tail.
 const FLIP_TRIP: u32 = 96;
 
 /// Minimum queued flows for the flip to fire. A re-push-heavy window over a
-/// near-empty queue (the drain tail of an otherwise acyclic solve) is not
-/// worth an O(V+E) condensation — there is almost nothing left to order.
+/// near-empty queue (the drain tail of an otherwise acyclic solve) has
+/// almost nothing left to order, so switching queues there cannot pay for
+/// the tiered queue's dearer pushes and pops over the rest of the session.
 const FLIP_MIN_QUEUE: usize = 64;
 
 /// Worklist steps between polls of the cancel token / wall clock / memory
@@ -347,67 +317,37 @@ struct InterruptGuard {
     next_check_at: u64,
 }
 
-/// The SCC-aware priority worklist over the live online order (see the
-/// module docs, "Scheduling").
+/// The tiered worklist (see the module docs, "Scheduling").
 ///
-/// Two tiers:
-///
-/// * **Frontier tier** — flows that have never been processed, in FIFO
-///   order, drained before anything else. A first-time step is *structure
-///   discovery*: it builds fragments, wires edges, and thereby adds the
-///   very order constraints the priority tier schedules by — and it can be
-///   premature at most once, so running the whole frontier ahead of any
-///   re-processing is cheap insurance. Without this tier, a re-enqueued
-///   fan-out hub whose (exact!) label sits below a still-growing enabling
-///   cascade re-propagates once per discovered producer — the topological
-///   order is correct but the graph it orders is not complete yet.
-/// * **Priority tier** — re-enqueued flows, in buckets keyed by the
-///   *current* order label of their component (`BTreeMap<label, FIFO>`):
-///   a push reads the flow's live label off the graph's
-///   [`crate::graph::OnlineTopo`], so every flow — including a fragment
-///   instantiated one step ago — is queued under its exact condensation
-///   priority; there is no provisional adoption and no dirty counter.
-///
-/// When an order repair relocates a component *while some of its flows are
-/// queued*, those bucket entries go stale; the pop paths self-heal by
-/// re-queueing any popped flow whose live label no longer matches its
-/// bucket (counted as `rebucketed_flows` — the bounded replacement for the
-/// old wholesale bucket migration at recompute time).
-struct SccQueue {
-    /// Never-processed flows, FIFO — the *frontier tier*, drained before
-    /// any labeled bucket (see the type docs: structure discovery first).
+/// * **Frontier tier** — flows that have never done propagation work, in
+///   FIFO order, drained before anything else: structure discovery first.
+/// * **Priority tier** — re-enqueued flows, lowest flow index (creation
+///   order) first. A flow is resident in the queue at most once, so the
+///   min-heap holds no duplicates and a pop needs no staleness check.
+struct TieredQueue {
+    /// The frontier tier: never-worked flows, FIFO.
     fresh: VecDeque<u32>,
-    /// Non-empty FIFO buckets of re-enqueued flows keyed by order label
-    /// (empty buckets are removed eagerly, so `contains_key` doubles as
-    /// "has queued work").
-    buckets: BTreeMap<u64, VecDeque<u32>>,
-    /// Queued flows across all buckets.
-    len: usize,
-    /// Stale pops re-queued under their live label.
-    rebucketed: u64,
-    /// Debug-only duplicate-enqueue guard: a flow must never be resident in
-    /// two buckets at once.
+    /// The priority tier: re-enqueued flows by ascending index.
+    again: BinaryHeap<Reverse<u32>>,
+    /// Debug-only duplicate-enqueue guard: a flow must never be resident
+    /// twice.
     #[cfg(debug_assertions)]
     resident: Vec<bool>,
 }
 
-impl SccQueue {
+impl TieredQueue {
     fn new() -> Self {
-        SccQueue {
+        TieredQueue {
             fresh: VecDeque::new(),
-            buckets: BTreeMap::new(),
-            len: 0,
-            rebucketed: 0,
+            again: BinaryHeap::new(),
             #[cfg(debug_assertions)]
             resident: Vec::new(),
         }
     }
 
-    /// Enqueues `f`: never-processed flows (`fresh`) join the frontier
-    /// tier in FIFO order; re-enqueued flows go to the bucket of their
-    /// current order label (FIFO within the bucket — a bucket is one SCC,
-    /// iterated to local fixpoint).
-    fn push(&mut self, f: FlowId, label: u64, fresh: bool) {
+    /// Enqueues `f`: never-worked flows (`fresh`) join the frontier tier,
+    /// re-enqueued flows the priority tier.
+    fn push(&mut self, f: FlowId, fresh: bool) {
         #[cfg(debug_assertions)]
         {
             if self.resident.len() <= f.index() {
@@ -415,63 +355,41 @@ impl SccQueue {
             }
             debug_assert!(
                 !self.resident[f.index()],
-                "flow {f:?} would be resident in two priority buckets"
+                "flow {f:?} would be resident in the queue twice"
             );
             self.resident[f.index()] = true;
         }
+        let id = f.index() as u32;
         if fresh {
-            self.fresh.push_back(f.index() as u32);
+            self.fresh.push_back(id);
         } else {
-            self.buckets.entry(label).or_default().push_back(f.index() as u32);
+            self.again.push(Reverse(id));
         }
-        self.len += 1;
     }
 
-    /// Dequeues from the lowest-label non-empty bucket, re-queueing stale
-    /// entries (flows whose component was relocated while queued) under
-    /// their live label first.
-    fn pop(&mut self, g: &Pvpg) -> Option<FlowId> {
-        // Frontier tier first: structure discovery before saturation.
-        if let Some(id) = self.fresh.pop_front() {
-            self.len -= 1;
-            #[cfg(debug_assertions)]
-            {
-                self.resident[id as usize] = false;
-            }
-            return Some(FlowId::from_index(id as usize));
+    /// Dequeues the frontier tier's oldest flow, else the priority tier's
+    /// lowest index.
+    fn pop(&mut self) -> Option<FlowId> {
+        let id = match self.fresh.pop_front() {
+            Some(id) => id,
+            None => self.again.pop()?.0,
+        };
+        #[cfg(debug_assertions)]
+        {
+            self.resident[id as usize] = false;
         }
-        loop {
-            let mut entry = self.buckets.first_entry()?;
-            let label = *entry.key();
-            let Some(id) = entry.get_mut().pop_front() else {
-                entry.remove();
-                continue;
-            };
-            if entry.get().is_empty() {
-                entry.remove();
-            }
-            self.len -= 1;
-            let f = FlowId::from_index(id as usize);
-            #[cfg(debug_assertions)]
-            {
-                self.resident[id as usize] = false;
-            }
-            let live = g.live_label(f);
-            if live != label {
-                self.rebucketed += 1;
-                self.push(f, live, false);
-                continue;
-            }
-            return Some(f);
-        }
+        Some(FlowId::from_index(id as usize))
+    }
+
+    fn is_empty(&self) -> bool {
+        self.fresh.is_empty() && self.again.is_empty()
     }
 }
 
-/// The solver worklist: a plain FIFO queue or the (boxed — it carries the
-/// bucket arrays and condensation-edge list) SCC priority queue.
+/// The solver worklist: a plain FIFO queue or the tiered queue.
 enum Worklist {
     Fifo(VecDeque<FlowId>),
-    Scc(Box<SccQueue>),
+    Tiered(TieredQueue),
 }
 
 /// The adaptive scheduler's re-enqueue-rate detector (present only while an
@@ -605,32 +523,17 @@ impl<'p> Engine<'p> {
             (SolverKind::Reference, _) | (_, SchedulerKind::Fifo | SchedulerKind::Adaptive) => {
                 Worklist::Fifo(VecDeque::new())
             }
-            (_, SchedulerKind::SccPriority) => Worklist::Scc(Box::new(SccQueue::new())),
+            (_, SchedulerKind::SccPriority) => Worklist::Tiered(TieredQueue::new()),
         };
         let adaptive = !matches!(config.solver, SolverKind::Reference)
             && config.scheduler == SchedulerKind::Adaptive;
-        // The online topological order backs every scheduler that reads
-        // priorities, from the first moment one needs it: session start
-        // under forced SCC, the first flip under Adaptive (a one-time
-        // O(V+E) absorption — the same cost the flip used to pay for its
-        // lazy condensation). From then on it is maintained through every
-        // mutation and carried across resumes, so a resumed solve never
-        // recomputes anything at solve start. Never-flipping adaptive
-        // runs (acyclic, propagate-once) pay nothing at all, as do the
-        // FIFO oracle and the reference solver.
-        let mut g = Pvpg::new();
-        if !matches!(config.solver, SolverKind::Reference)
-            && config.scheduler == SchedulerKind::SccPriority
-        {
-            g.enable_online_order();
-        }
         #[cfg(feature = "fault-inject")]
         let config_fault_plan = config.fault_plan.clone();
         let masked = config.masked_methods.iter().map(|m| m.index()).collect();
         Engine {
             program,
             config,
-            g,
+            g: Pvpg::new(),
             worklist,
             queued: Vec::new(),
             reachable: BitSet::new(),
@@ -659,13 +562,10 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// The adaptive scheduler's FIFO→SCC flip: when the sliding-window
+    /// The adaptive scheduler's FIFO→tiered flip: when the sliding-window
     /// re-push rate shows the queue is dominated by re-processing (and
-    /// enough is queued for ordering to matter), migrate the FIFO queue
-    /// into SCC priority buckets in its current order. The condensation is
-    /// *already current* — the online order has been maintained since
-    /// session start — so the flip is a pure queue migration: no Tarjan
-    /// pass, no lazily computed priorities. Only ever called *between*
+    /// enough is queued for ordering to matter), move the FIFO queue into
+    /// the tiered queue's priority tier. Only ever called *between*
     /// worklist steps, so no step observes a half-migrated queue;
     /// safe mid-solve because results are scheduler-independent (module
     /// docs, "The adaptive flip").
@@ -689,24 +589,17 @@ impl<'p> Engine<'p> {
         self.sched_stats.adaptive_re_pops_total = tracker.re_pops;
         self.sched_stats.flips += 1;
         self.sched_stats.flip_at_step = self.steps - self.solve_start_steps;
-        // First flip of the session: absorb the graph into the online
-        // order (one O(V+E) pass). Every later mutation maintains it
-        // incrementally, and it stays current across resumes — the flip is
-        // taken between steps, so no batch is open here.
-        self.g.enable_online_order();
         let Worklist::Fifo(fifo) = &mut self.worklist else { unreachable!("checked above") };
         let drained = std::mem::take(fifo);
-        let mut q = Box::new(SccQueue::new());
+        let mut q = TieredQueue::new();
         for f in drained {
-            // The migrated queue goes entirely into the priority tier: at
-            // the flip the graph region the queued flows span is already
-            // discovered (they have been sitting in a FIFO queue mid
-            // re-processing storm), so exact labels order them better than
-            // the frontier heuristic — only flows enqueued from here on
-            // split by the worked bit.
-            q.push(f, self.g.live_label(f), false);
+            // The migrated queue goes entirely into the priority tier: the
+            // region these flows span is already discovered (they have been
+            // sitting in a FIFO queue mid re-processing storm). Only flows
+            // enqueued from here on split by the worked bit.
+            q.push(f, false);
         }
-        self.worklist = Worklist::Scc(q);
+        self.worklist = Worklist::Tiered(q);
     }
 
     /// The field sink for `field`, seeded once with the Java default value
@@ -910,7 +803,7 @@ impl<'p> Engine<'p> {
     pub(crate) fn worklist_is_empty(&self) -> bool {
         match &self.worklist {
             Worklist::Fifo(q) => q.is_empty(),
-            Worklist::Scc(q) => q.len == 0,
+            Worklist::Tiered(q) => q.is_empty(),
         }
     }
 
@@ -964,20 +857,6 @@ impl<'p> Engine<'p> {
             scheduler.adaptive_pops_total = tracker.pops;
             scheduler.adaptive_re_pops_total = tracker.re_pops;
         }
-        // The live condensation and its maintenance counters come straight
-        // off the online order — there is no "last recompute" snapshot.
-        if let Some(os) = self.g.order_stats() {
-            scheduler.scc_count = os.comps;
-            scheduler.cyclic_flows = os.cyclic_flows;
-            scheduler.max_scc_size = os.max_scc_size;
-            scheduler.order_repairs = os.repairs;
-            scheduler.order_comps_moved = os.comps_moved;
-            scheduler.scc_merges = os.merges;
-            scheduler.order_relabels = os.relabels;
-        }
-        if let Worklist::Scc(q) = &self.worklist {
-            scheduler.rebucketed_flows = q.rebucketed;
-        }
         SolveStats {
             steps: self.steps,
             state_joins: self.state_joins,
@@ -1010,10 +889,7 @@ impl<'p> Engine<'p> {
         *slot |= QUEUED;
         match &mut self.worklist {
             Worklist::Fifo(q) => q.push_back(f),
-            // The live order label: exact even for a flow created by the
-            // step currently executing. First-time flows join the frontier
-            // tier instead (see the SccQueue docs).
-            Worklist::Scc(q) => q.push(f, self.g.live_label(f), fresh),
+            Worklist::Tiered(q) => q.push(f, fresh),
         }
     }
 
@@ -1021,7 +897,7 @@ impl<'p> Engine<'p> {
     /// adaptive flip detector (if still active) the re-process bit. The
     /// [`WORKED`] bit is *not* set here: a pop that turns out to be a
     /// no-op (disabled flow, empty input of a distributive kind) has not
-    /// done any propagation work, so the flow stays in the SCC queue's
+    /// done any propagation work, so the flow stays in the tiered queue's
     /// frontier tier until a step actually computes something
     /// ([`Engine::mark_worked`]).
     #[inline]
@@ -1035,8 +911,8 @@ impl<'p> Engine<'p> {
     }
 
     /// Records that a worklist step did real propagation work for `f` —
-    /// from here on, re-enqueues of `f` queue under exact priorities
-    /// instead of the frontier tier.
+    /// from here on, re-enqueues of `f` join the priority tier instead of
+    /// the frontier tier.
     #[inline]
     fn mark_worked(&mut self, f: FlowId) {
         self.queued[f.index()] |= WORKED;
@@ -1272,9 +1148,6 @@ impl<'p> Engine<'p> {
     /// from its full input and propagate it (module docs, "The step rule").
     fn process(&mut self, f: FlowId) {
         self.steps += 1;
-        if matches!(self.worklist, Worklist::Scc(_)) && self.g.flow_in_cycle(f) {
-            self.sched_stats.steps_in_cycles += 1;
-        }
         let flow = self.g.flow(f);
         if !flow.enabled {
             // Disabled flows keep accumulating their input until enabled.
@@ -1460,13 +1333,6 @@ impl<'p> Engine<'p> {
     /// Links a call site to a resolved target: marks the target reachable and
     /// wires arguments to parameters and the callee return to the invoke flow
     /// (the Invoke rule's conclusion).
-    ///
-    /// Fragment construction is *anchored* at the invoke flow: under the
-    /// online order, the callee's flows are placed directly between the
-    /// call's arguments and the invoke — so the `argument → parameter` and
-    /// `return → invoke` edges wired below respect the order by
-    /// construction, and the dominant mid-solve linking pattern triggers no
-    /// repairs at all.
     fn link(&mut self, site: SiteId, target: MethodId) {
         {
             let s = self.g.site_mut(site);
@@ -1489,10 +1355,7 @@ impl<'p> Engine<'p> {
         if self.program.method(target).is_abstract {
             return;
         }
-        let invoke_flow = self.g.site(site).flow;
-        self.g.set_fragment_anchor(Some(invoke_flow));
         self.make_reachable(target);
-        self.g.set_fragment_anchor(None);
         let Some(&callee) = self.g.method_graph(target) else { return };
         // Arguments and parameters are read by index from their pools: the
         // loop body mutates the graph, so no slice can be held across it.
@@ -1505,6 +1368,7 @@ impl<'p> Engine<'p> {
             }
         }
         if let Some(r) = callee.ret {
+            let invoke_flow = self.g.site(site).flow;
             if self.g.add_use_dedup(r, invoke_flow) {
                 self.push_state(r, invoke_flow);
             }
@@ -1623,9 +1487,6 @@ impl<'p> Engine<'p> {
     // ---- solvers ----------------------------------------------------------
 
     pub(crate) fn solve_sequential(&mut self) -> SolveEnd {
-        // No solve-start condensation pass: the online order is maintained
-        // through every graph mutation (and carried across session
-        // resumes), so the SCC queue reads exact priorities at all times.
         loop {
             // Interrupts are only taken while work remains: an exhausted
             // budget races a drained worklist in favour of completion.
@@ -1638,7 +1499,7 @@ impl<'p> Engine<'p> {
             self.maybe_flip();
             let next = match &mut self.worklist {
                 Worklist::Fifo(q) => q.pop_front(),
-                Worklist::Scc(q) => q.pop(&self.g),
+                Worklist::Tiered(q) => q.pop(),
             };
             let Some(f) = next else { return SolveEnd::Complete };
             self.note_dequeued(f);
@@ -1841,85 +1702,24 @@ mod tests {
         assert_eq!(declared_filter(&p, &input, TypeRef::Prim), input);
     }
 
-    /// A PVPG with the online order enabled and `n` phi flows wired by
-    /// `edges` (construction-time use edges, indices into the created
-    /// flows). Returns the graph and the created flow ids — the scaffold
-    /// for queue tests, which key buckets off the live order labels.
-    fn ordered_graph(n: usize, edges: &[(usize, usize)]) -> (Pvpg, Vec<FlowId>) {
-        let mut g = Pvpg::new();
-        g.enable_online_order();
-        let first = g.flow_count();
-        let ids: Vec<FlowId> = (0..n)
-            .map(|_| g.add_flow(crate::flow::Flow::new(crate::flow::FlowKind::Phi, None, None)))
-            .collect();
-        for &(s, t) in edges {
-            g.add_use(ids[s], ids[t]);
-        }
-        g.seal_batch(first);
-        (g, ids)
-    }
-
-    /// Pushes as a *re-enqueued* flow (the priority tier) — the queue
-    /// tests exercise label ordering; the frontier tier has its own test.
-    fn push_live(q: &mut SccQueue, g: &Pvpg, f: FlowId) {
-        q.push(f, g.live_label(f), false);
-    }
-
     #[test]
-    fn scc_queue_orders_buckets_by_live_labels() {
-        // a → b → c: three singleton components, labels ascending along the
-        // chain; pops come out lowest-label-first regardless of push order.
-        let (g, ids) = ordered_graph(3, &[(0, 1), (1, 2)]);
-        let mut q = SccQueue::new();
-        for &i in &[2usize, 0, 1] {
-            push_live(&mut q, &g, ids[i]);
+    fn tiered_queue_pops_frontier_fifo_then_by_index() {
+        // Fresh flows pop first, in push order; re-enqueued flows pop
+        // after them in ascending index, whatever order they were pushed in.
+        let f = FlowId::from_index;
+        let mut q = TieredQueue::new();
+        for (i, fresh) in [(7, false), (5, true), (2, false), (9, true), (4, false), (1, true)] {
+            q.push(f(i), fresh);
         }
-        assert_eq!(q.pop(&g), Some(ids[0]));
-        assert_eq!(q.pop(&g), Some(ids[1]));
-        assert_eq!(q.pop(&g), Some(ids[2]));
-        assert_eq!(q.pop(&g), None);
-        assert_eq!(q.rebucketed, 0, "no repairs, no healing");
-    }
-
-    #[test]
-    fn scc_queue_shares_a_bucket_within_one_scc() {
-        // a → b with a back edge b → a: one component, one bucket, FIFO
-        // within it; a downstream flow c drains strictly after.
-        let (mut g, ids) = ordered_graph(3, &[(0, 1), (1, 2)]);
-        assert!(g.add_use_dedup(ids[1], ids[0]), "close the cycle");
-        assert_eq!(g.same_component(ids[0], ids[1]), Some(true));
-        let mut q = SccQueue::new();
-        for &i in &[1usize, 2, 0] {
-            push_live(&mut q, &g, ids[i]);
-        }
-        assert_eq!(q.pop(&g), Some(ids[1]), "FIFO within the SCC bucket");
-        assert_eq!(q.pop(&g), Some(ids[0]));
-        assert_eq!(q.pop(&g), Some(ids[2]), "downstream flow drains last");
-        assert_eq!(q.pop(&g), None);
-    }
-
-    #[test]
-    fn scc_queue_heals_entries_staled_by_an_order_repair() {
-        // Queue b under its current label, then insert c → b where c sits
-        // above b: the repair relocates b''s component while it is queued.
-        // The pop must hand b out exactly once, re-bucketed under its live
-        // label, and count the heal.
-        let (mut g, ids) = ordered_graph(3, &[(0, 1)]);
-        let mut q = SccQueue::new();
-        push_live(&mut q, &g, ids[1]); // b, label as of now
-        push_live(&mut q, &g, ids[2]); // c
-        let stale = g.live_label(ids[1]);
-        assert!(g.add_use_dedup(ids[2], ids[1]), "violating edge: c above b");
-        assert!(g.order_stats().unwrap().repairs >= 1, "the insert repaired");
-        assert_ne!(g.live_label(ids[1]), stale, "b''s component moved");
-        let mut popped = Vec::new();
-        while let Some(f) = q.pop(&g) {
-            popped.push(f);
-        }
-        popped.sort();
-        assert_eq!(popped, vec![ids[1], ids[2]], "each flow pops exactly once");
-        assert!(q.rebucketed >= 1, "the stale entry was healed");
-        g.assert_valid_order();
+        let popped: Vec<FlowId> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(popped, [5, 9, 1, 2, 4, 7].map(f));
+        assert!(q.is_empty());
+        // A popped flow may be queued again, in either tier.
+        q.push(f(2), false);
+        q.push(f(3), true);
+        assert_eq!(q.pop(), Some(f(3)));
+        assert_eq!(q.pop(), Some(f(2)));
+        assert_eq!(q.pop(), None);
     }
 
     #[test]
@@ -1955,11 +1755,11 @@ mod tests {
 
     #[cfg(debug_assertions)]
     #[test]
-    #[should_panic(expected = "resident in two priority buckets")]
+    #[should_panic(expected = "resident in the queue twice")]
     fn scc_queue_rejects_duplicate_residency() {
-        let mut q = SccQueue::new();
-        q.push(FlowId::from_index(0), 1, false);
-        q.push(FlowId::from_index(0), 2, true);
+        let mut q = TieredQueue::new();
+        q.push(FlowId::from_index(0), false);
+        q.push(FlowId::from_index(0), true);
     }
 
     #[test]

@@ -123,7 +123,7 @@ pub use compare::compare;
 pub use config::{AnalysisConfig, SchedulerKind, SolverKind};
 pub use error::AnalysisError;
 pub use flow::{CallKind, CallSite, Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
-pub use graph::{CheckCategory, IfRecord, MethodGraph, OrderStats, Pvpg, SccInfo};
+pub use graph::{CheckCategory, IfRecord, MethodGraph, Pvpg};
 pub use interrupt::{CancelToken, Completeness, InterruptReason, SolveOutcome};
 pub use lattice::{TypeSet, ValueState};
 pub use metrics::{compute_metrics, InterruptStats, InvalidationStats, Metrics, SchedulerStats};

@@ -57,17 +57,16 @@ impl fmt::Display for Metrics {
     }
 }
 
-/// Statistics of the SCC-aware priority scheduler, embedded in
-/// [`crate::SolveStats`]. All zero under the forced FIFO scheduler and the
-/// reference solver (which never maintain the online order).
+/// Statistics of the adaptive scheduler, embedded in
+/// [`crate::SolveStats`]. All zero under the forced schedulers and the
+/// reference solver.
 ///
 /// Two kinds of fields live here, explicitly separated:
 ///
-/// * **Engine-cumulative** — condensation snapshots and maintenance totals
-///   that accumulate monotonically across every solve of the session's
-///   current engine (everything not listed as per-solve below, plus the
-///   `*_total` pop counters); an engine rebuild restarts them (see
-///   [`crate::SolveStats`]).
+/// * **Engine-cumulative** — totals that accumulate monotonically across
+///   every solve of the session's current engine (everything not listed as
+///   per-solve below, plus the `*_total` pop counters); an engine rebuild
+///   restarts them (see [`crate::SolveStats`]).
 /// * **Per-solve** — [`SchedulerStats::adaptive_pops`] and
 ///   [`SchedulerStats::adaptive_re_pops`] are re-based at the start of each
 ///   `solve()`, and [`SchedulerStats::flip_at_step`] is relative to the
@@ -76,40 +75,19 @@ impl fmt::Display for Metrics {
 ///   sticky: `flips` is cumulative and at most 1 per engine.)
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Live strongly connected components of the PVPG (including
-    /// singletons) under the online order.
-    pub scc_count: usize,
-    /// Live flows sitting in SCCs of size ≥ 2 (the cyclic region mass the
-    /// priority ordering localizes).
-    pub cyclic_flows: usize,
-    /// Size of the largest SCC.
-    pub max_scc_size: usize,
-    /// Order-violating edge insertions repaired in place by the online
-    /// order (the bounded work that replaced the PR 2–4 batch condensation
-    /// recomputes; those reported as `scc_recomputes`, which no longer
-    /// exist).
+    /// Always 0. The priority tier ranks re-enqueued flows by creation
+    /// order, so there is no topological order to repair. The field stays
+    /// because the end-to-end benchmark still reports it as
+    /// `core.scheduler.order_repairs`.
     pub order_repairs: u64,
-    /// Components relocated by those repairs — the total affected-region
-    /// mass, bounded per repair by the smaller side of the bidirectional
-    /// search.
-    pub order_comps_moved: u64,
-    /// Component unions performed by cycle collapses.
+    /// Always 0, for the same reason as
+    /// [`SchedulerStats::order_repairs`]: no component is ever merged. The
+    /// end-to-end benchmark still reports it as `core.scheduler.scc_merges`.
     pub scc_merges: u64,
-    /// Components relabeled by list-labeling gap maintenance.
-    pub order_relabels: u64,
-    /// Worklist steps taken on flows inside non-trivial SCCs while the SCC
-    /// queue was active — with `steps` this yields the steps-per-SCC
-    /// profile of the cyclic regions.
-    pub steps_in_cycles: u64,
-    /// Queued flows re-bucketed because an order repair relocated their
-    /// component while they sat in the queue (the pop paths self-heal
-    /// stale entries; this is the bounded replacement for the old
-    /// wholesale bucket migration at recompute time).
-    pub rebucketed_flows: u64,
-    /// Adaptive-scheduler FIFO→SCC flips (0 when the re-enqueue rate never
-    /// tripped the detector, or under a forced scheduler). At most 1 per
-    /// engine: the flip is sticky — once a workload has demonstrated
-    /// re-processing, resumed solves stay on the SCC queue.
+    /// Adaptive-scheduler FIFO→tiered flips (0 when the re-enqueue rate
+    /// never tripped the detector, or under a forced scheduler). At most 1
+    /// per engine: the flip is sticky — once a workload has demonstrated
+    /// re-processing, resumed solves stay on the tiered queue.
     pub flips: u64,
     /// Worklist steps *into the solve that flipped* at which the flip
     /// occurred (0 when no flip happened). An event record: it keeps its

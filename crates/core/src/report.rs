@@ -55,7 +55,8 @@ pub struct SolveStats {
     /// `solve()` calls that contributed to these numbers (1 for a one-shot
     /// [`crate::analyze`] run; grows as a session is resumed).
     pub solves: u64,
-    /// SCC-scheduler statistics (zero under FIFO / reference).
+    /// Adaptive-scheduler statistics (zero under the forced schedulers and
+    /// the reference solver).
     pub scheduler: SchedulerStats,
     /// Interrupt / resume counters (all zero for an engine that never hit a
     /// budget or cancel token).

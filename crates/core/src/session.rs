@@ -7,12 +7,10 @@
 //! rebuilding it. By the checkpoint invariant (documented at the top of
 //! `engine.rs`) the resumed fixpoint is bit-identical to a fresh analysis
 //! over the union of all roots — only cheaper, which the trajectory
-//! harness's `resume` rung measures. The scheduler's topological order is
-//! part of the carried state: it is maintained online through every graph
-//! mutation, so a resumed solve starts from current priorities instead of
-//! recomputing a condensation, and per-solve scheduler statistics are
-//! re-based per solve (see [`crate::SchedulerStats`] for the per-solve vs
-//! engine-cumulative split).
+//! harness's `resume` rung measures. The scheduler is part of the carried
+//! state: a flipped adaptive scheduler stays on its tiered queue, and
+//! per-solve scheduler statistics are re-based per solve (see
+//! [`crate::SchedulerStats`] for the per-solve vs engine-cumulative split).
 //!
 //! Sessions are assembled with a typed builder:
 //!

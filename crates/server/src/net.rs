@@ -232,7 +232,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 "ok session={} epoch={} roots={} queued={} memory_bytes={} \
                  published_bytes={} steps={} flows={} solves={} batches={} \
                  batched_roots={} epochs_published={} partial_epochs={} queries={} sheds={} \
-                 scheduler_flips={} order_repairs={} interrupts={} resumed={} \
+                 scheduler_flips={} interrupts={} resumed={} \
                  retractions={} edits={} invalidated_flows={} rederive_steps={}",
                 s.name,
                 s.epoch,
@@ -250,7 +250,6 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.queries_served,
                 s.sheds,
                 s.solve.scheduler.flips,
-                s.solve.scheduler.order_repairs,
                 s.solve.interrupt.interrupts,
                 s.solve.interrupt.resumed_after_interrupt,
                 s.solve.invalidation.retractions,

@@ -23,7 +23,7 @@ pub enum Request {
         /// `synth:<benchmark>` or a filesystem path (`.sf` source or
         /// `.sfbc` bytecode).
         source: String,
-        /// `key=value` options: `scheduler=fifo|scc|adaptive`, `steps=<n>`
+        /// `key=value` options: `scheduler=fifo|adaptive`, `steps=<n>`
         /// (per-batch step budget), `ms=<n>` (per-batch wall budget).
         opts: Vec<(String, String)>,
     },

@@ -188,92 +188,3 @@ proptest! {
     }
 
 }
-
-proptest! {
-    /// The online topological order / SCC structure (`Pvpg` with
-    /// `enable_online_order`) against the from-scratch Tarjan oracle
-    /// (`compute_sccs`), over random interleavings of flow creation,
-    /// anchored flow creation, and (deduplicated, possibly cycle-closing)
-    /// edge insertion:
-    ///
-    /// * SCC membership must be identical to the oracle's, and
-    /// * the live labels must form a valid topological order of the
-    ///   condensation (checked edge-by-edge by `assert_valid_order`).
-    #[test]
-    fn online_order_matches_tarjan_oracle(
-        ops in proptest::collection::vec((0u8..8, 0usize..64, 0usize..64), 1..160),
-    ) {
-        use skipflow::analysis::{FlowId, Pvpg};
-        use skipflow::ir::TypeRef;
-        let mut g = Pvpg::new();
-        g.enable_online_order();
-        let mut flows: Vec<FlowId> = Vec::new();
-        let mut batch_open: Option<usize> = None;
-        for (op, a, b) in ops {
-            match op {
-                // New flow at the end of the order.
-                0 | 1 => {
-                    flows.push(g.add_root_source(TypeRef::Prim));
-                }
-                // New flow anchored before an existing one (the engine's
-                // mid-solve fragment placement).
-                2 if !flows.is_empty() => {
-                    g.set_fragment_anchor(Some(flows[a % flows.len()]));
-                    flows.push(g.add_root_source(TypeRef::Prim));
-                    g.set_fragment_anchor(None);
-                }
-                // Construction-time edge inside an open batch.
-                3 if flows.len() >= 2 => {
-                    let first = *batch_open.get_or_insert(g.flow_count());
-                    let (s, t) = (flows[a % flows.len()], flows[b % flows.len()]);
-                    if s != t {
-                        // Sealed flows are CSR-frozen once; only flows of
-                        // the open batch may source construction edges.
-                        if s.index() >= first {
-                            g.add_use(s, t);
-                        } else {
-                            g.seal_batch(first);
-                            batch_open = None;
-                            g.add_use_dedup(s, t);
-                        }
-                    }
-                }
-                // Dynamically discovered edge (the solving-time path).
-                _ if flows.len() >= 2 => {
-                    if let Some(first) = batch_open.take() {
-                        g.seal_batch(first);
-                    }
-                    let (s, t) = (flows[a % flows.len()], flows[b % flows.len()]);
-                    if s != t {
-                        g.add_use_dedup(s, t);
-                    }
-                }
-                _ => {}
-            }
-        }
-        if let Some(first) = batch_open.take() {
-            g.seal_batch(first);
-        }
-        // The live order is a valid topological order of the condensation.
-        g.assert_valid_order();
-        // SCC membership is identical to the from-scratch Tarjan oracle.
-        let oracle = g.compute_sccs();
-        let n = g.flow_count();
-        for i in 0..n {
-            let fi = FlowId::try_from_index(i).unwrap();
-            prop_assert_eq!(
-                g.component_size(fi).unwrap() >= 2,
-                oracle.cyclic[i],
-                "cyclic flag of flow {} disagrees with the oracle", i
-            );
-            for j in (i + 1)..n {
-                let fj = FlowId::try_from_index(j).unwrap();
-                prop_assert_eq!(
-                    g.same_component(fi, fj).unwrap(),
-                    oracle.comp[i] == oracle.comp[j],
-                    "SCC membership of flows {} and {} disagrees with the oracle", i, j
-                );
-            }
-        }
-    }
-}

@@ -124,8 +124,8 @@ fn resume_matches_fresh_union_under_shared_sink_fanout() {
 #[test]
 fn adaptive_flip_is_sticky_across_resume_and_stays_identical() {
     // Phase 1 runs the shared-sink fan-out regime, so the adaptive
-    // scheduler flips FIFO→SCC mid-solve; the resumed solve then continues
-    // on the SCC queue (the flip is sticky) and must still reach the same
+    // scheduler flips FIFO→tiered mid-solve; the resumed solve then continues
+    // on the tiered queue (the flip is sticky) and must still reach the same
     // fixpoint as a fresh union run.
     let spec = BenchmarkSpec::new("resume-flip", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
     let bench = build_benchmark(&spec);
@@ -210,7 +210,7 @@ fn resume_noop_solve_is_free_and_identical() {
 fn resumed_solves_report_per_solve_scheduler_stats() {
     // Satellite regression (PR 5): per-solve scheduler statistics must not
     // leak across session resumes. Phase 1 flips on the fan-out regime;
-    // the resumed solve stays on the SCC queue (sticky flip) but its
+    // the resumed solve stays on the tiered queue (sticky flip) but its
     // per-solve adaptive counters must be *its own* (zero — no FIFO phase
     // ran), while the cumulative totals and the flip event record persist.
     let spec = BenchmarkSpec::new("resume-stats", Suite::DaCapo, 60, 0.0)
