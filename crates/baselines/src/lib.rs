@@ -89,16 +89,16 @@ pub(crate) fn body_calls(
     let mut virtuals = Vec::new();
     let mut statics = Vec::new();
     let mut allocations = Vec::new();
-    if let Some(body) = &program.method(m).body {
+    if let Some(body) = program.body(m) {
         for (_, block) in body.iter_blocks() {
-            for stmt in &block.stmts {
+            for stmt in block.stmts() {
                 match stmt {
-                    Stmt::Invoke { selector, .. } => virtuals.push(*selector),
-                    Stmt::InvokeStatic { target, .. } => statics.push(*target),
+                    Stmt::Invoke { selector, .. } => virtuals.push(selector),
+                    Stmt::InvokeStatic { target, .. } => statics.push(target),
                     Stmt::Assign {
                         expr: skipflow_ir::Expr::New(t),
                         ..
-                    } => allocations.push(*t),
+                    } => allocations.push(t),
                     _ => {}
                 }
             }

@@ -9,7 +9,7 @@
 //! and the bench harness counts how many more SkipFlow gets.
 
 use skipflow_ir::{
-    BlockBegin, BlockEnd, BlockId, Body, CmpOp, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
+    BlockBegin, BlockEnd, BlockId, BodyView, CmpOp, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
 };
 use std::collections::VecDeque;
 
@@ -81,13 +81,13 @@ impl SccpResult {
 /// )?;
 /// let cls = program.type_by_name("Main").unwrap();
 /// let m = program.method_by_name(cls, "m").unwrap();
-/// let result = sccp(&program, program.method(m).body.as_ref().unwrap());
+/// let result = sccp(&program, program.body(m).unwrap());
 /// assert_eq!(result.folded_branches.len(), 1);
 /// # Ok::<(), skipflow_ir::frontend::FrontendError>(())
 /// ```
-pub fn sccp(program: &Program, body: &Body) -> SccpResult {
+pub fn sccp(program: &Program, body: BodyView<'_>) -> SccpResult {
     let n_blocks = body.block_count();
-    let n_vars = body.vars.len();
+    let n_vars = body.var_count();
     let preds = body.predecessors();
 
     let mut values = vec![LatVal::Bottom; n_vars];
@@ -100,19 +100,19 @@ pub fn sccp(program: &Program, body: &Body) -> SccpResult {
     // Uses index: for each var, the blocks whose evaluation depends on it.
     let mut use_blocks: Vec<Vec<BlockId>> = vec![Vec::new(); n_vars];
     for (id, block) in body.iter_blocks() {
-        if let BlockBegin::Merge { phis, .. } = &block.begin {
+        if let BlockBegin::Merge { phis, .. } = block.begin() {
             for phi in phis {
-                for a in &phi.args {
+                for a in phi.args {
                     use_blocks[a.index()].push(id);
                 }
             }
         }
-        for stmt in &block.stmts {
+        for stmt in block.stmts() {
             for u in stmt.uses() {
                 use_blocks[u.index()].push(id);
             }
         }
-        for u in block.end.uses() {
+        for u in block.end().uses() {
             use_blocks[u.index()].push(id);
         }
     }
@@ -158,7 +158,7 @@ pub fn sccp(program: &Program, body: &Body) -> SccpResult {
 
     // Process a block's straight-line part once executable; returns the
     // changed vars.
-    let eval_stmt = |stmt: &Stmt, values: &mut [LatVal]| -> Option<VarId> {
+    let eval_stmt = |stmt: &Stmt<&[VarId]>, values: &mut [LatVal]| -> Option<VarId> {
         let (def, val) = match stmt {
             Stmt::Assign { def, expr } => {
                 let v = match expr {
@@ -191,7 +191,7 @@ pub fn sccp(program: &Program, body: &Body) -> SccpResult {
         while let Some(b) = block_worklist.pop_front() {
             progress = true;
             // φs of b: join over executable incoming edges.
-            if let BlockBegin::Merge { phis, preds: decl } = &body.block(b).begin {
+            if let BlockBegin::Merge { phis, preds: decl } = body.block(b).begin() {
                 for phi in phis {
                     let mut v = values[phi.def.index()];
                     for (j, p) in decl.iter().enumerate() {
@@ -205,30 +205,30 @@ pub fn sccp(program: &Program, body: &Body) -> SccpResult {
                     }
                 }
             }
-            for stmt in &body.block(b).stmts {
-                if let Some(changed) = eval_stmt(stmt, &mut values) {
+            for stmt in body.block(b).stmts() {
+                if let Some(changed) = eval_stmt(&stmt, &mut values) {
                     var_worklist.push_back(changed);
                 }
             }
-            match &body.block(b).end {
+            match body.block(b).end() {
                 BlockEnd::Return(_) | BlockEnd::Throw(_) => {}
                 BlockEnd::Jump(t) => {
-                    mark_edge(b, *t, &mut exec_edge, &mut exec_block, &mut block_worklist);
+                    mark_edge(b, t, &mut exec_edge, &mut exec_block, &mut block_worklist);
                 }
                 BlockEnd::If {
                     cond,
                     then_block,
                     else_block,
-                } => match eval_cond(cond, &values) {
+                } => match eval_cond(&cond, &values) {
                     Some(true) => {
-                        mark_edge(b, *then_block, &mut exec_edge, &mut exec_block, &mut block_worklist)
+                        mark_edge(b, then_block, &mut exec_edge, &mut exec_block, &mut block_worklist)
                     }
                     Some(false) => {
-                        mark_edge(b, *else_block, &mut exec_edge, &mut exec_block, &mut block_worklist)
+                        mark_edge(b, else_block, &mut exec_edge, &mut exec_block, &mut block_worklist)
                     }
                     None => {
-                        mark_edge(b, *then_block, &mut exec_edge, &mut exec_block, &mut block_worklist);
-                        mark_edge(b, *else_block, &mut exec_edge, &mut exec_block, &mut block_worklist);
+                        mark_edge(b, then_block, &mut exec_edge, &mut exec_block, &mut block_worklist);
+                        mark_edge(b, else_block, &mut exec_edge, &mut exec_block, &mut block_worklist);
                     }
                 },
             }
@@ -256,10 +256,10 @@ pub fn sccp(program: &Program, body: &Body) -> SccpResult {
             then_block,
             else_block,
             ..
-        } = &block.end
+        } = block.end()
         {
-            let t = exec_edge.contains(&(id, *then_block));
-            let e = exec_edge.contains(&(id, *else_block));
+            let t = exec_edge.contains(&(id, then_block));
+            let e = exec_edge.contains(&(id, else_block));
             if t != e {
                 folded.push(id);
             }
@@ -298,7 +298,7 @@ pub fn sccp_program(program: &Program) -> Vec<(MethodId, usize, usize)> {
     program
         .iter_methods()
         .filter_map(|m| {
-            let body = program.method(m).body.as_ref()?;
+            let body = program.body(m)?;
             let r = sccp(program, body);
             Some((m, r.folded_branches.len(), r.dead_blocks().len()))
         })
@@ -314,7 +314,7 @@ mod tests {
         let p = compile(src).unwrap();
         let c = p.type_by_name(class).unwrap();
         let m = p.method_by_name(c, method).unwrap();
-        let r = sccp(&p, p.method(m).body.as_ref().unwrap());
+        let r = sccp(&p, p.body(m).unwrap());
         (p, m, r)
     }
 

@@ -1,9 +1,10 @@
 //! The perf-trajectory binary: runs the synth ladder, the fan-out and
 //! resume rungs, and the table1 corpus (feature ablation), and writes a
-//! `BENCH_PR<n>.json` record (schema `v11`: every row carries `build_ms`,
-//! the fragment-build share of its `wall_ms`, and no longer the
-//! always-zero `order_repairs`/`scc_merges`) for the repository's
-//! performance history.
+//! `BENCH_PR<n>.json` record (schema `v12`: every row carries `build_ms`,
+//! the fragment-build share of its `wall_ms`, and the load layer of its
+//! workload — `decode_ms`, the best-of-3 decode of the program encoded
+//! once to `SFBC`, and `program_bytes`, the decoded program's heap bytes)
+//! for the repository's performance history.
 //!
 //! ```text
 //! cargo run --release -p skipflow-bench --bin trajectory -- \

@@ -22,8 +22,11 @@
 //!   (PTA, predicates only, primitives only, full SkipFlow), sequential
 //!   solver, mirroring the paper's evaluation. Ungated.
 //!
-//! Per run the harness records wall time and the fragment-build part of it
-//! (`build_ms`, so each row splits into build and propagation), worklist
+//! Per run the harness records the load layer (`decode_ms`: the best-of-3
+//! decode of the workload's program, encoded once to `SFBC`, and
+//! `program_bytes`: the decoded program's `Program::heap_bytes`), wall time
+//! and the fragment-build part of it (`build_ms`, so each row splits into
+//! build and propagation), worklist
 //! steps, state joins (the propagation volume), the peak flow count, and
 //! the precision outcomes (reachable methods, dead blocks) so perf changes
 //! that silently alter results are caught immediately. All three schedulers are measured side
@@ -38,6 +41,7 @@ use skipflow_core::{
     analyze, AnalysisConfig, AnalysisResult, AnalysisSession, CancelToken, SchedulerKind,
     SolverKind,
 };
+use skipflow_ir::encode::{decode, encode};
 use skipflow_ir::MethodId;
 use skipflow_synth::{build_benchmark, Benchmark, BenchmarkSpec, Suite};
 use std::fmt::Write as _;
@@ -62,6 +66,12 @@ pub struct RunRecord {
     /// ([`skipflow_core::SolveStats::build`]), from the same run; the rest
     /// is propagation. Ungated: it is a wall time.
     pub build_ms: f64,
+    /// Best-of-3 wall time to decode the workload's program from its
+    /// `SFBC` encoding (the load layer; the same for every row of a
+    /// workload). Ungated: it is a wall time.
+    pub decode_ms: f64,
+    /// Heap bytes of the decoded program ([`skipflow_ir::Program::heap_bytes`]).
+    pub program_bytes: usize,
     /// Worklist steps executed.
     pub steps: u64,
     /// Input-state joins that changed a state.
@@ -218,6 +228,7 @@ pub fn measure_resume(
     assert_eq!(fresh_dead, resumed_dead, "resume dead-block totals diverged");
 
     let scheduler = scheduler_label(&config).to_string();
+    let (decode_ms, program_bytes) = measure_load(bench);
     let record = |label: &str, result: &AnalysisResult, wall_ms, build_ms, steps, joins| {
         let sched = &result.stats().scheduler;
         RunRecord {
@@ -227,6 +238,8 @@ pub fn measure_resume(
             flips: sched.flips,
             wall_ms,
             build_ms,
+            decode_ms,
+            program_bytes,
             steps,
             state_joins: joins,
             flows: result.stats().flows,
@@ -302,6 +315,22 @@ fn scheduler_label(config: &AnalysisConfig) -> &'static str {
     }
 }
 
+/// The load layer of `bench`: its program is encoded once, then decoded
+/// three times; returns the best decode wall time in milliseconds and the
+/// decoded program's heap bytes.
+pub fn measure_load(bench: &Benchmark) -> (f64, usize) {
+    let bytes = encode(&bench.program);
+    let mut best = f64::INFINITY;
+    let mut program_bytes = 0;
+    for _ in 0..3 {
+        let start = Instant::now();
+        let program = decode(&bytes).expect("an encoded benchmark decodes");
+        best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        program_bytes = program.heap_bytes();
+    }
+    (best, program_bytes)
+}
+
 /// Measures one benchmark under one configuration: one untimed warm-up run
 /// (page faults, allocator growth), then the best of `iters` timed runs.
 /// The analysis is deterministic, so only wall time varies between runs.
@@ -331,6 +360,7 @@ pub fn measure_group(
     for config in &configs {
         let _warmup = analyze(&bench.program, &bench.roots, config);
     }
+    let (decode_ms, program_bytes) = measure_load(bench);
     let mut walls = vec![f64::INFINITY; configs.len()];
     let mut results: Vec<Option<AnalysisResult>> = configs.iter().map(|_| None).collect();
     for _ in 0..iters.max(1) {
@@ -358,6 +388,8 @@ pub fn measure_group(
                 flips: stats.scheduler.flips,
                 wall_ms,
                 build_ms: stats.build.as_secs_f64() * 1e3,
+                decode_ms,
+                program_bytes,
                 steps: stats.steps,
                 state_joins: stats.state_joins,
                 flows: stats.flows,
@@ -640,7 +672,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v11\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v12\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -657,6 +689,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
                 out,
                 "        {{\"config\": \"{}\", \"solver\": \"{}\", \"scheduler\": \"{}\", \
                  \"flips\": {}, \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
+                 \"decode_ms\": {:.3}, \"program_bytes\": {}, \
                  \"steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
                  \"reachable_methods\": {}, \"dead_blocks\": {}}}{comma}",
@@ -666,6 +699,8 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
                 r.flips,
                 r.wall_ms,
                 r.build_ms,
+                r.decode_ms,
+                r.program_bytes,
                 r.steps,
                 r.state_joins,
                 r.flows,
@@ -972,9 +1007,12 @@ mod tests {
             ("reference", "fifo")
         );
         assert!(seq.steps > 0 && seq.state_joins > 0 && seq.flows > 0);
-        // Every row's fragment-build time is a part of its own wall time.
+        // Every row's fragment-build time is a part of its own wall time,
+        // and every row carries the workload's load layer.
         for r in &w.runs {
             assert!(r.build_ms > 0.0 && r.build_ms <= r.wall_ms, "{r:?}");
+            assert!(r.decode_ms > 0.0 && r.program_bytes > 0, "{r:?}");
+            assert_eq!(r.program_bytes, seq.program_bytes);
         }
         // The precision guards must agree between solvers and schedulers.
         for r in [fifo, reference] {
@@ -988,8 +1026,10 @@ mod tests {
         let w = tiny_workload();
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w]);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v11\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v12\""));
         assert!(doc.contains("\"build_ms\": "), "{doc}");
+        assert!(doc.contains("\"decode_ms\": "), "{doc}");
+        assert!(doc.contains("\"program_bytes\": "), "{doc}");
         assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…

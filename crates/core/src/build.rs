@@ -41,7 +41,7 @@ use crate::config::AnalysisConfig;
 use crate::flow::{CallKind, CallSite, Flow, FlowId, FlowKind};
 use crate::graph::{pool_index, CheckCategory, IfRecord, MethodGraph, Pvpg, Span};
 use skipflow_ir::{
-    BlockBegin, BlockEnd, BlockId, Body, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
+    BlockBegin, BlockEnd, BlockId, BodyView, Cond, Expr, MethodId, Program, Stmt, TypeId, VarId,
 };
 
 /// The builder's reusable working state and the engine's build-output
@@ -151,11 +151,7 @@ pub(crate) fn build_method_graph(
     m: MethodId,
 ) -> MethodGraph {
     let first_flow = g.flow_count();
-    let body = program
-        .method(m)
-        .body
-        .as_ref()
-        .expect("reachable methods have bodies");
+    let body = program.body(m).expect("reachable methods have bodies");
     let n_blocks = body.block_count();
     if scratch.states.len() < n_blocks {
         scratch.states.resize_with(n_blocks, BlockCtx::default);
@@ -175,7 +171,7 @@ pub(crate) fn build_method_graph(
     let mut stmt_end = stmts_start;
     for (_, block) in body.iter_blocks() {
         g.block_stmt_start.push(pool_index(stmt_end));
-        stmt_end += block.stmts.len();
+        stmt_end += block.stmt_count();
     }
     g.block_pred_pool.resize(blocks_start + n_blocks, g.pred_on);
     g.stmt_pool.resize(stmt_end, g.pred_on);
@@ -193,7 +189,7 @@ pub(crate) fn build_method_graph(
     // Pre-create φ_pred and declared-φ flows for every merge, so back edges
     // can connect loop-carried values.
     for (id, block) in body.iter_blocks() {
-        if let BlockBegin::Merge { phis, .. } = &block.begin {
+        if let BlockBegin::Merge { phis, .. } = block.begin() {
             let phi_pred = b.new_flow(FlowKind::PhiPred, Some(id));
             let ctx = &mut b.scratch.states[id.index()];
             ctx.phi_pred = Some(phi_pred);
@@ -259,12 +255,12 @@ impl Builder<'_> {
             .unwrap_or_else(|| panic!("validated SSA: {v} must be mapped"))
     }
 
-    fn process_block(&mut self, body: &Body, id: BlockId) {
+    fn process_block(&mut self, body: BodyView<'_>, id: BlockId) {
         // Take the accumulated entry context (handed back, with its
         // buffers, at the end).
         let mut ctx = std::mem::take(&mut self.scratch.states[id.index()]);
 
-        match &body.block(id).begin {
+        match body.block(id).begin() {
             BlockBegin::Start { params } => {
                 ctx.pred = Some(self.g.pred_on);
                 let md = self.program.method(self.method);
@@ -302,16 +298,16 @@ impl Builder<'_> {
         // `body` is not reachable through `self`, so iterating it borrows
         // nothing from the builder.
         let stmts_at = self.g.block_stmt_start[slot] as usize;
-        for (k, stmt) in body.block(id).stmts.iter().enumerate() {
-            let f = self.process_stmt(&mut ctx, id, stmt);
+        for (k, stmt) in body.block(id).stmts().enumerate() {
+            let f = self.process_stmt(&mut ctx, id, &stmt);
             self.g.stmt_pool[stmts_at + k] = f;
         }
 
         // Terminator.
-        match &body.block(id).end {
+        match body.block(id).end() {
             BlockEnd::Return(v) => {
                 let pred = ctx.pred.unwrap();
-                let site = match *v {
+                let site = match v {
                     Some(v) => {
                         let f = self.new_predicated_flow(FlowKind::ReturnSite, id, pred);
                         let src = self.lookup(&ctx, v);
@@ -338,22 +334,22 @@ impl Builder<'_> {
             BlockEnd::Throw(v) => {
                 let pred = ctx.pred.unwrap();
                 let f = self.new_predicated_flow(FlowKind::ThrowSite, id, pred);
-                let src = self.lookup(&ctx, *v);
+                let src = self.lookup(&ctx, v);
                 self.g.add_use(src, f);
                 let sink = self.g.thrown_sink;
                 self.g.add_use(f, sink);
             }
             BlockEnd::Jump(target) => {
-                self.propagate(body, &ctx, id, *target);
+                self.propagate(body, &ctx, id, target);
             }
             BlockEnd::If {
                 cond,
                 then_block,
                 else_block,
             } => {
-                let category = self.classify(&ctx, cond);
-                let then_pred = self.init_branch(&ctx, id, *then_block, *cond);
-                let else_pred = self.init_branch(&ctx, id, *else_block, cond.invert());
+                let category = self.classify(&ctx, &cond);
+                let then_pred = self.init_branch(&ctx, id, then_block, cond);
+                let else_pred = self.init_branch(&ctx, id, else_block, cond.invert());
                 self.g.if_pool.push(IfRecord {
                     block: id,
                     category,
@@ -367,7 +363,7 @@ impl Builder<'_> {
         self.scratch.states[id.index()] = ctx;
     }
 
-    fn process_stmt(&mut self, ctx: &mut BlockCtx, id: BlockId, stmt: &Stmt) -> FlowId {
+    fn process_stmt(&mut self, ctx: &mut BlockCtx, id: BlockId, stmt: &Stmt<&[VarId]>) -> FlowId {
         let pred = ctx.pred.unwrap();
         match stmt {
             Stmt::Assign { def, expr } => {
@@ -447,7 +443,7 @@ impl Builder<'_> {
                 let recv = self.lookup(ctx, *receiver);
                 let first_arg = self.g.arg_pool.len();
                 self.g.arg_pool.push(recv);
-                for a in args {
+                for a in args.iter() {
                     let f = self.lookup(ctx, *a);
                     self.g.arg_pool.push(f);
                 }
@@ -474,7 +470,7 @@ impl Builder<'_> {
             }
             Stmt::InvokeStatic { def, target, args } => {
                 let first_arg = self.g.arg_pool.len();
-                for a in args {
+                for a in args.iter() {
                     let f = self.lookup(ctx, *a);
                     self.g.arg_pool.push(f);
                 }
@@ -511,7 +507,7 @@ impl Builder<'_> {
     }
 
     /// The paper's `propagate` (Figure 13), adjusted for pre-created φs.
-    fn propagate(&mut self, body: &Body, ctx: &BlockCtx, from: BlockId, target: BlockId) {
+    fn propagate(&mut self, body: BodyView<'_>, ctx: &BlockCtx, from: BlockId, target: BlockId) {
         let t_idx = target.index();
         let phi_pred = self.scratch.states[t_idx]
             .phi_pred
@@ -530,7 +526,7 @@ impl Builder<'_> {
         }
 
         // Connect declared φ arguments for this predecessor position.
-        if let BlockBegin::Merge { phis, preds } = &body.block(target).begin {
+        if let BlockBegin::Merge { phis, preds } = body.block(target).begin() {
             let j = preds
                 .iter()
                 .position(|p| *p == from)

@@ -993,7 +993,7 @@ impl<'p> Engine<'p> {
             // into it wire nothing and never return (`Engine::mask_method`).
             return;
         }
-        if self.program.method(m).body.is_none() {
+        if !self.program.method(m).has_body() {
             return; // abstract targets are never resolved to, but be safe
         }
         self.build_fragment(m);
@@ -1454,7 +1454,7 @@ impl<'p> Engine<'p> {
     fn resurrect_body(&mut self, m: MethodId, is_root: bool) {
         if !self.reachable.contains(m.index())
             || self.g.method_graph(m).is_some()
-            || self.program.method(m).body.is_none()
+            || !self.program.method(m).has_body()
             || self.overflow.is_some()
         {
             return;

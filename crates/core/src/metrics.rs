@@ -162,10 +162,7 @@ pub fn compute_metrics(result: &AnalysisSnapshot<'_>, program: &Program) -> Metr
     };
 
     for (method, mg) in g.method_graphs() {
-        let body = match &program.method(method).body {
-            Some(b) => b,
-            None => continue,
-        };
+        let Some(body) = program.body(method) else { continue };
 
         // Branching-instruction counters: a check survives when the `if`
         // itself is live and neither branch is proven dead.

@@ -23,7 +23,8 @@
 
 use crate::report::AnalysisResult;
 use skipflow_ir::{
-    Block, BlockBegin, BlockEnd, Body, MethodId, Phi, Program, ProgramBuilder, Stmt, TypeId, VarData, VarId, ValidationErrors,
+    Block, BlockBegin, BlockEnd, Body, BodyView, MethodId, Phi, Program, ProgramBuilder, Stmt, TypeId, VarData, VarId,
+    ValidationErrors,
 };
 use std::collections::HashMap;
 
@@ -132,16 +133,12 @@ pub fn shrink(program: &Program, result: &AnalysisResult) -> Result<Shrunk, Vali
     let mut method_map: HashMap<MethodId, MethodId> = HashMap::new();
     for m in program.iter_methods() {
         let md = program.method(m);
-        if md.body.is_some() {
+        if md.has_body() {
             stats.methods_before += 1;
         }
         let keep = md.is_abstract || result.is_reachable(m);
         if !keep {
-            stats.instructions_removed += md
-                .body
-                .as_ref()
-                .map(Body::instruction_count)
-                .unwrap_or(0);
+            stats.instructions_removed += program.body(m).map_or(0, BodyView::instruction_count);
             continue;
         }
         let mut mb = pb
@@ -156,7 +153,7 @@ pub fn shrink(program: &Program, result: &AnalysisResult) -> Result<Shrunk, Vali
         }
         let new_id = mb.build();
         method_map.insert(m, new_id);
-        if md.body.is_some() {
+        if md.has_body() {
             stats.methods_after += 1;
         }
     }
@@ -165,8 +162,7 @@ pub fn shrink(program: &Program, result: &AnalysisResult) -> Result<Shrunk, Vali
     //    blocks — and dead block *tails* after never-returning calls — are
     //    stubbed.
     for (old, new) in method_map.clone() {
-        let md = program.method(old);
-        let Some(body) = &md.body else { continue };
+        let Some(body) = program.body(old) else { continue };
         let shrunk = shrink_body(body, result, old, stub_error, &method_map, &mut stats);
         pb.set_body(new, shrunk);
     }
@@ -179,8 +175,9 @@ pub fn shrink(program: &Program, result: &AnalysisResult) -> Result<Shrunk, Vali
     })
 }
 
+/// The shrunk copy of `body`, as input for the rebuilt program.
 fn shrink_body(
-    body: &Body,
+    body: BodyView<'_>,
     result: &AnalysisResult,
     method: MethodId,
     stub_error: TypeId,
@@ -188,7 +185,11 @@ fn shrink_body(
     stats: &mut ShrinkStats,
 ) -> Body {
     let live = result.live_blocks(method);
-    let mut vars: Vec<VarData> = body.vars.clone();
+    let mut vars: Vec<VarData> = (0..body.var_count())
+        .map(|v| VarData {
+            name: body.var_name(VarId::from_index(v)).to_owned(),
+        })
+        .collect();
     let fresh_var = |vars: &mut Vec<VarData>| -> VarId {
         let id = VarId::from_index(vars.len());
         vars.push(VarData {
@@ -202,7 +203,7 @@ fn shrink_body(
     // never-returning call are disabled. The prefix of enabled statements is
     // kept; a truncated block loses its terminator (and so its jump).
     let live_prefix = |b: skipflow_ir::BlockId| -> usize {
-        let n = body.block(b).stmts.len();
+        let n = body.block(b).stmt_count();
         (0..n)
             .find(|&i| result.stmt_enabled(method, b, i) == Some(false))
             .unwrap_or(n)
@@ -210,12 +211,12 @@ fn shrink_body(
     // A block reaches its original terminator iff it is live and untruncated;
     // merges must drop the predecessors whose jumps disappeared.
     let exits_normally =
-        |b: skipflow_ir::BlockId| is_live(b) && live_prefix(b) == body.block(b).stmts.len();
+        |b: skipflow_ir::BlockId| is_live(b) && live_prefix(b) == body.block(b).stmt_count();
 
-    let mut blocks = Vec::with_capacity(body.blocks.len());
+    let mut blocks = Vec::with_capacity(body.block_count());
     for (id, block) in body.iter_blocks() {
         // Rebuild the header: merges lose dead predecessors.
-        let begin = match &block.begin {
+        let begin = match block.begin() {
             BlockBegin::Merge { phis, preds } => {
                 let kept: Vec<usize> = (0..preds.len())
                     .filter(|&j| exits_normally(preds[j]))
@@ -233,13 +234,16 @@ fn shrink_body(
                     preds: new_preds,
                 }
             }
-            other => other.clone(),
+            BlockBegin::Start { params } => BlockBegin::Start {
+                params: params.to_vec(),
+            },
+            BlockBegin::Label => BlockBegin::Label,
         };
 
         if !is_live(id) {
             // Whole block stubbed: `throw new UnreachableStub()`.
             stats.blocks_stubbed += 1;
-            stats.instructions_removed += block.stmts.len();
+            stats.instructions_removed += block.stmt_count();
             let err = fresh_var(&mut vars);
             blocks.push(Block {
                 begin,
@@ -253,20 +257,21 @@ fn shrink_body(
         }
 
         let prefix = live_prefix(id);
-        let mut stmts: Vec<Stmt> = block.stmts[..prefix]
-            .iter()
+        let mut stmts: Vec<Stmt> = block
+            .stmts()
+            .take(prefix)
             .map(|s| remap_stmt(s, method_map))
             .collect();
-        if prefix == block.stmts.len() {
+        if prefix == block.stmt_count() {
             blocks.push(Block {
                 begin,
                 stmts,
-                end: block.end.clone(),
+                end: block.end(),
             });
         } else {
             // Dead tail after a never-returning call: truncate and stub.
             stats.blocks_stubbed += 1;
-            stats.instructions_removed += block.stmts.len() - prefix;
+            stats.instructions_removed += block.stmt_count() - prefix;
             let err = fresh_var(&mut vars);
             stmts.push(Stmt::Assign {
                 def: err,
@@ -285,16 +290,16 @@ fn shrink_body(
 
 /// Rewrites statically bound call targets through the method map. Targets in
 /// live blocks are reachable by construction, so the lookup cannot fail.
-fn remap_stmt(stmt: &Stmt, method_map: &HashMap<MethodId, MethodId>) -> Stmt {
-    match stmt {
+fn remap_stmt(stmt: Stmt<&[VarId]>, method_map: &HashMap<MethodId, MethodId>) -> Stmt {
+    match stmt.map_args(<[VarId]>::to_vec) {
         Stmt::InvokeStatic { def, target, args } => Stmt::InvokeStatic {
-            def: *def,
+            def,
             target: *method_map
-                .get(target)
+                .get(&target)
                 .expect("static targets in live code are reachable"),
-            args: args.clone(),
+            args,
         },
-        other => other.clone(),
+        other => other,
     }
 }
 

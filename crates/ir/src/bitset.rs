@@ -29,13 +29,29 @@ impl BitSet {
         Self::default()
     }
 
-    /// Creates an empty bitset with capacity for `n` bits starting at index
-    /// zero (used by the dense CFG/subtype-mask consumers).
+    /// Creates an empty bitset whose band already covers bits `0..n`: a
+    /// dense set, for a caller that will fill most of that range. Sparse or
+    /// clustered sets (value states, the program's subtype masks) start
+    /// from [`BitSet::new`] and grow only the band they use.
     pub fn with_capacity(n: usize) -> Self {
         Self {
             offset: 0,
             words: vec![0; n.div_ceil(BITS)],
         }
+    }
+
+    /// Creates an empty bitset whose band covers exactly the words of bits
+    /// `lo..=hi`, so inserting anything in that range never reallocates.
+    pub(crate) fn with_band(lo: usize, hi: usize) -> Self {
+        Self {
+            offset: u32::try_from(lo / BITS).expect("bit index exceeds the band offset range"),
+            words: vec![0; hi / BITS - lo / BITS + 1],
+        }
+    }
+
+    /// Bytes the set holds on the heap (its band's capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 
     /// The logical word at band-external index `w` (zero outside the band).

@@ -7,7 +7,7 @@
 //! constructs a malformed CFG. The low-level block operations remain
 //! available for tests that need unusual shapes.
 
-use crate::body::{Block, BlockBegin, Body, Phi, VarData};
+use crate::body::{Block, BlockBegin, Body, BodyPools, Phi, VarData};
 use crate::ids::{BlockId, FieldId, MethodId, SelectorId, TypeId, VarId};
 use crate::instr::{BlockEnd, Cond, Expr, Stmt};
 use crate::program::Program;
@@ -41,8 +41,13 @@ pub struct ProgramBuilder {
     methods: Vec<MethodData>,
     fields: Vec<FieldData>,
     selectors: Vec<SelectorData>,
-    selector_index: HashMap<(String, usize), SelectorId>,
+    /// Selector ids by name, then arity.
+    selector_index: HashMap<String, Vec<(usize, SelectorId)>>,
     type_by_name: HashMap<String, TypeId>,
+    /// Every body attached so far, appended in place.
+    pub(crate) bodies: BodyPools,
+    /// Variable-name symbols interned into `bodies`.
+    pub(crate) symbol_index: HashMap<Box<str>, u32>,
 }
 
 impl Default for ProgramBuilder {
@@ -61,6 +66,8 @@ impl ProgramBuilder {
             selectors: Vec::new(),
             selector_index: HashMap::new(),
             type_by_name: HashMap::new(),
+            bodies: BodyPools::default(),
+            symbol_index: HashMap::new(),
         };
         let null = b.push_type(TypeData {
             name: "null".to_string(),
@@ -121,16 +128,21 @@ impl ProgramBuilder {
 
     /// Interns the selector `name/arity`.
     pub fn selector(&mut self, name: &str, arity: usize) -> SelectorId {
-        let key = (name.to_string(), arity);
-        if let Some(&id) = self.selector_index.get(&key) {
+        // Looked up by `&str`, so declaring a method with a known selector
+        // allocates nothing.
+        if let Some(&(_, id)) = self
+            .selector_index
+            .get(name)
+            .and_then(|ids| ids.iter().find(|(a, _)| *a == arity))
+        {
             return id;
         }
         let id = SelectorId::from_index(self.selectors.len());
         self.selectors.push(SelectorData {
-            name: key.0.clone(),
+            name: name.to_string(),
             arity,
         });
-        self.selector_index.insert(key, id);
+        self.selector_index.entry(name.to_string()).or_default().push((arity, id));
         id
     }
 
@@ -168,7 +180,8 @@ impl ProgramBuilder {
         }
     }
 
-    /// Attaches a body to a previously declared method.
+    /// Attaches a body to a previously declared method, appending it to the
+    /// program's body pools.
     ///
     /// # Panics
     ///
@@ -183,7 +196,14 @@ impl ProgramBuilder {
             "body of {:?} declares the wrong parameter count",
             md.name
         );
-        md.body = Some(body);
+        md.body = Some(self.bodies.push_body(body, &mut self.symbol_index));
+    }
+
+    /// Attaches a body already appended to `self.bodies` (the decoder
+    /// writes bodies straight into the pools and checks what
+    /// [`ProgramBuilder::set_body`] asserts itself).
+    pub(crate) fn attach_body(&mut self, m: MethodId, span: crate::body::BodySpan) {
+        self.methods[m.index()].body = Some(span);
     }
 
     /// Builds a body for `m` with a [`BodyBuilder`] pre-seeded with the
@@ -219,15 +239,25 @@ impl ProgramBuilder {
     ///
     /// Returns every validation failure found (SSA violations, malformed
     /// block discipline, bad references).
-    pub fn finish(self) -> Result<Program, ValidationErrors> {
+    pub fn finish(mut self) -> Result<Program, ValidationErrors> {
+        // The tables and pools grew by doubling; the program keeps exactly
+        // their contents.
+        self.types.shrink_to_fit();
+        self.methods.shrink_to_fit();
+        self.fields.shrink_to_fit();
+        self.selectors.shrink_to_fit();
+        self.bodies.shrink_to_fit();
         let mut program = Program {
             types: self.types,
             methods: self.methods,
             fields: self.fields,
             selectors: self.selectors,
-            type_by_name: self.type_by_name,
+            bodies: self.bodies,
+            type_order: Vec::new(),
             subtype_mask: Vec::new(),
+            dispatch_runs: Vec::new(),
             dispatch: Vec::new(),
+            heap_bytes: 0,
         };
         program.freeze();
         let errors = validate::validate_program(&program);
@@ -844,7 +874,8 @@ mod tests {
         let body = bb.finish();
         assert_eq!(body.blocks.len(), 1);
         assert_eq!(body.params().len(), 1);
-        assert_eq!(body.instruction_count(), 2);
+        let (pools, span) = crate::body::tests::pooled(body);
+        assert_eq!(pools.view(span).instruction_count(), 2);
     }
 
     #[test]

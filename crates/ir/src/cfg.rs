@@ -6,7 +6,7 @@
 //! cross-check, and the loop information feeds program statistics and the
 //! workload generator's sanity checks.
 
-use crate::body::Body;
+use crate::body::BodyView;
 use crate::ids::BlockId;
 
 /// The dominator tree of a method body.
@@ -22,7 +22,7 @@ pub struct Dominators {
 impl Dominators {
     /// Computes the dominator tree with the Cooper–Harvey–Kennedy iterative
     /// algorithm.
-    pub fn compute(body: &Body) -> Self {
+    pub fn compute(body: BodyView<'_>) -> Self {
         let n = body.block_count();
         let rpo = body.reverse_postorder();
         let preds = body.predecessors();
@@ -33,7 +33,7 @@ impl Dominators {
         reachable[BlockId::ENTRY.index()] = true;
         for &b in &rpo {
             if reachable[b.index()] {
-                for s in body.block(b).end.successors() {
+                for s in body.block(b).end().successors() {
                     reachable[s.index()] = true;
                 }
             }
@@ -141,14 +141,14 @@ pub struct NaturalLoop {
 /// Finds all natural loops: for every edge `t → h` where `h` dominates `t`,
 /// the loop is `h` plus every block that reaches `t` without passing
 /// through `h`.
-pub fn natural_loops(body: &Body, doms: &Dominators) -> Vec<NaturalLoop> {
+pub fn natural_loops(body: BodyView<'_>, doms: &Dominators) -> Vec<NaturalLoop> {
     let preds = body.predecessors();
     let mut loops = Vec::new();
     for (t, block) in body.iter_blocks() {
         if !doms.is_reachable(t) {
             continue;
         }
-        for h in block.end.successors() {
+        for h in block.end().successors() {
             if doms.dominates(h, t) {
                 // Back edge t -> h: flood predecessors from t, stopping at h.
                 let mut in_loop = vec![false; body.block_count()];
@@ -199,7 +199,7 @@ pub struct BodyStats {
 }
 
 /// Computes [`BodyStats`].
-pub fn body_stats(body: &Body) -> BodyStats {
+pub fn body_stats(body: BodyView<'_>) -> BodyStats {
     use crate::instr::{BlockEnd, Expr, Stmt};
     let doms = Dominators::compute(body);
     let mut s = BodyStats {
@@ -209,10 +209,10 @@ pub fn body_stats(body: &Body) -> BodyStats {
         ..BodyStats::default()
     };
     for (_, block) in body.iter_blocks() {
-        if matches!(block.end, BlockEnd::If { .. }) {
+        if matches!(block.end(), BlockEnd::If { .. }) {
             s.branches += 1;
         }
-        for stmt in &block.stmts {
+        for stmt in block.stmts() {
             match stmt {
                 Stmt::Invoke { .. } | Stmt::InvokeStatic { .. } => s.calls += 1,
                 Stmt::Load { .. } | Stmt::Store { .. } => s.field_accesses += 1,
@@ -227,6 +227,8 @@ pub fn body_stats(body: &Body) -> BodyStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::body::tests::pooled;
+    use crate::body::Body;
     use crate::builder::{BodyBuilder, BranchExit};
     use crate::instr::{CmpOp, Cond};
 
@@ -262,8 +264,8 @@ mod tests {
 
     #[test]
     fn diamond_dominators() {
-        let body = diamond();
-        let doms = Dominators::compute(&body);
+        let (pools, span) = pooled(diamond());
+        let doms = Dominators::compute(pools.view(span));
         // entry (b0) dominates everything; branches dominate only themselves;
         // the merge (b3) is dominated by the entry, not by either branch.
         assert_eq!(doms.idom(b(1)), Some(b(0)));
@@ -277,8 +279,8 @@ mod tests {
 
     #[test]
     fn loop_header_dominates_body_and_exit() {
-        let body = looped();
-        let doms = Dominators::compute(&body);
+        let (pools, span) = pooled(looped());
+        let doms = Dominators::compute(pools.view(span));
         // b0 entry, b1 header, b2 body, b3 exit.
         assert!(doms.dominates(b(1), b(2)));
         assert!(doms.dominates(b(1), b(3)));
@@ -287,9 +289,10 @@ mod tests {
 
     #[test]
     fn natural_loop_detection() {
-        let body = looped();
-        let doms = Dominators::compute(&body);
-        let loops = natural_loops(&body, &doms);
+        let (pools, span) = pooled(looped());
+        let body = pools.view(span);
+        let doms = Dominators::compute(body);
+        let loops = natural_loops(body, &doms);
         assert_eq!(loops.len(), 1);
         assert_eq!(loops[0].header, b(1));
         assert_eq!(loops[0].back_edge_from, b(2));
@@ -298,9 +301,10 @@ mod tests {
 
     #[test]
     fn diamond_has_no_loops() {
-        let body = diamond();
-        let doms = Dominators::compute(&body);
-        assert!(natural_loops(&body, &doms).is_empty());
+        let (pools, span) = pooled(diamond());
+        let body = pools.view(span);
+        let doms = Dominators::compute(body);
+        assert!(natural_loops(body, &doms).is_empty());
     }
 
     #[test]
@@ -311,8 +315,9 @@ mod tests {
             stmts: vec![],
             end: crate::instr::BlockEnd::Return(None),
         });
-        let doms = Dominators::compute(&body);
         let dead = b(body.blocks.len() - 1);
+        let (pools, span) = pooled(body);
+        let doms = Dominators::compute(pools.view(span));
         assert!(!doms.is_reachable(dead));
         assert!(!doms.dominates(b(0), dead));
     }
@@ -323,14 +328,15 @@ mod tests {
         // tree: for every use, the defining block dominates the using block
         // (or they are the same block with the def first — which block-local
         // ordering already guarantees for builder output).
-        let body = looped();
-        let doms = Dominators::compute(&body);
+        let (pools, span) = pooled(looped());
+        let body = pools.view(span);
+        let doms = Dominators::compute(body);
         let mut def_block = std::collections::HashMap::new();
         for (id, block) in body.iter_blocks() {
-            match &block.begin {
+            match block.begin() {
                 crate::body::BlockBegin::Start { params } => {
-                    for p in params {
-                        def_block.insert(*p, id);
+                    for &p in params {
+                        def_block.insert(p, id);
                     }
                 }
                 crate::body::BlockBegin::Merge { phis, .. } => {
@@ -340,19 +346,19 @@ mod tests {
                 }
                 crate::body::BlockBegin::Label => {}
             }
-            for stmt in &block.stmts {
+            for stmt in block.stmts() {
                 if let Some(d) = stmt.def() {
                     def_block.insert(d, id);
                 }
             }
         }
         for (id, block) in body.iter_blocks() {
-            for stmt in &block.stmts {
+            for stmt in block.stmts() {
                 for u in stmt.uses() {
                     assert!(doms.dominates(def_block[&u], id));
                 }
             }
-            for u in block.end.uses() {
+            for u in block.end().uses() {
                 assert!(doms.dominates(def_block[&u], id));
             }
         }
@@ -360,13 +366,15 @@ mod tests {
 
     #[test]
     fn body_stats_counts_shapes() {
-        let stats = body_stats(&looped());
+        let (pools, span) = pooled(looped());
+        let stats = body_stats(pools.view(span));
         assert_eq!(stats.blocks, 4);
         assert_eq!(stats.loops, 1);
         assert_eq!(stats.branches, 1);
         assert_eq!(stats.calls, 0);
 
-        let stats = body_stats(&diamond());
+        let (pools, span) = pooled(diamond());
+        let stats = body_stats(pools.view(span));
         assert_eq!(stats.loops, 0);
         assert_eq!(stats.branches, 1);
     }

@@ -17,9 +17,14 @@
 //!
 //! Decoding rebuilds the program through [`ProgramBuilder`], so every
 //! decoded program passes the same validation as freshly built ones, and
-//! ids round-trip exactly (tables are written in id order).
+//! ids round-trip exactly (tables are written in id order). Bodies are
+//! decoded straight into the builder's body pools, with no owned body in
+//! between. Every count read from the input is checked against the bytes
+//! that remain before anything is reserved for it, so a forged count
+//! fails as [`DecodeError::Truncated`] instead of reserving memory the
+//! input could never fill.
 
-use crate::body::{Block, BlockBegin, Body, Phi, VarData};
+use crate::body::{BlockBegin, BlockRec, BodySpan, BodyView, Phi, Span};
 use crate::builder::ProgramBuilder;
 use crate::ids::{BlockId, FieldId, MethodId, SelectorId, TypeId, VarId};
 use crate::instr::{BlockEnd, CmpOp, Cond, Expr, Stmt};
@@ -189,7 +194,7 @@ pub fn encode(program: &Program) -> Vec<u8> {
             p.type_ref(*param);
         }
         p.type_ref(md.sig.ret);
-        match &md.body {
+        match program.body(m) {
             None => p.u8(0),
             Some(body) => {
                 p.u8(1);
@@ -210,14 +215,14 @@ pub fn encode(program: &Program) -> Vec<u8> {
     w.buf
 }
 
-fn encode_body(p: &mut Writer, body: &Body) {
-    p.u32(body.vars.len() as u32);
-    for v in &body.vars {
-        p.str_ref(&v.name);
+fn encode_body(p: &mut Writer, body: BodyView<'_>) {
+    p.u32(body.var_count() as u32);
+    for v in 0..body.var_count() {
+        p.str_ref(body.var_name(VarId::from_index(v)));
     }
-    p.u32(body.blocks.len() as u32);
-    for block in &body.blocks {
-        match &block.begin {
+    p.u32(body.block_count() as u32);
+    for (_, block) in body.iter_blocks() {
+        match block.begin() {
             BlockBegin::Start { params } => {
                 p.u8(0);
                 p.u32(params.len() as u32);
@@ -234,22 +239,22 @@ fn encode_body(p: &mut Writer, body: &Body) {
                 p.u32(phis.len() as u32);
                 for phi in phis {
                     p.u32(phi.def.as_u32());
-                    for a in &phi.args {
+                    for a in phi.args {
                         p.u32(a.as_u32());
                     }
                 }
             }
             BlockBegin::Label => p.u8(2),
         }
-        p.u32(block.stmts.len() as u32);
-        for stmt in &block.stmts {
+        p.u32(block.stmt_count() as u32);
+        for stmt in block.stmts() {
             encode_stmt(p, stmt);
         }
-        encode_end(p, &block.end);
+        encode_end(p, block.end());
     }
 }
 
-fn encode_stmt(p: &mut Writer, stmt: &Stmt) {
+fn encode_stmt(p: &mut Writer, stmt: Stmt<&[VarId]>) {
     match stmt {
         Stmt::Assign { def, expr } => {
             p.u8(0);
@@ -257,7 +262,7 @@ fn encode_stmt(p: &mut Writer, stmt: &Stmt) {
             match expr {
                 Expr::Const(n) => {
                     p.u8(0);
-                    p.i64(*n);
+                    p.i64(n);
                 }
                 Expr::AnyPrim => p.u8(1),
                 Expr::New(t) => {
@@ -306,7 +311,7 @@ fn encode_stmt(p: &mut Writer, stmt: &Stmt) {
     }
 }
 
-fn encode_end(p: &mut Writer, end: &BlockEnd) {
+fn encode_end(p: &mut Writer, end: BlockEnd) {
     match end {
         BlockEnd::Return(v) => {
             p.u8(0);
@@ -336,7 +341,7 @@ fn encode_end(p: &mut Writer, end: &BlockEnd) {
                     p.u8(1);
                     p.u32(var.as_u32());
                     p.u32(ty.as_u32());
-                    p.u8(*negated as u8);
+                    p.u8(negated as u8);
                 }
             }
             p.u32(then_block.as_u32());
@@ -382,14 +387,30 @@ impl<'a> Reader<'a> {
         self.pos += 8;
         Ok(i64::from_le_bytes(bytes.try_into().unwrap()))
     }
+    /// Reads a count of items that each take at least `min_bytes` of the
+    /// input, rejecting one the remaining bytes cannot hold — so the count
+    /// can size a reservation.
+    fn count(&mut self, what: &'static str, min_bytes: usize) -> Result<usize, DecodeError> {
+        let n = self.u32(what)? as usize;
+        if n.saturating_mul(min_bytes) > self.buf.len() - self.pos {
+            return Err(DecodeError::Truncated(what));
+        }
+        Ok(n)
+    }
+    /// Reads a string-table index.
+    fn str_index(&mut self, what: &'static str) -> Result<usize, DecodeError> {
+        let idx = self.u32(what)? as usize;
+        if idx < self.strings.len() {
+            Ok(idx)
+        } else {
+            Err(DecodeError::Truncated(what))
+        }
+    }
     /// Reads a string-table index and lends the string; callers copy only
     /// what they keep.
     fn str_ref(&mut self, what: &'static str) -> Result<&'a str, DecodeError> {
-        let idx = self.u32(what)? as usize;
-        self.strings
-            .get(idx)
-            .copied()
-            .ok_or(DecodeError::Truncated(what))
+        let idx = self.str_index(what)?;
+        Ok(self.strings[idx])
     }
     fn opt_u32(&mut self, what: &'static str) -> Result<Option<u32>, DecodeError> {
         let v = self.u32(what)?;
@@ -433,7 +454,8 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     if r.u32("version")? != VERSION {
         return Err(DecodeError::BadHeader);
     }
-    let n_strings = r.u32("string count")? as usize;
+    let n_strings = r.count("string count", 4)?;
+    r.strings.reserve_exact(n_strings);
     for _ in 0..n_strings {
         let len = r.u32("string length")? as usize;
         let bytes = r
@@ -451,7 +473,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     // far (or, for forward-referencing tables, the declared totals), so
     // corrupted inputs fail with an error rather than a panic deeper in the
     // builder.
-    let n_types = r.u32("type count")? as usize;
+    let n_types = r.count("type count", MIN_TYPE_BYTES)?;
     let total_types = n_types + 1; // + the reserved null pseudo-type
     let mut seen_names = std::collections::HashSet::new();
     for declared in 0..n_types {
@@ -461,7 +483,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         }
         let kind = r.u8("type kind")?;
         let superclass = r.opt_u32("superclass")?;
-        let n_ifaces = r.u32("interface count")? as usize;
+        let n_ifaces = r.count("interface count", 4)?;
         if n_ifaces > n_types {
             return Err(DecodeError::Malformed("interface list longer than type table"));
         }
@@ -516,7 +538,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     };
 
     // Selectors (interned in id order so ids round-trip).
-    let n_selectors = r.u32("selector count")? as usize;
+    let n_selectors = r.count("selector count", MIN_SELECTOR_BYTES)?;
     for _ in 0..n_selectors {
         let name = r.str_ref("selector name")?;
         let arity = r.u32("selector arity")? as usize;
@@ -524,7 +546,7 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
     }
 
     // Fields.
-    let n_fields = r.u32("field count")? as usize;
+    let n_fields = r.count("field count", MIN_FIELD_BYTES)?;
     for _ in 0..n_fields {
         let name = r.str_ref("field name")?;
         let owner = check_type(r.u32("field owner")?)?;
@@ -537,21 +559,22 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
         }
     }
 
-    // Methods: declarations first, bodies collected then attached (bodies
-    // may reference later methods).
-    let n_methods = r.u32("method count")? as usize;
+    // Methods. A body may reference later methods, so its ids are checked
+    // against the declared method count.
+    let n_methods = r.count("method count", MIN_METHOD_BYTES)?;
     let limits = Limits {
         types: total_types,
         selectors: n_selectors,
         fields: n_fields,
         methods: n_methods,
     };
-    let mut bodies: Vec<(MethodId, usize, Body)> = Vec::new();
+    // The symbol each string-table entry interned to as a variable name.
+    let mut var_syms = vec![u32::MAX; r.strings.len()];
     for _ in 0..n_methods {
         let name = r.str_ref("method name")?;
         let owner = check_type(r.u32("method owner")?)?;
         let flags = r.u8("method flags")?;
-        let n_params = r.u32("param count")? as usize;
+        let n_params = r.count("param count", 1)?;
         if n_params > 1 << 16 {
             return Err(DecodeError::Malformed("absurd parameter count"));
         }
@@ -575,19 +598,27 @@ pub fn decode(bytes: &[u8]) -> Result<Program, DecodeError> {
             if is_abstract {
                 return Err(DecodeError::Malformed("abstract method with a body"));
             }
-            bodies.push((mid, expected_body_params, decode_body(&mut r, &limits)?));
+            let span = decode_body(&mut r, &limits, &mut pb, &mut var_syms)?;
+            // Check what set_body asserts, so corruption errors cleanly.
+            let entry = (span.blocks.len() > 0).then(|| pb.bodies.blocks[span.blocks.start as usize].begin);
+            match entry {
+                Some(BlockBegin::Start { params }) if params.len() == expected_body_params => {}
+                _ => return Err(DecodeError::Malformed("body entry/parameter mismatch")),
+            }
+            pb.attach_body(mid, span);
         }
-    }
-    for (m, expected_params, body) in bodies {
-        // Pre-check what set_body asserts, so corruption errors cleanly.
-        match body.blocks.first().map(|b| &b.begin) {
-            Some(BlockBegin::Start { params }) if params.len() == expected_params => {}
-            _ => return Err(DecodeError::Malformed("body entry/parameter mismatch")),
-        }
-        pb.set_body(m, body);
     }
     pb.finish().map_err(DecodeError::Invalid)
 }
+
+/// The fewest bytes each item of a counted list takes in the input: what a
+/// count is checked against before it sizes a reservation.
+const MIN_TYPE_BYTES: usize = 13; // name, kind, superclass, interface count
+const MIN_SELECTOR_BYTES: usize = 8; // name, arity
+const MIN_FIELD_BYTES: usize = 10; // name, owner, type tag, static flag
+const MIN_METHOD_BYTES: usize = 15; // name, owner, flags, param count, return tag, body flag
+const MIN_BLOCK_BYTES: usize = 10; // `label` tag, statement count, `return`/`jump`/`throw`
+const MIN_STMT_BYTES: usize = 6; // `v ← any` / `v ← null`
 
 /// Table sizes used for id range checks while decoding bodies.
 struct Limits {
@@ -651,82 +682,124 @@ impl Limits {
     }
 }
 
-fn decode_body(r: &mut Reader<'_>, limits: &Limits) -> Result<Body, DecodeError> {
-    let n_vars = r.u32("var count")? as usize;
-    if n_vars > r.buf.len() {
-        return Err(DecodeError::Malformed("absurd variable count"));
-    }
-    let mut vars = Vec::with_capacity(n_vars);
+/// Decodes one body straight into the builder's pools. `var_syms` caches,
+/// per string-table entry, the symbol it interned to.
+fn decode_body(
+    r: &mut Reader<'_>,
+    limits: &Limits,
+    pb: &mut ProgramBuilder,
+    var_syms: &mut [u32],
+) -> Result<BodySpan, DecodeError> {
+    let ProgramBuilder { bodies: pools, symbol_index, .. } = pb;
+    let n_vars = r.count("var count", 4)?;
+    let var_start = pools.var_names.len();
+    pools.var_names.reserve(n_vars);
     for _ in 0..n_vars {
-        vars.push(VarData {
-            name: r.str_ref("var name")?.to_owned(),
-        });
+        let idx = r.str_index("var name")?;
+        if var_syms[idx] == u32::MAX {
+            var_syms[idx] = pools.intern(symbol_index, r.strings[idx]);
+        }
+        pools.var_names.push(var_syms[idx]);
     }
-    let n_blocks = r.u32("block count")? as usize;
-    if n_blocks > r.buf.len() {
-        return Err(DecodeError::Malformed("absurd block count"));
-    }
+    let n_blocks = r.count("block count", MIN_BLOCK_BYTES)?;
     let bl = BodyLimits {
         vars: n_vars,
         blocks: n_blocks,
     };
-    let mut blocks = Vec::with_capacity(n_blocks);
+    let block_start = pools.blocks.len();
+    pools.blocks.reserve(n_blocks);
     for _ in 0..n_blocks {
         let begin = match r.u8("block begin tag")? {
             0 => {
-                let n = r.u32("param count")? as usize;
+                let n = r.count("param count", 4)?;
                 if n > n_vars {
                     return Err(DecodeError::Malformed("param count exceeds variables"));
                 }
-                let mut params = Vec::with_capacity(n);
+                let start = pools.vars.len();
+                pools.vars.reserve(n);
                 for _ in 0..n {
-                    params.push(bl.var(r.var("param var")?)?);
+                    pools.vars.push(bl.var(r.var("param var")?)?);
                 }
-                BlockBegin::Start { params }
+                BlockBegin::Start {
+                    params: Span::between(start, pools.vars.len()),
+                }
             }
             1 => {
-                let n_preds = r.u32("pred count")? as usize;
+                let n_preds = r.count("pred count", 4)?;
                 if n_preds > n_blocks {
                     return Err(DecodeError::Malformed("pred count exceeds blocks"));
                 }
-                let mut preds = Vec::with_capacity(n_preds);
+                let pred_start = pools.preds.len();
+                pools.preds.reserve(n_preds);
                 for _ in 0..n_preds {
-                    preds.push(bl.block(r.block("pred block")?)?);
+                    pools.preds.push(bl.block(r.block("pred block")?)?);
                 }
-                let n_phis = r.u32("phi count")? as usize;
+                // Each φ is its def plus one argument per predecessor.
+                let n_phis = r.count("phi count", 4 * (n_preds + 1))?;
                 if n_phis > n_vars {
                     return Err(DecodeError::Malformed("phi count exceeds variables"));
                 }
-                let mut phis = Vec::with_capacity(n_phis);
+                let phi_start = pools.phis.len();
+                pools.phis.reserve(n_phis);
+                pools.vars.reserve(n_phis * n_preds);
                 for _ in 0..n_phis {
                     let def = bl.var(r.var("phi def")?)?;
-                    let mut args = Vec::with_capacity(n_preds);
+                    let args = pools.vars.len();
                     for _ in 0..n_preds {
-                        args.push(bl.var(r.var("phi arg")?)?);
+                        pools.vars.push(bl.var(r.var("phi arg")?)?);
                     }
-                    phis.push(Phi { def, args });
+                    pools.phis.push(Phi {
+                        def,
+                        args: Span::between(args, pools.vars.len()),
+                    });
                 }
-                BlockBegin::Merge { phis, preds }
+                BlockBegin::Merge {
+                    phis: Span::between(phi_start, pools.phis.len()),
+                    preds: Span::between(pred_start, pools.preds.len()),
+                }
             }
             2 => BlockBegin::Label,
             t => return Err(DecodeError::BadTag("block begin", t)),
         };
-        let n_stmts = r.u32("stmt count")? as usize;
-        let mut stmts = Vec::with_capacity(n_stmts.min(r.buf.len()));
+        let n_stmts = r.count("stmt count", MIN_STMT_BYTES)?;
+        let stmt_start = pools.stmts.len();
+        pools.stmts.reserve(n_stmts);
         for _ in 0..n_stmts {
-            stmts.push(decode_stmt(r, limits, &bl)?);
+            let stmt = decode_stmt(r, limits, &bl, &mut pools.vars)?;
+            pools.stmts.push(stmt);
         }
         let end = decode_end(r, limits, &bl)?;
-        blocks.push(Block { begin, stmts, end });
+        pools.blocks.push(BlockRec {
+            begin,
+            stmts: Span::between(stmt_start, pools.stmts.len()),
+            end,
+        });
     }
-    Ok(Body { blocks, vars })
+    Ok(BodySpan {
+        blocks: Span::between(block_start, pools.blocks.len()),
+        vars: Span::between(var_start, pools.var_names.len()),
+    })
 }
 
+/// Decodes one statement; call arguments are appended to `vars`.
 fn decode_stmt(
     r: &mut Reader<'_>,
     limits: &Limits,
     bl: &BodyLimits,
-) -> Result<Stmt, DecodeError> {
+    vars: &mut Vec<VarId>,
+) -> Result<Stmt<Span>, DecodeError> {
+    let mut args = |r: &mut Reader<'_>, count: &'static str, arg: &'static str| {
+        let n = r.count(count, 4)?;
+        if n > bl.vars {
+            return Err(DecodeError::Malformed("call arg count exceeds variables"));
+        }
+        let start = vars.len();
+        vars.reserve(n);
+        for _ in 0..n {
+            vars.push(bl.var(r.var(arg)?)?);
+        }
+        Ok(Span::between(start, vars.len()))
+    };
     Ok(match r.u8("stmt tag")? {
         0 => {
             let def = bl.var(r.var("assign def")?)?;
@@ -753,27 +826,13 @@ fn decode_stmt(
             let def = bl.var(r.var("invoke def")?)?;
             let receiver = bl.var(r.var("invoke receiver")?)?;
             let selector = limits.selector(r.u32("invoke selector")?)?;
-            let n = r.u32("invoke arg count")? as usize;
-            if n > bl.vars {
-                return Err(DecodeError::Malformed("invoke arg count exceeds variables"));
-            }
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(bl.var(r.var("invoke arg")?)?);
-            }
+            let args = args(r, "invoke arg count", "invoke arg")?;
             Stmt::Invoke { def, receiver, selector, args }
         }
         4 => {
             let def = bl.var(r.var("static invoke def")?)?;
             let target = limits.method(r.u32("static target")?)?;
-            let n = r.u32("static arg count")? as usize;
-            if n > bl.vars {
-                return Err(DecodeError::Malformed("static arg count exceeds variables"));
-            }
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(bl.var(r.var("static arg")?)?);
-            }
+            let args = args(r, "static arg count", "static arg")?;
             Stmt::InvokeStatic { def, target, args }
         }
         5 => Stmt::Catch {

@@ -131,17 +131,16 @@ mod tests {
         .unwrap();
         let main = p.type_by_name("Main").unwrap();
         let m = p.method_by_name(main, "pick").unwrap();
-        let body = p.method(m).body.as_ref().unwrap();
+        let body = p.body(m).unwrap();
         let merge = body
-            .blocks
-            .iter()
-            .find_map(|b| match &b.begin {
+            .iter_blocks()
+            .find_map(|(_, b)| match b.begin() {
                 BlockBegin::Merge { phis, .. } if !phis.is_empty() => Some(phis),
                 _ => None,
             })
             .expect("expected a merge with φs");
         assert_eq!(merge.len(), 1);
-        assert_eq!(merge[0].args.len(), 2);
+        assert_eq!(merge.get(0).args.len(), 2);
     }
 
     #[test]
@@ -158,15 +157,13 @@ mod tests {
         .unwrap();
         let main = p.type_by_name("Main").unwrap();
         let m = p.method_by_name(main, "count").unwrap();
-        let body = p.method(m).body.as_ref().unwrap();
+        let body = p.body(m).unwrap();
         // The loop header must be a merge with a back edge.
         let (header_preds, phis) = body
-            .blocks
-            .iter()
-            .enumerate()
-            .find_map(|(i, b)| match &b.begin {
+            .iter_blocks()
+            .find_map(|(id, b)| match b.begin() {
                 BlockBegin::Merge { phis, preds } if preds.len() == 2 => {
-                    Some((preds.iter().map(|p| p.index() > i).collect::<Vec<_>>(), phis))
+                    Some((preds.iter().map(|p| p.index() > id.index()).collect::<Vec<_>>(), phis))
                 }
                 _ => None,
             })
@@ -190,9 +187,9 @@ mod tests {
         .unwrap();
         let main = p.type_by_name("Main").unwrap();
         let m = p.method_by_name(main, "same").unwrap();
-        let body = p.method(m).body.as_ref().unwrap();
-        for b in &body.blocks {
-            if let BlockBegin::Merge { phis, .. } = &b.begin {
+        let body = p.body(m).unwrap();
+        for (_, b) in body.iter_blocks() {
+            if let BlockBegin::Merge { phis, .. } = b.begin() {
                 assert!(phis.is_empty());
             }
         }
@@ -212,17 +209,17 @@ mod tests {
         .unwrap();
         let t = p.type_by_name("T").unwrap();
         let m = p.method_by_name(t, "use").unwrap();
-        let body = p.method(m).body.as_ref().unwrap();
-        let entry = &body.blocks[0];
+        let body = p.body(m).unwrap();
+        let entry = body.block(crate::BlockId::ENTRY);
         assert!(matches!(
-            entry.end,
+            entry.end(),
             BlockEnd::If {
                 cond: crate::instr::Cond::Cmp { op: crate::instr::CmpOp::Ne, .. },
                 ..
             }
         ));
         // The invoke result feeds the comparison.
-        assert!(entry.stmts.iter().any(|s| matches!(s, Stmt::Invoke { .. })));
+        assert!(entry.stmts().any(|s| matches!(s, Stmt::Invoke { .. })));
     }
 
     #[test]
@@ -280,8 +277,9 @@ mod tests {
         let p = compile("class A { static method m(): void { var x = 1; } }").unwrap();
         let a = p.type_by_name("A").unwrap();
         let m = p.method_by_name(a, "m").unwrap();
-        let body = p.method(m).body.as_ref().unwrap();
-        assert!(matches!(body.blocks.last().unwrap().end, BlockEnd::Return(None)));
+        let body = p.body(m).unwrap();
+        let last = crate::BlockId::from_index(body.block_count() - 1);
+        assert!(matches!(body.block(last).end(), BlockEnd::Return(None)));
     }
 
     #[test]

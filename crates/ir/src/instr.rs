@@ -19,8 +19,13 @@ pub enum Expr {
 }
 
 /// A statement inside a basic block.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Stmt {
+///
+/// `A` is how the call arguments are held: an owned `Vec` in builder
+/// input, a borrowed slice in the [`crate::BodyView`] readers get from a
+/// [`crate::Program`], and an index range into the program's argument pool
+/// in storage.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stmt<A = Vec<VarId>> {
     /// `v ← e`
     Assign {
         /// Defined variable.
@@ -56,7 +61,7 @@ pub enum Stmt {
         /// Dispatch selector.
         selector: SelectorId,
         /// Arguments `v1, …, vn` (receiver excluded).
-        args: Vec<VarId>,
+        args: A,
     },
     /// Static invocation `v ← T::m(v1, …, vn)` — an extension over the formal
     /// base language needed for always-throwing helpers such as
@@ -67,7 +72,7 @@ pub enum Stmt {
         /// The statically-bound target method.
         target: MethodId,
         /// Arguments.
-        args: Vec<VarId>,
+        args: A,
     },
     /// `v ← catch T` — an exception-handler entry: receives every instantiated
     /// exception type that is a subtype of `T` thrown anywhere in the program
@@ -80,7 +85,7 @@ pub enum Stmt {
     },
 }
 
-impl Stmt {
+impl<A> Stmt<A> {
     /// The variable defined by this statement, if any.
     pub fn def(&self) -> Option<VarId> {
         match self {
@@ -93,14 +98,37 @@ impl Stmt {
         }
     }
 
+    /// The same statement with its arguments mapped through `f`.
+    pub fn map_args<B>(self, f: impl FnOnce(A) -> B) -> Stmt<B> {
+        match self {
+            Stmt::Assign { def, expr } => Stmt::Assign { def, expr },
+            Stmt::Load { def, object, field } => Stmt::Load { def, object, field },
+            Stmt::Store { object, field, value } => Stmt::Store { object, field, value },
+            Stmt::Invoke { def, receiver, selector, args } => Stmt::Invoke {
+                def,
+                receiver,
+                selector,
+                args: f(args),
+            },
+            Stmt::InvokeStatic { def, target, args } => Stmt::InvokeStatic {
+                def,
+                target,
+                args: f(args),
+            },
+            Stmt::Catch { def, ty } => Stmt::Catch { def, ty },
+        }
+    }
+}
+
+impl<A: AsRef<[VarId]>> Stmt<A> {
     /// Variables used (read) by this statement, in operand order.
     pub fn uses(&self) -> impl Iterator<Item = VarId> + '_ {
         let (fixed, args): ([Option<VarId>; 2], &[VarId]) = match self {
             Stmt::Assign { .. } | Stmt::Catch { .. } => ([None, None], &[]),
             Stmt::Load { object, .. } => ([Some(*object), None], &[]),
             Stmt::Store { object, value, .. } => ([Some(*object), Some(*value)], &[]),
-            Stmt::Invoke { receiver, args, .. } => ([Some(*receiver), None], args),
-            Stmt::InvokeStatic { args, .. } => ([None, None], args),
+            Stmt::Invoke { receiver, args, .. } => ([Some(*receiver), None], args.as_ref()),
+            Stmt::InvokeStatic { args, .. } => ([None, None], args.as_ref()),
         };
         fixed.into_iter().flatten().chain(args.iter().copied())
     }
@@ -232,7 +260,7 @@ impl Cond {
 }
 
 /// The terminator of a basic block.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum BlockEnd {
     /// `return v` / `return` (void).
     Return(Option<VarId>),
@@ -343,7 +371,7 @@ mod tests {
     #[test]
     fn stmt_defs_and_uses() {
         let v = |i| VarId::from_index(i);
-        let s = Stmt::Invoke {
+        let s: Stmt = Stmt::Invoke {
             def: v(0),
             receiver: v(1),
             selector: SelectorId::from_index(0),
@@ -352,7 +380,7 @@ mod tests {
         assert_eq!(s.def(), Some(v(0)));
         assert_eq!(s.uses().collect::<Vec<_>>(), vec![v(1), v(2), v(3)]);
 
-        let st = Stmt::Store {
+        let st: Stmt = Stmt::Store {
             object: v(1),
             field: FieldId::from_index(0),
             value: v(2),

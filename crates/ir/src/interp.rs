@@ -11,7 +11,7 @@
 //! the corresponding static value state. The workspace-level property tests
 //! run exactly this comparison on randomly generated programs.
 
-use crate::ids::{BlockId, FieldId, MethodId, TypeId};
+use crate::ids::{BlockId, FieldId, MethodId, TypeId, VarId};
 use crate::instr::{BlockEnd, CmpOp, Cond, Expr, Stmt};
 use crate::program::Program;
 use crate::types::TypeRef;
@@ -154,7 +154,7 @@ enum Eval<T> {
 /// count — caller bugs, not program behaviours.
 pub fn run(program: &Program, method: MethodId, args: &[Value], config: &InterpConfig) -> Trace {
     let md = program.method(method);
-    assert!(md.body.is_some(), "cannot interpret an abstract method");
+    assert!(md.has_body(), "cannot interpret an abstract method");
     assert_eq!(args.len(), md.param_count(), "argument count mismatch");
     let mut interp = Interp {
         program,
@@ -255,15 +255,9 @@ impl Interp<'_> {
                 .or_default()
                 .insert(ov);
         }
-        let body = self
-            .program
-            .method(method)
-            .body
-            .as_ref()
-            .expect("resolved methods are concrete")
-            .clone();
+        let body = self.program.body(method).expect("resolved methods are concrete");
 
-        let mut env: Vec<Option<Value>> = vec![None; body.vars.len()];
+        let mut env: Vec<Option<Value>> = vec![None; body.var_count()];
         for (i, p) in body.params().iter().enumerate() {
             env[p.index()] = Some(args[i]);
         }
@@ -272,7 +266,7 @@ impl Interp<'_> {
         let mut prev_block: Option<BlockId> = None;
         loop {
             // Header: φ resolution against the incoming edge.
-            if let crate::body::BlockBegin::Merge { phis, preds } = &body.block(block).begin {
+            if let crate::body::BlockBegin::Merge { phis, preds } = body.block(block).begin() {
                 let from = prev_block.expect("merges are never entry blocks");
                 let j = preds
                     .iter()
@@ -288,7 +282,7 @@ impl Interp<'_> {
                 }
             }
 
-            for stmt in &body.block(block).stmts {
+            for stmt in body.block(block).stmts() {
                 if let Err(a) = self.tick() {
                     return Eval::Abort(a);
                 }
@@ -302,7 +296,7 @@ impl Interp<'_> {
             if let Err(a) = self.tick() {
                 return Eval::Abort(a);
             }
-            match &body.block(block).end {
+            match body.block(block).end() {
                 BlockEnd::Return(v) => {
                     let val = v.map(|v| env[v.index()].expect("validated SSA"));
                     if let Some(val) = val {
@@ -330,19 +324,19 @@ impl Interp<'_> {
                 }
                 BlockEnd::Jump(t) => {
                     prev_block = Some(block);
-                    block = *t;
+                    block = t;
                 }
                 BlockEnd::If {
                     cond,
                     then_block,
                     else_block,
                 } => {
-                    let taken = match self.eval_cond(cond, &env) {
+                    let taken = match self.eval_cond(&cond, &env) {
                         Some(b) => b,
                         None => return Eval::Abort(Abort::Unresolved),
                     };
                     prev_block = Some(block);
-                    block = if taken { *then_block } else { *else_block };
+                    block = if taken { then_block } else { else_block };
                 }
             }
         }
@@ -379,11 +373,11 @@ impl Interp<'_> {
 
     fn exec_stmt(
         &mut self,
-        stmt: &Stmt,
+        stmt: Stmt<&[VarId]>,
         env: &mut [Option<Value>],
         depth: usize,
     ) -> Eval<()> {
-        match stmt {
+        match &stmt {
             Stmt::Assign { def, expr } => {
                 let v = match expr {
                     Expr::Const(n) => Value::Int(*n),
@@ -449,7 +443,7 @@ impl Interp<'_> {
                     None => return Eval::Abort(Abort::Unresolved),
                 };
                 let mut call_args = vec![recv];
-                for a in args {
+                for a in args.iter() {
                     call_args.push(env[a.index()].expect("validated SSA"));
                 }
                 match self.call(target, call_args, depth + 1) {

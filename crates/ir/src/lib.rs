@@ -47,7 +47,7 @@ mod types;
 pub mod validate;
 
 pub use bitset::BitSet;
-pub use body::{Block, BlockBegin, Body, Phi, VarData};
+pub use body::{Block, BlockBegin, BlockHeader, BlockView, Body, BodyView, Phi, PhiIter, Phis, VarData};
 pub use builder::{BodyBuilder, BranchExit, ClassBuilder, MethodDeclBuilder, ProgramBuilder, ValidationErrors};
 pub use ids::{BlockId, FieldId, MethodId, SelectorId, TypeId, VarId};
 pub use instr::{BlockEnd, CmpOp, Cond, Expr, Stmt};

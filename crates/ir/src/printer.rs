@@ -2,7 +2,7 @@
 //! Appendix B.1 (Figure 10). Useful for debugging, golden tests, and the
 //! examples.
 
-use crate::body::{BlockBegin, Body};
+use crate::body::{BlockBegin, BodyView};
 use crate::ids::{MethodId, TypeId, VarId};
 use crate::instr::{BlockEnd, Cond, Expr, Stmt};
 use crate::program::Program;
@@ -82,7 +82,7 @@ pub fn print_method(program: &Program, m: MethodId) -> String {
         params.join(", "),
         type_ref_name(program, md.sig.ret)
     );
-    match &md.body {
+    match program.body(m) {
         None => out.push_str(";\n"),
         Some(body) => {
             out.push_str(" {\n");
@@ -102,10 +102,10 @@ fn indent(s: &str, n: usize) -> String {
 }
 
 /// Renders an SSA body block by block.
-pub fn print_body(program: &Program, body: &Body) -> String {
+pub fn print_body(program: &Program, body: BodyView<'_>) -> String {
     let mut out = String::new();
     for (id, block) in body.iter_blocks() {
-        match &block.begin {
+        match block.begin() {
             BlockBegin::Start { params } => {
                 let ps: Vec<String> = params.iter().map(|p| var_name(body, *p)).collect();
                 let _ = writeln!(out, "{id}: start({})", ps.join(", "));
@@ -126,16 +126,16 @@ pub fn print_body(program: &Program, body: &Body) -> String {
                 let _ = writeln!(out, "{id}: label");
             }
         }
-        for stmt in &block.stmts {
+        for stmt in block.stmts() {
             let _ = writeln!(out, "  {}", print_stmt(program, body, stmt));
         }
-        let _ = writeln!(out, "  {}", print_end(program, body, &block.end));
+        let _ = writeln!(out, "  {}", print_end(program, body, block.end()));
     }
     out
 }
 
-fn var_name(body: &Body, v: VarId) -> String {
-    let name = &body.vars[v.index()].name;
+fn var_name(body: BodyView<'_>, v: VarId) -> String {
+    let name = body.var_name(v);
     if name.is_empty() {
         v.to_string()
     } else {
@@ -143,36 +143,36 @@ fn var_name(body: &Body, v: VarId) -> String {
     }
 }
 
-fn print_stmt(program: &Program, body: &Body, stmt: &Stmt) -> String {
+fn print_stmt(program: &Program, body: BodyView<'_>, stmt: Stmt<&[VarId]>) -> String {
     match stmt {
         Stmt::Assign { def, expr } => {
             let rhs = match expr {
                 Expr::Const(n) => n.to_string(),
                 Expr::AnyPrim => "any".to_string(),
-                Expr::New(t) => format!("new {}", program.type_data(*t).name),
+                Expr::New(t) => format!("new {}", program.type_data(t).name),
                 Expr::Null => "null".to_string(),
             };
-            format!("{} <- {rhs}", var_name(body, *def))
+            format!("{} <- {rhs}", var_name(body, def))
         }
         Stmt::Load { def, object, field } => format!(
             "{} <- {}.{}",
-            var_name(body, *def),
-            var_name(body, *object),
-            program.field(*field).name
+            var_name(body, def),
+            var_name(body, object),
+            program.field(field).name
         ),
         Stmt::Store { object, field, value } => format!(
             "{}.{} <- {}",
-            var_name(body, *object),
-            program.field(*field).name,
-            var_name(body, *value)
+            var_name(body, object),
+            program.field(field).name,
+            var_name(body, value)
         ),
         Stmt::Invoke { def, receiver, selector, args } => {
             let a: Vec<String> = args.iter().map(|v| var_name(body, *v)).collect();
             format!(
                 "{} <- {}.{}({})",
-                var_name(body, *def),
-                var_name(body, *receiver),
-                program.selector(*selector).name,
+                var_name(body, def),
+                var_name(body, receiver),
+                program.selector(selector).name,
                 a.join(", ")
             )
         }
@@ -180,48 +180,48 @@ fn print_stmt(program: &Program, body: &Body, stmt: &Stmt) -> String {
             let a: Vec<String> = args.iter().map(|v| var_name(body, *v)).collect();
             format!(
                 "{} <- {}({})",
-                var_name(body, *def),
-                program.method_label(*target),
+                var_name(body, def),
+                program.method_label(target),
                 a.join(", ")
             )
         }
         Stmt::Catch { def, ty } => format!(
             "{} <- catch {}",
-            var_name(body, *def),
-            program.type_data(*ty).name
+            var_name(body, def),
+            program.type_data(ty).name
         ),
     }
 }
 
-fn print_cond(program: &Program, body: &Body, cond: &Cond) -> String {
+fn print_cond(program: &Program, body: BodyView<'_>, cond: Cond) -> String {
     match cond {
         Cond::Cmp { op, lhs, rhs } => format!(
             "{} {} {}",
-            var_name(body, *lhs),
+            var_name(body, lhs),
             op.symbol(),
-            var_name(body, *rhs)
+            var_name(body, rhs)
         ),
         Cond::InstanceOf { var, ty, negated } => {
-            let bang = if *negated { "!" } else { "" };
+            let bang = if negated { "!" } else { "" };
             format!(
                 "{bang}({} instanceof {})",
-                var_name(body, *var),
-                program.type_data(*ty).name
+                var_name(body, var),
+                program.type_data(ty).name
             )
         }
     }
 }
 
-fn print_end(program: &Program, body: &Body, end: &BlockEnd) -> String {
+fn print_end(program: &Program, body: BodyView<'_>, end: BlockEnd) -> String {
     match end {
         BlockEnd::Return(None) => "return".to_string(),
-        BlockEnd::Return(Some(v)) => format!("return {}", var_name(body, *v)),
+        BlockEnd::Return(Some(v)) => format!("return {}", var_name(body, v)),
         BlockEnd::Jump(t) => format!("jump {t}"),
         BlockEnd::If { cond, then_block, else_block } => format!(
             "if {} then {then_block} else {else_block}",
             print_cond(program, body, cond)
         ),
-        BlockEnd::Throw(v) => format!("throw {}", var_name(body, *v)),
+        BlockEnd::Throw(v) => format!("throw {}", var_name(body, v)),
     }
 }
 
@@ -231,10 +231,7 @@ fn print_end(program: &Program, body: &Body, end: &BlockEnd) -> String {
 ///
 /// Panics if `m` is abstract.
 pub fn print_method_body(program: &Program, m: MethodId) -> String {
-    print_body(
-        program,
-        program.method(m).body.as_ref().expect("abstract method has no body"),
-    )
+    print_body(program, program.body(m).expect("abstract method has no body"))
 }
 
 #[cfg(test)]

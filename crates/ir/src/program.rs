@@ -1,31 +1,73 @@
-//! The whole-program container: types, methods, fields, selectors, and the
-//! frozen hierarchy caches (subtype masks and virtual-dispatch tables).
+//! The whole-program container: types, methods, fields, selectors, the
+//! pooled method bodies, and the frozen hierarchy caches (subtype masks and
+//! virtual-dispatch tables).
 //!
 //! SkipFlow is a closed-world analysis (it ships inside an ahead-of-time
 //! compiler), so the program is immutable once built: [`Program`] values are
 //! only produced by [`crate::builder::ProgramBuilder::finish`], which
 //! validates the IR and precomputes the caches.
+//!
+//! # Layout
+//!
+//! Every method body lives in one set of program-wide pools (blocks,
+//! statements, φs, variable lists, predecessors, variable-name symbols; see
+//! [`crate::body`]), and a method holds only a `Copy` range record into
+//! them. Readers get a [`BodyView`] from [`Program::body`]. The hierarchy
+//! caches are flat too: each subtype mask is a banded [`BitSet`] spanning
+//! only its own members, dispatch tables are sorted runs in one pool, and
+//! the name index is a sorted id list. So the program holds no hash map,
+//! its allocation count does not grow with its bodies, and
+//! [`Program::heap_bytes`] is a figure summed once when the program is
+//! built.
 
 use crate::bitset::BitSet;
+use crate::body::{BodyPools, BodyView, Span};
 use crate::ids::{FieldId, MethodId, SelectorId, TypeId};
 use crate::types::{FieldData, MethodData, SelectorData, TypeData};
-use std::collections::HashMap;
 
 /// An immutable, validated whole program.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Program {
     pub(crate) types: Vec<TypeData>,
     pub(crate) methods: Vec<MethodData>,
     pub(crate) fields: Vec<FieldData>,
     pub(crate) selectors: Vec<SelectorData>,
-    pub(crate) type_by_name: HashMap<String, TypeId>,
+    /// Every method body (see the module docs).
+    pub(crate) bodies: BodyPools,
+    /// All type ids, sorted by name.
+    pub(crate) type_order: Vec<TypeId>,
     /// For each type `t`: the set of types `s` with `s <: t` (including `t`
     /// itself; `null` is never included — nullness is tracked separately in
-    /// value states).
+    /// value states). Each mask's band spans its members only.
     pub(crate) subtype_mask: Vec<BitSet>,
-    /// Virtual-dispatch tables: for each type, the concrete method reached by
-    /// each selector (`None` entries mark selectors made abstract again).
-    pub(crate) dispatch: Vec<HashMap<SelectorId, Option<MethodId>>>,
+    /// Virtual-dispatch tables: for each type, the run of
+    /// `(selector, concrete method)` entries in `dispatch` it resolves
+    /// (sorted by selector; `None` marks a selector made abstract again).
+    pub(crate) dispatch_runs: Vec<Span>,
+    pub(crate) dispatch: Vec<(SelectorId, Option<MethodId>)>,
+    /// [`Program::heap_bytes`], summed when the program was built.
+    pub(crate) heap_bytes: usize,
+}
+
+impl Clone for Program {
+    /// A deep copy. Cloned tables hold no spare capacity, so the copy sums
+    /// its own [`Program::heap_bytes`].
+    fn clone(&self) -> Self {
+        let mut copy = Program {
+            types: self.types.clone(),
+            methods: self.methods.clone(),
+            fields: self.fields.clone(),
+            selectors: self.selectors.clone(),
+            bodies: self.bodies.clone(),
+            type_order: self.type_order.clone(),
+            subtype_mask: self.subtype_mask.clone(),
+            dispatch_runs: self.dispatch_runs.clone(),
+            dispatch: self.dispatch.clone(),
+            heap_bytes: 0,
+        };
+        copy.heap_bytes = copy.sum_heap_bytes();
+        copy
+    }
 }
 
 impl Program {
@@ -49,6 +91,18 @@ impl Program {
     /// The data of selector `s`.
     pub fn selector(&self, s: SelectorId) -> &SelectorData {
         &self.selectors[s.index()]
+    }
+
+    /// The SSA body of method `m`; `None` for abstract methods.
+    pub fn body(&self, m: MethodId) -> Option<BodyView<'_>> {
+        self.methods[m.index()].body.map(|span| self.bodies.view(span))
+    }
+
+    /// Bytes the program holds on the heap: the capacity of every table,
+    /// pool, string and mask it owns. Summed once when the program is
+    /// built, so reading it is O(1).
+    pub fn heap_bytes(&self) -> usize {
+        self.heap_bytes
     }
 
     /// Number of declared types, including the `null` pseudo-type.
@@ -88,7 +142,10 @@ impl Program {
 
     /// Looks a type up by name.
     pub fn type_by_name(&self, name: &str) -> Option<TypeId> {
-        self.type_by_name.get(name).copied()
+        self.type_order
+            .binary_search_by(|t| self.types[t.index()].name.as_str().cmp(name))
+            .ok()
+            .map(|i| self.type_order[i])
     }
 
     /// Looks a method up by `owner` and name (first match in declaration
@@ -144,7 +201,10 @@ impl Program {
         if t.is_null() {
             return None;
         }
-        self.dispatch[t.index()].get(&selector).copied().flatten()
+        let run = &self.dispatch[self.dispatch_runs[t.index()].range()];
+        run.binary_search_by_key(&selector, |&(s, _)| s)
+            .ok()
+            .and_then(|i| run[i].1)
     }
 
     /// The field named like `field` reached from runtime type `t`, walking
@@ -177,65 +237,119 @@ impl Program {
 
     // ---- construction helpers (crate-internal) ----------------------------
 
-    /// Builds the subtype masks and dispatch tables. Called by the builder
-    /// after all declarations are in place; `types` must be topologically
-    /// ordered (supertypes before subtypes), which the builder guarantees.
+    /// Builds the name index, the subtype masks and the dispatch tables,
+    /// then sums [`Program::heap_bytes`]. Called by the builder after all
+    /// declarations are in place; `types` must be topologically ordered
+    /// (supertypes before subtypes), which validation checks. A supertype
+    /// reference that breaks the order contributes nothing here.
     pub(crate) fn freeze(&mut self) {
         let n = self.types.len();
-        // Direct supertypes of each type.
-        let mut supers: Vec<Vec<TypeId>> = vec![Vec::new(); n];
-        for (i, td) in self.types.iter().enumerate() {
-            if let Some(s) = td.superclass {
-                supers[i].push(s);
-            }
-            supers[i].extend(td.interfaces.iter().copied());
-        }
-        // subtype_mask[t] = { s | s <: t }. Every non-null type is a subtype
-        // of itself; propagate memberships upward. Since supertypes have
-        // smaller ids, a single pass over increasing ids suffices when we add
-        // each type to the masks of all its (transitive) supertypes via its
-        // direct supertypes' already-complete *supertype sets*. We instead
-        // compute supertype closures first, then invert.
-        let mut supertype_closure: Vec<BitSet> = vec![BitSet::with_capacity(n); n];
+        let mut order: Vec<TypeId> = self.iter_types().collect();
+        order.sort_unstable_by(|a, b| self.types[a.index()].name.cmp(&self.types[b.index()].name));
+        self.type_order = order;
+
+        // Supertype closures first (each type's closure is itself plus its
+        // direct supertypes' closures, all of smaller id), then inverted
+        // into subtype masks. Closures only hold ids up to their own type's,
+        // so each mask's members run from its own type to the largest
+        // subtype naming it, and the mask is allocated with exactly that
+        // band.
+        let mut closure: Vec<BitSet> = vec![BitSet::new(); n];
         for i in 0..n {
             if TypeId::from_index(i).is_null() {
                 continue;
             }
-            supertype_closure[i].insert(i);
-            let direct = supers[i].clone();
-            for s in direct {
-                let closure = supertype_closure[s.index()].clone();
-                supertype_closure[i].union_with(&closure);
+            let (done, rest) = closure.split_at_mut(i);
+            rest[0].insert(i);
+            let td = &self.types[i];
+            for s in td.superclass.iter().chain(&td.interfaces) {
+                if let Some(sup) = done.get(s.index()) {
+                    rest[0].union_with(sup);
+                }
             }
         }
-        let mut masks = vec![BitSet::with_capacity(n); n];
-        for (i, closure) in supertype_closure.iter().enumerate() {
-            for sup in closure.iter() {
+        let mut last_sub: Vec<Option<usize>> = vec![None; n];
+        for (i, c) in closure.iter().enumerate() {
+            for sup in c.iter() {
+                last_sub[sup] = Some(i);
+            }
+        }
+        let mut masks: Vec<BitSet> = last_sub
+            .iter()
+            .enumerate()
+            .map(|(t, last)| last.map_or_else(BitSet::new, |hi| BitSet::with_band(t, hi)))
+            .collect();
+        for (i, c) in closure.iter().enumerate() {
+            for sup in c.iter() {
                 masks[sup].insert(i);
             }
         }
         self.subtype_mask = masks;
 
-        // Dispatch tables: inherit from the superclass, then overlay own
-        // declarations (concrete => Some, abstract => None).
-        let mut dispatch: Vec<HashMap<SelectorId, Option<MethodId>>> = vec![HashMap::new(); n];
+        // Dispatch tables: copy the superclass's run, then overlay own
+        // declarations (concrete => Some, abstract => None), keeping the run
+        // sorted by selector.
+        let mut runs = Vec::with_capacity(n);
+        let mut dispatch: Vec<(SelectorId, Option<MethodId>)> = Vec::new();
         for i in 0..n {
-            if TypeId::from_index(i).is_null() {
-                continue;
-            }
-            if let Some(sup) = self.types[i].superclass {
-                dispatch[i] = dispatch[sup.index()].clone();
-            }
-            for &m in &self.types[i].methods {
-                let md = &self.methods[m.index()];
-                if md.is_static {
-                    continue;
+            let start = dispatch.len();
+            if !TypeId::from_index(i).is_null() {
+                if let Some(sup) = self.types[i].superclass.filter(|s| s.index() < i) {
+                    let run: Span = runs[sup.index()];
+                    dispatch.extend_from_within(run.range());
                 }
-                let entry = if md.is_abstract { None } else { Some(m) };
-                dispatch[i].insert(md.selector, entry);
+                for &m in &self.types[i].methods {
+                    let md = &self.methods[m.index()];
+                    if md.is_static {
+                        continue;
+                    }
+                    let entry = (md.selector, if md.is_abstract { None } else { Some(m) });
+                    match dispatch[start..].binary_search_by_key(&md.selector, |&(s, _)| s) {
+                        Ok(j) => dispatch[start + j] = entry,
+                        Err(j) => dispatch.insert(start + j, entry),
+                    }
+                }
             }
+            runs.push(Span::between(start, dispatch.len()));
         }
+        dispatch.shrink_to_fit();
         self.dispatch = dispatch;
+        self.dispatch_runs = runs;
+        self.heap_bytes = self.sum_heap_bytes();
+    }
+
+    /// Sums the capacity of everything the program owns on the heap.
+    fn sum_heap_bytes(&self) -> usize {
+        fn cap<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let types: usize = self
+            .types
+            .iter()
+            .map(|t| t.name.capacity() + cap(&t.interfaces) + cap(&t.methods) + cap(&t.fields))
+            .sum();
+        let methods: usize = self
+            .methods
+            .iter()
+            .map(|m| m.name.capacity() + cap(&m.sig.params))
+            .sum();
+        let fields: usize = self.fields.iter().map(|f| f.name.capacity()).sum();
+        let selectors: usize = self.selectors.iter().map(|s| s.name.capacity()).sum();
+        let masks: usize = self.subtype_mask.iter().map(BitSet::heap_bytes).sum();
+        cap(&self.types)
+            + types
+            + cap(&self.methods)
+            + methods
+            + cap(&self.fields)
+            + fields
+            + cap(&self.selectors)
+            + selectors
+            + self.bodies.heap_bytes()
+            + cap(&self.type_order)
+            + cap(&self.subtype_mask)
+            + masks
+            + cap(&self.dispatch_runs)
+            + cap(&self.dispatch)
     }
 }
 

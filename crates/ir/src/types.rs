@@ -158,11 +158,17 @@ pub struct MethodData {
     pub is_abstract: bool,
     /// Declared signature.
     pub sig: Signature,
-    /// The SSA body; `None` for abstract methods.
-    pub body: Option<crate::body::Body>,
+    /// Where the SSA body sits in the program's body pools; `None` for
+    /// abstract methods. Read it through [`crate::Program::body`].
+    pub(crate) body: Option<crate::body::BodySpan>,
 }
 
 impl MethodData {
+    /// Whether the method has a body (every concrete method does).
+    pub fn has_body(&self) -> bool {
+        self.body.is_some()
+    }
+
     /// Number of formal parameters of the body, including the receiver for
     /// instance methods.
     pub fn param_count(&self) -> usize {

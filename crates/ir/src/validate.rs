@@ -16,7 +16,7 @@
 //! block, and each block's defs are walked in place from its header and
 //! statements.
 
-use crate::body::{BlockBegin, Body};
+use crate::body::{BlockBegin, BodyView};
 use crate::ids::{BlockId, MethodId, TypeId, VarId};
 use crate::instr::{BlockEnd, Cond, Expr, Stmt};
 use crate::program::Program;
@@ -176,7 +176,7 @@ struct Scratch {
 /// predecessors of block `b` are `list[start[b]..start[b + 1]]`.
 ///
 /// Rows list the same blocks in the same order as
-/// [`Body::predecessors`]: by source block id, then successor position, so
+/// [`BodyView::predecessors`]: by source block id, then successor position, so
 /// each row is sorted. Successors outside the body are left out;
 /// [`validate_cfg`] reports them.
 #[derive(Default)]
@@ -188,13 +188,13 @@ struct Preds {
 }
 
 impl Preds {
-    fn compute(&mut self, body: &Body) {
-        let n = body.blocks.len();
+    fn compute(&mut self, body: BodyView<'_>) {
+        let n = body.block_count();
         let in_body = |s: &BlockId| s.index() < n;
         self.start.clear();
         self.start.resize(n + 1, 0);
-        for block in &body.blocks {
-            for s in block.end.successors().filter(in_body) {
+        for (_, block) in body.iter_blocks() {
+            for s in block.end().successors().filter(in_body) {
                 self.start[s.index() + 1] += 1;
             }
         }
@@ -206,7 +206,7 @@ impl Preds {
         self.fill.clear();
         self.fill.extend_from_slice(&self.start[..n]);
         for (id, block) in body.iter_blocks() {
-            for s in block.end.successors().filter(in_body) {
+            for s in block.end().successors().filter(in_body) {
                 let slot = &mut self.fill[s.index()];
                 self.list[*slot] = id;
                 *slot += 1;
@@ -361,19 +361,19 @@ fn validate_method(
     if md.is_static && md.is_abstract {
         errors.push(ValidationError::StaticAbstract { method: label() });
     }
-    match (&md.body, md.is_abstract) {
-        (Some(_), true) => {
+    match (md.has_body(), md.is_abstract) {
+        (true, true) => {
             errors.push(ValidationError::AbstractWithBody { method: label() });
         }
-        (None, false) => {
+        (false, false) => {
             errors.push(ValidationError::MissingBody { method: label() });
         }
         _ => {}
     }
-    let Some(body) = &md.body else { return };
+    let Some(body) = program.body(m) else { return };
 
     // Entry-block discipline.
-    match &body.blocks[0].begin {
+    match body.block(BlockId::ENTRY).begin() {
         BlockBegin::Start { params } => {
             if params.len() != md.param_count() {
                 errors.push(ValidationError::BodyParamMismatch { method: label() });
@@ -382,7 +382,7 @@ fn validate_method(
         _ => errors.push(ValidationError::EntryNotStart { method: label() }),
     }
     for (id, block) in body.iter_blocks().skip(1) {
-        if matches!(block.begin, BlockBegin::Start { .. }) {
+        if matches!(block.begin(), BlockBegin::Start { .. }) {
             errors.push(ValidationError::MisplacedStart {
                 method: label(),
                 block: id,
@@ -397,7 +397,7 @@ fn validate_method(
 }
 
 fn validate_cfg(
-    body: &Body,
+    body: BodyView<'_>,
     scratch: &mut Scratch,
     label: &dyn Fn() -> String,
     errors: &mut Vec<ValidationError>,
@@ -407,15 +407,15 @@ fn validate_cfg(
         errors.push(ValidationError::EntryHasPredecessors { method: label() });
     }
     for (id, block) in body.iter_blocks() {
-        match &block.end {
+        match block.end() {
             BlockEnd::Jump(t) => {
-                if t.index() >= body.blocks.len()
-                    || !matches!(body.block(*t).begin, BlockBegin::Merge { .. })
+                if t.index() >= body.block_count()
+                    || !matches!(body.block(t).begin(), BlockBegin::Merge { .. })
                 {
                     errors.push(ValidationError::JumpToNonMerge {
                         method: label(),
                         from: id,
-                        to: *t,
+                        to: t,
                     });
                 }
             }
@@ -424,9 +424,9 @@ fn validate_cfg(
                 else_block,
                 ..
             } => {
-                for t in [*then_block, *else_block] {
-                    if t.index() >= body.blocks.len()
-                        || !matches!(body.block(t).begin, BlockBegin::Label)
+                for t in [then_block, else_block] {
+                    if t.index() >= body.block_count()
+                        || !matches!(body.block(t).begin(), BlockBegin::Label)
                     {
                         errors.push(ValidationError::IfToNonLabel {
                             method: label(),
@@ -438,7 +438,7 @@ fn validate_cfg(
             }
             BlockEnd::Return(_) | BlockEnd::Throw(_) => {}
         }
-        match &block.begin {
+        match block.begin() {
             BlockBegin::Label => {
                 let ps = preds.of(id);
                 if ps.len() != 1 {
@@ -447,7 +447,7 @@ fn validate_cfg(
                         block: id,
                         count: ps.len(),
                     });
-                } else if !matches!(body.block(ps[0]).end, BlockEnd::If { .. }) {
+                } else if !matches!(body.block(ps[0]).end(), BlockEnd::If { .. }) {
                     errors.push(ValidationError::LabelPredNotIf {
                         method: label(),
                         block: id,
@@ -490,13 +490,13 @@ fn validate_cfg(
 /// from the blocks.
 fn validate_ssa(
     ret: TypeRef,
-    body: &Body,
+    body: BodyView<'_>,
     scratch: &mut Scratch,
     label: &dyn Fn() -> String,
     errors: &mut Vec<ValidationError>,
 ) {
-    let n_vars = body.vars.len();
-    let n_blocks = body.blocks.len();
+    let n_vars = body.var_count();
+    let n_blocks = body.block_count();
     let Scratch { preds, rows, seen, stmt_def_in, .. } = scratch;
 
     // Unique definitions.
@@ -537,9 +537,9 @@ fn validate_ssa(
     for (id, block) in body.iter_blocks() {
         rows.flow_in(id, preds.of(id));
         // φ arguments are checked against the corresponding predecessor.
-        if let BlockBegin::Merge { phis, preds: declared } = &block.begin {
+        if let BlockBegin::Merge { phis, preds: declared } = block.begin() {
             for phi in phis {
-                for (arg, p) in phi.args.iter().zip(declared.iter()) {
+                for (arg, p) in phi.args.iter().zip(declared) {
                     if p.index() < n_blocks && !has(rows.out(*p), *arg) {
                         errors.push(ValidationError::UseBeforeDef {
                             method: label(),
@@ -553,7 +553,7 @@ fn validate_ssa(
         // Header defs are visible before the statements run, except one
         // that a statement of this block also defines: that one becomes
         // visible at the statement.
-        for d in block.stmts.iter().filter_map(Stmt::def) {
+        for d in block.stmts().filter_map(|s| s.def()) {
             if d.index() < n_vars {
                 stmt_def_in[d.index()] = id.index() + 1;
             }
@@ -573,7 +573,7 @@ fn validate_ssa(
                 });
             }
         };
-        for stmt in &block.stmts {
+        for stmt in block.stmts() {
             for u in stmt.uses() {
                 check(u, live);
             }
@@ -581,11 +581,11 @@ fn validate_ssa(
                 set(live, d);
             }
         }
-        for u in block.end.uses() {
+        for u in block.end().uses() {
             check(u, live);
         }
         // Return arity.
-        if let BlockEnd::Return(v) = &block.end {
+        if let BlockEnd::Return(v) = block.end() {
             let ok = match ret {
                 TypeRef::Void => v.is_none(),
                 _ => v.is_some(),
@@ -602,29 +602,29 @@ fn validate_ssa(
 
 fn validate_instructions(
     program: &Program,
-    body: &Body,
+    body: BodyView<'_>,
     label: &dyn Fn() -> String,
     errors: &mut Vec<ValidationError>,
 ) {
     for (id, block) in body.iter_blocks() {
-        for stmt in &block.stmts {
+        for stmt in block.stmts() {
             match stmt {
                 Stmt::Assign { expr: Expr::New(t), .. }
-                    if !program.is_instantiable(*t) => {
+                    if !program.is_instantiable(t) => {
                         errors.push(ValidationError::NewNotInstantiable {
                             method: label(),
-                            ty: *t,
+                            ty: t,
                         });
                     }
                 Stmt::Invoke { selector, args, .. }
-                    if program.selector(*selector).arity != args.len() => {
+                    if program.selector(selector).arity != args.len() => {
                         errors.push(ValidationError::InvokeArityMismatch {
                             method: label(),
                             block: id,
                         });
                     }
                 Stmt::InvokeStatic { target, args, .. } => {
-                    let td = program.method(*target);
+                    let td = program.method(target);
                     if !td.is_static || td.is_abstract || td.sig.params.len() != args.len() {
                         errors.push(ValidationError::BadStaticInvoke {
                             method: label(),
@@ -639,7 +639,7 @@ fn validate_instructions(
                 _ => {}
             }
         }
-        if let BlockEnd::If { cond: Cond::InstanceOf { ty, .. }, .. } = &block.end {
+        if let BlockEnd::If { cond: Cond::InstanceOf { ty, .. }, .. } = block.end() {
             if ty.is_null() {
                 errors.push(ValidationError::NullTypeTest { method: label() });
             }
@@ -832,7 +832,7 @@ mod tests {
     // These pin the full error list (order included) for shapes that only a
     // raw body, a raw declaration or a mutated program can produce.
 
-    use crate::body::{Block, Phi, VarData};
+    use crate::body::{Block, Body, Phi, VarData};
 
     fn v(i: usize) -> VarId {
         VarId::from_index(i)
@@ -882,10 +882,12 @@ mod tests {
     #[test]
     fn exact_entry_not_start() {
         let (mut program, m) = valid_instance_method();
-        program.methods[m.index()].body = Some(Body {
+        let body = Body {
             blocks: vec![block(BlockBegin::Label, vec![], BlockEnd::Return(None))],
             vars: vec![],
-        });
+        };
+        let span = program.bodies.push_body(body, &mut Default::default());
+        program.methods[m.index()].body = Some(span);
         assert_eq!(
             validate_program(&program),
             vec![

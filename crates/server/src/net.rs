@@ -212,7 +212,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
             Ok(format!(
                 "ok sessions_live={} sessions_opened={} sessions_evicted={} \
                  epochs_published={} queries_served={} batches={} batched_roots={} \
-                 sheds={} memory_bytes={} memory_budget_bytes={} programs={}",
+                 sheds={} memory_bytes={} memory_budget_bytes={} programs={} program_bytes={}",
                 s.sessions_live,
                 s.sessions_opened,
                 s.sessions_evicted,
@@ -224,6 +224,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.memory_bytes,
                 s.memory_budget_bytes,
                 s.programs,
+                s.program_bytes,
             ))
         }
         Request::Stats { session: Some(name) } => {

@@ -405,6 +405,10 @@ pub struct RegistryStats {
     /// Decoded programs in the table, each shared by every live session
     /// opened from its bytes.
     pub programs: usize,
+    /// The heap bytes of those programs ([`Program::heap_bytes`]), each
+    /// counted once however many sessions share it. Not yet charged
+    /// against the memory budget.
+    pub program_bytes: usize,
 }
 
 struct Entry {
@@ -669,7 +673,10 @@ impl Registry {
 
     /// Point-in-time registry counters.
     pub fn stats(&self) -> RegistryStats {
-        let programs = self.live_programs().len();
+        let (programs, program_bytes) = {
+            let table = self.live_programs();
+            (table.len(), table.iter().map(|e| e.program.heap_bytes()).sum())
+        };
         let sessions = self.sessions.lock().unwrap();
         let mut s = RegistryStats {
             sessions_live: sessions.len(),
@@ -683,6 +690,7 @@ impl Registry {
             memory_bytes: 0,
             memory_budget_bytes: self.cfg.memory_budget_bytes,
             programs,
+            program_bytes,
         };
         for entry in sessions.values() {
             let h = &entry.handle;

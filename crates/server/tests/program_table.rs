@@ -50,14 +50,19 @@ fn open(registry: &Registry, session: &str, path: &Path) -> String {
     run(registry, &format!("open {session} {}", path.display()))
 }
 
-/// The `programs=` field of the registry-wide `stats` line.
-fn programs(registry: &Registry) -> usize {
+/// A numeric field of the registry-wide `stats` line.
+fn stat(registry: &Registry, key: &str) -> usize {
     let line = run(registry, "stats");
     let field = line
         .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("programs="))
-        .unwrap_or_else(|| panic!("no programs= field: {line}"));
+        .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("no {key}= field: {line}"));
     field.parse().unwrap()
+}
+
+/// The `programs=` field of the registry-wide `stats` line.
+fn programs(registry: &Registry) -> usize {
+    stat(registry, "programs")
 }
 
 fn same_program(registry: &Registry, a: &str, b: &str) -> bool {
@@ -75,13 +80,18 @@ fn opens_of_identical_bytes_share_one_program() {
     let registry = Registry::new(ServerConfig::default());
 
     assert_eq!(programs(&registry), 0);
+    assert_eq!(stat(&registry, "program_bytes"), 0);
     assert_eq!(open(&registry, "a", &path), "ok opened a methods=4 epoch=0");
+    let one_program = stat(&registry, "program_bytes");
+    assert_eq!(one_program, registry.get("a").unwrap().program().heap_bytes());
     assert_eq!(open(&registry, "b", &path), "ok opened b methods=4 epoch=0");
     assert!(
         same_program(&registry, "a", "b"),
         "identical bytes decoded twice"
     );
     assert_eq!(programs(&registry), 1);
+    // The shared program is counted once.
+    assert_eq!(stat(&registry, "program_bytes"), one_program);
 
     // Sharing a program shares nothing else: each session solves alone.
     assert!(run(&registry, "roots a App.main").starts_with("ok queued 1 "));

@@ -63,7 +63,7 @@ pub fn build_edit_script(bench: &Benchmark, seed: u64, steps: usize, churn: usiz
     let editable: Vec<MethodId> = bench
         .program
         .iter_methods()
-        .filter(|&m| bench.program.method(m).body.is_some())
+        .filter(|&m| bench.program.method(m).has_body())
         .collect();
 
     let mut roots: Vec<MethodId> = bench.roots.clone();
@@ -155,7 +155,7 @@ mod tests {
                     }
                 }
                 EditOp::DisableMethod(m) => {
-                    assert!(bench.program.method(*m).body.is_some());
+                    assert!(bench.program.method(*m).has_body());
                     assert!(!masked.contains(m));
                     masked.push(*m);
                 }

@@ -48,7 +48,7 @@ pub fn pick_spread_roots(
 ) -> Vec<MethodId> {
     let candidates: Vec<MethodId> = program
         .iter_methods()
-        .filter(|&m| program.method(m).body.is_some() && !existing.contains(&m))
+        .filter(|&m| program.method(m).has_body() && !existing.contains(&m))
         .collect();
     if candidates.is_empty() {
         return Vec::new();

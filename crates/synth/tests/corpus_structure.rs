@@ -12,7 +12,7 @@ fn aggregate(name: &str) -> (BodyStats, usize) {
     let mut total = BodyStats::default();
     let mut methods = 0;
     for m in bench.program.iter_methods() {
-        let Some(body) = &bench.program.method(m).body else { continue };
+        let Some(body) = bench.program.body(m) else { continue };
         methods += 1;
         let s = body_stats(body);
         total.blocks += s.blocks;
@@ -45,7 +45,7 @@ fn every_generated_body_has_a_consistent_dominator_tree() {
     let spec = suites::by_name("scrabble").unwrap();
     let bench = build_benchmark(&spec);
     for m in bench.program.iter_methods() {
-        let Some(body) = &bench.program.method(m).body else { continue };
+        let Some(body) = bench.program.body(m) else { continue };
         let doms = Dominators::compute(body);
         for (id, _) in body.iter_blocks() {
             // Builder output has no unreachable blocks, and the entry
@@ -56,7 +56,7 @@ fn every_generated_body_has_a_consistent_dominator_tree() {
         // Loop headers (if any) are merge blocks.
         for l in natural_loops(body, &doms) {
             assert!(matches!(
-                body.block(l.header).begin,
+                body.block(l.header).begin(),
                 skipflow_ir::BlockBegin::Merge { .. }
             ));
         }
@@ -74,12 +74,12 @@ fn while_bodies_contain_calls() {
     let mut loops_seen = 0usize;
     let mut loops_with_calls = 0usize;
     for m in bench.program.iter_methods() {
-        let Some(body) = &bench.program.method(m).body else { continue };
+        let Some(body) = bench.program.body(m) else { continue };
         let doms = Dominators::compute(body);
         for l in natural_loops(body, &doms) {
             loops_seen += 1;
             let has_call = l.blocks.iter().any(|&b| {
-                body.block(b).stmts.iter().any(|s| {
+                body.block(b).stmts().any(|s| {
                     matches!(
                         s,
                         skipflow_ir::Stmt::Invoke { .. } | skipflow_ir::Stmt::InvokeStatic { .. }
@@ -100,14 +100,14 @@ fn while_bodies_contain_calls() {
     let plain = build_benchmark(&spec.clone().with_loop_calls(false));
     let mut plain_calls = 0usize;
     for m in plain.program.iter_methods() {
-        let Some(body) = &plain.program.method(m).body else { continue };
+        let Some(body) = plain.program.body(m) else { continue };
         let doms = Dominators::compute(body);
         for l in natural_loops(body, &doms) {
             plain_calls += l
                 .blocks
                 .iter()
                 .filter(|&&b| {
-                    body.block(b).stmts.iter().any(|s| {
+                    body.block(b).stmts().any(|s| {
                         matches!(
                             s,
                             skipflow_ir::Stmt::Invoke { .. }

@@ -63,9 +63,9 @@ pub fn assert_results_identical(
         );
         // Per-statement value states and enablement (flow-level outcomes,
         // keyed stably by (method, block, stmt) instead of flow id).
-        if let Some(body) = &md.body {
+        if let Some(body) = program.body(m) {
             for (bi, block) in body.iter_blocks() {
-                for si in 0..block.stmts.len() {
+                for si in 0..block.stmt_count() {
                     assert_eq!(
                         a.stmt_state(m, bi, si),
                         b.stmt_state(m, bi, si),

@@ -92,7 +92,7 @@ fn edits_match_fresh_solve_under_the_mask_across_matrix() {
     let victim = *probe
         .reachable_methods()
         .iter()
-        .find(|&&m| bench.program.method(m).body.is_some() && !bench.roots.contains(&m))
+        .find(|&&m| bench.program.method(m).has_body() && !bench.roots.contains(&m))
         .expect("a reachable non-root method");
     for (solver, scheduler) in SOLVER_MATRIX {
         let config = AnalysisConfig::skipflow()

@@ -11,7 +11,7 @@ use skipflow::ir::frontend::compile;
 use skipflow::ir::interp::{run, InterpConfig};
 use skipflow::ir::printer::print_program;
 use skipflow::ir::{MethodId, Program};
-use skipflow::synth::{build_benchmark, BenchmarkSpec, Suite};
+use skipflow::synth::{build_benchmark, suites, BenchmarkSpec, Suite};
 
 /// Source text for the frontend mutation case: it compiles unmutated and
 /// touches every statement form the analysis models (dispatch, fields,
@@ -168,4 +168,17 @@ fn encoding_is_deterministic_and_compact() {
         "binary ({}) should beat text ({printed})",
         a.len()
     );
+}
+
+/// Decoding writes bodies straight into the program's pools, and encoding
+/// reads them back through the body view: re-encoding a decoded program
+/// must reproduce the input byte for byte.
+#[test]
+fn decoded_programs_re_encode_to_the_same_bytes() {
+    let ladder = BenchmarkSpec::new("rung-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8);
+    for spec in std::iter::once(ladder).chain(suites::quick()) {
+        let bytes = encode(&build_benchmark(&spec).program);
+        let decoded = decode(&bytes).expect("decodes");
+        assert!(encode(&decoded) == bytes, "{}: re-encoding changed the bytes", spec.name);
+    }
 }

@@ -17,7 +17,7 @@ fn skipflow_subsumes_sccp_on_the_corpus() {
     let mut skipflow_extra = 0usize;
 
     for &m in result.reachable_methods() {
-        let Some(body) = &program.method(m).body else { continue };
+        let Some(body) = program.body(m) else { continue };
         let local = sccp(program, body);
         sccp_folded_total += local.folded_branches.len();
 
@@ -70,10 +70,10 @@ fn the_fig4_gap_local_vs_interprocedural() {
     let get = |n: &str| program.method_by_name(main_cls, n).unwrap();
 
     // SCCP folds the local branch…
-    let local = sccp(&program, program.method(get("branchLocal")).body.as_ref().unwrap());
+    let local = sccp(&program, program.body(get("branchLocal")).unwrap());
     assert_eq!(local.folded_branches.len(), 1);
     // …but not the parameterized one.
-    let param = sccp(&program, program.method(get("branchParam")).body.as_ref().unwrap());
+    let param = sccp(&program, program.body(get("branchParam")).unwrap());
     assert!(param.folded_branches.is_empty());
 
     // SkipFlow folds both: the constant 42 flows through the call.
