@@ -1,6 +1,8 @@
 //! The perf-trajectory binary: runs the synth ladder, the fan-out and
 //! resume rungs, and the table1 corpus (feature ablation), and writes a
-//! `BENCH_PR<n>.json` record (schema `v12`: every row carries `build_ms`,
+//! `BENCH_PR<n>.json` record (schema `v13`: one sequential and one
+//! reference row per SkipFlow workload, no scheduler columns; every row
+//! carries `build_ms`,
 //! the fragment-build share of its `wall_ms`, and the load layer of its
 //! workload — `decode_ms`, the best-of-3 decode of the program encoded
 //! once to `SFBC`, and `program_bytes`, the decoded program's heap bytes)
@@ -19,10 +21,9 @@
 //!   reads it); the ladder, fan-out, and resume rungs all run and are all
 //!   gated.
 //! * `--skip-paired` skips the paired wall-time-guard measurements
-//!   (adaptive-vs-FIFO per ladder rung, sequential-vs-Reference and the
-//!   cancel-check overhead on the largest) — they cost ~100 extra analyses
-//!   per rung and only matter for committed captures; the CI step gate
-//!   passes this flag.
+//!   (sequential-vs-Reference and the cancel-check overhead on the largest
+//!   ladder rung) — they cost ~200 extra analyses and only matter for
+//!   committed captures; the CI step gate passes this flag.
 //! * `--check-steps` compares the current run's `SkipFlow`/`sequential`
 //!   step counts per scaling workload against a committed capture and
 //!   exits non-zero on a > 20 % regression. Steps are deterministic per
@@ -110,19 +111,18 @@ fn main() {
 
     // Human-readable recap of the scaling families on stdout.
     println!(
-        "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10} {:>10} {:>10} {:>12} {:>9} {:>7}",
-        "workload", "methods", "config", "solver", "sched", "wall[ms]", "build[ms]", "steps",
-        "joins", "reach", "dead"
+        "{:<12} {:>9} {:<10} {:<12} {:>10} {:>10} {:>10} {:>12} {:>9} {:>7}",
+        "workload", "methods", "config", "solver", "wall[ms]", "build[ms]", "steps", "joins",
+        "reach", "dead"
     );
     for w in workloads.iter().filter(|w| w.kind != "table1") {
         for r in &w.runs {
             println!(
-                "{:<12} {:>9} {:<10} {:<12} {:<5} {:>10.2} {:>10.2} {:>10} {:>12} {:>9} {:>7}",
+                "{:<12} {:>9} {:<10} {:<12} {:>10.2} {:>10.2} {:>10} {:>12} {:>9} {:>7}",
                 w.name,
                 w.generated_methods,
                 r.config,
                 r.solver,
-                r.scheduler,
                 r.wall_ms,
                 r.build_ms,
                 r.steps,

@@ -10,8 +10,8 @@
 //! * `cargo run -p skipflow-bench --bin fig9`
 //! * `cargo run --release -p skipflow-bench --bin trajectory -- --out <file>`
 //!   — the perf trajectory record (`BENCH_PR<n>.json`; see [`trajectory`]):
-//!   the CI step gate, the scheduler comparison, the feature ablation over
-//!   the table1 corpus, and the paired wall-time guards
+//!   the CI step gate, the sequential-vs-reference comparison, the feature
+//!   ablation over the table1 corpus, and the paired wall-time guards
 //!
 //! End-to-end wall times (the CLI and the server, input bytes to answer)
 //! are measured by the separate `e2ebench/` workspace.

@@ -10,8 +10,9 @@
 //!   (fanout 8, 20% guarded-dead), stressing solver scaling; the largest
 //!   rung is the headline number.
 //! * **fanout** — shared-field fan-out programs of doubling reader count
-//!   (one field sink feeding hundreds of readers), the regime where
-//!   SCC-priority scheduling is asymptotically better than FIFO ordering.
+//!   (one field sink feeding hundreds of readers), the regime where the
+//!   sequential solver's tiered queue beats the reference solver's FIFO
+//!   order by an order of magnitude in steps.
 //! * **resume** — the session API's incremental-root workload: solve a
 //!   benchmark's own roots, then `add_roots` a spread of extra entry points
 //!   and re-solve. Each record carries the *fresh* union fixpoint
@@ -29,17 +30,14 @@
 //! build and propagation), worklist
 //! steps, state joins (the propagation volume), the peak flow count, and
 //! the precision outcomes (reachable methods, dead blocks) so perf changes
-//! that silently alter results are caught immediately. All three schedulers are measured side
-//! by side (`scheduler` field: `adaptive` — the default, primary row —
-//! plus forced `fifo` and `scc`) next to the full-join reference solver,
-//! so one document carries the scheduler comparison. The wall-time guards
-//! (adaptive vs FIFO, sequential vs reference, armed vs unarmed interrupt
-//! checks) are paired ratios within one run, never comparisons across
-//! captures.
+//! that silently alter results are caught immediately. The sequential
+//! solver (the primary row) is measured next to the full-join reference
+//! solver and the PTA baseline. The wall-time guards (sequential vs
+//! reference, armed vs unarmed interrupt checks) are paired ratios within
+//! one run, never comparisons across captures.
 
 use skipflow_core::{
-    analyze, AnalysisConfig, AnalysisResult, AnalysisSession, CancelToken, SchedulerKind,
-    SolverKind,
+    analyze, AnalysisConfig, AnalysisResult, AnalysisSession, CancelToken, SolverKind,
 };
 use skipflow_ir::encode::{decode, encode};
 use skipflow_ir::MethodId;
@@ -47,19 +45,13 @@ use skipflow_synth::{build_benchmark, Benchmark, BenchmarkSpec, Suite};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// One measured (workload × config × solver × scheduler) cell.
+/// One measured (workload × config × solver) cell.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Configuration label (`PTA` / `SkipFlow`).
     pub config: String,
     /// Solver label (`sequential` / `reference`).
     pub solver: String,
-    /// Scheduler label (`adaptive` / `scc` / `fifo`; the reference solver
-    /// is always `fifo`).
-    pub scheduler: String,
-    /// Adaptive FIFO→SCC flips the run performed (0 under forced
-    /// schedulers and when the re-push rate never tripped).
-    pub flips: u64,
     /// Wall-clock analysis time in milliseconds.
     pub wall_ms: f64,
     /// The part of `wall_ms` spent building PVPG fragments
@@ -97,15 +89,11 @@ pub struct WorkloadRecord {
     pub generated_methods: usize,
     /// The measured runs.
     pub runs: Vec<RunRecord>,
-    /// Adaptive-vs-FIFO wall-time ratio from a *paired* measurement
-    /// (ladder rungs only): the two configurations alternate back-to-back
-    /// with the order swapped each pair, so machine drift cancels — the
-    /// independently measured rows above cannot resolve the ±2 % guard on
-    /// a shared machine.
-    pub adaptive_fifo_wall_ratio: Option<f64>,
-    /// Sequential vs Reference wall-time ratio from the same paired
-    /// protocol (largest ladder rung of a full capture only) — the
-    /// "the scheduled solver is not slower than its oracle" guard.
+    /// Sequential vs Reference wall-time ratio from a *paired* measurement
+    /// (largest ladder rung of a full capture only): the two
+    /// configurations alternate back-to-back with the order swapped each
+    /// pair, so machine drift cancels. The "the scheduled solver is not
+    /// slower than its oracle" guard.
     pub sequential_reference_wall_ratio: Option<f64>,
     /// Armed-guard vs unarmed solve wall-time ratio from the same paired
     /// protocol (largest ladder rung of a full capture only): a
@@ -227,26 +215,20 @@ pub fn measure_resume(
     let resumed_dead = dead_block_total(&resumed_result);
     assert_eq!(fresh_dead, resumed_dead, "resume dead-block totals diverged");
 
-    let scheduler = scheduler_label(&config).to_string();
     let (decode_ms, program_bytes) = measure_load(bench);
-    let record = |label: &str, result: &AnalysisResult, wall_ms, build_ms, steps, joins| {
-        let sched = &result.stats().scheduler;
-        RunRecord {
-            config: label.to_string(),
-            solver: solver_label(config.solver()),
-            scheduler: scheduler.clone(),
-            flips: sched.flips,
-            wall_ms,
-            build_ms,
-            decode_ms,
-            program_bytes,
-            steps,
-            state_joins: joins,
-            flows: result.stats().flows,
-            use_edges: result.stats().use_edges,
-            reachable_methods: result.reachable_methods().len(),
-            dead_blocks: dead_block_total(result),
-        }
+    let record = |label: &str, result: &AnalysisResult, wall_ms, build_ms, steps, joins| RunRecord {
+        config: label.to_string(),
+        solver: solver_label(config.solver()),
+        wall_ms,
+        build_ms,
+        decode_ms,
+        program_bytes,
+        steps,
+        state_joins: joins,
+        flows: result.stats().flows,
+        use_edges: result.stats().use_edges,
+        reachable_methods: result.reachable_methods().len(),
+        dead_blocks: dead_block_total(result),
     };
     let fresh_stats = fresh_result.stats().clone();
     (
@@ -284,7 +266,6 @@ pub fn run_resume() -> Vec<WorkloadRecord> {
                 kind: "resume",
                 generated_methods: bench.total_methods(),
                 runs: vec![fresh, incremental],
-                adaptive_fifo_wall_ratio: None,
                 sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
             }
@@ -304,14 +285,6 @@ fn solver_label(kind: SolverKind) -> String {
     match kind {
         SolverKind::Sequential => "sequential".to_string(),
         SolverKind::Reference => "reference".to_string(),
-    }
-}
-
-fn scheduler_label(config: &AnalysisConfig) -> &'static str {
-    match (config.solver(), config.scheduler()) {
-        (SolverKind::Reference, _) | (_, SchedulerKind::Fifo) => "fifo",
-        (_, SchedulerKind::SccPriority) => "scc",
-        (_, SchedulerKind::Adaptive) => "adaptive",
     }
 }
 
@@ -384,8 +357,6 @@ pub fn measure_group(
             RunRecord {
                 config: config.label().to_string(),
                 solver: solver_label(config.solver()),
-                scheduler: scheduler_label(config).to_string(),
-                flips: stats.scheduler.flips,
                 wall_ms,
                 build_ms: stats.build.as_secs_f64() * 1e3,
                 decode_ms,
@@ -401,16 +372,12 @@ pub fn measure_group(
         .collect()
 }
 
-/// The configuration set measured per ladder/fanout workload: the
-/// adaptive-default configs with forced-FIFO and forced-SCC sequential runs
-/// alongside, so one document carries the scheduler comparison.
+/// The configuration set measured per ladder/fanout workload: SkipFlow
+/// under the sequential solver (the primary row) and its reference oracle,
+/// plus the PTA baseline.
 fn scaling_configs() -> Vec<AnalysisConfig> {
     vec![
-        // The primary row: the adaptive scheduler.
         AnalysisConfig::skipflow(),
-        // Forced schedulers for the in-document comparison.
-        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
-        AnalysisConfig::skipflow().with_scheduler(SchedulerKind::SccPriority),
         AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
         AnalysisConfig::baseline_pta(),
     ]
@@ -452,9 +419,9 @@ fn paired_median_ratio(
 }
 
 /// Median per-pair wall-time ratio of analyzing `bench` under `a` to
-/// analyzing it under `b` (`paired_median_ratio`). This is what the ±2 %
-/// adaptive-vs-FIFO ladder guard is judged on — independently measured
-/// best-of rows swing far more than the band on a shared machine.
+/// analyzing it under `b` (`paired_median_ratio`). This is what the
+/// sequential-vs-reference guard is judged on — independently measured
+/// best-of rows swing far more on a shared machine.
 pub fn measure_paired_wall_ratio(
     bench: &Benchmark,
     a: &AnalysisConfig,
@@ -521,25 +488,12 @@ fn run_scaling_family(
         .enumerate()
         .map(|(i, spec)| {
             let bench = build_benchmark(spec);
-            // 9 interleaved timed iterations: the adaptive scheduler's
-            // ladder guard compares wall times at a ±2 % band, which a
-            // best-of-5 on a shared machine cannot resolve.
+            // 9 interleaved timed iterations, best of each.
             let runs = measure_group(&bench, &scaling_configs(), 9);
-            // All three wall-time guards come from drift-cancelling paired
-            // measurements (full captures only; skipped for CI step-gate
-            // runs, which never read the ratios): adaptive-vs-FIFO on
-            // every ladder rung; sequential-vs-Reference and the
-            // cancel-check overhead on the largest.
-            let paired = paired && kind == "ladder";
-            let largest = paired && i + 1 == specs.len();
-            let adaptive_fifo_wall_ratio = paired.then(|| {
-                measure_paired_wall_ratio(
-                    &bench,
-                    &AnalysisConfig::skipflow(),
-                    &AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
-                    48,
-                )
-            });
+            // Both wall-time guards come from drift-cancelling paired
+            // measurements on the largest ladder rung (full captures only;
+            // skipped for CI step-gate runs, which never read the ratios).
+            let largest = paired && kind == "ladder" && i + 1 == specs.len();
             let sequential_reference_wall_ratio = largest.then(|| {
                 measure_paired_wall_ratio(
                     &bench,
@@ -556,7 +510,6 @@ fn run_scaling_family(
                 kind,
                 generated_methods: bench.total_methods(),
                 runs,
-                adaptive_fifo_wall_ratio,
                 sequential_reference_wall_ratio,
                 interrupt_overhead_wall_ratio,
             }
@@ -564,8 +517,8 @@ fn run_scaling_family(
         .collect()
 }
 
-/// Runs the ladder: each rung under SkipFlow (sequential under all three
-/// schedulers, and the reference full-join solver) plus the PTA baseline.
+/// Runs the ladder: each rung under SkipFlow (the sequential solver and the
+/// reference full-join solver) plus the PTA baseline.
 /// With `paired`, the wall-time-guard ratios are also measured (expensive;
 /// full captures only — CI's step gate passes `false`).
 pub fn run_ladder(paired: bool) -> Vec<WorkloadRecord> {
@@ -596,7 +549,6 @@ pub fn run_table1() -> Vec<WorkloadRecord> {
                 kind: "table1",
                 generated_methods: bench.total_methods(),
                 runs: measure_group(&bench, &configs, 1),
-                adaptive_fifo_wall_ratio: None,
                 sequential_reference_wall_ratio: None,
                 interrupt_overhead_wall_ratio: None,
             }
@@ -621,8 +573,9 @@ fn json_opt_bool(v: Option<bool>) -> &'static str {
 /// The worklist step count of `workload`'s *first* `SkipFlow`/`sequential`
 /// run line in a previously written trajectory document (line-oriented
 /// parse of this module's own format — no JSON dependency available
-/// offline). The first such row is the adaptive scheduler's, the
-/// document's primary configuration. Steps are deterministic per corpus,
+/// offline). Documents up to schema `v12` carried one such row per
+/// scheduler, the first being the default's, the document's primary
+/// configuration. Steps are deterministic per corpus,
 /// so they make a machine-independent CI regression gate.
 pub fn parse_baseline_steps(doc: &str, workload: &str) -> Option<u64> {
     let needle = format!("\"name\": \"{workload}\"");
@@ -672,7 +625,7 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
         .unwrap_or(1);
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v12\",");
+    let _ = writeln!(out, "  \"schema\": \"skipflow-bench-trajectory/v13\",");
     let _ = writeln!(out, "  \"pr\": \"{}\",", json_escape(pr));
     let _ = writeln!(out, "  \"created_unix\": {unix},");
     let _ = writeln!(out, "  \"host_threads\": {threads},");
@@ -687,16 +640,14 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
             let comma = if ri + 1 < w.runs.len() { "," } else { "" };
             let _ = writeln!(
                 out,
-                "        {{\"config\": \"{}\", \"solver\": \"{}\", \"scheduler\": \"{}\", \
-                 \"flips\": {}, \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
+                "        {{\"config\": \"{}\", \"solver\": \"{}\", \
+                 \"wall_ms\": {:.3}, \"build_ms\": {:.3}, \
                  \"decode_ms\": {:.3}, \"program_bytes\": {}, \
                  \"steps\": {}, \"state_joins\": {}, \"flows\": {}, \
                  \"use_edges\": {}, \
                  \"reachable_methods\": {}, \"dead_blocks\": {}}}{comma}",
                 json_escape(&r.config),
                 json_escape(&r.solver),
-                json_escape(&r.scheduler),
-                r.flips,
                 r.wall_ms,
                 r.build_ms,
                 r.decode_ms,
@@ -719,39 +670,17 @@ pub fn render_json(pr: &str, workloads: &[WorkloadRecord]) -> String {
     out
 }
 
-/// The headline summary object: wall-time and step-count reductions on the
-/// largest ladder and fanout rungs versus (a) the in-file FIFO-scheduled
-/// sequential run and (b) the in-tree full-join reference solver, with
-/// precision-identity guards across every solver/scheduler measured.
+/// The headline summary object: wall-time reductions on the largest ladder
+/// and fanout rungs versus the in-tree full-join reference solver, with
+/// precision-identity guards across every solver measured.
 fn render_summary_json(workloads: &[WorkloadRecord]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "  \"summary\": {{");
-    // Precision identity across *all* runs of every scaling workload: the
-    // schedulers and solvers must agree on reachable methods and dead
-    // blocks everywhere, not just on the headline rung. `None` (rendered
-    // as JSON null) means the guard never compared anything — a guard that
-    // did not run must not read as a guard that passed.
-    let mut identical: Option<bool> = None;
-    for w in workloads.iter().filter(|w| w.kind != "table1") {
-        if let Some(first) = w.runs.iter().find(|r| r.config == "SkipFlow") {
-            for r in w.runs.iter().filter(|r| r.config == "SkipFlow") {
-                if std::ptr::eq(r, first) {
-                    continue;
-                }
-                let same = r.reachable_methods == first.reachable_methods
-                    && r.dead_blocks == first.dead_blocks;
-                identical = Some(identical.unwrap_or(true) && same);
-            }
-        }
-    }
-    let _ = writeln!(
-        out,
-        "    \"results_identical_across_solvers\": {},",
-        json_opt_bool(identical)
-    );
-    // The legacy seq-vs-reference guard: the primary sequential run and the
-    // full-join reference must agree per scaling workload (a strict subset
-    // of the across-solvers check above, kept under its historical key).
+    // Precision identity on every scaling workload: the sequential run and
+    // the full-join reference must agree on reachable methods and dead
+    // blocks everywhere, not just on the headline rung. `None` (rendered as
+    // JSON null) means the guard never compared anything — a guard that did
+    // not run must not read as a guard that passed.
     let mut identical_ref: Option<bool> = None;
     for w in workloads.iter().filter(|w| w.kind != "table1") {
         let seq = w
@@ -781,10 +710,6 @@ fn render_summary_json(workloads: &[WorkloadRecord]) -> String {
             .runs
             .iter()
             .find(|r| r.config == "SkipFlow" && r.solver == "sequential");
-        let fifo = w
-            .runs
-            .iter()
-            .find(|r| r.config == "SkipFlow" && r.solver == "sequential" && r.scheduler == "fifo");
         let reference = w
             .runs
             .iter()
@@ -795,20 +720,6 @@ fn render_summary_json(workloads: &[WorkloadRecord]) -> String {
             json_escape(&w.name)
         );
         let Some(seq) = seq else { continue };
-        if let Some(fifo) = fifo {
-            if !std::ptr::eq(seq, fifo) {
-                let wall_red = 1.0 - seq.wall_ms / fifo.wall_ms;
-                let step_red = 1.0 - seq.steps as f64 / fifo.steps as f64;
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_wall_reduction_vs_fifo\": {wall_red:.4},"
-                );
-                let _ = writeln!(
-                    out,
-                    "    \"largest_{kind}_rung_step_reduction_vs_fifo\": {step_red:.4},"
-                );
-            }
-        }
         if let Some(reference) = reference {
             let reduction = 1.0 - seq.wall_ms / reference.wall_ms;
             let _ = writeln!(
@@ -822,52 +733,9 @@ fn render_summary_json(workloads: &[WorkloadRecord]) -> String {
             );
         }
     }
-    // Adaptive-scheduler guards (PR 4). On the ladder — acyclic, no
-    // re-processing — the adaptive scheduler must cost the same wall time
-    // as forced FIFO (the SCC overhead is gone); on the fan-out rungs it
-    // must actually flip so the SCC step win is retained. The ±2 % band is
-    // judged on the drift-cancelling *paired* measurement
-    // ([`measure_paired_wall_ratio`]); the independently measured rows are
-    // kept alongside but swing more than the band on a shared machine.
-    let mut adaptive_ladder_ok: Option<bool> = None;
-    for w in workloads.iter().filter(|w| w.kind == "ladder") {
-        let Some(ratio) = w.adaptive_fifo_wall_ratio else { continue };
-        let _ = writeln!(
-            out,
-            "    \"ladder_{}_adaptive_wall_vs_fifo\": {ratio:.4},",
-            json_escape(&w.name.replace('-', "_"))
-        );
-        adaptive_ladder_ok =
-            Some(adaptive_ladder_ok.unwrap_or(true) && (ratio - 1.0).abs() <= 0.02);
-    }
-    let _ = writeln!(
-        out,
-        "    \"adaptive_within_2pct_of_fifo_on_ladder\": {},",
-        json_opt_bool(adaptive_ladder_ok)
-    );
-    let mut adaptive_flipped: Option<bool> = None;
-    for w in workloads.iter().filter(|w| w.kind == "fanout") {
-        let adaptive = w.runs.iter().find(|r| {
-            r.config == "SkipFlow" && r.solver == "sequential" && r.scheduler == "adaptive"
-        });
-        let Some(adaptive) = adaptive else { continue };
-        let _ = writeln!(
-            out,
-            "    \"fanout_{}_flips\": {},",
-            json_escape(&w.name.replace('-', "_")),
-            adaptive.flips
-        );
-        adaptive_flipped = Some(adaptive_flipped.unwrap_or(true) && adaptive.flips >= 1);
-    }
-    let _ = writeln!(
-        out,
-        "    \"adaptive_flipped_on_fanout\": {},",
-        json_opt_bool(adaptive_flipped)
-    );
     // Oracle guard: on the largest ladder rung the primary sequential run
     // must not be slower than the full-join reference loop it is checked
-    // against. Judged on the paired measurement like the adaptive band
-    // above.
+    // against. Judged on the paired measurement.
     let sequential_vs_reference = workloads
         .iter()
         .filter(|w| w.kind == "ladder")
@@ -963,13 +831,12 @@ mod tests {
             name: spec.name.clone(),
             kind: "ladder",
             generated_methods: bench.total_methods(),
-            adaptive_fifo_wall_ratio: Some(measure_paired_wall_ratio(
+            sequential_reference_wall_ratio: Some(measure_paired_wall_ratio(
                 &bench,
                 &AnalysisConfig::skipflow(),
-                &AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
+                &AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
                 2,
             )),
-            sequential_reference_wall_ratio: Some(1.0),
             interrupt_overhead_wall_ratio: Some(measure_paired_interrupt_overhead(
                 &bench,
                 &AnalysisConfig::skipflow(),
@@ -977,11 +844,6 @@ mod tests {
             )),
             runs: vec![
                 measure_run(&bench, &AnalysisConfig::skipflow(), 1),
-                measure_run(
-                    &bench,
-                    &AnalysisConfig::skipflow().with_scheduler(SchedulerKind::Fifo),
-                    1,
-                ),
                 measure_run(
                     &bench,
                     &AnalysisConfig::skipflow().with_solver(SolverKind::Reference),
@@ -995,17 +857,9 @@ mod tests {
     fn measure_run_records_precision_and_volume() {
         let w = tiny_workload();
         let seq = &w.runs[0];
-        let fifo = &w.runs[1];
-        let reference = &w.runs[2];
-        assert_eq!(
-            (seq.solver.as_str(), seq.scheduler.as_str()),
-            ("sequential", "adaptive")
-        );
-        assert_eq!((fifo.solver.as_str(), fifo.scheduler.as_str()), ("sequential", "fifo"));
-        assert_eq!(
-            (reference.solver.as_str(), reference.scheduler.as_str()),
-            ("reference", "fifo")
-        );
+        let reference = &w.runs[1];
+        assert_eq!(seq.solver, "sequential");
+        assert_eq!(reference.solver, "reference");
         assert!(seq.steps > 0 && seq.state_joins > 0 && seq.flows > 0);
         // Every row's fragment-build time is a part of its own wall time,
         // and every row carries the workload's load layer.
@@ -1014,11 +868,9 @@ mod tests {
             assert!(r.decode_ms > 0.0 && r.program_bytes > 0, "{r:?}");
             assert_eq!(r.program_bytes, seq.program_bytes);
         }
-        // The precision guards must agree between solvers and schedulers.
-        for r in [fifo, reference] {
-            assert_eq!(seq.reachable_methods, r.reachable_methods);
-            assert_eq!(seq.dead_blocks, r.dead_blocks);
-        }
+        // The precision guards must agree between the solvers.
+        assert_eq!(seq.reachable_methods, reference.reachable_methods);
+        assert_eq!(seq.dead_blocks, reference.dead_blocks);
     }
 
     #[test]
@@ -1026,20 +878,21 @@ mod tests {
         let w = tiny_workload();
         let steps = w.runs[0].steps;
         let doc = render_json("test", &[w]);
-        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v12\""));
+        assert!(doc.contains("\"schema\": \"skipflow-bench-trajectory/v13\""));
         assert!(doc.contains("\"build_ms\": "), "{doc}");
         assert!(doc.contains("\"decode_ms\": "), "{doc}");
         assert!(doc.contains("\"program_bytes\": "), "{doc}");
-        assert!(doc.contains("\"ladder_rung_tiny_adaptive_wall_vs_fifo\""));
+        assert!(doc.contains("\"largest_ladder_rung_sequential_vs_reference_wall\""), "{doc}");
         assert!(doc.contains("\"largest_ladder_rung\": \"rung-tiny\""));
         // The PR 6 overhead guard renders its measured ratio and verdict…
         assert!(doc.contains("\"largest_ladder_rung_interrupt_check_overhead_wall\""), "{doc}");
         assert!(!doc.contains("\"cancel_check_overhead_within_1pct\": null"), "{doc}");
         assert!(doc.contains("\"results_identical_to_reference\": true"));
-        assert!(doc.contains("\"results_identical_across_solvers\": true"));
-        assert!(doc.contains("largest_ladder_rung_step_reduction_vs_fifo"));
-        // The first sequential row is the document's primary configuration
-        // (the adaptive scheduler), and steps parse exactly.
+        for gone in ["\"scheduler\"", "\"flips\"", "vs_fifo", "adaptive"] {
+            assert!(!doc.contains(gone), "{gone} in {doc}");
+        }
+        // The sequential row is the document's primary configuration, and
+        // steps parse exactly.
         assert_eq!(parse_baseline_steps(&doc, "rung-tiny"), Some(steps));
         assert_eq!(parse_baseline_workloads(&doc), vec!["rung-tiny".to_string()]);
     }
@@ -1053,10 +906,7 @@ mod tests {
         let (fresh, inc) = measure_resume(&bench, &extra, &AnalysisConfig::skipflow(), 1);
         assert_eq!(fresh.config, "SkipFlow");
         assert_eq!(inc.config, "SkipFlow-resume");
-        assert_eq!(
-            (fresh.solver.as_str(), fresh.scheduler.as_str()),
-            ("sequential", "adaptive")
-        );
+        assert_eq!(fresh.solver, "sequential");
         assert!(
             inc.steps < fresh.steps,
             "incremental {} vs fresh {}",
@@ -1070,7 +920,6 @@ mod tests {
             kind: "resume",
             generated_methods: bench.total_methods(),
             runs: vec![fresh, inc],
-            adaptive_fifo_wall_ratio: None,
             sequential_reference_wall_ratio: None,
             interrupt_overhead_wall_ratio: None,
         };

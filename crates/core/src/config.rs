@@ -16,50 +16,20 @@
 use skipflow_ir::{FieldId, MethodId};
 use std::time::Duration;
 
-/// How the sequential solver orders its worklist.
-///
-/// Scheduling is a pure performance heuristic: every order reaches the same
-/// least fixpoint (all joins are monotone), so both schedulers are proven
-/// result-identical by `tests/delta_vs_reference.rs`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchedulerKind {
-    /// Plain FIFO worklist (the PR 1 behaviour). Kept as the scheduling
-    /// oracle for differential tests and pre-change benchmark captures.
-    Fifo,
-    /// The tiered queue, forced from solve start. Flows that have never
-    /// done propagation work drain first, in FIFO order (the frontier
-    /// tier). Re-enqueued flows drain after them, lowest flow index first
-    /// (the priority tier). Flow indices follow creation order, which
-    /// roughly tracks the order in which propagation discovered the graph.
-    /// The name is historical: the priority tier used to rank flows by the
-    /// topological order of their strongly connected component, and
-    /// creation order proved as good in steps (see "Scheduling" in
-    /// `engine.rs`). Use [`SchedulerKind::Adaptive`] unless benchmarking
-    /// the forced mode.
-    SccPriority,
-    /// Adaptive FIFO→tiered scheduling (the default): every solve starts
-    /// on the plain FIFO worklist, the engine tracks the re-enqueue rate
-    /// (`re_pops / pops` over a sliding window), and only when the rate
-    /// shows that flows are genuinely being re-processed does it *flip* to
-    /// the tiered queue of [`SchedulerKind::SccPriority`]. Re-processing
-    /// heavy workloads (shared-sink fan-out, big value cycles) get the
-    /// tiered step win minus a small detection lag; acyclic
-    /// propagate-once workloads never flip and run as plain FIFO. Results
-    /// are scheduler-independent (all joins are monotone), so the mid-solve
-    /// flip is safe at any step boundary.
-    Adaptive,
-}
-
 /// Which fixpoint solver drives the analysis.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SolverKind {
-    /// Single-threaded worklist solver (the default).
+    /// Single-threaded worklist solver (the default). It drains the tiered
+    /// queue: flows that have never done propagation work first, in FIFO
+    /// order, then re-enqueued flows, lowest flow index first (see
+    /// "Scheduling" in `engine.rs`).
     Sequential,
     /// The full-join reference solver: recomputes and re-joins a flow's
     /// entire output on every step. Slow by design — it is the oracle the
     /// differential tests and the perf-trajectory harness compare the
     /// sequential solver against. It shares the sequential solver's step
-    /// rule but runs its own FIFO loop with no scheduler and no no-op rule.
+    /// rule but runs its own plain FIFO loop with no tiers and no no-op
+    /// rule.
     Reference,
 }
 
@@ -68,11 +38,10 @@ pub enum SolverKind {
 /// Construct from a preset and refine with the `with_*` methods:
 ///
 /// ```
-/// use skipflow_core::{AnalysisConfig, SchedulerKind, SolverKind};
+/// use skipflow_core::{AnalysisConfig, SolverKind};
 ///
 /// let config = AnalysisConfig::skipflow()
 ///     .with_solver(SolverKind::Reference)
-///     .with_scheduler(SchedulerKind::SccPriority)
 ///     .with_saturation(32);
 /// assert!(config.predicates() && config.primitives());
 /// assert_eq!(config.saturation_threshold(), Some(32));
@@ -108,10 +77,8 @@ pub struct AnalysisConfig {
     /// before the first solve. This is how a fresh differential oracle
     /// reproduces the edit state of a long-lived session.
     pub(crate) masked_methods: Vec<MethodId>,
-    /// Solver selection.
+    /// Solver selection (it also picks the worklist).
     pub(crate) solver: SolverKind,
-    /// Worklist scheduling for the sequential solver.
-    pub(crate) scheduler: SchedulerKind,
     /// Per-solve worklist-step budget; exceeding it *interrupts* the solve
     /// (a resumable checkpoint).
     pub(crate) step_budget: Option<u64>,
@@ -120,9 +87,6 @@ pub struct AnalysisConfig {
     /// Estimated-footprint budget in bytes (cumulative over the engine: its
     /// PVPG only grows).
     pub(crate) memory_budget: Option<usize>,
-    /// Deterministic fault-injection plan (test builds only).
-    #[cfg(feature = "fault-inject")]
-    pub(crate) fault_plan: crate::fault::FaultPlan,
 }
 
 impl AnalysisConfig {
@@ -140,12 +104,9 @@ impl AnalysisConfig {
             unsafe_fields: Vec::new(),
             masked_methods: Vec::new(),
             solver: SolverKind::Sequential,
-            scheduler: SchedulerKind::Adaptive,
             step_budget: None,
             wall_budget: None,
             memory_budget: None,
-            #[cfg(feature = "fault-inject")]
-            fault_plan: crate::fault::FaultPlan::default(),
         }
     }
 
@@ -190,12 +151,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Sets the worklist scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Sets (or clears, with `None`) the per-solve worklist-step budget.
     /// Exhausting a step budget is not an error: the solve returns
     /// [`SolveOutcome::Interrupted`](crate::SolveOutcome) with a queryable
@@ -222,15 +177,6 @@ impl AnalysisConfig {
     /// budget lets a resume make progress.
     pub fn with_memory_budget(mut self, budget: impl Into<Option<usize>>) -> Self {
         self.memory_budget = budget.into();
-        self
-    }
-
-    /// Installs a deterministic fault-injection plan (see [`crate::fault`]).
-    /// Only compiled under the `fault-inject` feature; production builds
-    /// have no injection hooks.
-    #[cfg(feature = "fault-inject")]
-    pub fn with_fault_plan(mut self, plan: crate::fault::FaultPlan) -> Self {
-        self.fault_plan = plan;
         self
     }
 
@@ -343,13 +289,6 @@ impl AnalysisConfig {
         self.solver
     }
 
-    /// The selected worklist scheduler. The reference solver always runs
-    /// FIFO regardless — it is the oracle and must stay byte-for-byte the
-    /// PR 1 algorithm.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
     /// The per-solve worklist-step budget, if any.
     pub fn step_budget(&self) -> Option<u64> {
         self.step_budget
@@ -419,14 +358,12 @@ mod tests {
             .with_saturation(32);
         assert_eq!(c.solver(), SolverKind::Reference);
         assert_eq!(c.saturation_threshold(), Some(32));
-        assert_eq!(c.scheduler(), SchedulerKind::Adaptive, "adaptive is the default");
-        let c = c.with_scheduler(SchedulerKind::Fifo).with_saturation(None);
-        assert_eq!(c.scheduler(), SchedulerKind::Fifo);
+        let default = AnalysisConfig::skipflow().solver();
+        assert_eq!(default, SolverKind::Sequential, "sequential is the default");
+        let c = c.with_saturation(None);
         assert_eq!(c.saturation_threshold(), None);
         let c = c.with_coarse_exceptions(false);
         assert!(!c.coarse_exceptions());
-        let c = c.with_scheduler(SchedulerKind::SccPriority);
-        assert_eq!(c.scheduler(), SchedulerKind::SccPriority);
     }
 
     #[test]

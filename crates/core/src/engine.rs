@@ -66,24 +66,22 @@
 //!
 //! # Scheduling
 //!
-//! The sequential solver drains its worklist under one of three schedulers
-//! ([`crate::SchedulerKind`]):
+//! The sequential solver drains one worklist, the tiered queue
+//! ([`TieredQueue`]), from the first step of every solve:
 //!
-//! * **FIFO** — a plain queue; kept as the scheduling oracle.
-//! * **Tiered** (forced by [`crate::SchedulerKind::SccPriority`]) — flows
-//!   that have never done propagation work drain first, in FIFO order (the
-//!   *frontier tier*); re-enqueued flows drain after them, lowest flow index
-//!   first (the *priority tier*).
-//! * **Adaptive** (the default) — starts every solve on the FIFO queue and
-//!   *flips* to the tiered queue mid-solve when re-processing is observed
-//!   (see "The adaptive flip" below).
+//! * the **frontier tier** holds flows that have never done propagation
+//!   work, drained first, in FIFO order;
+//! * the **priority tier** holds re-enqueued flows, drained after them,
+//!   lowest flow index first.
 //!
 //! **Why a frontier tier.** A first-time step is structure discovery: it
 //! builds fragments and wires the edges later steps propagate along, and it
 //! can be premature at most once. Re-processing ahead of discovery is what
 //! wastes steps: a re-enqueued fan-out hub drained while an enabling
 //! cascade is still growing re-propagates once per producer the cascade
-//! discovers. The tiered queue's fan-out win comes from this tier.
+//! discovers. The tiered queue's fan-out win comes from this tier: on
+//! fanout-100 the sequential solver takes 3,523 steps where the FIFO
+//! reference takes 43,497.
 //!
 //! **Why creation order is enough for the priority tier.** Flow indices are
 //! creation order, and the engine creates flows as propagation discovers
@@ -93,47 +91,33 @@
 //! topological order of their strongly connected components, kept through
 //! in-place repairs, anchored fragment placement and cycle collapse.
 //! Keying it by flow index instead left every step count the CI gate
-//! checks equal or lower: the ladder and resume-rung-2000 rows are
+//! checks equal or lower: the ladder and resume-rung-2000 rows were
 //! unchanged, fanout-100 went 3,616 → 3,531, fanout-200 7,120 → 7,035,
 //! fanout-400 14,128 → 14,043 and resume-fanout-200 7,172 → 7,129. The
 //! ungated rows moved both ways: PTA rung-2000 27,944 → 29,385 (+5.2 %),
-//! PTA rung-32000 447,646 → 454,011 (+1.4 %), forced-tiered rung-32000
-//! 326,993 → 326,621. A constant key (the frontier tier plus one FIFO)
-//! costs 14–18 % more steps on the SkipFlow fan-outs, so the tier needs
-//! some order, but not an exact one.
+//! PTA rung-32000 447,646 → 454,011 (+1.4 %). A constant key (the frontier
+//! tier plus one FIFO) costs 14–18 % more steps on the SkipFlow fan-outs,
+//! so the tier needs some order, but not an exact one.
+//!
+//! **Why no FIFO phase.** The solver used to start every solve on a plain
+//! FIFO queue and *flip* to the tiered queue once a sliding window of
+//! dequeues showed the queue dominated by re-processing. The FIFO phase and
+//! its detector never won on any workload. Running the tiered queue from
+//! the first step took 5.4–5.7 % fewer steps on every SkipFlow ladder rung
+//! (rung-32000 346,149 → 326,621), 1.8–3.1 % fewer on the PTA rungs and
+//! 0.0–0.2 % fewer on the fan-outs, with identical results. Its paired
+//! wall ratio against the adaptive queue (tiered/adaptive, two runs of 24
+//! alternating pairs each, in process on a shared 2-core host) was 0.912
+//! and 0.925 on SkipFlow rung-8000, 0.933 and 0.955 on SkipFlow
+//! rung-32000, 0.980 and 0.986 on PTA rung-8000, 0.990 and 0.984 on PTA
+//! rung-32000, and 0.997/0.993 (SkipFlow) and 0.999/1.014 (PTA) on
+//! fanout-400.
 //!
 //! **Correctness is scheduling-independent.** The order is purely a
 //! performance heuristic: all joins are monotone, so any dequeue order
 //! converges to the same least fixpoint. The reference solver always runs
-//! FIFO — it is the oracle and stays byte-for-byte the full-join algorithm.
-//!
-//! # The adaptive flip (FIFO → tiered)
-//!
-//! The tiered queue only pays off when flows are *re-processed* (cyclic
-//! regions, shared-sink fan-out); on acyclic propagate-once workloads the
-//! plain FIFO queue does the same work with less bookkeeping per push and
-//! pop. The default [`crate::SchedulerKind::Adaptive`] therefore starts
-//! every solve on the FIFO queue and watches the **re-enqueue rate**: a
-//! sliding window over the last [`FLIP_WINDOW`] worklist pops counts how
-//! many dequeued a flow that had already been dequeued before. When the
-//! window is dominated by re-pops ([`FLIP_TRIP`] of [`FLIP_WINDOW`]) *and*
-//! enough work is queued for ordering to matter ([`FLIP_MIN_QUEUE`]), the
-//! solver flips: the queued flows move into the priority tier, where they
-//! drain in index order. The flip costs one heap push per queued flow and
-//! reads nothing off the graph. The window is cleared at the start of every
-//! solve, so a resumed solve's flip decision rides on its own behaviour
-//! (the per-solve vs cumulative split is documented on
-//! [`crate::SchedulerStats`]), while the flip itself is sticky: once a
-//! session has demonstrated re-processing, resumed solves stay on the
-//! tiered queue.
-//!
-//! **Why the mid-solve flip is safe.** Scheduling is a pure performance
-//! heuristic (see above): every dequeue order converges to the same least
-//! fixpoint because all joins are monotone and every state is part of the
-//! graph, not the queue. The flip merely permutes the order in which the
-//! already-queued flows are drained, and it is only ever taken *between*
-//! worklist steps, so no step observes a half-migrated queue. `tests/delta_vs_reference.rs` asserts a
-//! flipping run is result-identical to forced-FIFO and forced-tiered runs.
+//! its own plain FIFO loop — it is the oracle and stays byte-for-byte the
+//! full-join algorithm.
 //!
 //! # Resume (the checkpoint argument)
 //!
@@ -181,7 +165,7 @@
 //! final configuration — only the path (and the step count, which the
 //! trajectory harness's `resume` and `edit-` rungs measure) differs.
 //! `tests/session_resume.rs` and `tests/edit_scripts.rs` enforce the
-//! identity differentially across every solver × scheduler combination.
+//! identity differentially under both solvers.
 //!
 //! # Interrupt safety
 //!
@@ -200,11 +184,9 @@
 //!   (monotonicity — the partial result is a sound under-approximation),
 //!   and the next [`Engine::run_solver`] simply keeps draining.
 //! * **What survives an interrupt.** Everything, because nothing is torn
-//!   down: the flows' states, the `queued` residency/processed/worked
-//!   bits, both tiers of the queue, the sticky adaptive flip (and its
-//!   cleared-per-solve window), the saturation and subscriber registries,
-//!   and the cumulative counters. The resumed solve re-bases its per-solve
-//!   statistics exactly like a resume after completion.
+//!   down: the flows' states, the `queued` residency and worked bits, both
+//!   tiers of the queue, the saturation and subscriber registries, and the
+//!   cumulative counters.
 //! * **Budget semantics.** The step budget is per-solve (`steps` executed
 //!   since this `run_solver` call) and checked *exactly*, before every
 //!   step, so an interrupt-at-`k` sweep is deterministic; the cancel
@@ -213,14 +195,13 @@
 //!   checks, so a pre-tripped token or zero budget interrupts before any
 //!   work). Overshoot past a wall/memory budget is bounded by one stride.
 //!
-//! `tests/interrupt_resume.rs` (and, with `--features fault-inject`,
-//! `tests/fault_injection.rs`) enforce all of this differentially:
-//! interrupt at every `k`, resume, and require bit-identical results to an
-//! uninterrupted solve across every solver × scheduler combination.
+//! `tests/interrupt_resume.rs` and `tests/edit_scripts.rs` enforce all of
+//! this differentially: interrupt at every `k`, resume, and require
+//! bit-identical results to an uninterrupted solve under both solvers.
 
 use crate::build::{build_method_graph, BuildScratch};
 use crate::compare::compare;
-use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
+use crate::config::{AnalysisConfig, SolverKind};
 use crate::error::AnalysisError;
 use crate::flow::{Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
 use crate::graph::Pvpg;
@@ -236,45 +217,18 @@ use std::time::{Duration, Instant};
 /// Bit 0 of [`Engine::queued`]: the flow is resident in the worklist.
 const QUEUED: u8 = 1;
 
-/// Bit 1 of [`Engine::queued`]: the flow has been dequeued at least once
-/// (the adaptive flip detector's re-process signal — deliberately counting
-/// *any* re-dequeue, so the detector's trip point is unchanged from the
-/// batch-recompute scheduler it was tuned with).
-const PROCESSED: u8 = 2;
-
-/// Bit 2 of [`Engine::queued`]: some worklist step did real propagation
+/// Bit 1 of [`Engine::queued`]: some worklist step did real propagation
 /// work for the flow (a no-op dequeue — disabled flow, empty input of a
 /// distributive kind — does not count). This is the tiered queue's
 /// frontier-tier signal: a flow stays in the frontier until its first
 /// *working* step.
-const WORKED: u8 = 4;
+const WORKED: u8 = 2;
 
 /// Flow-capacity headroom the engine keeps below [`MAX_FLOW_COUNT`]: a
 /// single method fragment never creates this many flows, so checking once
 /// per [`Engine::make_reachable`] (instead of per flow) cannot overshoot
 /// into the `NO_FLOW` sentinel.
 const FLOW_CAPACITY_MARGIN: usize = 1 << 22;
-
-/// Sliding-window length (in worklist pushes) of the adaptive scheduler's
-/// re-enqueue-rate detector. Small enough that a fan-out re-processing
-/// storm is detected within a few hundred wasted steps (the fan-out rungs'
-/// step budget), large enough that a handful of loop-φ re-enqueues on an
-/// acyclic workload cannot dominate it. Fixed at 128 so the window is one
-/// branchless `u128` shift register (the detector rides the solver's
-/// hottest loop; a ring buffer here costs measurable wall time).
-const FLIP_WINDOW: usize = 128;
-
-/// Re-pushes within the window that trip the FIFO→tiered flip (3/4 of
-/// [`FLIP_WINDOW`]): the queue is then demonstrably dominated by
-/// re-processing, which is the regime where the tiered queue wins in
-/// steps. Acyclic ladders measure far below this outside their drain tail.
-const FLIP_TRIP: u32 = 96;
-
-/// Minimum queued flows for the flip to fire. A re-push-heavy window over a
-/// near-empty queue (the drain tail of an otherwise acyclic solve) has
-/// almost nothing left to order, so switching queues there cannot pay for
-/// the tiered queue's dearer pushes and pops over the rest of the session.
-const FLIP_MIN_QUEUE: usize = 64;
 
 /// Worklist steps between polls of the cancel token / wall clock / memory
 /// estimate. The step budget is *not* strided — it is one integer compare
@@ -386,67 +340,11 @@ impl TieredQueue {
     }
 }
 
-/// The solver worklist: a plain FIFO queue or the tiered queue.
+/// The worklist, picked by the solver: the reference solver's plain FIFO
+/// queue, or the sequential solver's tiered queue.
 enum Worklist {
     Fifo(VecDeque<FlowId>),
     Tiered(TieredQueue),
-}
-
-/// The adaptive scheduler's re-enqueue-rate detector (present only while an
-/// `Adaptive` solve is still in its FIFO phase; dropped at the flip).
-///
-/// The rate is observed at *dequeue* time: every re-enqueued flow is seen
-/// exactly once when it drains, so the fraction of dequeues hitting an
-/// already-processed flow equals the re-enqueue rate one queue-length
-/// later — and the processed-before bit rides in the engine's `queued`
-/// byte, which the pop reads and writes anyway (see [`Engine::queued`]),
-/// so the detector touches no memory of its own. The window over the last
-/// [`FLIP_WINDOW`] (= 128) dequeues is a `u128` shift register: one
-/// shift-or per pop, one popcount for the trip test — branchless, so the
-/// FIFO phase stays within the ±2 % wall-time band of a plain FIFO solve
-/// (the guard BENCH_PR4.json enforces on the ladder).
-struct FlipTracker {
-    /// The last [`FLIP_WINDOW`] dequeues, newest in bit 0: set = re-process.
-    window: u128,
-    /// Total dequeues observed (mirrored into `SchedulerStats` lazily).
-    pops: u64,
-    /// Total re-process dequeues observed.
-    re_pops: u64,
-}
-
-impl FlipTracker {
-    fn new() -> Self {
-        const { assert!(FLIP_WINDOW == 128, "the window is a u128 shift register") };
-        FlipTracker {
-            window: 0,
-            pops: 0,
-            re_pops: 0,
-        }
-    }
-
-    /// Observes one worklist pop: `re` is whether the flow had been
-    /// processed before (the engine reads it off the `queued` byte).
-    #[inline]
-    fn observe(&mut self, re: bool) {
-        self.window = (self.window << 1) | re as u128;
-        self.pops += 1;
-        self.re_pops += re as u64;
-    }
-
-    /// Clears the sliding window at the start of a resumed solve: the flip
-    /// decision must be driven by *this* solve's re-enqueue behaviour, not
-    /// residue from the prior solve's drain tail. The cumulative `pops` /
-    /// `re_pops` counters are left alone (the engine snapshots them to
-    /// derive per-solve values).
-    fn begin_solve(&mut self) {
-        self.window = 0;
-    }
-
-    /// Whether the sliding window is dominated by re-processing.
-    #[inline]
-    fn tripped(&self) -> bool {
-        self.window.count_ones() >= FLIP_TRIP
-    }
 }
 
 pub(crate) struct Engine<'p> {
@@ -455,9 +353,7 @@ pub(crate) struct Engine<'p> {
     g: Pvpg,
     worklist: Worklist,
     /// Per-flow scheduling byte: bit 0 ([`QUEUED`]) = currently resident in
-    /// the worklist; bit 1 ([`PROCESSED`]) = dequeued at least once (the
-    /// adaptive flip detector's re-process signal, kept in the byte the
-    /// pop writes anyway so observing it costs nothing).
+    /// the worklist; bit 1 ([`WORKED`]) = some step did propagation work.
     queued: Vec<u8>,
     /// Reachable methods: O(1) membership plus discovery order (sorted into
     /// a `BTreeSet` once, at the end).
@@ -481,15 +377,6 @@ pub(crate) struct Engine<'p> {
     /// / [`Engine::unmask_method`]): marked reachable when discovered, but
     /// no fragment is ever built while masked.
     masked: BitSet,
-    /// The adaptive scheduler's FIFO-phase re-push detector (`None` under
-    /// forced schedulers, and after the flip).
-    flip: Option<FlipTracker>,
-    /// Cumulative step count at the start of the current solve (per-solve
-    /// statistics like `flip_at_step` are relative to it).
-    solve_start_steps: u64,
-    /// The flip detector's `(pops, re_pops)` at the start of the current
-    /// solve — the baseline the per-solve adaptive counters subtract.
-    adaptive_base: (u64, u64),
     /// Set once the PVPG hits the `FlowId` capacity limit: the engine stops
     /// building fragments and the session surfaces the error
     /// ([`crate::AnalysisSession::try_solve`]).
@@ -502,10 +389,6 @@ pub(crate) struct Engine<'p> {
     last_interrupted: bool,
     /// Cumulative interrupt statistics (engine-lifetime, like `steps`).
     interrupt_stats: InterruptStats,
-    /// Deterministic fault-injection triggers (test builds only).
-    #[cfg(feature = "fault-inject")]
-    fault: crate::fault::FaultPlan,
-    sched_stats: SchedulerStats,
     steps: u64,
     state_joins: u64,
     /// The fragment builder's reusable scratch and the build-output stacks
@@ -517,18 +400,11 @@ pub(crate) struct Engine<'p> {
 
 impl<'p> Engine<'p> {
     pub(crate) fn new(program: &'p Program, config: AnalysisConfig) -> Self {
-        // The reference solver is the oracle: it always runs the FIFO order,
-        // whatever scheduler is configured.
-        let worklist = match (config.solver, config.scheduler) {
-            (SolverKind::Reference, _) | (_, SchedulerKind::Fifo | SchedulerKind::Adaptive) => {
-                Worklist::Fifo(VecDeque::new())
-            }
-            (_, SchedulerKind::SccPriority) => Worklist::Tiered(TieredQueue::new()),
+        // The reference solver is the oracle: it runs its own FIFO order.
+        let worklist = match config.solver {
+            SolverKind::Sequential => Worklist::Tiered(TieredQueue::new()),
+            SolverKind::Reference => Worklist::Fifo(VecDeque::new()),
         };
-        let adaptive = !matches!(config.solver, SolverKind::Reference)
-            && config.scheduler == SchedulerKind::Adaptive;
-        #[cfg(feature = "fault-inject")]
-        let config_fault_plan = config.fault_plan.clone();
         let masked = config.masked_methods.iter().map(|m| m.index()).collect();
         Engine {
             program,
@@ -545,61 +421,15 @@ impl<'p> Engine<'p> {
             saturated_set: BitSet::new(),
             defaulted_fields: BitSet::new(),
             masked,
-            flip: adaptive.then(FlipTracker::new),
-            solve_start_steps: 0,
-            adaptive_base: (0, 0),
             overflow: None,
             guard: None,
             last_interrupted: false,
             interrupt_stats: InterruptStats::default(),
-            #[cfg(feature = "fault-inject")]
-            fault: config_fault_plan,
-            sched_stats: SchedulerStats::default(),
             steps: 0,
             state_joins: 0,
             build: BuildScratch::default(),
             build_time: Duration::ZERO,
         }
-    }
-
-    /// The adaptive scheduler's FIFO→tiered flip: when the sliding-window
-    /// re-push rate shows the queue is dominated by re-processing (and
-    /// enough is queued for ordering to matter), move the FIFO queue into
-    /// the tiered queue's priority tier. Only ever called *between*
-    /// worklist steps, so no step observes a half-migrated queue;
-    /// safe mid-solve because results are scheduler-independent (module
-    /// docs, "The adaptive flip").
-    fn maybe_flip(&mut self) {
-        let Some(tracker) = &self.flip else { return };
-        // Fast guard: the window can only have *become* tripped if the most
-        // recent observation was a re-process (bit 0); skipping the
-        // popcount otherwise keeps this per-step call at two branches on
-        // propagate-once workloads.
-        if tracker.window & 1 == 0 || !tracker.tripped() {
-            return;
-        }
-        let Worklist::Fifo(fifo) = &self.worklist else { return };
-        if fifo.len() < FLIP_MIN_QUEUE {
-            return;
-        }
-        let tracker = self.flip.take().expect("checked above");
-        self.sched_stats.adaptive_pops = tracker.pops - self.adaptive_base.0;
-        self.sched_stats.adaptive_re_pops = tracker.re_pops - self.adaptive_base.1;
-        self.sched_stats.adaptive_pops_total = tracker.pops;
-        self.sched_stats.adaptive_re_pops_total = tracker.re_pops;
-        self.sched_stats.flips += 1;
-        self.sched_stats.flip_at_step = self.steps - self.solve_start_steps;
-        let Worklist::Fifo(fifo) = &mut self.worklist else { unreachable!("checked above") };
-        let drained = std::mem::take(fifo);
-        let mut q = TieredQueue::new();
-        for f in drained {
-            // The migrated queue goes entirely into the priority tier: the
-            // region these flows span is already discovered (they have been
-            // sitting in a FIFO queue mid re-processing storm). Only flows
-            // enqueued from here on split by the worked bit.
-            q.push(f, false);
-        }
-        self.worklist = Worklist::Tiered(q);
     }
 
     /// The field sink for `field`, seeded once with the Java default value
@@ -655,17 +485,12 @@ impl<'p> Engine<'p> {
 
     /// A freshly bootstrapped engine for this engine's configuration under
     /// the current mask, with no roots: the session swaps it in on a
-    /// non-monotone mutation (module docs, "Resume"). Fault-plan triggers
-    /// that already fired stay consumed. The fragment builder's scratch
-    /// moves to the new engine, which rebuilds every reached fragment, so
-    /// the rebuild starts with warm buffers.
+    /// non-monotone mutation (module docs, "Resume"). The fragment
+    /// builder's scratch moves to the new engine, which rebuilds every
+    /// reached fragment, so the rebuild starts with warm buffers.
     pub(crate) fn rebuilt(&mut self) -> Engine<'p> {
         let mut config = self.config.clone();
         config.masked_methods = self.masked_list();
-        #[cfg(feature = "fault-inject")]
-        {
-            config.fault_plan = self.fault.clone();
-        }
         let mut engine = Engine::new(self.program, config);
         engine.build = std::mem::take(&mut self.build);
         engine.bootstrap();
@@ -686,26 +511,8 @@ impl<'p> Engine<'p> {
 
     /// Runs the configured solver until the current worklist is drained —
     /// or until a budget / the `cancel` token stops it at a checkpoint
-    /// (module docs, "Interrupt safety"). Per-solve statistics (the
-    /// adaptive pop counters, `flip_at_step`) are re-based here, and the
-    /// flip detector's sliding window is cleared, so a resumed solve
-    /// reports its own behaviour instead of residue from the prior solve —
-    /// while the cumulative `*_total` counters and the sticky flip keep
-    /// accumulating across the session.
+    /// (module docs, "Interrupt safety").
     pub(crate) fn run_solver(&mut self, cancel: Option<&CancelToken>) -> SolveEnd {
-        self.solve_start_steps = self.steps;
-        match &mut self.flip {
-            Some(tracker) => {
-                tracker.begin_solve();
-                self.adaptive_base = (tracker.pops, tracker.re_pops);
-            }
-            None => {
-                // Forced scheduler, or the session already flipped: no FIFO
-                // phase this solve, so its per-solve pop counts are zero.
-                self.sched_stats.adaptive_pops = 0;
-                self.sched_stats.adaptive_re_pops = 0;
-            }
-        }
         if self.last_interrupted {
             self.last_interrupted = false;
             self.interrupt_stats.resumed_after_interrupt += 1;
@@ -750,10 +557,6 @@ impl<'p> Engine<'p> {
     #[inline]
     fn poll_interrupt(&mut self) -> Option<InterruptReason> {
         let steps = self.steps;
-        #[cfg(feature = "fault-inject")]
-        if let Some(reason) = self.fault.poll_step(steps) {
-            return Some(reason);
-        }
         let guard = self.guard.as_mut()?;
         if let Some(end) = guard.step_end {
             if steps >= end {
@@ -848,15 +651,6 @@ impl<'p> Engine<'p> {
         invalidation: InvalidationStats,
     ) -> SolveStats {
         let (use_edges, pred_edges, obs_edges) = self.g.edge_counts();
-        // The flip detector keeps its own pop counters off the hot path;
-        // fold them in here (after a flip they were copied at flip time).
-        let mut scheduler = self.sched_stats.clone();
-        if let Some(tracker) = &self.flip {
-            scheduler.adaptive_pops = tracker.pops - self.adaptive_base.0;
-            scheduler.adaptive_re_pops = tracker.re_pops - self.adaptive_base.1;
-            scheduler.adaptive_pops_total = tracker.pops;
-            scheduler.adaptive_re_pops_total = tracker.re_pops;
-        }
         SolveStats {
             steps: self.steps,
             state_joins: self.state_joins,
@@ -865,7 +659,7 @@ impl<'p> Engine<'p> {
             pred_edges,
             obs_edges,
             solves,
-            scheduler,
+            scheduler: SchedulerStats::default(),
             interrupt: self.interrupt_stats,
             invalidation,
             duration,
@@ -893,21 +687,14 @@ impl<'p> Engine<'p> {
         }
     }
 
-    /// Marks a dequeued flow off-queue and dequeued-once, feeding the
-    /// adaptive flip detector (if still active) the re-process bit. The
-    /// [`WORKED`] bit is *not* set here: a pop that turns out to be a
-    /// no-op (disabled flow, empty input of a distributive kind) has not
-    /// done any propagation work, so the flow stays in the tiered queue's
-    /// frontier tier until a step actually computes something
-    /// ([`Engine::mark_worked`]).
+    /// Marks a dequeued flow off-queue. The [`WORKED`] bit is *not* set
+    /// here: a pop that turns out to be a no-op (disabled flow, empty input
+    /// of a distributive kind) has not done any propagation work, so the
+    /// flow stays in the tiered queue's frontier tier until a step actually
+    /// computes something ([`Engine::mark_worked`]).
     #[inline]
     fn note_dequeued(&mut self, f: FlowId) {
-        let slot = &mut self.queued[f.index()];
-        let re = *slot & PROCESSED != 0;
-        *slot = (*slot | PROCESSED) & !QUEUED;
-        if let Some(tracker) = &mut self.flip {
-            tracker.observe(re);
-        }
+        self.queued[f.index()] &= !QUEUED;
     }
 
     /// Records that a worklist step did real propagation work for `f` —
@@ -1496,12 +1283,11 @@ impl<'p> Engine<'p> {
             if let Some(reason) = self.poll_interrupt() {
                 return SolveEnd::Interrupted(reason);
             }
-            self.maybe_flip();
-            let next = match &mut self.worklist {
-                Worklist::Fifo(q) => q.pop_front(),
-                Worklist::Tiered(q) => q.pop(),
+            // [`Engine::new`] gives the sequential solver the tiered queue.
+            let Worklist::Tiered(q) = &mut self.worklist else {
+                unreachable!("the sequential solver runs the tiered queue");
             };
-            let Some(f) = next else { return SolveEnd::Complete };
+            let Some(f) = q.pop() else { return SolveEnd::Complete };
             self.note_dequeued(f);
             self.process(f);
         }
@@ -1720,37 +1506,6 @@ mod tests {
         assert_eq!(q.pop(), Some(f(3)));
         assert_eq!(q.pop(), Some(f(2)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn flip_tracker_trips_only_on_a_reprocess_dominated_window() {
-        let mut t = FlipTracker::new();
-        // First-time dequeues never trip the detector.
-        for _ in 0..FLIP_WINDOW * 2 {
-            t.observe(false);
-            assert!(!t.tripped());
-        }
-        assert_eq!(t.pops, (FLIP_WINDOW * 2) as u64);
-        assert_eq!(t.re_pops, 0);
-        // A re-process-dominated stream trips at exactly the threshold.
-        let mut pops = 0;
-        while !t.tripped() {
-            t.observe(true);
-            pops += 1;
-            assert!(pops <= FLIP_WINDOW, "must trip within one window");
-        }
-        assert_eq!(pops, FLIP_TRIP as usize, "trips exactly at the threshold");
-        assert_eq!(t.re_pops, FLIP_TRIP as u64);
-        // Fresh dequeues wash the window back below the threshold, and a
-        // mixed stream below the trip rate never fires.
-        for _ in 0..FLIP_WINDOW {
-            t.observe(false);
-        }
-        assert!(!t.tripped());
-        for i in 0..FLIP_WINDOW * 4 {
-            t.observe(i % 2 == 0); // 50 % re-process rate < 75 % trip rate
-            assert!(!t.tripped());
-        }
     }
 
     #[cfg(debug_assertions)]

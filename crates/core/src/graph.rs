@@ -23,7 +23,7 @@
 //! The graph keeps no scheduling state. Flow ids are dense and follow
 //! creation order, and that order is all the engine's worklist ranks
 //! re-enqueued flows by (`engine.rs`, "Scheduling"): adding a flow or an
-//! edge costs the same under every scheduler.
+//! edge costs the same under either solver.
 
 use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
 use skipflow_ir::{BlockId, FieldId, MethodId, TypeRef};

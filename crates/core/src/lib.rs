@@ -19,7 +19,7 @@
 //!
 //! The public surface is built around a reusable [`AnalysisSession`]: a
 //! typed builder assembles the configuration and entry points, and the
-//! session owns the PVPG, solver state, and scheduler *across* solves.
+//! session owns the PVPG, solver state, and worklist *across* solves.
 //! [`AnalysisSession::solve`] drives the fixpoint and yields an
 //! [`AnalysisSnapshot`] — a cheap borrowed view carrying every query
 //! (reachability, value states, liveness, call-graph edges, metrics).
@@ -107,8 +107,6 @@ mod config;
 pub mod dot;
 mod engine;
 mod error;
-#[cfg(feature = "fault-inject")]
-pub mod fault;
 mod flow;
 mod graph;
 mod interrupt;
@@ -120,7 +118,7 @@ mod session;
 pub mod shrink;
 
 pub use compare::compare;
-pub use config::{AnalysisConfig, SchedulerKind, SolverKind};
+pub use config::{AnalysisConfig, SolverKind};
 pub use error::AnalysisError;
 pub use flow::{CallKind, CallSite, Flow, FlowId, FlowKind, SiteId, MAX_FLOW_COUNT};
 pub use graph::{CheckCategory, IfRecord, MethodGraph, Pvpg};

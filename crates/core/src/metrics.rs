@@ -57,56 +57,22 @@ impl fmt::Display for Metrics {
     }
 }
 
-/// Statistics of the adaptive scheduler, embedded in
-/// [`crate::SolveStats`]. All zero under the forced schedulers and the
-/// reference solver.
-///
-/// Two kinds of fields live here, explicitly separated:
-///
-/// * **Engine-cumulative** — totals that accumulate monotonically across
-///   every solve of the session's current engine (everything not listed as
-///   per-solve below, plus the `*_total` pop counters); an engine rebuild
-///   restarts them (see [`crate::SolveStats`]).
-/// * **Per-solve** — [`SchedulerStats::adaptive_pops`] and
-///   [`SchedulerStats::adaptive_re_pops`] are re-based at the start of each
-///   `solve()`, and [`SchedulerStats::flip_at_step`] is relative to the
-///   solve that flipped; a *resumed* solve therefore reports its own
-///   behaviour, never residue from the prior solve. (The flip itself stays
-///   sticky: `flips` is cumulative and at most 1 per engine.)
+/// Scheduler statistics, embedded in [`crate::SolveStats`]. Every field
+/// is always 0: the sequential solver runs one queue (the tiered queue)
+/// from the first step, ranks re-enqueued flows by creation order and
+/// keeps no order to repair. The fields stay because the end-to-end
+/// benchmark still reports them as `core.scheduler.*`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerStats {
-    /// Always 0. The priority tier ranks re-enqueued flows by creation
-    /// order, so there is no topological order to repair. The field stays
-    /// because the end-to-end benchmark still reports it as
-    /// `core.scheduler.order_repairs`.
+    /// Always 0: there is no topological order to repair
+    /// (`core.scheduler.order_repairs`).
     pub order_repairs: u64,
-    /// Always 0, for the same reason as
-    /// [`SchedulerStats::order_repairs`]: no component is ever merged. The
-    /// end-to-end benchmark still reports it as `core.scheduler.scc_merges`.
+    /// Always 0: no component is ever merged
+    /// (`core.scheduler.scc_merges`).
     pub scc_merges: u64,
-    /// Adaptive-scheduler FIFO→tiered flips (0 when the re-enqueue rate
-    /// never tripped the detector, or under a forced scheduler). At most 1
-    /// per engine: the flip is sticky — once a workload has demonstrated
-    /// re-processing, resumed solves stay on the tiered queue.
+    /// Always 0: there is no second queue to flip to
+    /// (`core.scheduler.flips`).
     pub flips: u64,
-    /// Worklist steps *into the solve that flipped* at which the flip
-    /// occurred (0 when no flip happened). An event record: it keeps its
-    /// value on later solves of the same session.
-    pub flip_at_step: u64,
-    /// **Per-solve**: worklist dequeues observed by the adaptive flip
-    /// detector during the most recent solve's FIFO phase (0 under forced
-    /// schedulers and for solves after the flip).
-    pub adaptive_pops: u64,
-    /// **Per-solve**: of [`SchedulerStats::adaptive_pops`], how many
-    /// dequeued a flow that had already been processed at least once —
-    /// every re-enqueue is observed when it drains, so this is the
-    /// numerator of the re-enqueue rate the flip decision is based on.
-    pub adaptive_re_pops: u64,
-    /// Engine-cumulative total behind [`SchedulerStats::adaptive_pops`].
-    pub adaptive_pops_total: u64,
-    /// Engine-cumulative total behind
-    /// [`SchedulerStats::adaptive_re_pops`].
-    pub adaptive_re_pops_total: u64,
 }
 
 /// Interrupt and resume counters of a session, embedded in

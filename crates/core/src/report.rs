@@ -33,7 +33,7 @@ use std::time::Duration;
 /// across resumes but restart at zero when a retraction or a disable edit
 /// rebuilds the engine ([`crate::AnalysisSession::retract_roots`]) — that
 /// covers `steps`, `state_joins`, the graph sizes, and the `scheduler`
-/// and `interrupt` families (including the sticky adaptive flip). Only
+/// and `interrupt` families. Only
 /// `solves`, `duration` and `invalidation` are session-cumulative; `build`
 /// belongs to the engine like `steps`.
 #[derive(Clone, Debug, Default)]
@@ -55,8 +55,8 @@ pub struct SolveStats {
     /// `solve()` calls that contributed to these numbers (1 for a one-shot
     /// [`crate::analyze`] run; grows as a session is resumed).
     pub solves: u64,
-    /// Adaptive-scheduler statistics (zero under the forced schedulers and
-    /// the reference solver).
+    /// Scheduler statistics (always zero, kept for the end-to-end
+    /// benchmark's `core.scheduler.*` fields).
     pub scheduler: SchedulerStats,
     /// Interrupt / resume counters (all zero for an engine that never hit a
     /// budget or cancel token).
@@ -89,7 +89,7 @@ pub struct ReachableSet {
 impl ReachableSet {
     /// Builds the set from the engine's membership bitset and discovery
     /// order. The order is re-sorted into ascending id order so iteration is
-    /// deterministic across solvers and schedulers.
+    /// deterministic across solvers.
     pub(crate) fn from_discovery(bits: BitSet, mut order: Vec<MethodId>) -> Self {
         order.sort_unstable();
         debug_assert_eq!(bits.len(), order.len(), "bitset and order must agree");

@@ -1,16 +1,14 @@
 //! The session-based analysis API.
 //!
-//! An [`AnalysisSession`] owns the PVPG, the solver state, and the scheduler
+//! An [`AnalysisSession`] owns the PVPG, the solver state, and the worklist
 //! across calls, so the fixpoint can be *resumed*: after a solve, new entry
 //! points can be added ([`AnalysisSession::add_roots`]) and the next
 //! [`AnalysisSession::solve`] continues from the saturated graph instead of
 //! rebuilding it. By the checkpoint invariant (documented at the top of
 //! `engine.rs`) the resumed fixpoint is bit-identical to a fresh analysis
 //! over the union of all roots — only cheaper, which the trajectory
-//! harness's `resume` rung measures. The scheduler is part of the carried
-//! state: a flipped adaptive scheduler stays on its tiered queue, and
-//! per-solve scheduler statistics are re-based per solve (see
-//! [`crate::SchedulerStats`] for the per-solve vs engine-cumulative split).
+//! harness's `resume` rung measures. The worklist is part of the carried
+//! state: an interrupted solve's queued flows keep their tiers.
 //!
 //! Sessions are assembled with a typed builder:
 //!
@@ -59,7 +57,7 @@
 //! The one-shot [`analyze`] free function remains as a thin convenience
 //! wrapper over a single-solve session.
 
-use crate::config::{AnalysisConfig, SchedulerKind, SolverKind};
+use crate::config::{AnalysisConfig, SolverKind};
 use crate::engine::{Engine, SolveEnd};
 use crate::error::AnalysisError;
 use crate::interrupt::{CancelToken, Completeness, SolveOutcome};
@@ -114,7 +112,7 @@ pub enum MethodEdit {
 /// Typed builder for [`AnalysisSession`] (see the module docs for the
 /// canonical chain). Configuration presets (`skipflow()`, `baseline_pta()`,
 /// …) *replace* the whole configuration, so apply them before the
-/// fine-grained knobs (`solver`, `scheduler`, `saturation`, …).
+/// fine-grained knobs (`solver`, `saturation`, …).
 #[derive(Clone, Debug)]
 pub struct SessionBuilder<'p> {
     program: &'p Program,
@@ -166,12 +164,6 @@ impl<'p> SessionBuilder<'p> {
     /// Selects the fixpoint solver.
     pub fn solver(mut self, solver: SolverKind) -> Self {
         self.config = self.config.with_solver(solver);
-        self
-    }
-
-    /// Selects the sequential solver's worklist scheduler.
-    pub fn scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.config = self.config.with_scheduler(scheduler);
         self
     }
 
@@ -263,7 +255,7 @@ impl<'p> SessionBuilder<'p> {
 }
 
 /// A reusable analysis session: owns the PVPG, the solver state, and the
-/// scheduler across solves, supporting incremental root addition with
+/// worklist across solves, supporting incremental root addition with
 /// fixpoint resume, and retraction and edits by engine rebuild (see the
 /// module docs).
 pub struct AnalysisSession<'p> {

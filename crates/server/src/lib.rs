@@ -52,7 +52,7 @@
 //!           | query <session> <q>
 //! source   := synth:<benchmark>        (generated suite program)
 //!           | <path>                   (.sf source or SFBC bytecode)
-//! opt      := scheduler=fifo|adaptive | steps=<n ≥ 1> | ms=<n ≥ 1>
+//! opt      := steps=<n ≥ 1> | ms=<n ≥ 1>
 //! root     := <Cls>.<method> | #<method-id>
 //! q        := reachable <root> | reachable-count | call-edges
 //!           | poly-calls | completeness | epoch
@@ -81,7 +81,7 @@
 //! ## Example session
 //!
 //! ```text
-//! > open app synth:h2 scheduler=adaptive
+//! > open app synth:h2
 //! < ok opened app methods=434 epoch=0
 //! > roots app Main.main
 //! < ok queued 1 epoch=0

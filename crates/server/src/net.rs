@@ -3,7 +3,7 @@
 
 use crate::protocol::{parse_request, Query, Request};
 use crate::registry::{require_nonzero_budgets, Registry, ServerConfig, ServerError, SessionHandle};
-use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness, MethodEdit, SchedulerKind};
+use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness, MethodEdit};
 use skipflow_ir::{MethodId, Program};
 use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use skipflow_modelcheck::sync::Arc;
@@ -233,7 +233,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 "ok session={} epoch={} roots={} queued={} memory_bytes={} \
                  published_bytes={} steps={} flows={} solves={} batches={} \
                  batched_roots={} epochs_published={} partial_epochs={} queries={} sheds={} \
-                 scheduler_flips={} interrupts={} resumed={} \
+                 interrupts={} resumed={} \
                  retractions={} edits={} invalidated_flows={} rederive_steps={}",
                 s.name,
                 s.epoch,
@@ -250,7 +250,6 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.partial_epochs,
                 s.queries_served,
                 s.sheds,
-                s.solve.scheduler.flips,
                 s.solve.interrupt.interrupts,
                 s.solve.interrupt.resumed_after_interrupt,
                 s.solve.invalidation.retractions,
@@ -429,20 +428,6 @@ fn apply_opts(
     let mut config = config;
     for (key, value) in opts {
         config = match key.as_str() {
-            "scheduler" => {
-                // Forced SCC is never the best choice (adaptive flips to it
-                // when re-processing shows), so it stays library-only.
-                let kind = match value.as_str() {
-                    "fifo" => SchedulerKind::Fifo,
-                    "adaptive" => SchedulerKind::Adaptive,
-                    other => {
-                        return Err(ServerError::Analysis(format!(
-                            "unknown scheduler `{other}` (fifo|adaptive)"
-                        )))
-                    }
-                };
-                config.with_scheduler(kind)
-            }
             "steps" => {
                 let n: u64 = value.parse().map_err(|_| {
                     ServerError::Analysis(format!("malformed steps budget `{value}`"))

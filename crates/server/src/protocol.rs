@@ -23,8 +23,8 @@ pub enum Request {
         /// `synth:<benchmark>` or a filesystem path (`.sf` source or
         /// `.sfbc` bytecode).
         source: String,
-        /// `key=value` options: `scheduler=fifo|adaptive`, `steps=<n>`
-        /// (per-batch step budget), `ms=<n>` (per-batch wall budget).
+        /// `key=value` options: `steps=<n>` (per-batch step budget),
+        /// `ms=<n>` (per-batch wall budget).
         opts: Vec<(String, String)>,
     },
     /// Queue roots for the session's next coalesced batch.
@@ -113,7 +113,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "sessions" => Ok(Request::Sessions),
         "stats" => Ok(Request::Stats { session: rest.first().map(|s| s.to_string()) }),
         "open" => {
-            need(2, "open <session> <path|synth:NAME> [scheduler=K] [steps=N] [ms=N]")?;
+            need(2, "open <session> <path|synth:NAME> [steps=N] [ms=N]")?;
             let mut opts = Vec::new();
             for w in &rest[2..] {
                 match w.split_once('=') {
@@ -203,12 +203,12 @@ mod tests {
             Ok(Request::Stats { session: Some("s1".into()) })
         );
         assert_eq!(
-            parse_request("open s1 synth:dacapo-avrora scheduler=scc steps=512"),
+            parse_request("open s1 synth:dacapo-avrora ms=20 steps=512"),
             Ok(Request::Open {
                 session: "s1".into(),
                 source: "synth:dacapo-avrora".into(),
                 opts: vec![
-                    ("scheduler".into(), "scc".into()),
+                    ("ms".into(), "20".into()),
                     ("steps".into(), "512".into())
                 ],
             })

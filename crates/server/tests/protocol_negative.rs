@@ -171,14 +171,17 @@ fn session_level_errors_after_real_traffic_are_structured() {
     let (addr, handle) = start_server();
     let mut client = Client::connect(&addr).expect("connect");
 
-    // Forced SCC is library-only: the protocol refuses it, structured.
-    let resp = client
-        .request("open s synth:luindex scheduler=scc")
-        .expect("open scc");
-    assert!(resp.starts_with("err analysis:"), "{resp:?}");
-    let resp = client
-        .request("open s synth:luindex scheduler=fifo")
-        .expect("open");
+    // The solver has one worklist, so `scheduler=` is an unknown option
+    // whatever its value; each refusal is structured and opens nothing.
+    for value in ["scc", "fifo", "adaptive"] {
+        let resp = client
+            .request(&format!("open s synth:luindex scheduler={value}"))
+            .expect("open with scheduler=");
+        assert!(resp.starts_with("err analysis:"), "{resp:?}");
+        assert!(resp.contains("unknown option `scheduler`"), "{resp:?}");
+        assert_eq!(client.request("sessions").expect("sessions"), "ok sessions=0");
+    }
+    let resp = client.request("open s synth:luindex").expect("open");
     assert!(resp.starts_with("ok opened"), "{resp:?}");
 
     // Duplicate open, bad method spec, and post-evict use all come back as

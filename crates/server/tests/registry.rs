@@ -239,7 +239,7 @@ fn protocol_layer_in_process() {
     let run = |line: &str| handle_request(&registry, parse_request(line).unwrap());
 
     assert_eq!(run("ping"), "ok pong");
-    let opened = run(&format!("open s {} scheduler=adaptive", src_path.display()));
+    let opened = run(&format!("open s {}", src_path.display()));
     assert!(opened.starts_with("ok opened s methods="), "{opened}");
     assert_eq!(run("sessions"), "ok sessions=1 s");
 

@@ -1,6 +1,6 @@
 //! The serving stress test: reader threads query published snapshots while
 //! the writer solves coalesced root batches and other sessions are opened
-//! and evicted, across FIFO × SCC × Adaptive schedulers.
+//! and evicted, with and without a per-batch step budget.
 //!
 //! The correctness contract checked here is the one the server's epoch
 //! publication promises. An epoch publishes answers, not the graph (an
@@ -26,7 +26,7 @@
 //! extracted answers match the graph they came from.
 
 use skipflow_core::{
-    AnalysisConfig, AnalysisSession, CallGraphQuery, Completeness, OwnedSnapshot, SchedulerKind,
+    AnalysisConfig, AnalysisSession, CallGraphQuery, Completeness, OwnedSnapshot,
 };
 use skipflow_ir::{MethodId, Program, TypeId};
 use skipflow_server::{PublishedEpoch, Registry, ServerConfig};
@@ -97,7 +97,7 @@ const CHURN_SRC: &str = "
     class Main { static method main(): void { Util.id(1); return; } }
 ";
 
-fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
+fn stress(batch_step_budget: Option<u64>) {
     let spec = suites::by_name("lusearch").expect("suite benchmark");
     let bench = build_benchmark(&spec);
     let mut to_feed = bench.roots.clone();
@@ -107,9 +107,7 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
     let edit_victims = pick_spread_roots(&bench.program, &to_feed, 2);
     assert_eq!(edit_victims.len(), 2, "need two editable methods");
     let program = Arc::new(bench.program);
-    let config = AnalysisConfig::skipflow()
-        .with_scheduler(scheduler)
-        .with_reflective_roots(bench.reflective_roots.clone());
+    let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots.clone());
 
     let registry = Arc::new(Registry::new(ServerConfig {
         batch_step_budget,
@@ -241,7 +239,7 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
         }
         let oracle_config = config.clone().with_masked_methods(ep.masked.iter().copied());
         let fresh = fresh_answers(&program, &ep.roots, &oracle_config);
-        let label = format!("{scheduler:?} epoch {n}");
+        let label = format!("budget {batch_step_budget:?} epoch {n}");
         match ep.snapshot.completeness() {
             Completeness::Complete => {
                 complete_epochs += 1;
@@ -262,25 +260,16 @@ fn stress(scheduler: SchedulerKind, batch_step_budget: Option<u64>) {
     }
 }
 
+/// Without a step budget the writer solves every batch to its fixpoint.
 #[test]
-fn stress_fifo() {
-    stress(SchedulerKind::Fifo, None);
-}
-
-#[test]
-fn stress_scc() {
-    stress(SchedulerKind::SccPriority, None);
-}
-
-#[test]
-fn stress_adaptive() {
-    stress(SchedulerKind::Adaptive, None);
+fn stress_without_budget() {
+    stress(None);
 }
 
 /// A tight per-batch step budget forces the writer through many
 /// partial-epoch publications on the way to each settled fixpoint; the
 /// partial epochs must refine, and the settled ones stay identical.
 #[test]
-fn stress_adaptive_with_step_budget() {
-    stress(SchedulerKind::Adaptive, Some(96));
+fn stress_with_step_budget() {
+    stress(Some(96));
 }

@@ -24,7 +24,7 @@ fn main() {
     let mut client = Client::connect(&addr).expect("connect");
     let script = [
         "ping",
-        "open app synth:luindex scheduler=adaptive",
+        "open app synth:luindex",
         "roots app Main.main",
         "flush app",
         "query app reachable-count",

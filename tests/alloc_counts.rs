@@ -132,7 +132,7 @@ fn ladder_solve_allocations_per_reached_method() {
         "ladder: {allocs} allocations, {methods} reached methods, {per_method:.2} per method"
     );
     assert!(
-        per_method <= 15.0,
+        per_method <= 13.5,
         "{per_method:.2} allocations per reached method"
     );
 }
@@ -143,7 +143,7 @@ fn fanout_solve_allocations_per_call_edge() {
     let (allocs, _, edges) = measure(&spec);
     let per_edge = allocs as f64 / edges as f64;
     eprintln!("fanout: {allocs} allocations, {edges} call edges, {per_edge:.2} per call edge");
-    assert!(per_edge <= 1.0, "{per_edge:.2} allocations per call edge");
+    assert!(per_edge <= 0.75, "{per_edge:.2} allocations per call edge");
 }
 
 /// The ladder, fan-out and quick-corpus programs the load tests decode.

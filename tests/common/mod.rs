@@ -1,6 +1,6 @@
 //! Shared helpers for the differential integration tests: full observable
 //! comparison of two analysis results (used by `delta_vs_reference.rs` for
-//! solver/scheduler identity and by `session_resume.rs` for the
+//! solver identity and by `session_resume.rs` for the
 //! incremental-resume identity).
 
 use skipflow::analysis::AnalysisResult;

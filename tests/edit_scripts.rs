@@ -3,13 +3,14 @@
 //! session must be **bit-identical** (reachable set, instantiated types,
 //! per-flow states, liveness, linked targets, metrics) to a fresh analysis
 //! of the *surviving* root set under the *current* mask — for the
-//! sequential solver under FIFO, SCC priority and the adaptive flip and for
-//! the reference solver, through interrupted solves after an engine
-//! rebuild, and under seeded random edit scripts. This is the checkpoint
-//! argument documented at the top of `crates/core/src/engine.rs`.
+//! sequential and the reference solver, through interrupted solves after
+//! an engine rebuild, and under seeded random edit scripts with and
+//! without step budgets. This is the checkpoint argument documented at the
+//! top of `crates/core/src/engine.rs`.
 
 use skipflow::analysis::{
-    analyze, AnalysisConfig, AnalysisSession, MethodEdit, SchedulerKind, SolveOutcome, SolverKind,
+    analyze, AnalysisConfig, AnalysisSession, InterruptReason, MethodEdit, SolveOutcome,
+    SolverKind,
 };
 use skipflow::ir::MethodId;
 use skipflow::synth::{
@@ -20,14 +21,9 @@ use skipflow::synth::{
 mod common;
 use common::assert_results_identical;
 
-/// The solver × scheduler matrix (the reference solver always runs FIFO,
-/// so it appears once) — the same coverage the monotone-resume tests use.
-const SOLVER_MATRIX: [(SolverKind, SchedulerKind); 4] = [
-    (SolverKind::Sequential, SchedulerKind::Fifo),
-    (SolverKind::Sequential, SchedulerKind::SccPriority),
-    (SolverKind::Sequential, SchedulerKind::Adaptive),
-    (SolverKind::Reference, SchedulerKind::Fifo),
-];
+/// Both solvers, each on its own worklist — the same coverage the
+/// monotone-resume tests use.
+const SOLVERS: [SolverKind; 2] = [SolverKind::Sequential, SolverKind::Reference];
 
 fn bench() -> Benchmark {
     build_benchmark(&BenchmarkSpec::new("edits", Suite::DaCapo, 60, 0.2))
@@ -53,11 +49,9 @@ fn retraction_matches_fresh_solve_of_survivors_across_matrix() {
     let bench = bench();
     let extra = pick_spread_roots(&bench.program, &bench.roots, 3);
     assert!(!extra.is_empty());
-    for (solver, scheduler) in SOLVER_MATRIX {
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
-        let label = format!("retract {solver:?}/{scheduler:?}");
+    for solver in SOLVERS {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
+        let label = format!("retract {solver:?}");
 
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())
@@ -94,11 +88,9 @@ fn edits_match_fresh_solve_under_the_mask_across_matrix() {
         .iter()
         .find(|&&m| bench.program.method(m).has_body() && !bench.roots.contains(&m))
         .expect("a reachable non-root method");
-    for (solver, scheduler) in SOLVER_MATRIX {
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
-        let label = format!("edit {solver:?}/{scheduler:?}");
+    for solver in SOLVERS {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
+        let label = format!("edit {solver:?}");
 
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())
@@ -142,16 +134,10 @@ fn edits_match_fresh_solve_under_the_mask_across_matrix() {
 fn interrupted_rederive_resumes_to_the_retracted_fixpoint() {
     let bench = bench();
     let extra = pick_spread_roots(&bench.program, &bench.roots, 3);
-    for (solver, scheduler) in [
-        (SolverKind::Sequential, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Sequential, SchedulerKind::Adaptive),
-    ] {
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
+    for solver in SOLVERS {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
         let budgeted = config.clone().with_step_budget(97u64);
-        let label = format!("interrupted rederive {solver:?}/{scheduler:?}");
+        let label = format!("interrupted rederive {solver:?}");
 
         let mut session = AnalysisSession::builder(&bench.program)
             .config(budgeted)
@@ -216,96 +202,77 @@ fn apply_op(
     }
 }
 
-/// Fault-injected variant (`--features fault-inject`): the same random
-/// edit-script driver, but with a deterministic [`FaultPlan`] cancelling a
-/// solve mid-script. The interrupted session must still converge to the
-/// fresh oracle at every solve point — invalidation and interruption
-/// compose.
-#[cfg(feature = "fault-inject")]
-mod fault_sweep {
-    use super::*;
-    use skipflow::analysis::fault::FaultPlan;
+/// The random edit-script driver under a per-solve step budget: every
+/// solve point is interrupted every `budget` steps and resumed until it
+/// completes. The session must still match the fresh oracle at every solve
+/// point — invalidation and interruption compose.
+fn run_script_under_budget(bench: &Benchmark, seed: u64, solver: SolverKind, budget: u64) {
+    let label = format!("budgeted script seed {seed} {solver:?} budget {budget}");
+    let script = build_edit_script(bench, seed, 10, 2);
+    let config = AnalysisConfig::skipflow().with_solver(solver);
+    let mut session = AnalysisSession::builder(&bench.program)
+        .config(config.clone().with_step_budget(budget))
+        .roots(bench.roots.iter().copied())
+        .build()
+        .expect("valid roots");
+    let mut roots = bench.roots.clone();
+    let mut masked: Vec<MethodId> = Vec::new();
+    let mut interrupts = 0;
+    for (i, op) in script.ops.iter().enumerate() {
+        if let EditOp::Solve = op {
+            let mut spins = 0;
+            loop {
+                match session.solve_interruptible(None) {
+                    Ok(SolveOutcome::Completed(_)) => break,
+                    Ok(SolveOutcome::Interrupted { reason, .. }) => {
+                        assert_eq!(reason, InterruptReason::StepBudget { budget }, "{label} op {i}");
+                        interrupts += 1;
+                    }
+                    Err(e) => panic!("{label} op {i}: unexpected error {e}"),
+                }
+                spins += 1;
+                assert!(spins < 100_000, "{label} op {i}: solve never completed");
+            }
+            let fresh = fresh_oracle(bench, &config, &roots, &masked);
+            let snap = session.snapshot();
+            assert_eq!(
+                snap.reachable_methods(),
+                fresh.reachable_methods(),
+                "{label} op {i}: reachable sets differ"
+            );
+            assert_eq!(
+                snap.metrics(&bench.program),
+                fresh.metrics(&bench.program),
+                "{label} op {i}: metrics differ"
+            );
+        } else {
+            apply_op(&mut session, &mut roots, &mut masked, op);
+        }
+    }
+    assert!(interrupts > 0, "{label}: the budget never fired");
+    let finished = session.into_result();
+    let fresh = fresh_oracle(bench, &config, &roots, &masked);
+    assert_results_identical(&bench.program, &fresh, &finished, &format!("{label} final"));
+}
 
-    /// Seeded fault-index generator for the sweep.
-    fn lcg(state: &mut u64) -> u64 {
-        *state = state
+#[test]
+fn edit_scripts_survive_step_budget_interrupts() {
+    let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
+    // Seeded budget generator for the sweep.
+    let mut state = 0xed17_5eedu64;
+    let mut lcg = move || {
+        state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
-        *state >> 33
-    }
-
-    fn run_script_under_plan(
-        bench: &Benchmark,
-        seed: u64,
-        solver: SolverKind,
-        scheduler: SchedulerKind,
-        plan: FaultPlan,
-        label: &str,
-    ) {
-        let script = build_edit_script(bench, seed, 10, 2);
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
-        let mut session = AnalysisSession::builder(&bench.program)
-            .config(config.clone().with_fault_plan(plan))
-            .roots(bench.roots.iter().copied())
-            .build()
-            .expect("valid roots");
-        let mut roots = bench.roots.clone();
-        let mut masked: Vec<MethodId> = Vec::new();
-        for (i, op) in script.ops.iter().enumerate() {
-            if let EditOp::Solve = op {
-                let mut spins = 0;
-                loop {
-                    match session.solve_interruptible(None) {
-                        Ok(SolveOutcome::Completed(_)) => break,
-                        Ok(SolveOutcome::Interrupted { .. }) => {}
-                        Err(e) => panic!("{label} op {i}: unexpected error {e}"),
-                    }
-                    spins += 1;
-                    assert!(spins < 10_000, "{label} op {i}: solve never completed");
-                }
-                let fresh = fresh_oracle(bench, &config, &roots, &masked);
-                let snap = session.snapshot();
-                assert_eq!(
-                    snap.reachable_methods(),
-                    fresh.reachable_methods(),
-                    "{label} op {i}: reachable sets differ"
-                );
-                assert_eq!(
-                    snap.metrics(&bench.program),
-                    fresh.metrics(&bench.program),
-                    "{label} op {i}: metrics differ"
-                );
-            } else {
-                apply_op(&mut session, &mut roots, &mut masked, op);
-            }
-        }
-        let finished = session.into_result();
-        let fresh = fresh_oracle(bench, &config, &roots, &masked);
-        assert_results_identical(&bench.program, &fresh, &finished, &format!("{label} final"));
-    }
-
-    #[test]
-    fn edit_scripts_survive_injected_interrupts() {
-        let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
-        let mut state = 0xed17_5eedu64;
-        for (seed, solver, scheduler) in [
-            (21u64, SolverKind::Sequential, SchedulerKind::Fifo),
-            (22, SolverKind::Sequential, SchedulerKind::Adaptive),
-            (23, SolverKind::Sequential, SchedulerKind::SccPriority),
-        ] {
-            for round in 0..3u32 {
-                // A cancel somewhere in the script's cumulative step range.
-                let plan = FaultPlan {
-                    cancel_at_step: Some(lcg(&mut state) % 4000),
-                    ..FaultPlan::none()
-                };
-                let label = format!(
-                    "fault script seed {seed} {solver:?}/{scheduler:?} round {round} ({plan:?})"
-                );
-                run_script_under_plan(&bench, seed, solver, scheduler, plan, &label);
-            }
+        state >> 33
+    };
+    for (seed, solver) in [
+        (21u64, SolverKind::Sequential),
+        (22, SolverKind::Sequential),
+        (23, SolverKind::Reference),
+    ] {
+        for _ in 0..3 {
+            run_script_under_budget(&bench, seed, solver, 1 + lcg() % 400);
         }
     }
 }
@@ -313,16 +280,14 @@ mod fault_sweep {
 #[test]
 fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
     let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
-    for (seed, solver, scheduler) in [
-        (11u64, SolverKind::Sequential, SchedulerKind::Fifo),
-        (12, SolverKind::Sequential, SchedulerKind::SccPriority),
-        (13, SolverKind::Sequential, SchedulerKind::Adaptive),
-        (15, SolverKind::Reference, SchedulerKind::Fifo),
+    for (seed, solver) in [
+        (11u64, SolverKind::Sequential),
+        (12, SolverKind::Sequential),
+        (13, SolverKind::Sequential),
+        (15, SolverKind::Reference),
     ] {
         let script = build_edit_script(&bench, seed, 14, 2);
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
+        let config = AnalysisConfig::skipflow().with_solver(solver);
         let mut session = AnalysisSession::builder(&bench.program)
             .config(config.clone())
             .roots(bench.roots.iter().copied())
@@ -332,7 +297,7 @@ fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
         let mut masked: Vec<MethodId> = Vec::new();
         for (i, op) in script.ops.iter().enumerate() {
             if let EditOp::Solve = op {
-                let label = format!("script seed {seed} {solver:?}/{scheduler:?} op {i}");
+                let label = format!("script seed {seed} {solver:?} op {i}");
                 let fresh = fresh_oracle(&bench, &config, &roots, &masked);
                 let snap = session.solve();
                 assert_eq!(
@@ -361,7 +326,7 @@ fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
             &bench.program,
             &fresh,
             &finished,
-            &format!("script seed {seed} {solver:?}/{scheduler:?} final"),
+            &format!("script seed {seed} {solver:?} final"),
         );
     }
 }
@@ -369,20 +334,13 @@ fn random_edit_scripts_match_fresh_solves_at_every_solve_point() {
 /// A retraction of a solved-in root, or disabling a body the engine already
 /// reached, rebuilds the session's engine: the solve that follows must take
 /// exactly the steps of a fresh session's first solve over the same roots
-/// (in acceptance order) and mask, under every solver and scheduler, and
-/// all of them count as `rederive_steps`.
+/// (in acceptance order) and mask, under both solvers, and all of them
+/// count as `rederive_steps`.
 #[test]
 fn rebuild_solve_points_cost_exactly_a_fresh_solve() {
     let bench = build_benchmark(&suites::by_name("lusearch").unwrap());
-    for (solver, scheduler) in [
-        (SolverKind::Reference, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Sequential, SchedulerKind::Adaptive),
-    ] {
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
+    for solver in SOLVERS {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
         let mut rebuild_points = 0;
         for seed in 31u64..41 {
             let script = build_edit_script(&bench, seed, 24, 2);
@@ -414,7 +372,7 @@ fn rebuild_solve_points_cost_exactly_a_fresh_solve() {
                         _ => false,
                     };
                 if rebuilt {
-                    let label = format!("seed {seed} {solver:?}/{scheduler:?} op {i}");
+                    let label = format!("seed {seed} {solver:?} op {i}");
                     let mut fresh = AnalysisSession::builder(&bench.program)
                         .config(config.clone().with_masked_methods(masked.iter().copied()))
                         .roots(session.roots().iter().copied())
@@ -443,7 +401,7 @@ fn rebuild_solve_points_cost_exactly_a_fresh_solve() {
         }
         assert!(
             rebuild_points >= 10,
-            "{solver:?}/{scheduler:?}: only {rebuild_points} points"
+            "{solver:?}: only {rebuild_points} points"
         );
     }
 }

@@ -9,11 +9,15 @@
 //! site order or reporting metadata changes the fingerprint, so a builder
 //! or storage rewrite that keeps these constants produces the same graph.
 //!
+//! Flow indices follow discovery order, which each solver's worklist sets,
+//! so every program is pinned under both solvers: the sequential solver's
+//! tiered queue and the reference solver's plain FIFO.
+//!
 //! The hash is an in-test FNV-1a over fixed-width integers and `Debug`
 //! renderings of the core's own types, so it does not depend on the
 //! standard library's unstable `DefaultHasher`.
 
-use skipflow::analysis::{analyze, AnalysisConfig, Pvpg};
+use skipflow::analysis::{analyze, AnalysisConfig, Pvpg, SolverKind};
 use skipflow::ir::{BlockId, MethodId};
 use skipflow::synth::{build_benchmark, suites, BenchmarkSpec, Suite};
 
@@ -104,36 +108,43 @@ fn fingerprint(g: &Pvpg, program: &skipflow::ir::Program) -> u64 {
     h.0
 }
 
-fn fingerprint_of(spec: &BenchmarkSpec) -> u64 {
+/// The fingerprints of `spec`'s graph under the sequential and the
+/// reference solver, in that order.
+fn fingerprints_of(spec: &BenchmarkSpec) -> [u64; 2] {
     let bench = build_benchmark(spec);
-    let result = analyze(&bench.program, &bench.roots, &AnalysisConfig::skipflow());
-    fingerprint(result.graph(), &bench.program)
+    [SolverKind::Sequential, SolverKind::Reference].map(|solver| {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
+        let result = analyze(&bench.program, &bench.roots, &config);
+        fingerprint(result.graph(), &bench.program)
+    })
 }
 
 #[test]
 fn quick_corpus_fragment_shapes_are_pinned() {
-    let expected: [(&str, u64); 4] = [
-        ("lusearch", 754514763038067561),
-        ("sunflow", 13832999032229267960),
-        ("micronaut-helloworld", 6898090275233392795),
-        ("scrabble", 530126888115478500),
+    // `(program, [sequential, reference])`.
+    let expected: [(&str, [u64; 2]); 4] = [
+        ("lusearch", [9727665025691284376, 754514763038067561]),
+        ("sunflow", [6642611389146987091, 13832999032229267960]),
+        ("micronaut-helloworld", [11888985311168875017, 6898090275233392795]),
+        ("scrabble", [15309675472988988479, 530126888115478500]),
     ];
-    let got: Vec<(String, u64)> = suites::quick()
+    let got: Vec<(String, [u64; 2])> = suites::quick()
         .iter()
-        .map(|spec| (spec.name.clone(), fingerprint_of(spec)))
+        .map(|spec| (spec.name.clone(), fingerprints_of(spec)))
         .collect();
-    let want: Vec<(String, u64)> = expected.iter().map(|&(n, h)| (n.to_string(), h)).collect();
+    let want: Vec<(String, [u64; 2])> =
+        expected.iter().map(|&(n, h)| (n.to_string(), h)).collect();
     assert_eq!(got, want);
 }
 
 #[test]
 fn ladder_fragment_shapes_are_pinned() {
     let spec = BenchmarkSpec::new("rung-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8);
-    assert_eq!(fingerprint_of(&spec), 8291038059928179637);
+    assert_eq!(fingerprints_of(&spec), [8314801903758946610, 8291038059928179637]);
 }
 
 #[test]
 fn shared_sink_fragment_shapes_are_pinned() {
     let spec = BenchmarkSpec::new("fanout-100", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
-    assert_eq!(fingerprint_of(&spec), 9793394209361792785);
+    assert_eq!(fingerprints_of(&spec), [9793394209361792785, 11543753711572434417]);
 }

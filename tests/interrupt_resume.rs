@@ -2,19 +2,19 @@
 //! step/wall/memory budget or a cancel token and then resumed must complete
 //! to a fixpoint **bit-identical** (reachable set, instantiated types,
 //! per-flow states, liveness, linked targets, metrics) to an uninterrupted
-//! run — across every solver × scheduler combination, at every interrupt
-//! point along a sweep. Every intermediate checkpoint must itself be a
-//! sound under-approximation: a valid, queryable snapshot whose reachable
-//! set is a subset of the final one, tagged `Completeness::Partial`.
+//! run — under both solvers, at every interrupt point along a sweep. Every
+//! intermediate checkpoint must itself be a sound under-approximation: a
+//! valid, queryable snapshot whose reachable set is a subset of the final
+//! one, tagged `Completeness::Partial`.
 //!
 //! This is the interrupt-safety contract documented at the top of
-//! `crates/core/src/engine.rs`; the deterministic triggers (cancel or
-//! budget exhaustion at an exact step) live in `tests/fault_injection.rs`
-//! behind the `fault-inject` feature.
+//! `crates/core/src/engine.rs`. The step budget is the deterministic
+//! trigger: it is checked before every step, so a budget of `k` stops each
+//! solve after exactly `k` steps.
 
 use skipflow::analysis::{
     analyze, AnalysisConfig, AnalysisError, AnalysisResult, AnalysisSession, CallGraphQuery,
-    CancelToken, Completeness, InterruptReason, SchedulerKind, SolveOutcome, SolverKind,
+    CancelToken, Completeness, InterruptReason, SolveOutcome, SolverKind,
 };
 use skipflow::ir::MethodId;
 use skipflow::synth::{build_benchmark, pick_spread_roots, Benchmark, BenchmarkSpec, Suite};
@@ -23,24 +23,18 @@ use std::time::Duration;
 mod common;
 use common::assert_results_identical;
 
-/// The solver × scheduler grid the interrupt differential covers (the
-/// reference solver ignores the scheduler knob, so it appears once).
-fn solver_matrix() -> Vec<(SolverKind, SchedulerKind)> {
-    vec![
-        (SolverKind::Sequential, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Sequential, SchedulerKind::Adaptive),
-        (SolverKind::Reference, SchedulerKind::Fifo),
-    ]
-}
+/// The solvers the interrupt differential covers: each runs its own
+/// worklist (the tiered queue, the reference FIFO).
+const SOLVERS: [SolverKind; 2] = [SolverKind::Sequential, SolverKind::Reference];
 
 fn bench() -> Benchmark {
     build_benchmark(&BenchmarkSpec::new("interrupt", Suite::DaCapo, 60, 0.2))
 }
 
-/// Solves to completion under a per-solve step budget of `k`, asserting at
-/// every interrupt that the checkpoint is a valid partial view. Returns the
-/// finished result and how many interrupts it took.
+/// Solves to completion under the config's per-solve step budget `k`,
+/// asserting at every interrupt that the checkpoint is a valid partial view
+/// taken after exactly `k` more steps. Returns the finished result and how
+/// many interrupts it took.
 fn solve_through_interrupts(
     bench: &Benchmark,
     config: &AnalysisConfig,
@@ -52,6 +46,7 @@ fn solve_through_interrupts(
         .roots(bench.roots.iter().copied())
         .build()
         .expect("valid roots");
+    let budget = config.step_budget().expect("a step-budgeted config");
     let mut interrupts = 0u64;
     loop {
         let done = match session.solve_interruptible(None).expect("no hard failure") {
@@ -60,10 +55,10 @@ fn solve_through_interrupts(
                 true
             }
             SolveOutcome::Interrupted { reason, partial } => {
-                assert!(
-                    matches!(reason, InterruptReason::StepBudget { .. }),
-                    "{label}: unexpected reason {reason}"
-                );
+                assert_eq!(reason, InterruptReason::StepBudget { budget }, "{label}");
+                // The budget is checked before every step, so the interrupt
+                // lands exactly `budget` steps after the previous one.
+                assert_eq!(partial.stats().steps, (interrupts + 1) * budget, "{label}");
                 // The checkpoint is a sound under-approximation, fully
                 // queryable and tagged partial.
                 assert_eq!(partial.completeness(), Completeness::Partial, "{label}");
@@ -95,10 +90,8 @@ fn solve_through_interrupts(
 #[test]
 fn step_budget_sweep_resumes_bit_identical_across_the_matrix() {
     let bench = bench();
-    for (solver, scheduler) in solver_matrix() {
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
+    for solver in SOLVERS {
+        let config = AnalysisConfig::skipflow().with_solver(solver);
         let oracle = analyze(&bench.program, &bench.roots, &config);
         let total = oracle.stats().steps;
         assert!(total > 16, "corpus too small to sweep ({total} steps)");
@@ -107,7 +100,7 @@ fn step_budget_sweep_resumes_bit_identical_across_the_matrix() {
         let stride = (total / 24).max(1);
         let ks = (1..=16).chain((17..=total + 1).step_by(stride as usize));
         for k in ks {
-            let label = format!("{solver:?}/{scheduler:?}/k={k}");
+            let label = format!("{solver:?}/k={k}");
             let budgeted = config.clone().with_step_budget(k);
             let (resumed, interrupts) =
                 solve_through_interrupts(&bench, &budgeted, &oracle, &label);
@@ -130,15 +123,9 @@ fn interrupt_then_add_roots_then_resume_matches_fresh_union() {
     let extra = pick_spread_roots(&bench.program, &bench.roots, 8);
     assert!(!extra.is_empty());
     let union_roots: Vec<MethodId> = bench.roots.iter().chain(&extra).copied().collect();
-    for (solver, scheduler) in [
-        (SolverKind::Sequential, SchedulerKind::Adaptive),
-        (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Reference, SchedulerKind::Fifo),
-    ] {
-        let label = format!("union/{solver:?}/{scheduler:?}");
-        let config = AnalysisConfig::skipflow()
-            .with_solver(solver)
-            .with_scheduler(scheduler);
+    for solver in SOLVERS {
+        let label = format!("union/{solver:?}");
+        let config = AnalysisConfig::skipflow().with_solver(solver);
         let oracle = analyze(&bench.program, &union_roots, &config);
 
         let mut session = AnalysisSession::builder(&bench.program)

@@ -7,7 +7,7 @@
 //! * the `owned_snapshot()` of a fresh session solved at the same
 //!   configuration,
 //!
-//! for every quick-corpus program under Reference × FIFO × SCC × Adaptive,
+//! for every quick-corpus program under both solvers,
 //! after every `Solve` point of seeded edit scripts (root additions,
 //! retractions, body disables and restores). The server publishes exactly
 //! these answers, so this is what makes its epochs trustworthy without a
@@ -15,7 +15,7 @@
 
 use skipflow::analysis::{
     AnalysisConfig, AnalysisSession, AnalysisSnapshot, CallKind, Completeness, MethodEdit,
-    OwnedSnapshot, SchedulerKind, SolverKind,
+    OwnedSnapshot, SolverKind,
 };
 use skipflow::ir::{MethodId, Program, TypeId};
 use skipflow::synth::{build_benchmark, build_edit_script, suites, EditOp};
@@ -24,14 +24,8 @@ use skipflow::synth::{build_benchmark, build_edit_script, suites, EditOp};
 /// compare with `assert_eq!`.
 type Row = (MethodId, usize, CallKind, Vec<MethodId>);
 
-fn matrix() -> [(SolverKind, SchedulerKind); 4] {
-    [
-        (SolverKind::Reference, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::Fifo),
-        (SolverKind::Sequential, SchedulerKind::SccPriority),
-        (SolverKind::Sequential, SchedulerKind::Adaptive),
-    ]
-}
+/// Both solvers, each on its own worklist.
+const SOLVERS: [SolverKind; 2] = [SolverKind::Reference, SolverKind::Sequential];
 
 fn rows(owned: &OwnedSnapshot) -> Vec<Row> {
     owned
@@ -155,11 +149,9 @@ fn extraction_matches_the_graph_and_every_solver_on_the_quick_corpus() {
             "{}: the corpus has call edges",
             spec.name
         );
-        for (solver, scheduler) in matrix() {
-            let label = format!("{} {solver:?}/{scheduler:?}", spec.name);
-            let config = AnalysisConfig::skipflow()
-                .with_solver(solver)
-                .with_scheduler(scheduler);
+        for solver in SOLVERS {
+            let label = format!("{} {solver:?}", spec.name);
+            let config = AnalysisConfig::skipflow().with_solver(solver);
             let mut session = AnalysisSession::builder(program)
                 .config(config)
                 .roots(bench.roots.iter().copied())
@@ -179,12 +171,10 @@ fn extraction_matches_at_every_solve_point_of_edit_scripts() {
     for (i, spec) in suites::quick().into_iter().enumerate() {
         let bench = build_benchmark(&spec);
         let program = &bench.program;
-        for (j, (solver, scheduler)) in matrix().into_iter().enumerate() {
+        for (j, solver) in SOLVERS.into_iter().enumerate() {
             let seed = 100 + 10 * i as u64 + j as u64;
             let script = build_edit_script(&bench, seed, 8, 2);
-            let config = AnalysisConfig::skipflow()
-                .with_solver(solver)
-                .with_scheduler(scheduler);
+            let config = AnalysisConfig::skipflow().with_solver(solver);
             let mut session = AnalysisSession::builder(program)
                 .config(config.clone())
                 .roots(bench.roots.iter().copied())
@@ -211,8 +201,7 @@ fn extraction_matches_at_every_solve_point_of_edit_scripts() {
                         masked.retain(|x| x != m);
                     }
                     EditOp::Solve => {
-                        let label =
-                            format!("{} seed {seed} {solver:?}/{scheduler:?} op {k}", spec.name);
+                        let label = format!("{} seed {seed} {solver:?} op {k}", spec.name);
                         session.solve();
                         let owned = session.owned_snapshot();
                         assert_matches_graph(program, &session.snapshot(), &owned, &label);

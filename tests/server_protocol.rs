@@ -91,7 +91,7 @@ fn serve_loopback_round_trip() {
     assert!(conn.request("query app completeness").starts_with("ok complete epoch="));
 
     // A second session from the generated corpus, sharing the server.
-    let opened = conn.request("open bench synth:luindex scheduler=adaptive");
+    let opened = conn.request("open bench synth:luindex");
     assert!(opened.starts_with("ok opened bench methods="), "{opened}");
     let sessions = conn.request("sessions");
     assert!(sessions.starts_with("ok sessions=2"), "{sessions}");

@@ -2,15 +2,12 @@
 //! roots `A`, then `add_roots(B)` and re-solving, must be **bit-identical**
 //! (reachable set, instantiated types, per-flow states, liveness, linked
 //! targets, metrics) to a fresh session over `A ∪ B` — for the sequential
-//! solver under FIFO, SCC priority and the adaptive flip, and for the
-//! reference solver, under SkipFlow and the PTA baseline, with and without
-//! saturation. This is the
+//! and the reference solver, under SkipFlow and the PTA baseline, with and
+//! without saturation. This is the
 //! monotone half of the checkpoint invariant documented at the top of
 //! `crates/core/src/engine.rs`.
 
-use skipflow::analysis::{
-    analyze, AnalysisConfig, AnalysisSession, SchedulerKind, SolverKind,
-};
+use skipflow::analysis::{analyze, AnalysisConfig, AnalysisSession, SolverKind};
 use skipflow::ir::MethodId;
 use skipflow::synth::{
     build_benchmark, pick_spread_roots, suites, Benchmark, BenchmarkSpec, Suite,
@@ -19,14 +16,8 @@ use skipflow::synth::{
 mod common;
 use common::assert_results_identical;
 
-/// Every solver × scheduler combination the resume matrix covers (the
-/// reference solver always runs FIFO, so it appears once).
-const SOLVER_MATRIX: [(SolverKind, SchedulerKind); 4] = [
-    (SolverKind::Sequential, SchedulerKind::Fifo),
-    (SolverKind::Sequential, SchedulerKind::SccPriority),
-    (SolverKind::Sequential, SchedulerKind::Adaptive),
-    (SolverKind::Reference, SchedulerKind::Fifo),
-];
+/// Both solvers, each on its own worklist.
+const SOLVERS: [SolverKind; 2] = [SolverKind::Sequential, SolverKind::Reference];
 
 /// Solves roots `A`, resumes with `B`, and compares against a fresh session
 /// over `A ∪ B` for one configuration. Also checks the resume actually
@@ -74,21 +65,13 @@ fn check_spec(spec: &BenchmarkSpec) {
     assert!(!extra.is_empty(), "{}: no extra roots to add", spec.name);
     for saturation in [None, Some(3)] {
         for base in [AnalysisConfig::skipflow(), AnalysisConfig::baseline_pta()] {
-            for (solver, scheduler) in SOLVER_MATRIX {
-                let config = base
-                    .clone()
-                    .with_solver(solver)
-                    .with_scheduler(scheduler)
-                    .with_saturation(saturation);
+            for solver in SOLVERS {
+                let config = base.clone().with_solver(solver).with_saturation(saturation);
                 check_resume_identity(
                     &bench,
                     &extra,
                     &config,
-                    &format!(
-                        "{}/{}/sat={saturation:?}/{solver:?}/{scheduler:?}",
-                        spec.name,
-                        base.label()
-                    ),
+                    &format!("{}/{}/sat={saturation:?}/{solver:?}", spec.name, base.label()),
                 );
             }
         }
@@ -98,7 +81,7 @@ fn check_spec(spec: &BenchmarkSpec) {
 #[test]
 fn resume_matches_fresh_union_on_quick_corpus_specs() {
     // Two representative quick-corpus shapes (the full sweep per spec covers
-    // 2 saturations × 2 configs × 4 solver/scheduler combinations).
+    // 2 saturations × 2 configs × 2 solvers).
     for spec in suites::quick().into_iter().take(2) {
         check_spec(&spec);
     }
@@ -119,38 +102,6 @@ fn resume_matches_fresh_union_under_shared_sink_fanout() {
     // the sink state to readers reached only through the new roots.
     let spec = BenchmarkSpec::new("resume-fanout", Suite::DaCapo, 80, 0.2).with_shared_sink(40, 16);
     check_spec(&spec);
-}
-
-#[test]
-fn adaptive_flip_is_sticky_across_resume_and_stays_identical() {
-    // Phase 1 runs the shared-sink fan-out regime, so the adaptive
-    // scheduler flips FIFO→tiered mid-solve; the resumed solve then continues
-    // on the tiered queue (the flip is sticky) and must still reach the same
-    // fixpoint as a fresh union run.
-    let spec = BenchmarkSpec::new("resume-flip", Suite::DaCapo, 60, 0.0).with_shared_sink(100, 64);
-    let bench = build_benchmark(&spec);
-    let extra = pick_spread_roots(&bench.program, &bench.roots, 8);
-    assert!(!extra.is_empty());
-
-    let config = AnalysisConfig::skipflow(); // Adaptive is the default.
-    let mut session = AnalysisSession::builder(&bench.program)
-        .config(config.clone())
-        .roots(bench.roots.iter().copied())
-        .build()
-        .unwrap();
-    let snap = session.solve();
-    assert!(
-        snap.stats().scheduler.flips >= 1,
-        "phase 1 must flip on the fan-out regime"
-    );
-    session.add_roots(extra.iter().copied()).unwrap();
-    let snap = session.solve();
-    assert_eq!(snap.stats().scheduler.flips, 1, "the flip is sticky, not repeated");
-    let resumed = session.into_result();
-
-    let union_roots: Vec<MethodId> = bench.roots.iter().chain(&extra).copied().collect();
-    let fresh = analyze(&bench.program, &union_roots, &config);
-    assert_results_identical(&bench.program, &fresh, &resumed, "resume-flip");
 }
 
 #[test]
@@ -204,75 +155,4 @@ fn resume_noop_solve_is_free_and_identical() {
     let resumed = session.into_result();
     let fresh = analyze(&bench.program, &bench.roots, &AnalysisConfig::skipflow());
     assert_results_identical(&bench.program, &fresh, &resumed, "resume-noop");
-}
-
-#[test]
-fn resumed_solves_report_per_solve_scheduler_stats() {
-    // Satellite regression (PR 5): per-solve scheduler statistics must not
-    // leak across session resumes. Phase 1 flips on the fan-out regime;
-    // the resumed solve stays on the tiered queue (sticky flip) but its
-    // per-solve adaptive counters must be *its own* (zero — no FIFO phase
-    // ran), while the cumulative totals and the flip event record persist.
-    let spec = BenchmarkSpec::new("resume-stats", Suite::DaCapo, 60, 0.0)
-        .with_shared_sink(100, 64);
-    let bench = build_benchmark(&spec);
-    let mut session = AnalysisSession::builder(&bench.program)
-        .skipflow() // Adaptive is the default
-        .roots(bench.roots.iter().copied())
-        .build()
-        .unwrap();
-    let first = session.solve().stats().scheduler.clone();
-    assert_eq!(first.flips, 1, "phase 1 flips on the fan-out regime");
-    assert!(first.adaptive_pops > 0 && first.adaptive_re_pops > 0);
-    assert_eq!(first.adaptive_pops_total, first.adaptive_pops);
-    assert!(
-        first.flip_at_step > 0 && first.flip_at_step < session.last_solve_steps(),
-        "flip_at_step is relative to the flipping solve"
-    );
-
-    let extra = pick_spread_roots(&bench.program, &bench.roots, 8);
-    assert!(!extra.is_empty());
-    session.add_roots(extra.iter().copied()).unwrap();
-    let second = session.solve().stats().scheduler.clone();
-    assert!(session.last_solve_steps() > 0, "the resume did real work");
-    assert_eq!(second.flips, 1, "the flip is sticky, not repeated");
-    assert_eq!(
-        (second.adaptive_pops, second.adaptive_re_pops),
-        (0, 0),
-        "a post-flip solve has no FIFO phase: per-solve counters are its own"
-    );
-    assert_eq!(
-        (second.adaptive_pops_total, second.adaptive_re_pops_total),
-        (first.adaptive_pops_total, first.adaptive_re_pops_total),
-        "cumulative totals persist unchanged"
-    );
-    assert_eq!(second.flip_at_step, first.flip_at_step, "flip event record persists");
-
-    // An *unflipped* adaptive session: the per-solve pop counters of a tiny
-    // resume must reflect that solve alone, not the first solve's residue,
-    // while the totals accumulate across both.
-    let spec = BenchmarkSpec::new("resume-stats-acyclic", Suite::DaCapo, 120, 0.2);
-    let bench = build_benchmark(&spec);
-    let mut session = AnalysisSession::builder(&bench.program)
-        .skipflow()
-        .roots(bench.roots.iter().copied())
-        .build()
-        .unwrap();
-    let first = session.solve().stats().scheduler.clone();
-    assert_eq!(first.flips, 0, "the acyclic corpus never flips");
-    assert!(first.adaptive_pops > 0);
-    let extra = pick_spread_roots(&bench.program, &bench.roots, 2);
-    session.add_roots(extra.iter().copied()).unwrap();
-    let second = session.solve().stats().scheduler.clone();
-    let resume_steps = session.last_solve_steps();
-    assert!(
-        second.adaptive_pops <= resume_steps,
-        "per-solve pops ({}) must be bounded by the resume's own steps ({resume_steps})",
-        second.adaptive_pops
-    );
-    assert_eq!(
-        second.adaptive_pops_total,
-        first.adaptive_pops_total + second.adaptive_pops,
-        "totals accumulate across solves"
-    );
 }
