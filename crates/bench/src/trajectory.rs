@@ -488,7 +488,6 @@ fn run_scaling_family(
         .enumerate()
         .map(|(i, spec)| {
             let bench = build_benchmark(spec);
-            // 9 interleaved timed iterations, best of each.
             let runs = measure_group(&bench, &scaling_configs(), 9);
             // Both wall-time guards come from drift-cancelling paired
             // measurements on the largest ladder rung (full captures only;
