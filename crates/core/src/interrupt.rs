@@ -211,8 +211,8 @@ mod tests {
         t.reset();
         assert!(!clone.is_cancelled());
         let raw: Arc<AtomicBool> = Arc::new(AtomicBool::new(true));
-        let from_raw = CancelToken::from(raw);
-        assert!(from_raw.is_cancelled());
+        let wrapped = CancelToken::from(raw);
+        assert!(wrapped.is_cancelled());
     }
 
     /// The server-grade contract: a token crosses threads freely, a clone

@@ -36,19 +36,10 @@ use std::path::Path;
 /// Files allowed to contain the `unsafe` keyword, as `/`-separated paths
 /// relative to the workspace root.
 ///
-/// The production surface is exactly two modules — the publication cell and
-/// the model-check shim (whose job is to wrap the unsafe primitives) — plus
-/// the shim's own test suites, which must forge raw-pointer misuse to prove
-/// the explorer catches it, and the allocation-count test, whose counting
-/// `#[global_allocator]` must implement the unsafe `GlobalAlloc` trait.
-pub const UNSAFE_FILE_ALLOWLIST: &[&str] = &[
-    "crates/server/src/publish.rs",
-    "crates/modelcheck/src/sched.rs",
-    "crates/modelcheck/src/shim.rs",
-    "crates/modelcheck/tests/explorer.rs",
-    "crates/modelcheck/tests/passthrough.rs",
-    "tests/alloc_counts.rs",
-];
+/// Only the allocation-count test, whose counting `#[global_allocator]`
+/// must implement the unsafe `GlobalAlloc` trait; production code holds no
+/// `unsafe`.
+pub const UNSAFE_FILE_ALLOWLIST: &[&str] = &["tests/alloc_counts.rs"];
 
 /// Files allowed to name `std::sync::atomic` directly: only the shim, which
 /// exists to wrap it.
@@ -480,14 +471,14 @@ mod tests {
     #[test]
     fn allowlisted_file_with_safety_comment_is_clean() {
         let src = "// SAFETY: test fixture, pointer is valid.\nunsafe { *p }\n";
-        let v = lint_source("crates/server/src/publish.rs", src);
+        let v = lint_source("tests/alloc_counts.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn safety_comment_climbs_over_attributes() {
         let src = "// SAFETY: justified.\n#[allow(dead_code)]\nunsafe impl Send for X {}\n";
-        let v = lint_source("crates/server/src/publish.rs", src);
+        let v = lint_source("tests/alloc_counts.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 

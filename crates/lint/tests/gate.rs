@@ -38,7 +38,7 @@ fn fixture_unsafe_outside_allowlist_is_flagged() {
 fn fixture_missing_safety_comment_is_flagged() {
     // Linted under an allowlisted path so ONLY the safety-comment rule
     // fires.
-    let v = lint_source("crates/server/src/publish.rs", &fixture("missing_safety_comment.rs"));
+    let v = lint_source("tests/alloc_counts.rs", &fixture("missing_safety_comment.rs"));
     assert_eq!(v.len(), 1, "{v:?}");
     assert_eq!(v[0].rule, Rule::MissingSafetyComment);
     assert_eq!(v[0].line, 4);

@@ -1,5 +1,5 @@
-//! A hand-rolled concurrency model checker for the lock-free publication
-//! layer (loom-style, std-only).
+//! A hand-rolled concurrency model checker for the server's writer
+//! handshake (loom-style, std-only).
 //!
 //! The crate has two faces, switched by the `model-check` feature:
 //!
@@ -9,15 +9,14 @@
 //!   which is what keeps the production server benchmarks bit-identical.
 //!
 //! * **On**: the same paths resolve to shim types that route every atomic
-//!   access, `Arc` refcount change, mutex acquire/release, condvar
-//!   wait/notify, and thread spawn/join through a cooperative scheduler.
-//!   `explore` then runs a scenario closure under *every* interleaving of
-//!   those operations (up to a preemption bound), replaying a DFS over the
-//!   schedule tree, and turns panics, deadlocks, leaks, double frees, and
-//!   use-after-free on reclaimed `Arc` allocations into hard failures with
-//!   schedule diagnostics. Outside an `explore` call the shim types
-//!   behave like `std` (so one test binary can mix checked scenarios and
-//!   ordinary tests).
+//!   access, mutex acquire/release, condvar wait/notify, and thread
+//!   spawn/join through a cooperative scheduler (`Arc` stays
+//!   `std::sync::Arc`). `explore` then runs a scenario closure under
+//!   *every* interleaving of those operations (up to a preemption bound),
+//!   replaying a DFS over the schedule tree, and turns panics, deadlocks
+//!   and livelocks into hard failures with schedule diagnostics. Outside an
+//!   `explore` call the shim types behave like `std` (so one test binary
+//!   can mix checked scenarios and ordinary tests).
 //!
 //! # Example
 //!
@@ -44,12 +43,10 @@
 //!
 //! The scheduler serializes logical threads, so every explored interleaving
 //! is *sequentially consistent*. That models `SeqCst` atomics exactly — the
-//! publication layer under test uses `SeqCst` throughout, precisely so its
-//! correctness argument can lean on a total order — and explores a sound
-//! subset (not all) of the behaviors of `Acquire`/`Release`/`Relaxed`
-//! code. Timeouts never fire in-model (a missing wake-up is reported as a
-//! deadlock instead), and spin loops must be bounded or the depth cap
-//! reports a livelock.
+//! server uses `SeqCst` throughout — and explores a sound subset (not all)
+//! of the behaviors of `Acquire`/`Release`/`Relaxed` code. Timeouts never
+//! fire in-model (a missing wake-up is reported as a deadlock instead), and
+//! spin loops must be bounded or the depth cap reports a livelock.
 
 #![warn(missing_docs)]
 

@@ -6,9 +6,9 @@
 //! execution runs every logical thread on a real OS thread, but a baton
 //! (one `current` thread id guarded by a mutex/condvar pair) ensures that
 //! exactly one logical thread makes progress at any instant: every visible
-//! operation (atomic access, `Arc` refcount change, mutex acquire/release,
-//! condvar wait/notify, spawn/join) first calls [`Sched::schedule_point`],
-//! which consults the *decision stack* to decide which thread runs next.
+//! operation (atomic access, mutex acquire/release, condvar wait/notify,
+//! spawn/join) first calls [`Sched::schedule_point`], which consults the
+//! *decision stack* to decide which thread runs next.
 //!
 //! The decision stack is the schedule-replay tree serialized as a DFS
 //! path: each entry records the thread chosen at a branch point (a point
@@ -32,18 +32,12 @@
 //!
 //! * a logical thread panics (assertion failures in scenarios);
 //! * deadlock: no thread is runnable but not all have finished;
-//! * use-after-free: `Arc::increment_strong_count` / `from_raw` / deref
-//!   on an allocation whose strong count already hit zero (the shim
-//!   quarantines freed allocations until the end of the execution, so the
-//!   check fires *before* any real UB);
-//! * refcount underflow (double free);
-//! * leak: an allocation still live after every thread finished;
 //! * livelock suspicion: an execution exceeding the depth cap.
 //!
 //! Because the scheduler serializes threads, every explored interleaving
 //! is sequentially consistent. That models `SeqCst` exactly — which is
-//! what the publication layer uses throughout — and explores a sound
-//! subset of the behaviors of weaker orderings.
+//! what the server uses throughout — and explores a sound subset of the
+//! behaviors of weaker orderings.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -106,32 +100,6 @@ pub(crate) struct StackEntry {
     pub untried: Vec<usize>,
 }
 
-/// Two-phase sweep hook, monomorphized over an allocation's `T`: phase 0
-/// drops the payload if it is still live (returning whether it was — i.e.
-/// whether the allocation leaked), phase 1 frees the box.
-///
-/// SAFETY: a `SweepFn` must only be invoked with the `ptr` it was
-/// registered alongside, phase 0 before phase 1, each at most once, on the
-/// driver thread after every logical thread has finished.
-pub(crate) type SweepFn = unsafe fn(*mut u8, u8) -> bool;
-
-pub(crate) struct AllocRecord {
-    /// Two-phase sweep hook for this allocation. The live/freed state
-    /// itself lives in the allocation header (see `shim::ArcInner`), not
-    /// here, so cascaded `Arc` drops running *during* the sweep (a leaked
-    /// payload dropping its own inner `Arc`s) stay coherent with the sweep
-    /// without consulting the scheduler.
-    sweep: SweepFn,
-    ptr: *mut u8,
-    /// Diagnostic label (the `T` of the `Arc<T>`).
-    pub type_name: &'static str,
-}
-
-// SAFETY: the raw pointer is only dereferenced by `free_fn` on the driver
-// thread after every logical thread has finished; until then records move
-// between threads only under the scheduler mutex as opaque data.
-unsafe impl Send for AllocRecord {}
-
 pub(crate) struct Inner {
     threads: Vec<ThreadState>,
     current: usize,
@@ -147,7 +115,6 @@ pub(crate) struct Inner {
     failure: Option<String>,
     abort: bool,
     all_done: bool,
-    pub(crate) allocs: HashMap<usize, AllocRecord>,
     /// Mutex address -> holder thread. Absent = free.
     mutexes: HashMap<usize, usize>,
     /// Condvar address -> waiters in arrival order.
@@ -251,7 +218,6 @@ impl Sched {
                 failure: None,
                 abort: false,
                 all_done: false,
-                allocs: HashMap::new(),
                 mutexes: HashMap::new(),
                 cv_waiters: HashMap::new(),
                 real_handles: Vec::new(),
@@ -300,28 +266,11 @@ impl Sched {
         self.done_cv.notify_all();
     }
 
-    /// Reports a model failure from a running logical thread and unwinds it.
-    pub(crate) fn fail(self: &StdArc<Self>, msg: String) -> ! {
-        let mut g = self.lock();
-        self.fail_locked(&mut g, msg);
-        drop(g);
-        // `fail` is only called from straight-line shim code, never from a
-        // destructor mid-unwind, so this always panics.
-        std::panic::panic_any(ModelAbort);
-    }
-
     /// Records a user panic from a logical thread (the thread is already
     /// unwinding; no further unwind needed).
     pub(crate) fn record_user_panic(&self, t: usize, msg: String) {
         let mut g = self.lock();
         self.fail_locked(&mut g, format!("logical thread {t} panicked: {msg}"));
-    }
-
-    /// Latches a failure without unwinding the caller — for failure sites
-    /// inside destructors, where a panic during cleanup would abort.
-    pub(crate) fn record_failure(&self, msg: String) {
-        let mut g = self.lock();
-        self.fail_locked(&mut g, msg);
     }
 
     /// Picks the next thread to run. Must be called with the lock held and
@@ -509,7 +458,7 @@ impl Sched {
         self.schedule_point(if all { "notify-all" } else { "notify-one" });
         let mut g = self.lock();
         let woken: Vec<usize> = match g.cv_waiters.get_mut(&cv_addr) {
-            Some(ws) if all => ws.drain(..).collect(),
+            Some(ws) if all => std::mem::take(ws),
             Some(ws) if !ws.is_empty() => vec![ws.remove(0)],
             _ => Vec::new(),
         };
@@ -581,22 +530,6 @@ impl Sched {
         }
         self.park_until_current(g, t);
     }
-
-    // ---- allocation tracking (shim Arc) ----
-
-    pub(crate) fn alloc_register(
-        &self,
-        addr: usize,
-        ptr: *mut u8,
-        sweep: SweepFn,
-        type_name: &'static str,
-    ) {
-        let mut g = self.lock();
-        // Quarantine means addresses are not reused within an execution, so
-        // an existing record would be a shim bug.
-        debug_assert!(!g.allocs.contains_key(&addr), "allocation address reused in-model");
-        g.allocs.insert(addr, AllocRecord { sweep, ptr, type_name });
-    }
 }
 
 // ---- driver ----
@@ -644,38 +577,6 @@ fn run_one(opts: Options, stack: Vec<StackEntry>, f: StdArc<dyn Fn() + Send + Sy
         let _ = h.join();
     }
 
-    // End-of-execution sweep, outside the scheduler lock: phase 0 drops the
-    // payload of every still-live allocation (a leak — its cascaded `Arc`
-    // drops run here in passthrough mode and flip their own headers, so a
-    // transitively-reachable allocation is reclaimed, not double-counted);
-    // phase 1 releases the quarantined boxes once no payload can touch them.
-    let records: Vec<AllocRecord> = {
-        let mut g = sched.lock();
-        g.allocs.drain().map(|(_, r)| r).collect()
-    };
-    let mut leaked: Vec<&'static str> = Vec::new();
-    for rec in &records {
-        // SAFETY: every logical thread has finished, so only this sweep (and
-        // the destructors it cascades into) can touch the allocation; the
-        // header CAS inside `sweep` makes the payload drop happen at most
-        // once even when a cascade got there first.
-        if unsafe { (rec.sweep)(rec.ptr, 0) } {
-            leaked.push(rec.type_name);
-        }
-    }
-    for rec in &records {
-        // SAFETY: all payloads are dropped; each box is freed exactly once.
-        unsafe { (rec.sweep)(rec.ptr, 1) };
-    }
-    if !leaked.is_empty() {
-        let mut g = sched.lock();
-        let msg = format!(
-            "leak: {} Arc allocation(s) still live at end of execution ({})",
-            leaked.len(),
-            leaked.join(", ")
-        );
-        sched.fail_locked(&mut g, msg);
-    }
     let mut g = sched.lock();
     ExecOutcome {
         failure: g.failure.take(),

@@ -3,29 +3,14 @@
 //! Every type here has the same surface as its `std` namesake (the subset
 //! the workspace uses) and behaves identically when no model run is active
 //! on the calling thread. Inside a model run, each visible operation calls
-//! into the scheduler first, making it an interleaving point, and `Arc`
-//! additionally routes its refcount through a tracked allocation so the
-//! explorer can turn use-after-free, double-free, and leaks into hard model
-//! failures instead of undefined behavior.
-//!
-//! # The `Arc` quarantine
-//!
-//! A shim `Arc` allocated during a model run tags its header `LIVE` and
-//! registers with the scheduler. When the strong count hits zero the payload
-//! is dropped in place and the header flips to `FREED`, but the backing box
-//! is *quarantined* — kept allocated until the end of the execution — so a
-//! racing `Arc::increment_strong_count`/`from_raw`/clone/deref on the stale
-//! pointer finds the `FREED` header and reports use-after-free *before* any
-//! actual UB occurs. Addresses are never reused within an execution, which
-//! is what makes the header check sound.
+//! into the scheduler first, making it an interleaving point. `Arc` is not
+//! shimmed: `crate::sync` re-exports `std::sync::Arc` under both feature
+//! settings.
 
-use crate::sched::{self, with_sched, ModelAbort, Sched};
+use crate::sched::{with_sched, ModelAbort, Sched};
 use std::fmt;
 use std::marker::PhantomData;
-use std::mem::{offset_of, ManuallyDrop};
 use std::ops::{Deref, DerefMut};
-use std::ptr::NonNull;
-use std::sync::atomic::Ordering::SeqCst;
 use std::sync::Mutex as StdMutex;
 use std::time::Duration;
 
@@ -33,28 +18,6 @@ use std::time::Duration;
 /// to a model run, no-op otherwise.
 pub(crate) fn sched_point(label: &'static str) {
     with_sched(|s, _| s.schedule_point(label));
-}
-
-/// Reports a model failure (in-model) or panics (outside a run, where these
-/// conditions indicate real UB and aborting the test is the best we can do).
-fn die(msg: String) -> ! {
-    match with_sched(|s, _| s.fail(msg.clone())) {
-        Some(never) => never,
-        None => panic!("{msg}"),
-    }
-}
-
-/// Like [`die`], but safe to call from destructors: if the thread is already
-/// unwinding (teardown, or the failing schedule's own cleanup), the failure
-/// is latched in the scheduler without a second panic — panicking inside a
-/// destructor during cleanup aborts the whole process. The caller must then
-/// bail out of the operation instead of relying on divergence.
-fn report(msg: String) {
-    if std::thread::panicking() {
-        with_sched(|s, _| s.record_failure(msg.clone()));
-    } else {
-        die(msg);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -192,364 +155,6 @@ pub mod atomic {
             sched_point("atomic-cas");
             self.inner.compare_exchange(current, new, success_order, failure_order)
         }
-    }
-
-    /// Model-checked `AtomicPtr`.
-    #[derive(Debug)]
-    pub struct AtomicPtr<T> {
-        inner: std::sync::atomic::AtomicPtr<T>,
-    }
-
-    impl<T> AtomicPtr<T> {
-        /// Creates the atomic (not an interleaving point).
-        pub const fn new(p: *mut T) -> Self {
-            Self { inner: std::sync::atomic::AtomicPtr::new(p) }
-        }
-
-        /// As `std`'s `load`.
-        pub fn load(&self, order: Ordering) -> *mut T {
-            sched_point("atomic-load");
-            self.inner.load(order)
-        }
-
-        /// As `std`'s `store`.
-        pub fn store(&self, p: *mut T, order: Ordering) {
-            sched_point("atomic-store");
-            self.inner.store(p, order)
-        }
-
-        /// As `std`'s `swap`.
-        pub fn swap(&self, p: *mut T, order: Ordering) -> *mut T {
-            sched_point("atomic-rmw");
-            self.inner.swap(p, order)
-        }
-    }
-
-    impl<T> Default for AtomicPtr<T> {
-        fn default() -> Self {
-            Self::new(std::ptr::null_mut())
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Arc
-// ---------------------------------------------------------------------------
-
-/// Header state: allocated outside any model run — plain `std` semantics.
-const UNTRACKED: u8 = 0;
-/// Allocated during a model run; payload live.
-const LIVE: u8 = 1;
-/// Strong count hit zero; payload dropped, box quarantined until sweep.
-const FREED: u8 = 2;
-
-#[repr(C)]
-struct ArcInner<T> {
-    strong: std::sync::atomic::AtomicUsize,
-    state: std::sync::atomic::AtomicU8,
-    value: ManuallyDrop<T>,
-}
-
-/// Two-phase sweep hook handed to the scheduler at registration: phase 0
-/// drops a still-live payload (returns whether it was live, i.e. leaked),
-/// phase 1 frees the quarantined box.
-///
-/// SAFETY: `p` must be the `ArcInner<T>` this hook was registered with;
-/// the scheduler calls phase 0 before phase 1, each at most once, after
-/// every logical thread has finished (see `sched::SweepFn`).
-unsafe fn sweep_inner<T>(p: *mut u8, phase: u8) -> bool {
-    let inner = p as *mut ArcInner<T>;
-    if phase == 0 {
-        let was_live =
-            (*inner).state.compare_exchange(LIVE, FREED, SeqCst, SeqCst).is_ok();
-        if was_live {
-            ManuallyDrop::drop(&mut (*inner).value);
-        }
-        was_live
-    } else {
-        drop(Box::from_raw(inner));
-        false
-    }
-}
-
-/// Model-checked `Arc`: identical semantics to `std::sync::Arc` outside a
-/// model run; inside one, every refcount change is an interleaving point and
-/// misuse of raw-pointer round-trips (`into_raw` / `from_raw` /
-/// `increment_strong_count`) against a reclaimed allocation is a hard model
-/// failure instead of undefined behavior.
-pub struct Arc<T> {
-    ptr: NonNull<ArcInner<T>>,
-    _marker: PhantomData<ArcInner<T>>,
-}
-
-// SAFETY: same bounds as `std::sync::Arc` — the shared value is reachable
-// from every clone on any thread, so both sending the handle and sharing it
-// require `T: Send + Sync`; the refcount itself is atomic.
-unsafe impl<T: Send + Sync> Send for Arc<T> {}
-// SAFETY: see the `Send` impl above.
-unsafe impl<T: Send + Sync> Sync for Arc<T> {}
-
-impl<T> Arc<T> {
-    /// Allocates a new shared value. Not an interleaving point (creation
-    /// involves no cross-thread interaction), but the allocation is tracked
-    /// for the leak/UAF tally when a model run is active.
-    pub fn new(value: T) -> Self {
-        let tracked = sched::model_active();
-        let inner = Box::new(ArcInner {
-            strong: std::sync::atomic::AtomicUsize::new(1),
-            state: std::sync::atomic::AtomicU8::new(if tracked { LIVE } else { UNTRACKED }),
-            value: ManuallyDrop::new(value),
-        });
-        let ptr = NonNull::from(Box::leak(inner));
-        if tracked {
-            with_sched(|s, _| {
-                s.alloc_register(
-                    ptr.as_ptr() as usize,
-                    ptr.as_ptr() as *mut u8,
-                    sweep_inner::<T>,
-                    std::any::type_name::<T>(),
-                )
-            });
-        }
-        Arc { ptr, _marker: PhantomData }
-    }
-
-    fn inner(&self) -> &ArcInner<T> {
-        // SAFETY: quarantine keeps the header allocated for the lifetime of
-        // every handle (and of every raw pointer within a model execution).
-        unsafe { self.ptr.as_ref() }
-    }
-
-    fn check_live(&self, what: &str) {
-        if self.inner().state.load(SeqCst) == FREED {
-            // `report`, not `die`: deref/clone can run inside destructors
-            // (where a panic during cleanup would abort the process); the
-            // quarantine keeps the memory allocated, so falling through is
-            // merely a read of a dropped-but-allocated value while the model
-            // failure is already latched.
-            report(format!(
-                "use-after-free: Arc::{what} on reclaimed Arc<{}> ({:#x})",
-                std::any::type_name::<T>(),
-                self.ptr.as_ptr() as usize
-            ));
-        }
-    }
-
-    /// Recovers the `ArcInner` pointer from a pointer to its value field.
-    fn inner_from_value_ptr(ptr: *const T) -> *mut ArcInner<T> {
-        let off = offset_of!(ArcInner<T>, value);
-        (ptr as *mut u8).wrapping_sub(off) as *mut ArcInner<T>
-    }
-
-    /// As `std`'s `Arc::into_raw`: leaks one strong count into a raw value
-    /// pointer.
-    pub fn into_raw(this: Self) -> *const T {
-        // SAFETY: the handle keeps the allocation alive across the read.
-        let ptr = unsafe { std::ptr::addr_of!((*this.ptr.as_ptr()).value) } as *const T;
-        std::mem::forget(this);
-        ptr
-    }
-
-    /// As `std`'s `Arc::from_raw`: reclaims the strong count leaked by
-    /// [`Arc::into_raw`].
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must come from `Arc::into_raw` of this same `Arc` type, and the
-    /// strong count it represents must not have been reclaimed already.
-    /// In-model, violating the second clause is caught and reported.
-    pub unsafe fn from_raw(ptr: *const T) -> Self {
-        let inner = Self::inner_from_value_ptr(ptr);
-        // Check liveness BEFORE constructing the handle: if this is a
-        // use-after-free, constructing first would hand the failure unwind
-        // an Arc whose drop underflows the already-zero count — a panic
-        // inside a destructor during cleanup, which aborts.
-        if (*inner).state.load(SeqCst) == FREED {
-            report(format!(
-                "use-after-free: Arc::from_raw on reclaimed Arc<{}> ({:#x})",
-                std::any::type_name::<T>(),
-                inner as usize
-            ));
-            // Only reachable mid-unwind (teardown): resurrect the count so
-            // the handle's drop on the quarantined header stays balanced.
-            (*inner).strong.fetch_add(1, SeqCst);
-        }
-        Arc { ptr: NonNull::new_unchecked(inner), _marker: PhantomData }
-    }
-
-    /// As `std`'s `Arc::increment_strong_count`. An interleaving point; the
-    /// canonical reader-side op of the publication protocol.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` must come from `Arc::into_raw`, and the allocation must still
-    /// have at least one live strong count. In-model, incrementing a
-    /// reclaimed allocation is caught and reported.
-    pub unsafe fn increment_strong_count(ptr: *const T) {
-        sched_point("arc-inc");
-        let inner = Self::inner_from_value_ptr(ptr);
-        if (*inner).state.load(SeqCst) == FREED {
-            die(format!(
-                "use-after-free: Arc::increment_strong_count on reclaimed Arc<{}> ({:#x})",
-                std::any::type_name::<T>(),
-                inner as usize
-            ));
-        }
-        (*inner).strong.fetch_add(1, SeqCst);
-    }
-
-    /// As `std`'s `Arc::ptr_eq`.
-    pub fn ptr_eq(this: &Self, other: &Self) -> bool {
-        this.ptr == other.ptr
-    }
-
-    /// As `std`'s `Arc::strong_count`.
-    pub fn strong_count(this: &Self) -> usize {
-        this.inner().strong.load(SeqCst)
-    }
-
-    /// As `std`'s `Arc::try_unwrap`: moves the value out when this is the
-    /// only handle, else hands the handle back. An interleaving point (it
-    /// races clones and drops on other threads).
-    pub fn try_unwrap(this: Self) -> Result<T, Self> {
-        sched_point("arc-try-unwrap");
-        if this.inner().state.load(SeqCst) == FREED {
-            report(format!(
-                "use-after-free: Arc::try_unwrap on reclaimed Arc<{}> ({:#x})",
-                std::any::type_name::<T>(),
-                this.ptr.as_ptr() as usize
-            ));
-            // Only reachable mid-unwind: leave the reclaimed payload alone.
-            return Err(this);
-        }
-        if this.inner().strong.compare_exchange(1, 0, SeqCst, SeqCst).is_err() {
-            return Err(this);
-        }
-        let inner = this.ptr.as_ptr();
-        std::mem::forget(this);
-        // SAFETY: the 1 -> 0 transition made this the unique owner, so the
-        // value moves out exactly once; the allocation is freed here when
-        // untracked, or quarantined (state flipped so the sweep won't drop
-        // the moved-out payload again) when tracked.
-        unsafe {
-            let value = ManuallyDrop::take(&mut (*inner).value);
-            match (*inner).state.compare_exchange(LIVE, FREED, SeqCst, SeqCst) {
-                // Tracked: box stays quarantined for the sweep's phase 1.
-                Ok(_) => {}
-                Err(s) if s == UNTRACKED => drop(Box::from_raw(inner)),
-                Err(_) => report(format!(
-                    "double free of Arc<{}> ({:#x})",
-                    std::any::type_name::<T>(),
-                    inner as usize
-                )),
-            }
-            Ok(value)
-        }
-    }
-}
-
-impl<T> Clone for Arc<T> {
-    fn clone(&self) -> Self {
-        sched_point("arc-clone");
-        self.check_live("clone");
-        let prev = self.inner().strong.fetch_add(1, SeqCst);
-        if prev > isize::MAX as usize {
-            die("Arc strong count overflow".to_string());
-        }
-        Arc { ptr: self.ptr, _marker: PhantomData }
-    }
-}
-
-impl<T> Drop for Arc<T> {
-    fn drop(&mut self) {
-        sched_point("arc-drop");
-        let prev = self.inner().strong.fetch_sub(1, SeqCst);
-        if prev == 0 {
-            // Drop runs during unwinds, so failures here must latch without
-            // panicking (see `report`); restore the count and bail.
-            self.inner().strong.fetch_add(1, SeqCst);
-            report(format!(
-                "Arc refcount underflow on Arc<{}> (double free)",
-                std::any::type_name::<T>()
-            ));
-            return;
-        }
-        if prev != 1 {
-            return;
-        }
-        match self.inner().state.compare_exchange(LIVE, FREED, SeqCst, SeqCst) {
-            Ok(_) => {
-                // Tracked: drop the payload now (outside the scheduler lock,
-                // so destructors may themselves use shim types), quarantine
-                // the box for the end-of-execution sweep.
-                // SAFETY: the strong count reached zero through this handle
-                // and the LIVE->FREED transition succeeded exactly once, so
-                // this is the only payload drop.
-                unsafe { ManuallyDrop::drop(&mut self.ptr.as_mut().value) };
-            }
-            Err(s) if s == UNTRACKED => {
-                // Plain `std::sync::Arc` semantics.
-                // SAFETY: last strong count of an untracked allocation; no
-                // other handle or raw pointer can exist.
-                unsafe {
-                    ManuallyDrop::drop(&mut self.ptr.as_mut().value);
-                    drop(Box::from_raw(self.ptr.as_ptr()));
-                }
-            }
-            Err(_) => report(format!(
-                "double free of Arc<{}> ({:#x})",
-                std::any::type_name::<T>(),
-                self.ptr.as_ptr() as usize
-            )),
-        }
-    }
-}
-
-impl<T> Deref for Arc<T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // Not an interleaving point (plain reads through a held handle are
-        // not synchronization), but touching a reclaimed allocation is still
-        // caught: one header load.
-        self.check_live("deref");
-        &self.inner().value
-    }
-}
-
-impl<T: Default> Default for Arc<T> {
-    fn default() -> Self {
-        Arc::new(T::default())
-    }
-}
-
-impl<T: fmt::Debug> fmt::Debug for Arc<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&**self, f)
-    }
-}
-
-impl<T: fmt::Display> fmt::Display for Arc<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Display::fmt(&**self, f)
-    }
-}
-
-impl<T> AsRef<T> for Arc<T> {
-    fn as_ref(&self) -> &T {
-        self
-    }
-}
-
-impl<T> std::borrow::Borrow<T> for Arc<T> {
-    fn borrow(&self) -> &T {
-        self
-    }
-}
-
-impl<T> From<T> for Arc<T> {
-    fn from(value: T) -> Self {
-        Arc::new(value)
     }
 }
 

@@ -28,20 +28,6 @@ fn atomics_and_arc_behave_like_std() {
 }
 
 #[test]
-fn arc_raw_roundtrip_behaves_like_std() {
-    let v = Arc::new(41u64);
-    let raw = Arc::into_raw(v);
-    // SAFETY: `raw` holds the leaked strong count; incrementing while it is
-    // outstanding is the documented `increment_strong_count` contract.
-    unsafe { Arc::increment_strong_count(raw) };
-    // SAFETY: reclaims the first of the two counts created above.
-    let a = unsafe { Arc::from_raw(raw) };
-    // SAFETY: reclaims the second (and last) outstanding count.
-    let b = unsafe { Arc::from_raw(raw) };
-    assert_eq!(*a + *b, 82);
-}
-
-#[test]
 fn mutex_condvar_and_threads_behave_like_std() {
     let state = Arc::new((Mutex::new(0u64), Condvar::new()));
     let handles: Vec<_> = (0..4)

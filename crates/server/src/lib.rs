@@ -6,16 +6,8 @@
 //! publication scheme, and the registry are all hand-rolled on
 //! `std::net` / `std::sync`.
 //!
-//! Three layers, each usable on its own:
+//! Three layers:
 //!
-//! * [`publish::EpochCell`] — lock-free epoch-based publication. A writer
-//!   swaps an atomic pointer per published fixpoint; readers clone the
-//!   `Arc` out through epoch-pinned slots without ever taking a lock, so
-//!   **queries are never blocked by an in-flight solve**. What is published
-//!   is answers, not the graph: each epoch carries a compact
-//!   [`OwnedSnapshot`] (reachable set, instantiated types, call-edge CSR and
-//!   its counts) extracted once per batch, and its heap bytes count toward
-//!   the session's memory estimate.
 //! * [`registry::Registry`] — many named [`AnalysisSession`]s over shared
 //!   `Arc<Program>`s; sessions opened from identical source bytes share
 //!   one decoded program. One writer thread per session coalesces queued
@@ -25,7 +17,16 @@
 //!   sheds on overload and evicts idle sessions LRU-first under a global
 //!   memory budget. Retraction and edits make **epochs non-monotone**: a
 //!   later epoch may cover fewer roots and reach fewer methods — see
-//!   [`registry::PublishedEpoch`].
+//!   [`registry::PublishedEpoch`]. Each session holds its current epoch in
+//!   one `Mutex<Arc<_>>`: a reader locks only to clone the `Arc`, the
+//!   writer only to swap in an epoch built outside the lock, so **queries
+//!   are never blocked by an in-flight solve**. What is published is
+//!   answers, not the graph: each epoch carries a compact [`OwnedSnapshot`]
+//!   (reachable set, instantiated types, call-edge CSR and its counts)
+//!   extracted once per batch, and its heap bytes count toward the
+//!   session's memory estimate.
+//! * [`gate::SessionGate`] — the client/writer handshake: the mutation
+//!   queue and the pause, resume, cancel and shutdown signals.
 //! * [`net::Server`] — a line-delimited TCP protocol over the registry
 //!   (`skipflow serve` is a thin CLI wrapper around it).
 //!
@@ -103,13 +104,11 @@
 pub mod gate;
 pub mod net;
 pub mod protocol;
-pub mod publish;
 pub mod registry;
 
 pub use gate::{SessionGate, Settle, WriterStep};
 pub use net::{handle_request, Client, Server};
 pub use protocol::{parse_request, Query, Request};
-pub use publish::EpochCell;
 pub use registry::{
     PublishedEpoch, Registry, RegistryStats, ServerConfig, ServerError, SessionHandle, SessionOp,
     SessionStats,

@@ -6,9 +6,11 @@
 //! the `Arc<Program>` in and builds the session on its own stack). Clients
 //! never touch the session directly:
 //!
-//! * **Queries** read the last published [`PublishedEpoch`] through the
-//!   lock-free [`EpochCell`] — never blocked by
-//!   an in-flight solve.
+//! * **Queries** read the last published [`PublishedEpoch`] from one
+//!   `Mutex<Arc<_>>` per session, held only to clone the `Arc`. The writer
+//!   builds each epoch outside that lock, swaps it in, and frees the
+//!   displaced one after unlocking, so a query waits at most for a pointer
+//!   swap — never for a solve or for a snapshot being freed.
 //! * **Mutations** — root registrations, root *retractions*, and
 //!   method-body *edits* ([`SessionOp`]) — land in a handle-level queue; the
 //!   writer drains the whole queue into *one* ordered batch (request
@@ -55,7 +57,6 @@
 //! fresh union solve of [`PublishedEpoch::roots`].
 
 use crate::gate::{SessionGate, Settle, WriterStep};
-use crate::publish::EpochCell;
 use skipflow_core::{
     AnalysisConfig, AnalysisError, AnalysisSession, Completeness, InterruptReason, MethodEdit,
     OwnedSnapshot, SolveStats,
@@ -177,8 +178,8 @@ pub enum SessionOp {
 /// One published fixpoint: the epoch number, the configuration it covers
 /// (roots + masked bodies), and the answers readers query. The answers are
 /// an [`OwnedSnapshot`] — reachable set, instantiated types, call-edge CSR
-/// and counts — never a copy of the graph. `Arc`-published through the
-/// epoch cell, so handing an epoch to a reader is a reference-count bump.
+/// and counts — never a copy of the graph. Published as an `Arc`, so
+/// handing an epoch to a reader is a reference-count bump.
 ///
 /// Epochs are **not monotone** across retractions and edits — see the
 /// module docs. A `Complete` epoch is the exact fixpoint of
@@ -208,7 +209,6 @@ impl PublishedEpoch {
 
 #[derive(Default)]
 struct Counters {
-    epochs_published: AtomicU64,
     partial_epochs: AtomicU64,
     queries_served: AtomicU64,
     batches: AtomicU64,
@@ -216,13 +216,15 @@ struct Counters {
     sheds: AtomicU64,
 }
 
-/// A live session: the publication cell, the root queue, and counters.
+/// A live session: its current epoch, the root queue, and counters.
 /// Obtained from [`Registry::open`] / [`Registry::get`]; all methods are
 /// safe to call from any thread.
 pub struct SessionHandle {
     name: String,
     program: Arc<Program>,
-    cell: EpochCell<PublishedEpoch>,
+    /// The current epoch. Readers hold the lock only to clone the `Arc`;
+    /// the writer only to swap it (`publish_from`).
+    current: Mutex<Arc<PublishedEpoch>>,
     /// The client/writer handshake — queue, pause/resume/cancel/shutdown
     /// flags, wake and settle condvars (see `gate.rs` for the lock
     /// discipline).
@@ -244,21 +246,28 @@ impl SessionHandle {
         &self.program
     }
 
-    /// The last published epoch — the lock-free read path. Counts as a
-    /// served query.
+    /// The last published epoch: a lock held only to clone an `Arc`, never
+    /// across a solve. Counts as a served query.
     pub fn published(&self) -> Arc<PublishedEpoch> {
         self.counters.queries_served.fetch_add(1, SeqCst);
-        self.cell.load()
+        self.load()
     }
 
-    /// The current publication epoch number without loading the epoch.
+    /// The current epoch, without counting a query.
+    fn load(&self) -> Arc<PublishedEpoch> {
+        self.current.lock().unwrap().clone()
+    }
+
+    /// The current publication epoch number without cloning the epoch.
     pub fn epoch(&self) -> u64 {
-        self.cell.epoch()
+        self.current.lock().unwrap().epoch
     }
 
-    /// Epochs published by the writer (excluding the initial empty epoch).
+    /// Epochs published by the writer (excluding the initial empty epoch):
+    /// the current epoch number, since epoch 0 is the initial one and each
+    /// publish adds one.
     pub fn epochs_published(&self) -> u64 {
-        self.counters.epochs_published.load(SeqCst)
+        self.epoch()
     }
 
     /// Of [`SessionHandle::epochs_published`], how many carried a partial
@@ -298,7 +307,7 @@ impl SessionHandle {
     /// Heap bytes of the currently published epoch's answers
     /// ([`OwnedSnapshot::heap_bytes`]).
     pub fn published_bytes(&self) -> usize {
-        self.cell.load().snapshot.heap_bytes()
+        self.load().snapshot.heap_bytes()
     }
 
     /// Queued mutations (root adds, retractions, edits) not yet picked up
@@ -333,7 +342,7 @@ impl SessionHandle {
     /// epoch published, or the timeout passes. Returns the settled epoch.
     fn wait_settled(&self, timeout: Duration) -> Result<Arc<PublishedEpoch>, ServerError> {
         match self.gate.wait_settled(timeout) {
-            Settle::Idle => Ok(self.cell.load()),
+            Settle::Idle => Ok(self.load()),
             Settle::Failed(msg) => Err(ServerError::SessionFailed(msg)),
             Settle::TimedOut => Err(ServerError::Timeout("flush".into())),
         }
@@ -506,7 +515,7 @@ impl Registry {
         let handle = Arc::new(SessionHandle {
             name: name.to_string(),
             program: program.clone(),
-            cell: EpochCell::new(Arc::new(PublishedEpoch {
+            current: Mutex::new(Arc::new(PublishedEpoch {
                 epoch: 0,
                 roots: Vec::new(),
                 masked: initial_masked,
@@ -708,7 +717,7 @@ impl Registry {
         let handle = self.get(name)?;
         // One load, so the memory figure describes the same epoch as the
         // rest of the line.
-        let published = handle.cell.load();
+        let published = handle.load();
         let published_bytes = published.snapshot.heap_bytes();
         Ok(SessionStats {
             name: handle.name.clone(),
@@ -721,7 +730,7 @@ impl Registry {
             solve: published.snapshot.stats().clone(),
             batches: handle.batches(),
             batched_roots: handle.batched_roots(),
-            epochs_published: handle.epochs_published(),
+            epochs_published: published.epoch,
             partial_epochs: handle.partial_epochs(),
             queries_served: handle.queries_served(),
             sheds: handle.sheds(),
@@ -918,19 +927,23 @@ fn apply_batch(
     Ok(())
 }
 
+/// Publishes the session's answers as the next epoch: built before the lock
+/// is taken (only this writer publishes, so the number read first is still
+/// current at the swap), swapped in under it, and the displaced epoch
+/// dropped after it is released.
 fn publish_from(handle: &SessionHandle, session: &AnalysisSession<'_>) {
     let snapshot = session.owned_snapshot();
     if snapshot.completeness() == Completeness::Partial {
         handle.counters.partial_epochs.fetch_add(1, SeqCst);
     }
-    handle.counters.epochs_published.fetch_add(1, SeqCst);
-    let epoch = handle.cell.epoch() + 1;
-    handle.cell.publish(Arc::new(PublishedEpoch {
-        epoch,
+    let next = Arc::new(PublishedEpoch {
+        epoch: handle.epoch() + 1,
         roots: session.roots().to_vec(),
         masked: session.masked_methods(),
         snapshot,
-    }));
+    });
+    let displaced = std::mem::replace(&mut *handle.current.lock().unwrap(), next);
+    drop(displaced);
 }
 
 fn finish_batch(

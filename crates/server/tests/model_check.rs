@@ -1,220 +1,21 @@
 //! Exhaustive interleaving exploration of the server's concurrency layer:
-//! the lock-free [`EpochCell`] publication protocol and the
-//! [`SessionGate`] writer handshake, driven by the `skipflow-modelcheck`
+//! the [`SessionGate`] writer handshake, driven by the `skipflow-modelcheck`
 //! explorer (`--features model-check`).
 //!
 //! Each scenario is run under *every* schedule up to the preemption bound;
-//! a pass means no schedule produced a leak, use-after-free, double free,
-//! torn value, deadlock, or assertion failure. One scenario deliberately
-//! uses the seeded broken reclaimer
-//! ([`EpochCell::publish_skipping_pin_check`]) and must FAIL — proving the
-//! explorer would catch a real regression in the pin-scan, not just bless
-//! whatever the implementation does.
-//!
-//! Scenario sizes are deliberately small (1–2 pin slots, 1–2 readers, 1–3
-//! publishes): every atomic access is an interleaving point, so state space
-//! grows exponentially in operation count, and small shapes already cover
-//! the protocol's races (pin-vs-swap, validate-vs-bump, scan-vs-clone).
+//! a pass means no schedule produced a lost or duplicated work item,
+//! deadlock, or assertion failure. The registry's epoch publication is a
+//! plain `Mutex<Arc<_>>` and needs no scenario of its own.
 #![cfg(feature = "model-check")]
 
 use skipflow_modelcheck::sync::{Arc, Mutex};
-use skipflow_modelcheck::{explore, thread, try_explore, Options, Report};
+use skipflow_modelcheck::{explore, thread, Options};
 use skipflow_server::gate::{SessionGate, Settle, WriterStep};
-use skipflow_server::publish::EpochCell;
 use std::time::Duration;
 
 /// A long-enough flush deadline that no model execution ever times out (a
 /// timeout would make assertions schedule-dependent).
 const FOREVER: Duration = Duration::from_secs(3600);
-
-// ---------------------------------------------------------------------------
-// EpochCell
-// ---------------------------------------------------------------------------
-
-/// The canonical race: a reader pins and clones while the writer swaps,
-/// bumps, and scans. Parameterized so the volume test below can rerun the
-/// same shape at higher preemption bounds.
-fn pin_vs_publish(readers: usize, publishes: u64, slots: usize, opts: Options) -> Report {
-    explore(opts, move || {
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(0u64), slots));
-        let handles: Vec<_> = (0..readers)
-            .map(|_| {
-                let cell = cell.clone();
-                thread::spawn(move || {
-                    let v = cell.load();
-                    // The loaded value is some published value, and the
-                    // clone stays valid regardless of later reclamation.
-                    assert!(*v <= publishes, "torn or stale beyond last publish: {}", *v);
-                    *v
-                })
-            })
-            .collect();
-        for n in 1..=publishes {
-            cell.publish(Arc::new(n));
-        }
-        for h in handles {
-            let seen = h.join().unwrap();
-            assert!(seen <= publishes);
-        }
-        assert_eq!(*cell.load(), publishes, "final load sees the last publish");
-    })
-}
-
-#[test]
-fn writer_publishes_during_reader_pin_is_safe_under_every_schedule() {
-    let report = pin_vs_publish(1, 1, 1, Options::default());
-    assert!(report.schedules > 10, "expected real exploration, got {report}");
-    assert!(report.branch_points > 0);
-}
-
-#[test]
-fn two_readers_one_slot_contend_safely() {
-    // With one slot, the second reader regularly loses the hunt and takes
-    // the lock-based slow path — both paths explored against a publish.
-    let report = pin_vs_publish(2, 1, 1, Options::default());
-    assert!(report.schedules > 10, "{report}");
-}
-
-#[test]
-fn epoch_is_monotone_and_values_never_go_backwards() {
-    explore(Options::default(), || {
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(0u64), 1));
-        let reader = {
-            let cell = cell.clone();
-            thread::spawn(move || {
-                let e1 = cell.epoch();
-                let v1 = *cell.load();
-                let e2 = cell.epoch();
-                let v2 = *cell.load();
-                assert!(e2 >= e1, "epoch went backwards: {e2} < {e1}");
-                assert!(v2 >= v1, "published value went backwards: {v2} < {v1}");
-                // A load pins at least the epoch it returns a value for.
-                assert!(v1 >= e1, "value {v1} older than pinned epoch {e1}");
-            })
-        };
-        cell.publish(Arc::new(1));
-        cell.publish(Arc::new(2));
-        reader.join().unwrap();
-        assert_eq!(cell.epoch(), 2);
-    });
-}
-
-#[test]
-fn stale_pin_blocks_reclamation_of_the_held_value() {
-    explore(Options::default(), || {
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(0u64), 1));
-        let reader = {
-            let cell = cell.clone();
-            thread::spawn(move || {
-                let held = cell.load();
-                let first = *held;
-                // Give the publisher every chance to retire-and-reclaim the
-                // value this clone still owns; the shim's quarantine turns a
-                // premature free into a reported use-after-free on deref.
-                thread::yield_now();
-                assert_eq!(*held, first, "held snapshot mutated or reclaimed");
-            })
-        };
-        cell.publish(Arc::new(1));
-        cell.publish(Arc::new(2));
-        reader.join().unwrap();
-    });
-}
-
-#[test]
-fn slot_exhaustion_falls_back_without_spinning_or_leaking() {
-    explore(Options::default(), || {
-        // Zero slots: every load is forced onto the lock-based slow path,
-        // racing a publisher that holds the same lock.
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(0u64), 0));
-        let reader = {
-            let cell = cell.clone();
-            thread::spawn(move || {
-                let v = *cell.load();
-                assert!(v <= 1);
-                v
-            })
-        };
-        cell.publish(Arc::new(1));
-        reader.join().unwrap();
-        assert!(cell.slow_path_loads() >= 1, "slow path must have been taken");
-        assert_eq!(*cell.load(), 1);
-    });
-}
-
-#[test]
-fn evicted_cell_snapshot_stays_queryable_for_its_holder() {
-    explore(Options::default(), || {
-        // The eviction seam: the reader's snapshot must outlive the cell
-        // itself (the registry promises published epochs held by clients
-        // stay valid after `evict`). Dropping the last cell handle runs
-        // `EpochCell::drop`'s reclamation concurrently with the reader
-        // still dereferencing its clone.
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(7u64), 1));
-        let reader = {
-            let cell = cell.clone();
-            thread::spawn(move || {
-                let snap = cell.load();
-                drop(cell); // maybe the last handle — cell reclaims here
-                assert_eq!(*snap, 7, "snapshot died with the cell");
-            })
-        };
-        drop(cell); // or here
-        reader.join().unwrap();
-    });
-}
-
-#[test]
-fn broken_reclaimer_that_skips_the_pin_scan_is_caught() {
-    let failure = try_explore(Options::default(), || {
-        let cell = Arc::new(EpochCell::with_slots(Arc::new(0u64), 1));
-        let reader = {
-            let cell = cell.clone();
-            thread::spawn(move || {
-                let v = cell.load();
-                assert!(*v <= 1);
-            })
-        };
-        // The seeded bug: reclaims every retired pointer without scanning
-        // pin slots. Some schedule frees the value between the reader's pin
-        // and its clone — which the explorer must observe as use-after-free.
-        cell.publish_skipping_pin_check(Arc::new(1));
-        reader.join().unwrap();
-    })
-    .expect_err("the explorer must catch the pin-scan regression");
-    assert!(
-        failure.message.contains("use-after-free"),
-        "wrong failure class: {failure}"
-    );
-}
-
-/// The acceptance bar from the issue: at least 10^4 distinct schedules
-/// across the EpochCell scenarios, all clean. Reruns the pin-vs-publish
-/// shape at wider bounds and shapes and sums the exploration reports.
-#[test]
-fn epoch_cell_scenarios_explore_at_least_ten_thousand_schedules() {
-    let mut total = 0u64;
-    for (readers, publishes, slots, bound) in [
-        (1, 1, 1, None),
-        (1, 2, 1, Some(3)),
-        (2, 1, 1, Some(3)),
-        (2, 1, 2, Some(3)),
-        (1, 1, 0, None),
-        (2, 2, 1, Some(2)),
-    ] {
-        let opts = Options { preemption_bound: bound, ..Options::default() };
-        let report = pin_vs_publish(readers, publishes, slots, opts);
-        total += report.schedules;
-    }
-    assert!(
-        total >= 10_000,
-        "expected >= 10^4 schedules across EpochCell scenarios, explored {total}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// SessionGate
-// ---------------------------------------------------------------------------
 
 /// Spawns a writer-loop thread over `gate` that drains batches into the
 /// returned log, simulating the registry's writer (solve elided — the

@@ -53,6 +53,10 @@ fn open_roots_flush_query_round_trip() {
     assert!(!settled.snapshot.is_reachable(dead));
     assert!(settled.snapshot.is_reachable(used));
     assert!(handle.epochs_published() >= 1);
+    // One epoch number: the settled session's published record, its epoch
+    // and its publish count agree.
+    assert_eq!(handle.published().epoch, handle.epoch());
+    assert_eq!(handle.epoch(), handle.epochs_published());
 }
 
 #[test]

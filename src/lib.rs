@@ -16,7 +16,7 @@
 //! * [`synth`] — the deterministic benchmark corpus used by the evaluation
 //!   harness;
 //! * [`server`] — analysis-as-a-service: a concurrent multi-session server
-//!   with lock-free epoch-based snapshot publication (`skipflow serve`).
+//!   that publishes one snapshot per epoch (`skipflow serve`).
 //!
 //! See the `examples/` directory for runnable scenarios.
 
