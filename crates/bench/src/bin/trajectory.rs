@@ -191,7 +191,7 @@ mod tests {
     #[test]
     fn parses_the_ci_command_and_rejects_everything_else() {
         let ci = parse(
-            "--skip-table1 --skip-paired --out /tmp/t.json --pr ci --check-steps BENCH_PR10.json",
+            "--skip-table1 --skip-paired --out /tmp/t.json --pr ci --check-steps BENCH_PR26.json",
         );
         assert_eq!(
             ci,
@@ -200,7 +200,7 @@ mod tests {
                 pr: "ci".to_string(),
                 skip_table1: true,
                 skip_paired: true,
-                check_steps: Some("BENCH_PR10.json".to_string()),
+                check_steps: Some("BENCH_PR26.json".to_string()),
             })
         );
         assert_eq!(parse(""), Err("--out is required".to_string()));

@@ -57,10 +57,6 @@ pub struct AnalysisConfig {
     /// every primitive source evaluates to `Any` (the baseline PTA behaviour:
     /// primitives are invisible).
     pub(crate) primitives: bool,
-    /// Filter method parameters by their declared types during
-    /// interprocedural linking (the Native Image behaviour inherited from
-    /// Wimmer et al. \[60\]).
-    pub(crate) declared_type_filtering: bool,
     /// Optional saturation threshold (Wimmer et al. \[60\]).
     pub(crate) saturation_threshold: Option<usize>,
     /// The paper's coarse exception policy (§5).
@@ -96,7 +92,6 @@ impl AnalysisConfig {
         AnalysisConfig {
             predicates: true,
             primitives: true,
-            declared_type_filtering: true,
             saturation_threshold: None,
             coarse_exceptions: true,
             reflective_roots: Vec::new(),
@@ -192,12 +187,6 @@ impl AnalysisConfig {
         self
     }
 
-    /// Toggles declared-type filtering on interprocedural use edges.
-    pub fn with_declared_type_filtering(mut self, on: bool) -> Self {
-        self.declared_type_filtering = on;
-        self
-    }
-
     /// Toggles the coarse exception policy (§5).
     pub fn with_coarse_exceptions(mut self, on: bool) -> Self {
         self.coarse_exceptions = on;
@@ -247,11 +236,6 @@ impl AnalysisConfig {
     /// Whether primitive-constant tracking is enabled.
     pub fn primitives(&self) -> bool {
         self.primitives
-    }
-
-    /// Whether parameters are filtered by their declared types.
-    pub fn declared_type_filtering(&self) -> bool {
-        self.declared_type_filtering
     }
 
     /// The saturation threshold, if saturation is enabled.
@@ -333,7 +317,6 @@ mod tests {
 
         let pta = AnalysisConfig::baseline_pta();
         assert!(!pta.predicates() && !pta.primitives());
-        assert!(pta.declared_type_filtering(), "baseline keeps type filtering on use edges");
         assert_eq!(pta.label(), "PTA");
     }
 

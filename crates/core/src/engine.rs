@@ -976,7 +976,7 @@ impl<'p> Engine<'p> {
                 let vr = &self.g.flow(*other).out_state;
                 compare(*op, &flow.in_state, vr)
             }
-            FlowKind::Param { declared, .. } if self.config.declared_type_filtering => {
+            FlowKind::Param { declared, .. } => {
                 declared_filter(self.program, &flow.in_state, *declared)
             }
             FlowKind::PredOn => ValueState::Const(1),

@@ -16,9 +16,9 @@
 //! "Interrupt safety" notes at the top of `engine.rs`.
 
 use crate::report::AnalysisSnapshot;
-use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering};
-use skipflow_modelcheck::sync::Arc;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A cooperative cancellation token: a shared flag the solver polls at a
@@ -35,16 +35,19 @@ use std::time::Duration;
 /// # Threading
 ///
 /// `CancelToken` is `Clone + Send + Sync`, and every clone shares one flag.
-/// The server-grade pattern is one token per solving thread: the solver
-/// thread passes `Some(&token)` to
-/// [`solve_interruptible`](crate::AnalysisSession::solve_interruptible)
-/// while request handlers hold clones and call [`CancelToken::cancel`] from
-/// their own threads; the solve observes the trip within one check stride.
-/// Because the token is level-triggered, the *solving* thread should own the
-/// [`CancelToken::reset`] (typically just before each solve) — resetting
-/// from a requester's thread races a concurrent cancel of the in-flight
-/// solve. All flag accesses are relaxed atomics: the token orders nothing
-/// but itself, which is all cancellation needs.
+/// The server-grade pattern is one fresh token per solve: whoever starts
+/// the solve creates the token, keeps a clone where requesters can reach
+/// it, and passes `Some(&token)` to
+/// [`solve_interruptible`](crate::AnalysisSession::solve_interruptible).
+/// A requester trips its clone with [`CancelToken::cancel`] from its own
+/// thread, and the solve observes the trip within one check stride. The
+/// server's session gate works this way: it creates each batch's token
+/// under the lock that hands the batch to the writer, and trips it under
+/// the same lock, so a cancel reaches exactly the batch in flight and a
+/// finished batch's token is simply dropped. Re-arming one shared token
+/// with [`CancelToken::reset`] instead races a concurrent cancel of the
+/// next solve. All flag accesses are relaxed atomics: the token orders
+/// nothing but itself, which is all cancellation needs.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
@@ -70,12 +73,6 @@ impl CancelToken {
     /// Whether the token is currently tripped.
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
-    }
-
-    /// The shared flag itself, for callers that already coordinate on a raw
-    /// `Arc<AtomicBool>`.
-    pub fn as_flag(&self) -> &Arc<AtomicBool> {
-        &self.flag
     }
 }
 

@@ -1,7 +1,8 @@
 //! `skipflow-lint`: the workspace's unsafe-code and atomics gate.
 //!
 //! A source-level scanner (no rustc plumbing, no external deps) enforcing
-//! four rules over every `.rs` file in the repository:
+//! three rules over every `.rs` file in the repository (numbered as they
+//! were introduced; number 3 is retired):
 //!
 //! 1. **Unsafe confinement** — the `unsafe` keyword may appear only in the
 //!    files of [`UNSAFE_FILE_ALLOWLIST`]. The allowlist is the review
@@ -10,10 +11,6 @@
 //!    preceded by a contiguous `//` comment block containing `SAFETY:`
 //!    (or carry one as a trailing comment). The comment is the proof
 //!    obligation; code without it doesn't state *why* it is sound.
-//! 3. **Atomic confinement** — raw `std::sync::atomic` paths may appear
-//!    only inside the model-check shim ([`RAW_ATOMIC_ALLOWLIST`]).
-//!    Everything else must import `skipflow_modelcheck::sync::atomic`, so
-//!    the interleaving explorer sees every atomic the workspace performs.
 //! 4. **Explicit orderings** — in files that use atomics, every atomic
 //!    operation (`load`/`store`/`swap`/`fetch_*`/`compare_exchange*`) must
 //!    name an ordering in its argument list. (The compiler already forces
@@ -40,10 +37,6 @@ use std::path::Path;
 /// must implement the unsafe `GlobalAlloc` trait; production code holds no
 /// `unsafe`.
 pub const UNSAFE_FILE_ALLOWLIST: &[&str] = &["tests/alloc_counts.rs"];
-
-/// Files allowed to name `std::sync::atomic` directly: only the shim, which
-/// exists to wrap it.
-pub const RAW_ATOMIC_ALLOWLIST: &[&str] = &["crates/modelcheck/src/shim.rs"];
 
 /// Atomic-operation method names whose call sites must name an ordering.
 const ATOMIC_OPS: &[&str] = &[
@@ -74,8 +67,6 @@ pub enum Rule {
     UnsafeOutsideAllowlist,
     /// Rule 2: `unsafe` without a preceding `// SAFETY:` comment.
     MissingSafetyComment,
-    /// Rule 3: `std::sync::atomic` outside [`RAW_ATOMIC_ALLOWLIST`].
-    RawAtomicImport,
     /// Rule 4: an atomic op whose arguments name no ordering.
     ImplicitOrdering,
 }
@@ -86,7 +77,6 @@ impl Rule {
         match self {
             Rule::UnsafeOutsideAllowlist => "unsafe-allowlist",
             Rule::MissingSafetyComment => "safety-comment",
-            Rule::RawAtomicImport => "raw-atomic",
             Rule::ImplicitOrdering => "implicit-ordering",
         }
     }
@@ -351,7 +341,6 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
     let original_lines: Vec<&str> = source.lines().collect();
 
     let unsafe_allowed = UNSAFE_FILE_ALLOWLIST.contains(&file);
-    let atomic_allowed = RAW_ATOMIC_ALLOWLIST.contains(&file);
 
     for (idx, line) in stripped_lines.iter().enumerate() {
         if has_unsafe_token(line) {
@@ -374,21 +363,11 @@ pub fn lint_source(file: &str, source: &str) -> Vec<Violation> {
                 });
             }
         }
-        if !atomic_allowed && line.contains("std::sync::atomic") {
-            out.push(Violation {
-                file: file.to_string(),
-                line: idx + 1,
-                rule: Rule::RawAtomicImport,
-                message: "raw `std::sync::atomic` outside the shim; import \
-                          `skipflow_modelcheck::sync::atomic` instead"
-                    .to_string(),
-            });
-        }
     }
 
-    // Rule 4 is scoped to files that actually traffic in atomics (via the
-    // shim or raw), so `.load()`-style methods of unrelated types elsewhere
-    // are never inspected.
+    // Rule 4 is scoped to files that actually traffic in atomics, so
+    // `.load()`-style methods of unrelated types elsewhere are never
+    // inspected.
     if stripped.contains("sync::atomic") {
         check_orderings(file, &stripped, &mut out);
     }
@@ -484,21 +463,21 @@ mod tests {
 
     #[test]
     fn ordering_check_skips_zero_arg_loads() {
-        let src = "use skipflow_modelcheck::sync::atomic::AtomicU64;\nlet v = cell.load();\n";
+        let src = "use std::sync::atomic::AtomicU64;\nlet v = cell.load();\n";
         let v = lint_source("crates/x.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn ordering_check_accepts_variables_named_order() {
-        let src = "use skipflow_modelcheck::sync::atomic::AtomicU64;\nfn f(a: &AtomicU64, order: Ordering) -> u64 { a.load(order) }\n";
+        let src = "use std::sync::atomic::AtomicU64;\nfn f(a: &AtomicU64, order: Ordering) -> u64 { a.load(order) }\n";
         let v = lint_source("crates/x.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }
 
     #[test]
     fn multiline_atomic_call_is_spanned() {
-        let src = "use skipflow_modelcheck::sync::atomic::AtomicU64;\nlet r = a.compare_exchange(\n    0,\n    1,\n    SeqCst,\n    SeqCst,\n);\n";
+        let src = "use std::sync::atomic::AtomicU64;\nlet r = a.compare_exchange(\n    0,\n    1,\n    SeqCst,\n    SeqCst,\n);\n";
         let v = lint_source("crates/x.rs", src);
         assert!(v.is_empty(), "{v:?}");
     }

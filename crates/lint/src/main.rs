@@ -22,7 +22,6 @@ fn main() -> ExitCode {
                 println!("Enforces the workspace unsafe/atomics rules:");
                 println!("  unsafe-allowlist   `unsafe` only in allowlisted files");
                 println!("  safety-comment     every `unsafe` preceded by // SAFETY:");
-                println!("  raw-atomic         std::sync::atomic only inside the shim");
                 println!("  implicit-ordering  atomic ops name an explicit Ordering");
                 return ExitCode::SUCCESS;
             }

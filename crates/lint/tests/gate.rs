@@ -45,20 +45,6 @@ fn fixture_missing_safety_comment_is_flagged() {
 }
 
 #[test]
-fn fixture_raw_atomic_import_is_flagged() {
-    let v = lint_source("crates/core/src/evil.rs", &fixture("raw_atomic_import.rs"));
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert_eq!(v[0].rule, Rule::RawAtomicImport);
-    assert_eq!(v[0].line, 3);
-}
-
-#[test]
-fn fixture_raw_atomic_is_allowed_in_the_shim() {
-    let v = lint_source("crates/modelcheck/src/shim.rs", &fixture("raw_atomic_import.rs"));
-    assert!(v.is_empty(), "{v:?}");
-}
-
-#[test]
 fn fixture_implicit_ordering_is_flagged() {
     let v = lint_source("crates/core/src/evil.rs", &fixture("implicit_ordering.rs"));
     assert_eq!(v.len(), 1, "{v:?}");

@@ -5,10 +5,10 @@ use crate::protocol::{parse_request, Query, Request};
 use crate::registry::{require_nonzero_budgets, Registry, ServerConfig, ServerError, SessionHandle};
 use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness, MethodEdit};
 use skipflow_ir::{MethodId, Program};
-use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use skipflow_modelcheck::sync::Arc;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How long a `flush` request waits before answering `err timeout`.
@@ -232,7 +232,7 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
             let mut line = format!(
                 "ok session={} epoch={} roots={} queued={} memory_bytes={} \
                  published_bytes={} steps={} flows={} solves={} batches={} \
-                 batched_roots={} epochs_published={} partial_epochs={} queries={} sheds={} \
+                 batched_roots={} partial_epochs={} queries={} sheds={} \
                  interrupts={} resumed={} \
                  retractions={} edits={} invalidated_flows={} rederive_steps={}",
                 s.name,
@@ -246,7 +246,6 @@ fn execute(registry: &Registry, req: Request) -> Result<String, ServerError> {
                 s.solve.solves,
                 s.batches,
                 s.batched_roots,
-                s.epochs_published,
                 s.partial_epochs,
                 s.queries_served,
                 s.sheds,

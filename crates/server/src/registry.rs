@@ -58,15 +58,15 @@
 
 use crate::gate::{SessionGate, Settle, WriterStep};
 use skipflow_core::{
-    AnalysisConfig, AnalysisError, AnalysisSession, Completeness, InterruptReason, MethodEdit,
+    AnalysisConfig, AnalysisError, AnalysisSession, Completeness, MethodEdit,
     OwnedSnapshot, SolveStats,
 };
 use skipflow_ir::{LoadError, MethodId, Program};
 use std::collections::HashMap;
 use std::fmt;
 
-use skipflow_modelcheck::sync::atomic::{AtomicU64, Ordering::SeqCst};
-use skipflow_modelcheck::sync::{Arc, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -316,8 +316,9 @@ impl SessionHandle {
         self.gate.queued_len()
     }
 
-    /// Trips the cancel token: an in-flight batch checkpoints within one
-    /// stride and the session pauses until new roots or a flush arrive.
+    /// Pauses the session and trips the in-flight batch's cancel token: the
+    /// batch checkpoints within one stride, and its leftover work waits
+    /// until new roots or a flush arrive.
     pub fn cancel(&self) {
         self.gate.cancel();
     }
@@ -375,8 +376,6 @@ pub struct SessionStats {
     pub batches: u64,
     /// Roots those batches carried.
     pub batched_roots: u64,
-    /// Epochs published (excluding the initial empty epoch).
-    pub epochs_published: u64,
     /// Published epochs that were partial checkpoints.
     pub partial_epochs: u64,
     /// Queries served.
@@ -647,9 +646,9 @@ impl Registry {
         handle.wait_settled(timeout)
     }
 
-    /// Trips `name`'s cancel token: the in-flight batch (if any) checkpoints
-    /// and publishes a partial epoch; the session pauses until new roots or
-    /// a flush arrive.
+    /// Cancels `name`'s in-flight batch (if any), which checkpoints and
+    /// publishes a partial epoch; the session pauses, keeping the leftover
+    /// work, until new roots or a flush arrive.
     pub fn cancel(&self, name: &str) -> Result<(), ServerError> {
         let handle = self.get(name)?;
         handle.cancel();
@@ -730,7 +729,6 @@ impl Registry {
             solve: published.snapshot.stats().clone(),
             batches: handle.batches(),
             batched_roots: handle.batched_roots(),
-            epochs_published: published.epoch,
             partial_epochs: handle.partial_epochs(),
             queries_served: handle.queries_served(),
             sheds: handle.sheds(),
@@ -834,11 +832,11 @@ fn writer_loop(handle: &SessionHandle, program: &Arc<Program>, config: AnalysisC
         }
     };
     loop {
-        // Extract the next batch (and reset the cancel token) under the
-        // gate lock — see the lock-discipline note in `gate.rs`.
-        let batch = match handle.gate.next_batch() {
+        // Extract the next batch and its fresh cancel token under the gate
+        // lock — see the lock-discipline note in `gate.rs`.
+        let (batch, cancel) = match handle.gate.next_batch() {
             WriterStep::Shutdown => return,
-            WriterStep::Batch(batch) => batch,
+            WriterStep::Batch { items, cancel } => (items, cancel),
         };
 
         if !batch.is_empty() {
@@ -855,25 +853,16 @@ fn writer_loop(handle: &SessionHandle, program: &Arc<Program>, config: AnalysisC
         // Mapping to the (Copy) reason releases the outcome's borrow of the
         // session before the publication below re-borrows it.
         match session
-            .solve_interruptible(Some(handle.gate.token()))
+            .solve_interruptible(Some(&cancel))
             .map(|outcome| outcome.interrupt_reason())
         {
             Ok(reason) => {
                 publish_from(handle, &session);
-                match reason {
-                    None => finish_batch(handle, &session, None, false),
-                    Some(InterruptReason::Cancelled) => {
-                        // Stay paused (set by `cancel`) with `resume`
-                        // pending; a flush or new roots pick it back up.
-                        finish_batch(handle, &session, None, false)
-                    }
-                    Some(_) => {
-                        // A tripped budget bounds publication latency, not
-                        // total work: resume immediately with the next
-                        // batch's fresh budget.
-                        finish_batch(handle, &session, None, true)
-                    }
-                }
+                // Every interrupt leaves work behind. The gate runs it at
+                // once after a tripped budget (which bounds publication
+                // latency, not total work) and after the pause a cancel
+                // set is lifted by new roots or a flush.
+                finish_batch(handle, &session, None, reason.is_some())
             }
             Err(e) => {
                 // Still publish the consistent checkpoint so queries see the

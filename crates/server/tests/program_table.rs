@@ -4,9 +4,9 @@
 //! reads at most the memory budget.
 
 use skipflow_ir::frontend::compile;
-use skipflow_modelcheck::sync::Arc;
 use skipflow_server::{handle_request, parse_request, Registry, ServerConfig};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SRC: &str = "
     class Config { static method flag(): int { return 0; } }

@@ -4,8 +4,8 @@
 use skipflow_core::{AnalysisConfig, CallGraphQuery, Completeness};
 use skipflow_ir::frontend::compile;
 use skipflow_server::{handle_request, parse_request, Registry, ServerConfig, ServerError};
-use skipflow_modelcheck::sync::Arc;
 use skipflow_synth::{build_benchmark, BenchmarkSpec, Suite};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SRC: &str = "
@@ -146,6 +146,54 @@ fn cancel_pauses_and_flush_resumes_to_complete() {
     assert_eq!(settled.snapshot.completeness(), Completeness::Complete);
 }
 
+/// A cancel that interrupts a running batch parks the leftover work: the
+/// session publishes nothing more until a flush resumes it, and the flush
+/// then reaches the complete fixpoint. The per-batch step budget keeps the
+/// writer running batch after batch, so the cancel lands mid-solve.
+#[test]
+fn a_cancelled_batch_keeps_its_leftover_work_for_the_next_flush() {
+    let spec = BenchmarkSpec::new("ladder-2000", Suite::DaCapo, 2000, 0.2).with_fanout(8);
+    let bench = build_benchmark(&spec);
+    let program = Arc::new(bench.program);
+    let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots.clone());
+    let registry = Registry::new(ServerConfig {
+        batch_step_budget: Some(2_000),
+        ..ServerConfig::default()
+    });
+    let deadline = |what: &str| {
+        let start = std::time::Instant::now();
+        let what = what.to_string();
+        move || assert!(start.elapsed() < Duration::from_secs(30), "timed out waiting for {what}")
+    };
+    let mut parked = 0;
+    for round in 0..3 {
+        let name = format!("s{round}");
+        let handle = registry.open(&name, program.clone(), config.clone()).unwrap();
+        registry.add_roots(&name, bench.roots.clone()).unwrap();
+        let check = deadline("a partial epoch");
+        while handle.partial_epochs() == 0 {
+            check();
+            std::thread::yield_now();
+        }
+        registry.cancel(&name).unwrap();
+        let check = deadline("the cancelled batch to finish");
+        while !handle.is_idle() {
+            check();
+            std::thread::yield_now();
+        }
+        let stopped = handle.published();
+        if !stopped.is_complete() {
+            parked += 1;
+            std::thread::sleep(Duration::from_millis(100));
+            assert_eq!(handle.epoch(), stopped.epoch, "a cancelled session stays paused");
+        }
+        let settled = registry.flush(&name, Duration::from_secs(60)).unwrap();
+        assert!(settled.is_complete(), "the flush resumes the leftover work");
+        registry.evict(&name).unwrap();
+    }
+    assert!(parked > 0, "no cancel landed before the fixpoint");
+}
+
 #[test]
 fn eviction_keeps_published_epochs_valid_for_holders() {
     let registry = Registry::new(ServerConfig::default());
@@ -266,7 +314,7 @@ fn protocol_layer_in_process() {
     assert!(run("query s call-edges").starts_with("ok "));
 
     let stats = run("stats s");
-    assert!(stats.contains("epochs_published=") && stats.contains("steps="), "{stats}");
+    assert!(stats.contains("partial_epochs=") && stats.contains("steps="), "{stats}");
     let rstats = run("stats");
     assert!(rstats.contains("sessions_live=1"), "{rstats}");
 

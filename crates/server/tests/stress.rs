@@ -31,9 +31,9 @@ use skipflow_core::{
 use skipflow_ir::{MethodId, Program, TypeId};
 use skipflow_server::{PublishedEpoch, Registry, ServerConfig};
 use skipflow_synth::{build_benchmark, pick_spread_roots, suites};
-use skipflow_modelcheck::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use skipflow_modelcheck::sync::{Arc, Mutex};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
 

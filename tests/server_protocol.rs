@@ -106,7 +106,9 @@ fn serve_loopback_round_trip() {
     let stats = conn.request("stats");
     assert!(stats.contains("sessions_live=2") && stats.contains("memory_bytes="), "{stats}");
     let sstats = conn.request("stats app");
-    assert!(sstats.contains("epochs_published=") && sstats.contains("queries="), "{sstats}");
+    assert!(sstats.contains("partial_epochs=") && sstats.contains("queries="), "{sstats}");
+    // The epoch number already counts the session's publications.
+    assert!(!sstats.contains("epochs_published="), "{sstats}");
 
     // A second client sees the same published state (epoch publication is
     // per-session, not per-connection).
