@@ -80,7 +80,8 @@ pub enum WriterStep<T> {
 /// How a [`SessionGate::wait_settled`] ended.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Settle {
-    /// No queued or in-flight work remains; published state is current.
+    /// No queued or in-flight work remains, or the session shut down with
+    /// no batch in flight; either way the published state is final.
     Idle,
     /// The session latched a sticky failure (message attached).
     Failed(String),
@@ -224,8 +225,8 @@ impl<T> SessionGate<T> {
     }
 
     /// Client side: block until the gate is idle (un-pausing it — the
-    /// caller explicitly wants the work finished), the session fails, or
-    /// `timeout` passes.
+    /// caller explicitly wants the work finished), the session shuts down
+    /// with no batch in flight, the session fails, or `timeout` passes.
     pub fn wait_settled(&self, timeout: Duration) -> Settle {
         let deadline = Instant::now() + timeout;
         let mut st = self.shared.lock().unwrap();
@@ -239,7 +240,10 @@ impl<T> SessionGate<T> {
             if let Some(msg) = &st.failed {
                 return Settle::Failed(msg.clone());
             }
-            if st.queue.is_empty() && st.in_flight.is_none() && !st.resume {
+            // A shut-down writer runs no further batch, so once none is in
+            // flight the published state is final, leftover work or not.
+            let final_state = st.shutdown && st.in_flight.is_none();
+            if final_state || (st.queue.is_empty() && st.in_flight.is_none() && !st.resume) {
                 return Settle::Idle;
             }
             let now = Instant::now();
@@ -415,6 +419,26 @@ mod tests {
         gate.finish_batch(0, None, true);
         let step = spawn_next_batch(&gate).recv_timeout(WAKE).expect("shutdown is runnable");
         assert!(matches!(step, WriterStep::Shutdown));
+    }
+
+    #[test]
+    fn a_shutdown_settles_a_flush_waiting_on_the_interrupted_batch() {
+        let gate = gate();
+        gate.enqueue(vec![1]);
+        ready_batch(&gate);
+        let flush = spawn_flush(&gate);
+        assert!(flush.recv_timeout(QUIET).is_err(), "flush waits for the batch");
+        gate.signal_shutdown();
+        assert!(flush.recv_timeout(QUIET).is_err(), "the batch is still in flight");
+        // The writer reports the tripped batch's leftover work, then exits.
+        gate.finish_batch(0, None, true);
+        assert_eq!(flush.recv_timeout(WAKE).expect("flush woken"), Settle::Idle);
+
+        // Work queued but never taken does not hold a flush either.
+        let gate = self::gate();
+        gate.enqueue(vec![1]);
+        gate.signal_shutdown();
+        assert_eq!(gate.wait_settled(Duration::ZERO), Settle::Idle);
     }
 
     #[test]
@@ -610,6 +634,20 @@ mod tests {
             client.join().unwrap();
             let seen = sorted(&drained);
             assert!(seen.is_empty() || seen == vec![1], "half-drained batch: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn a_flush_racing_a_shutdown_settles() {
+        for _ in 0..ROUNDS {
+            let gate = gate();
+            let drained = Arc::new(Mutex::new(Vec::new()));
+            let writer = spawn_writer(&gate, &drained);
+            gate.enqueue(vec![1]);
+            // The shutdown may land before, during or after the batch.
+            let flush = spawn_flush(&gate);
+            shut_down(&gate, writer);
+            assert_eq!(flush.recv_timeout(WAKE).expect("the flush settles"), Settle::Idle);
         }
     }
 

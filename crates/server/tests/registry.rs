@@ -194,6 +194,50 @@ fn a_cancelled_batch_keeps_its_leftover_work_for_the_next_flush() {
     assert!(parked > 0, "no cancel landed before the fixpoint");
 }
 
+/// Evicting a session mid-solve releases a flush waiting on it at once:
+/// the flush answers with the last published epoch instead of waiting out
+/// its deadline for a writer that has exited. The per-batch step budget
+/// keeps the writer publishing partial epochs, so the eviction lands
+/// mid-solve.
+#[test]
+fn evicting_a_session_releases_its_waiting_flush() {
+    let spec = BenchmarkSpec::new("ladder-8000", Suite::DaCapo, 8000, 0.2).with_fanout(8);
+    let bench = build_benchmark(&spec);
+    let program = Arc::new(bench.program);
+    let config = AnalysisConfig::skipflow().with_reflective_roots(bench.reflective_roots.clone());
+    let registry = Arc::new(Registry::new(ServerConfig {
+        batch_step_budget: Some(2_000),
+        ..ServerConfig::default()
+    }));
+    let mut mid_solve = 0;
+    for round in 0..3 {
+        let name = format!("s{round}");
+        let handle = registry.open(&name, program.clone(), config.clone()).unwrap();
+        registry.add_roots(&name, bench.roots.clone()).unwrap();
+        let start = std::time::Instant::now();
+        while handle.partial_epochs() == 0 {
+            assert!(start.elapsed() < Duration::from_secs(30), "no partial epoch");
+            std::thread::yield_now();
+        }
+        let (tx, flushed) = std::sync::mpsc::channel();
+        let (flusher, flushed_name) = (registry.clone(), name.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send(flusher.flush(&flushed_name, Duration::from_secs(60)));
+        });
+        std::thread::sleep(Duration::from_millis(5));
+        registry.evict(&name).unwrap();
+        let reply = flushed
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the flush returns once its session is evicted");
+        match reply {
+            Ok(epoch) => mid_solve += usize::from(!epoch.is_complete()),
+            Err(ServerError::Timeout(_)) => panic!("the flush waited out its deadline"),
+            Err(_) => {}
+        }
+    }
+    assert!(mid_solve > 0, "no eviction landed before the fixpoint");
+}
+
 #[test]
 fn eviction_keeps_published_epochs_valid_for_holders() {
     let registry = Registry::new(ServerConfig::default());
