@@ -234,7 +234,7 @@ pub(crate) fn build_method_graph(
 
 impl Builder<'_> {
     fn new_flow(&mut self, kind: FlowKind, block: Option<BlockId>) -> FlowId {
-        self.g.add_flow(Flow::new(kind, Some(self.method), block))
+        self.g.add_flow(Flow::new(kind), Some(self.method), block)
     }
 
     /// Creates a flow predicated on `pred` (the paper: "each flow is assigned

@@ -66,7 +66,7 @@ pub fn method_pvpg_dot(
     let mg = g.method_graph(method)?;
     // The fragment's flows are one contiguous arena range; membership is
     // a range check plus the owner test that excludes global flows.
-    let own = |f: FlowId| mg.flows.contains(f.index()) && g.flow(f).method == Some(method);
+    let own = |f: FlowId| mg.flows.contains(f.index()) && g.flow_method(f) == Some(method);
     let mut out = String::new();
     let _ = writeln!(out, "digraph pvpg {{");
     let _ = writeln!(out, "  rankdir=TB;");
@@ -189,7 +189,7 @@ mod tests {
         let nodes = dot.lines().filter(|l| l.contains("[label=")).count();
         let own = g
             .method_flows(mg)
-            .filter(|&f| g.flow(f).method == Some(get))
+            .filter(|&f| g.flow_method(f) == Some(get))
             .count();
         assert_eq!(nodes, own, "{dot}");
     }

@@ -589,15 +589,17 @@ impl<'p> Engine<'p> {
     }
 
     /// A cheap O(1) estimate of the engine's dominant heap footprint: the
-    /// flow table plus the edge arrays (8 bytes per edge endpoint pair).
-    /// Deliberately a proxy — exact accounting would mean walking every
-    /// `ValueState` — but it is monotone in the quantities that actually
-    /// grow without bound (flows and edges), which is what a memory budget
-    /// guards against.
+    /// graph's per-flow tables ([`Pvpg::BYTES_PER_FLOW`]: the flow record,
+    /// its origin, and a CSR start and a spill head per edge pool) plus the
+    /// edge storage (4 bytes per sealed edge, 8 per spill edge).
+    /// Deliberately a proxy: it leaves out the heap bands of type sets that
+    /// span more than one word, the call-site arena and the per-method
+    /// pools, the dynamic-edge dedup set, the engine's own per-flow and
+    /// per-type tables, and every vector's spare capacity. It is monotone in
+    /// the quantities that actually grow without bound (flows and edges),
+    /// which is what a memory budget guards against.
     pub(crate) fn memory_estimate(&self) -> usize {
-        let (use_edges, pred_edges, obs_edges) = self.g.edge_counts();
-        self.g.flow_count() * std::mem::size_of::<Flow>()
-            + (use_edges + pred_edges + obs_edges) * 8
+        self.g.flow_count() * Pvpg::BYTES_PER_FLOW + self.g.edge_bytes()
     }
 
     /// Whether the worklist has pending work. An empty worklist (with no

@@ -5,10 +5,16 @@
 //! (doubling as the returned value in the caller); values returned to
 //! callers; conditions (including negated/flipped versions); φ joins;
 //! φ_pred predicate joins; and the always-enabled predicate `pred_on`.
+//!
+//! A [`Flow`] record holds only what a worklist step reads: its kind, its
+//! in- and out-state and its enabled bit, 56 bytes in all. Adjacency lives
+//! in the graph's edge pools, and provenance (the containing method and
+//! block) in the graph's side array, read through [`crate::Pvpg::flow_method`]
+//! and [`crate::Pvpg::flow_block`].
 
 use crate::error::AnalysisError;
 use crate::lattice::ValueState;
-use skipflow_ir::{BlockId, CmpOp, FieldId, MethodId, TypeId, TypeRef};
+use skipflow_ir::{CmpOp, FieldId, MethodId, TypeId, TypeRef};
 use std::fmt;
 
 /// Identifier of a flow in the PVPG arena.
@@ -200,21 +206,19 @@ pub enum FlowKind {
     },
 }
 
-/// One vertex of the PVPG together with its state.
+/// One vertex of the PVPG together with its state: only what a worklist
+/// step reads.
 ///
 /// Adjacency (use / predicate / observe successors) is *not* stored here:
 /// it lives in the graph-owned CSR pools of [`crate::graph::Pvpg`], so a
-/// worklist step can iterate successors without cloning edge lists.
+/// worklist step can iterate successors without cloning edge lists. Nor is
+/// provenance: the containing method and block sit in a cold side array of
+/// the graph, read through [`crate::Pvpg::flow_method`] and
+/// [`crate::Pvpg::flow_block`].
 #[derive(Clone, Debug)]
 pub struct Flow {
     /// What the flow stands for.
     pub kind: FlowKind,
-    /// The containing method (`None` for the global flows: `pred_on`, field
-    /// sinks, the thrown/unsafe pools, and root sources).
-    pub method: Option<MethodId>,
-    /// The basic block the flow was created for, when applicable (used by
-    /// liveness reporting).
-    pub block: Option<BlockId>,
     /// Joined input state (from use edges and injections).
     pub in_state: ValueState,
     /// Filtered output state; grows monotonically.
@@ -225,11 +229,9 @@ pub struct Flow {
 }
 
 impl Flow {
-    pub(crate) fn new(kind: FlowKind, method: Option<MethodId>, block: Option<BlockId>) -> Self {
+    pub(crate) fn new(kind: FlowKind) -> Self {
         Flow {
             kind,
-            method,
-            block,
             in_state: ValueState::Empty,
             out_state: ValueState::Empty,
             enabled: false,
@@ -287,7 +289,7 @@ mod tests {
 
     #[test]
     fn flow_starts_disabled_and_empty() {
-        let f = Flow::new(FlowKind::Phi, None, None);
+        let f = Flow::new(FlowKind::Phi);
         assert!(!f.enabled);
         assert!(f.in_state.is_empty());
         assert!(!f.is_active());
@@ -295,20 +297,21 @@ mod tests {
 
     #[test]
     fn is_active_requires_enabled_and_non_empty() {
-        let mut f = Flow::new(FlowKind::Const(0), None, None);
+        let mut f = Flow::new(FlowKind::Const(0));
         f.enabled = true;
         assert!(!f.is_active(), "empty out-state is inactive");
         f.out_state = ValueState::Const(0);
         assert!(f.is_active(), "false (0) still activates predicates");
     }
 
-    /// The arena holds one `Flow` per PVPG vertex: two value states (40
-    /// bytes each) plus kind, provenance and the enabled bit. A third state
-    /// would cost 40 bytes on every flow of every engine.
+    /// The arena holds one `Flow` per PVPG vertex: two 16-byte value states
+    /// plus the 16-byte kind and the enabled bit. Provenance lives in the
+    /// graph's side array; a field here would cost 8 bytes on every flow of
+    /// every engine, a third state 16.
     #[cfg(target_pointer_width = "64")]
     #[test]
-    fn flow_stays_within_120_bytes() {
-        assert!(std::mem::size_of::<Flow>() <= 120, "{}", std::mem::size_of::<Flow>());
+    fn flow_stays_within_56_bytes() {
+        assert!(std::mem::size_of::<Flow>() <= 56, "{}", std::mem::size_of::<Flow>());
     }
 
     #[test]

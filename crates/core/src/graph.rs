@@ -1,13 +1,20 @@
 //! The predicated value propagation graph (PVPG): flow arena, the three
 //! edge kinds, call sites, field sinks, and per-method graph summaries.
 //!
+//! The flow arena holds only what a worklist step reads ([`Flow`]: kind,
+//! the two value states and the enabled bit). Each flow's provenance, the
+//! method and block it was created for, sits in an 8-byte cold side array
+//! read through [`Pvpg::flow_method`] and [`Pvpg::flow_block`]; only reports
+//! and tests read it.
+//!
 //! Adjacency is stored CSR-style in graph-owned [`EdgePool`]s rather than in
 //! per-flow `Vec`s: construction-time edges of one method fragment are
-//! buffered and *sealed* into one shared `Vec<FlowId>` with per-flow ranges,
-//! while edges discovered during solving (field wiring, invoke linking) go
-//! to a linked spill arena. Worklist steps iterate successors through a
-//! [`EdgeCursor`] — a `Copy` value that survives re-borrows — so the engine
-//! never clones an edge list. Dynamic use edges are deduplicated through a
+//! buffered and *sealed* into one shared `Vec<FlowId>` in flow order, with
+//! one start offset per flow (a flow's edges end where the next flow's
+//! start), while edges discovered during solving (field wiring, invoke
+//! linking) go to a linked spill arena. Worklist steps iterate successors
+//! through a [`EdgeCursor`] — a `Copy` value that survives re-borrows — so
+//! the engine never clones an edge list. Dynamic use edges are deduplicated through a
 //! set keyed by the packed `(source, target)` pair under a one-multiply
 //! hash (flow ids are dense engine-assigned indices, not input values).
 //!
@@ -29,16 +36,20 @@ use crate::flow::{CallSite, Flow, FlowId, FlowKind, SiteId};
 use skipflow_ir::{BlockId, FieldId, MethodId, TypeRef};
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasher, Hasher};
+use std::num::NonZeroU32;
 
 const NO_SPILL: u32 = u32::MAX;
 
 /// CSR-style adjacency shared by every flow for one edge kind.
 #[derive(Clone, Debug, Default)]
 pub struct EdgePool {
-    /// Frozen edge targets, grouped contiguously per source flow.
+    /// Frozen edge targets, grouped contiguously per source flow in flow
+    /// order.
     csr: Vec<FlowId>,
-    /// Per-flow `(start, len)` range into `csr`, frozen at seal time.
-    ranges: Vec<(u32, u32)>,
+    /// Per-flow start into `csr`, written at seal time for every flow
+    /// created since the previous seal. A flow's range ends where the next
+    /// flow's starts, or at `csr.len()` for the last sealed flow.
+    starts: Vec<u32>,
     /// Per-flow head index into `spill` (`NO_SPILL` = none).
     spill_head: Vec<u32>,
     /// `(target, next)` nodes for edges added after the source was sealed.
@@ -47,8 +58,6 @@ pub struct EdgePool {
     pending: Vec<(FlowId, FlowId)>,
     /// Reusable counting-sort scratch for [`EdgePool::seal`].
     scratch: Vec<u32>,
-    /// Total materialized edges (csr + spill).
-    count: usize,
 }
 
 /// Iteration state over one flow's successors; `Copy`, so the caller can
@@ -63,8 +72,7 @@ pub struct EdgeCursor {
 
 impl EdgePool {
     fn ensure(&mut self, flow_count: usize) {
-        if self.ranges.len() < flow_count {
-            self.ranges.resize(flow_count, (0, 0));
+        if self.spill_head.len() < flow_count {
             self.spill_head.resize(flow_count, NO_SPILL);
         }
     }
@@ -81,20 +89,24 @@ impl EdgePool {
         assert!(idx != NO_SPILL, "spill arena overflow");
         self.spill.push((t, self.spill_head[s.index()]));
         self.spill_head[s.index()] = idx;
-        self.count += 1;
     }
 
     /// Seals the open batch: pending edges whose source is `≥ first` (the
     /// fragment's own flows, each sealed exactly once) get contiguous CSR
     /// ranges via a counting sort; pending edges from older sources join
-    /// their spill lists.
+    /// their spill lists. Flows created between the previous seal and
+    /// `first` (root sources and field sinks made mid-solve) get empty
+    /// ranges.
     fn seal(&mut self, first: usize, flow_count: usize) {
         self.ensure(flow_count);
+        assert!(self.starts.len() <= first, "flows are sealed once");
+        let base = self.csr.len();
+        self.starts.resize(first, pool_index(base));
         if self.pending.is_empty() {
+            self.starts.resize(flow_count, pool_index(base));
             return;
         }
         let pending = std::mem::take(&mut self.pending);
-        let base = self.csr.len();
         let mut batch_edges = 0u32;
         let mut counts = std::mem::take(&mut self.scratch);
         counts.clear();
@@ -105,10 +117,9 @@ impl EdgePool {
                 batch_edges += 1;
             }
         }
-        let mut offset = base as u32;
-        for (i, &c) in counts.iter().enumerate() {
-            debug_assert_eq!(self.ranges[first + i], (0, 0), "flows are sealed once");
-            self.ranges[first + i] = (offset, c);
+        let mut offset = pool_index(base);
+        for &c in &counts {
+            self.starts.push(offset);
             offset += c;
         }
         self.csr.resize(base + batch_edges as usize, FlowId(0));
@@ -119,7 +130,7 @@ impl EdgePool {
         for &(s, t) in &pending {
             if s.index() >= first {
                 let slot = s.index() - first;
-                let pos = self.ranges[first + slot].0 + counts[slot];
+                let pos = self.starts[s.index()] + counts[slot];
                 self.csr[pos as usize] = t;
                 counts[slot] += 1;
             } else {
@@ -128,7 +139,6 @@ impl EdgePool {
                 self.spill_head[s.index()] = idx;
             }
         }
-        self.count += pending.len();
         self.scratch = counts;
         // Hand the drained buffer back so the next batch reuses it.
         self.pending = pending;
@@ -139,11 +149,18 @@ impl EdgePool {
     /// construction batch is open.
     pub fn cursor(&self, f: FlowId) -> EdgeCursor {
         debug_assert!(self.pending.is_empty(), "cursor over unsealed pool");
-        let (start, len) = self.ranges.get(f.index()).copied().unwrap_or((0, 0));
-        let spill = self.spill_head.get(f.index()).copied().unwrap_or(NO_SPILL);
+        let i = f.index();
+        let (csr_pos, csr_end) = match self.starts.get(i) {
+            Some(&start) => {
+                let end = self.starts.get(i + 1).copied();
+                (start, end.unwrap_or_else(|| pool_index(self.csr.len())))
+            }
+            None => (0, 0),
+        };
+        let spill = self.spill_head.get(i).copied().unwrap_or(NO_SPILL);
         EdgeCursor {
-            csr_pos: start,
-            csr_end: start + len,
+            csr_pos,
+            csr_end,
             spill,
         }
     }
@@ -171,14 +188,14 @@ impl EdgePool {
 
     /// Total number of materialized edges.
     pub fn len(&self) -> usize {
-        self.count
+        self.csr.len() + self.spill.len()
     }
 
     /// Whether the pool holds no edges. (`len`'s conventional companion;
     /// only tests exercise it today, hence the lint allowance.)
     #[allow(dead_code)]
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.len() == 0
     }
 }
 
@@ -259,7 +276,7 @@ pub struct MethodGraph {
     pub ret: Option<FlowId>,
     /// The flow arena range `first_flow..end` created while the fragment
     /// was built. It can contain global flows the build created on first
-    /// use (a static field's sink), whose `method` is `None`.
+    /// use (a static field's sink), whose [`Pvpg::flow_method`] is `None`.
     pub(crate) flows: Span,
     /// Parameter flows (receiver first for instance methods), in the
     /// parameter pool.
@@ -318,11 +335,28 @@ fn edge_key(s: FlowId, t: FlowId) -> u64 {
     (u64::from(s.0) << 32) | u64::from(t.0)
 }
 
+/// Where a flow was created, packed for the cold side array beside the
+/// flow arena: the method and block ids plus one, `None` for none, so the
+/// pair takes 8 bytes where two `Option`s of ids would take 16.
+#[derive(Clone, Copy, Debug)]
+struct Origin {
+    method: Option<NonZeroU32>,
+    block: Option<NonZeroU32>,
+}
+
+/// An id's index plus one: never zero, so `Option` packs it in 4 bytes.
+fn plus_one(index: usize) -> Option<NonZeroU32> {
+    NonZeroU32::new(pool_index(index + 1))
+}
+
 /// The whole-program PVPG.
 #[derive(Debug)]
 pub struct Pvpg {
-    /// Flow arena.
-    pub flows: Vec<Flow>,
+    /// Flow arena: what a worklist step reads.
+    pub(crate) flows: Vec<Flow>,
+    /// Provenance of each flow, aligned with `flows`; only reports read it
+    /// ([`Pvpg::flow_method`], [`Pvpg::flow_block`]).
+    origins: Vec<Origin>,
     /// Call-site arena.
     pub sites: Vec<CallSite>,
     /// Use-edge adjacency.
@@ -366,6 +400,7 @@ impl Pvpg {
     pub fn new() -> Self {
         let mut g = Pvpg {
             flows: Vec::new(),
+            origins: Vec::new(),
             sites: Vec::new(),
             uses: EdgePool::default(),
             preds: EdgePool::default(),
@@ -383,18 +418,34 @@ impl Pvpg {
             field_sinks: HashMap::new(),
             dynamic_use_edges: HashSet::default(),
         };
-        g.pred_on = g.add_flow(Flow::new(FlowKind::PredOn, None, None));
-        g.thrown_sink = g.add_flow(Flow::new(FlowKind::ThrownSink, None, None));
-        g.unsafe_sink = g.add_flow(Flow::new(FlowKind::UnsafeSink, None, None));
+        g.pred_on = g.add_flow(Flow::new(FlowKind::PredOn), None, None);
+        g.thrown_sink = g.add_flow(Flow::new(FlowKind::ThrownSink), None, None);
+        g.unsafe_sink = g.add_flow(Flow::new(FlowKind::UnsafeSink), None, None);
         g
     }
 
-    /// Adds a flow and returns its id. Ids follow creation order, which
-    /// is also the order the engine's priority tier drains re-enqueued
-    /// flows in.
-    pub fn add_flow(&mut self, flow: Flow) -> FlowId {
+    /// Bytes each flow costs across the graph's per-flow tables: the flow
+    /// record, its origin in the side array, and a CSR start and a spill
+    /// head in each of the three edge pools.
+    pub(crate) const BYTES_PER_FLOW: usize = std::mem::size_of::<Flow>()
+        + std::mem::size_of::<Origin>()
+        + 3 * 2 * std::mem::size_of::<u32>();
+
+    /// Adds a flow created for `method`'s `block` (`None` for the global
+    /// flows) and returns its id. Ids follow creation order, which is also
+    /// the order the engine's priority tier drains re-enqueued flows in.
+    pub fn add_flow(
+        &mut self,
+        flow: Flow,
+        method: Option<MethodId>,
+        block: Option<BlockId>,
+    ) -> FlowId {
         let id = FlowId::from_index(self.flows.len());
         self.flows.push(flow);
+        self.origins.push(Origin {
+            method: method.and_then(|m| plus_one(m.index())),
+            block: block.and_then(|b| plus_one(b.index())),
+        });
         id
     }
 
@@ -411,6 +462,20 @@ impl Pvpg {
     /// Number of flows.
     pub fn flow_count(&self) -> usize {
         self.flows.len()
+    }
+
+    /// The method whose fragment created `id` (`None` for the global flows:
+    /// `pred_on`, field sinks, the thrown/unsafe pools, and root sources).
+    pub fn flow_method(&self, id: FlowId) -> Option<MethodId> {
+        let m = self.origins[id.index()].method?;
+        Some(MethodId::from_index(m.get() as usize - 1))
+    }
+
+    /// The basic block `id` was created for, when applicable (used by
+    /// liveness reporting).
+    pub fn flow_block(&self, id: FlowId) -> Option<BlockId> {
+        let b = self.origins[id.index()].block?;
+        Some(BlockId::from_index(b.get() as usize - 1))
     }
 
     /// Adds a call site and returns its id.
@@ -490,9 +555,9 @@ impl Pvpg {
         if let Some(&f) = self.field_sinks.get(&field) {
             return f;
         }
-        let mut flow = Flow::new(FlowKind::FieldSink { field }, None, None);
+        let mut flow = Flow::new(FlowKind::FieldSink { field });
         flow.enabled = true;
-        let id = self.add_flow(flow);
+        let id = self.add_flow(flow, None, None);
         self.field_sinks.insert(field, id);
         id
     }
@@ -575,9 +640,9 @@ impl Pvpg {
 
     /// Creates an always-enabled injection source bounded by `declared`.
     pub fn add_root_source(&mut self, declared: TypeRef) -> FlowId {
-        let mut flow = Flow::new(FlowKind::RootSource { declared }, None, None);
+        let mut flow = Flow::new(FlowKind::RootSource { declared });
         flow.enabled = true;
-        self.add_flow(flow)
+        self.add_flow(flow, None, None)
     }
 
     /// Total number of edges of each kind `(use, pred, observe)` — used by
@@ -587,6 +652,17 @@ impl Pvpg {
         (self.uses.len(), self.preds.len(), self.observes.len())
     }
 
+    /// Bytes of edge storage across the three pools: a 4-byte target per
+    /// sealed CSR edge, an 8-byte `(target, next)` node per spill edge.
+    pub(crate) fn edge_bytes(&self) -> usize {
+        [&self.uses, &self.preds, &self.observes]
+            .iter()
+            .map(|p| {
+                p.csr.len() * std::mem::size_of::<FlowId>()
+                    + p.spill.len() * std::mem::size_of::<(FlowId, u32)>()
+            })
+            .sum()
+    }
 }
 
 impl Default for Pvpg {
@@ -622,8 +698,8 @@ mod tests {
     #[test]
     fn dynamic_use_edges_deduplicate() {
         let mut g = Pvpg::new();
-        let a = g.add_flow(Flow::new(FlowKind::Phi, None, None));
-        let b = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let a = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let b = g.add_flow(Flow::new(FlowKind::Phi), None, None);
         assert!(g.add_use_dedup(a, b));
         assert!(!g.add_use_dedup(a, b));
         assert_eq!(g.use_targets(a).count(), 1);
@@ -633,8 +709,8 @@ mod tests {
     fn edge_counts_sum_all_kinds() {
         let mut g = Pvpg::new();
         let first = g.flow_count();
-        let a = g.add_flow(Flow::new(FlowKind::Phi, None, None));
-        let b = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let a = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let b = g.add_flow(Flow::new(FlowKind::Phi), None, None);
         assert!(g.uses.is_empty());
         g.add_use(a, b);
         g.add_pred(a, b);
@@ -649,9 +725,9 @@ mod tests {
     fn sealed_and_spill_edges_iterate_in_order() {
         let mut g = Pvpg::new();
         let first = g.flow_count();
-        let a = g.add_flow(Flow::new(FlowKind::Phi, None, None));
-        let b = g.add_flow(Flow::new(FlowKind::Phi, None, None));
-        let c = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let a = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let b = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let c = g.add_flow(Flow::new(FlowKind::Phi), None, None);
         g.add_use(a, b);
         g.add_use(a, c);
         g.seal_batch(first);
@@ -661,7 +737,7 @@ mod tests {
         assert_eq!(targets, vec![b, c, a]);
         // A second sealed batch for new flows leaves old ranges intact.
         let first2 = g.flow_count();
-        let d = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let d = g.add_flow(Flow::new(FlowKind::Phi), None, None);
         g.add_use(d, a);
         g.seal_batch(first2);
         assert_eq!(g.use_targets(a).collect::<Vec<_>>(), vec![b, c, a]);
@@ -670,11 +746,67 @@ mod tests {
     }
 
     #[test]
+    fn flows_made_between_seals_get_empty_ranges() {
+        let mut g = Pvpg::new();
+        let first = g.flow_count();
+        let a = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        g.add_use(a, a);
+        g.seal_batch(first);
+        // A root source and a field sink made mid-solve, then a fragment
+        // whose pending edges also leave one of them.
+        let rs = g.add_root_source(TypeRef::Prim);
+        let sink = g.field_sink(FieldId::from_index(0));
+        let first2 = g.flow_count();
+        let b = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let c = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        g.add_use(b, c);
+        g.add_use(rs, b);
+        g.add_use(c, a);
+        g.add_use(c, b);
+        g.seal_batch(first2);
+        assert_eq!(g.use_targets(a).collect::<Vec<_>>(), vec![a]);
+        assert_eq!(
+            g.use_targets(rs).collect::<Vec<_>>(),
+            vec![b],
+            "older source: spill"
+        );
+        assert_eq!(g.use_targets(sink).count(), 0);
+        assert_eq!(g.use_targets(b).collect::<Vec<_>>(), vec![c]);
+        assert_eq!(g.use_targets(c).collect::<Vec<_>>(), vec![a, b]);
+        // A seal with nothing pending still closes the last flow's range.
+        let first3 = g.flow_count();
+        let d = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        g.seal_batch(first3);
+        assert_eq!(g.use_targets(d).count(), 0);
+        assert_eq!(g.use_targets(c).collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(g.edge_counts(), (5, 0, 0));
+    }
+
+    #[test]
+    fn origins_round_trip_through_the_side_array() {
+        let mut g = Pvpg::new();
+        let m = MethodId::from_index(7);
+        let in_block = g.add_flow(
+            Flow::new(FlowKind::Phi),
+            Some(m),
+            Some(BlockId::from_index(0)),
+        );
+        let no_block = g.add_flow(Flow::new(FlowKind::Phi), Some(m), None);
+        assert_eq!(g.flow_method(in_block), Some(m));
+        assert_eq!(g.flow_block(in_block), Some(BlockId::from_index(0)));
+        assert_eq!(g.flow_method(no_block), Some(m));
+        assert_eq!(g.flow_block(no_block), None);
+        assert_eq!(g.flow_method(g.pred_on), None);
+        assert_eq!(g.flow_block(g.pred_on), None);
+        assert_eq!(std::mem::size_of::<Origin>(), 8);
+    }
+
+    #[test]
     fn cursor_survives_concurrent_spill_growth() {
         let mut g = Pvpg::new();
         let first = g.flow_count();
-        let a = g.add_flow(Flow::new(FlowKind::Phi, None, None));
-        let b = g.add_flow(Flow::new(FlowKind::Phi, None, None));
+        let a = g.add_flow(Flow::new(FlowKind::Phi), None, None);
+        let b = g.add_flow(Flow::new(FlowKind::Phi), None, None);
         g.add_use(a, b);
         g.seal_batch(first);
         g.add_use_dedup(a, b);

@@ -9,8 +9,9 @@
 //! method on a ladder program (dominated by fragment build) and per call
 //! edge on a shared-sink fan-out (dominated by call linking). Growing the
 //! graph is meant to allocate only when one of its shared arenas or pools
-//! doubles, so fragment builds and call links add almost nothing; what
-//! remains is propagation (value states growing and being copied).
+//! doubles, so fragment builds and call links add almost nothing. Value
+//! states whose types fit in one 64-type word hold no heap, so what remains
+//! is propagation of the wider type sets and call linking's per-site sets.
 //!
 //! The load tests pin the decoded program: bodies live in program-wide
 //! pools, so decoding allocates a few times per method (names, signature
@@ -132,7 +133,7 @@ fn ladder_solve_allocations_per_reached_method() {
         "ladder: {allocs} allocations, {methods} reached methods, {per_method:.2} per method"
     );
     assert!(
-        per_method <= 13.5,
+        per_method <= 3.0,
         "{per_method:.2} allocations per reached method"
     );
 }
@@ -143,7 +144,7 @@ fn fanout_solve_allocations_per_call_edge() {
     let (allocs, _, edges) = measure(&spec);
     let per_edge = allocs as f64 / edges as f64;
     eprintln!("fanout: {allocs} allocations, {edges} call edges, {per_edge:.2} per call edge");
-    assert!(per_edge <= 0.75, "{per_edge:.2} allocations per call edge");
+    assert!(per_edge <= 0.70, "{per_edge:.2} allocations per call edge");
 }
 
 /// The ladder, fan-out and quick-corpus programs the load tests decode.

@@ -75,7 +75,7 @@ fn fingerprint(g: &Pvpg, program: &skipflow::ir::Program) -> u64 {
             let flow = g.flow(f);
             h.usize(f.index());
             h.debug(&flow.kind);
-            h.debug(&flow.block);
+            h.debug(&g.flow_block(f));
             targets(&mut h, g.use_targets(f));
             targets(&mut h, g.pred_targets(f));
             targets(&mut h, g.observe_targets(f));

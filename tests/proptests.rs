@@ -6,23 +6,39 @@
 //!   precision ladder.
 
 use proptest::prelude::*;
-use skipflow::analysis::{analyze, compare, AnalysisConfig, CallGraphQuery, ValueState};
+use skipflow::analysis::{analyze, compare, AnalysisConfig, CallGraphQuery, TypeSet, ValueState};
 use skipflow::baselines::rapid_type_analysis;
-use skipflow::ir::{CmpOp, TypeId};
+use skipflow::ir::{BitSet, CmpOp, TypeId};
 use skipflow::synth::{build_benchmark, BenchmarkSpec, GuardMix, Suite};
+use std::collections::BTreeSet;
 
 fn arb_state() -> impl Strategy<Value = ValueState> {
     prop_oneof![
         Just(ValueState::Empty),
         (-3i64..10).prop_map(ValueState::Const),
         Just(ValueState::Any),
-        proptest::collection::btree_set(1usize..12, 0..5).prop_map(|s| {
-            let set: skipflow::analysis::TypeSet =
-                s.into_iter().map(TypeId::from_index).collect();
-            ValueState::from_types(set)
-        }),
+        arb_types(12),
+        arb_types(200),
         Just(ValueState::null()),
     ]
+}
+
+/// Object states over ids `1..max_id`, with or without `null`. Ids below
+/// 12 share one 64-type word, so draws overlap often; ids below 200 span
+/// four words, so joins carry sets from the inline word to a heap band and
+/// equal sets built along different paths meet in either.
+fn arb_types(max_id: usize) -> impl Strategy<Value = ValueState> {
+    (
+        proptest::collection::btree_set(1usize..max_id, 0..5),
+        0u8..2,
+    )
+        .prop_map(|(ids, null)| {
+            let mut set: TypeSet = ids.into_iter().map(TypeId::from_index).collect();
+            if null == 1 {
+                set.insert(TypeId::NULL);
+            }
+            ValueState::from_types(set)
+        })
 }
 
 fn arb_op() -> impl Strategy<Value = CmpOp> {
@@ -59,6 +75,40 @@ proptest! {
         let mut a_bc = a.clone();
         a_bc.join(&bc);
         prop_assert_eq!(ab_c, a_bc);
+    }
+
+    /// Type-set operations agree with a `BTreeSet` of ids (0 is `null`),
+    /// whichever representation each operand and result takes.
+    #[test]
+    fn type_set_operations_match_a_set_model(
+        a in proptest::collection::btree_set(0usize..200, 0..6),
+        b in proptest::collection::btree_set(0usize..200, 0..6),
+    ) {
+        let set = |ids: &BTreeSet<usize>| -> TypeSet { ids.iter().map(|&i| TypeId::from_index(i)).collect() };
+        let ids = |s: &TypeSet| -> Vec<usize> { s.iter().map(TypeId::index).collect() };
+        let (sa, sb) = (set(&a), set(&b));
+        let mut union = sa.clone();
+        prop_assert_eq!(union.union_with(&sb), !b.is_subset(&a));
+        prop_assert_eq!(&union, &set(&a.union(&b).copied().collect()));
+        prop_assert_eq!(ids(&union), a.union(&b).copied().collect::<Vec<_>>());
+        prop_assert_eq!(union.len(), a.union(&b).count());
+        prop_assert_eq!(&sa.intersection(&sb), &set(&a.intersection(&b).copied().collect()));
+        prop_assert_eq!(&sa.difference(&sb), &set(&a.difference(&b).copied().collect()));
+        prop_assert_eq!(sa.is_subset(&sb), a.is_subset(&b));
+        for i in 0..200 {
+            prop_assert_eq!(sa.contains(TypeId::from_index(i)), a.contains(&i));
+        }
+        // Masks never hold null: the filters decide it on their own.
+        let mask: BitSet = b.iter().copied().filter(|&i| i != 0).collect();
+        let masked = |keep: &dyn Fn(usize) -> bool| -> TypeSet {
+            set(&a.iter().copied().filter(|&i| keep(i)).collect())
+        };
+        prop_assert_eq!(
+            &sa.intersect_mask(&mask, true),
+            &masked(&|i| i == 0 || mask.contains(i))
+        );
+        prop_assert_eq!(&sa.intersect_mask(&mask, false), &masked(&|i| i != 0 && mask.contains(i)));
+        prop_assert_eq!(&sa.difference_mask(&mask), &masked(&|i| !mask.contains(i)));
     }
 
     #[test]
